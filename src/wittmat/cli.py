@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, InputError, WittmatError
 from .exact import ExactMatrix, GaussianRational, min_poly
@@ -66,21 +65,7 @@ def _check_cap(n: int, cap: int):
         raise InputError("rank must be at least 1")
 
 
-def _matrix_to_json(M: ExactMatrix):
-    return [[str(M[(r, c)]) for c in range(M.cols)] for r in range(M.rows)]
-
-
-def _matrix_from_json(data) -> ExactMatrix:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise InputError("matrix JSON must be a non-empty array of arrays")
-    try:
-        rows = [[GaussianRational.parse(x) if isinstance(x, str) else GaussianRational(Fraction(x)) for x in row] for row in data]
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad matrix entry: {exc}") from exc
-    return ExactMatrix(rows)
-
-
-def _emit_pretty(payload, indent: str):
+def _emit_pretty(payload):
     # pretty payloads are prepared as (kind, value) pairs by each command
     kind, value = payload
     if kind == "text":
@@ -115,15 +100,16 @@ def _pretty_block(value) -> list:
 class _Result:
     """Holds both serializations so commands build output exactly once."""
 
-    def __init__(self, as_json, pretty):
+    def __init__(self, as_json, pretty, exit_code: int = 0):
         self.as_json = as_json
         self.pretty = pretty
+        self.exit_code = exit_code
 
     def emit(self, args):
         if args.format == "json":
             print(json.dumps(self.as_json))
         else:
-            _emit_pretty(self.pretty, "")
+            _emit_pretty(self.pretty)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +142,11 @@ def _cmd_mul(args) -> _Result:
 def _cmd_to_matrix(args) -> _Result:
     g = _load_mv(args.operand, args.rank_cap)
     M = to_matrix(g)
-    return _Result(_matrix_to_json(M), ("text", M.pretty()))
+    return _Result(M.to_json(), ("text", M.pretty()))
 
 
 def _cmd_from_matrix(args) -> _Result:
-    M = _matrix_from_json(_load_json(args.operand))
+    M = ExactMatrix.from_json(_load_json(args.operand))
     if args.n is not None:
         _check_cap(args.n, args.rank_cap)
     g = from_matrix(M, n=args.n)
@@ -226,7 +212,7 @@ def _cmd_perm(args) -> _Result:
     else:
         M = perm_matrix(p, 1 << args.n)
         g = geom_perm(p, args.n, rep="permutation")
-    body = {"cycles": p.cycle_str(), "matrix": _matrix_to_json(M), "multivector": g.to_json()}
+    body = {"cycles": p.cycle_str(), "matrix": M.to_json(), "multivector": g.to_json()}
     pretty = ("sections", [("permutation", p.cycle_str()), ("matrix", M), ("multivector", g)])
     return _Result(body, pretty)
 
@@ -266,12 +252,12 @@ def _cmd_surgery(args) -> _Result:
         w = _load_mv(args.idempotent, args.rank_cap)
         cut = surgery_cut(g, w)
         M = to_matrix(cut)
-        body = {"cut": cut.to_json(), "matrix": _matrix_to_json(M)}
+        body = {"cut": cut.to_json(), "matrix": M.to_json()}
         return _Result(body, ("sections", [("cut", cut), ("matrix", M)]))
     gc = surgery_gc(args.n)
     gci = surgery_gc_inverse(args.n)
     D = to_matrix(gci * casimir_mv(args.n) * gc)
-    body = {"g_c": gc.to_json(), "diagonalized_casimir": _matrix_to_json(D)}
+    body = {"g_c": gc.to_json(), "diagonalized_casimir": D.to_json()}
     return _Result(body, ("sections", [("g_c", gc), ("diagonalized casimir", D)]))
 
 
@@ -289,11 +275,11 @@ def _cmd_commutant(args) -> _Result:
         data = _load_json(args.group)
         if not isinstance(data, list):
             raise InputError("group file must hold a JSON array of matrices")
-        gens = [_matrix_from_json(m) for m in data]
+        gens = [ExactMatrix.from_json(m) for m in data]
     result = commutant(gens)
     body = {
         "dimension": result.dimension,
-        "basis": [_matrix_to_json(B) for B in result.basis],
+        "basis": [B.to_json() for B in result.basis],
     }
     pretty = ("sections", [("dimension", str(result.dimension))] + [
         (f"basis[{i}]", B) for i, B in enumerate(result.basis)
@@ -324,7 +310,7 @@ def _cmd_minpoly(args) -> _Result:
         return _Result(body, ("lines", lines))
     if args.operand is None:
         raise InputError("give a matrix file or --family")
-    M = _matrix_from_json(_load_json(args.operand))
+    M = ExactMatrix.from_json(_load_json(args.operand))
     mp = min_poly(M)
     body = {"minpoly": str(mp), "factored": mp.factored_str()}
     return _Result(body, ("text", f"{mp} = {mp.factored_str()}"))
@@ -361,9 +347,9 @@ def _cmd_regrep(args) -> _Result:
     X = to_matrix(element.element)
     P, D = regrep_decompose(element)
     body = {
-        "X": _matrix_to_json(X),
-        "P": _matrix_to_json(P),
-        "D": _matrix_to_json(D),
+        "X": X.to_json(),
+        "P": P.to_json(),
+        "D": D.to_json(),
     }
     pretty = ("sections", [("X", X), ("P", P), ("D", D)])
     return _Result(body, pretty)
@@ -382,9 +368,7 @@ def _cmd_verify_paper(args) -> _Result:
         lines.append(f"{mark}  {r.name}{suffix}")
     failed = sum(1 for r in results if not r.ok)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    result = _Result(body, ("lines", lines))
-    result.exit_code = 0 if failed == 0 else 1
-    return result
+    return _Result(body, ("lines", lines), exit_code=0 if failed == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +467,7 @@ def main(argv=None) -> int:
             raise InputError("--rank-cap must be at least 1")
         result = args.fn(args)
         result.emit(args)
-        return getattr(result, "exit_code", 0)
+        return result.exit_code
     except WittmatError as exc:
         for klass, code in _EXIT_CODES:
             if isinstance(exc, klass):

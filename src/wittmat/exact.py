@@ -247,9 +247,15 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExactMatrix":
-        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-            raise InputError("matrix JSON must be an array of arrays")
-        return cls(data)
+        """Rows of rational strings; JSON numbers are taken at their exact binary value."""
+        if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+            raise InputError("matrix JSON must be a non-empty array of arrays")
+        try:
+            rows = [[GaussianRational.parse(x) if isinstance(x, str) else GaussianRational(Fraction(x)) for x in row]
+                    for row in data]
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise InputError(f"bad matrix entry: {exc}") from exc
+        return cls(rows)
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.cells]

@@ -3,21 +3,32 @@
 Spectral units E_{rc} := (prod ascending i in row: b_i) u_{1..n}
 (prod descending j in col: a_j) multiply like matrix units,
 E_{rc} E_{r'c'} = delta_{c r'} E_{r c'}; bit i of a row or column index
-selects index i+1.  to_matrix/from_matrix convert along this basis; both
-directions go through a change of basis that is computed once per monomial
-and cached (the inverse direction uses the closed form
-[m]_{rc} via m * E_{c0} = sum_r [m]_{rc} E_{r0}, which stays exact and avoids
-a dense 4^n x 4^n inversion).
+selects index i+1.
+
+Per index the 2x2 picture is ab = E_00, a = E_01, b = E_10, 1 - ab = E_11,
+so both directions are Kronecker products of per-index entries times the
+parity sign of witt.py (sp(m) has bit j set when m has an odd number of bits
+above j):
+
+    monomial (A, B)  one entry for each F within the indices outside A | B,
+                     at row (B & ~A) | F and column c = (A & ~B) | F, with
+                     sign (-1)^popcount(c & sp(A ^ B));
+    unit E_{rc}      the monomial (full & ~r, full & ~c) times (1 - ab) at
+                     each index set in both r and c, with sign (-1)^(k(k-1)/2) for
+                     k = popcount(c), times (-1)^popcount(c & sp(r)).
+
+to_matrix writes each monomial's entries; from_matrix sums the units of the
+nonzero entries.  Nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .witt import Multivector, WittMonomial, one, reduce_word
+from .witt import Multivector, WittMonomial, _collect, _mono_matrix_entries, _signed, _unit_terms
 
 __all__ = [
     "SpectralIndex",
@@ -48,18 +59,9 @@ class SpectralIndex:
         return spectral_unit(self.n, self.row, self.col)
 
 
-def _bits(mask: int, n: int):
-    return [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
-
-
-@lru_cache(maxsize=None)
 def spectral_unit(n: int, row: int, col: int) -> Multivector:
     SpectralIndex(n, row, col)  # validate
-    tokens = [(i, 1) for i in _bits(row, n)]
-    for i in range(1, n + 1):
-        tokens += [(i, 0), (i, 1)]
-    tokens += [(j, 0) for j in reversed(_bits(col, n))]
-    return reduce_word(n, tokens)
+    return Multivector(n, dict(_signed(n, GaussianRational.ONE, _unit_terms(n, row, col))))
 
 
 def spectral_table(n: int) -> list[list[Multivector]]:
@@ -67,50 +69,15 @@ def spectral_table(n: int) -> list[list[Multivector]]:
     return [[spectral_unit(n, r, c) for c in range(size)] for r in range(size)]
 
 
-@lru_cache(maxsize=None)
-def _column_units(n: int):
-    """E_{r0} = b_row u_{1..n} reduce to single signed monomials; map them back to r."""
-    full = (1 << n) - 1
-    by_amask = {}
-    signs = []
-    for r in range(1 << n):
-        unit = spectral_unit(n, r, 0)
-        terms = unit.terms()
-        assert len(terms) == 1, "column-zero unit must be a single monomial"
-        mono, coeff = terms[0]
-        assert mono.b_mask == full and coeff.im == 0 and abs(coeff.re) == 1
-        sign = 1 if coeff.re > 0 else -1
-        by_amask[mono.a_mask] = (r, sign)
-        signs.append(sign)
-    return by_amask, tuple(signs)
-
-
-@lru_cache(maxsize=None)
-def _mono_matrix_entries(n: int, a_mask: int, b_mask: int):
-    """Matrix entries of a canonical monomial: tuple of (row, col, integer weight)."""
-    from .witt import _mono_mul  # reuse the cached word kernel
-
-    full = (1 << n) - 1
-    by_amask, signs = _column_units(n)
-    out = []
-    for c in range(1 << n):
-        cu = spectral_unit(n, c, 0)
-        (cmono, ccoeff), = cu.terms()
-        csign = 1 if ccoeff.re > 0 else -1
-        for (am, bm), w in _mono_mul(n, a_mask, b_mask, cmono.a_mask, cmono.b_mask):
-            assert bm == full, "product must stay in the column-zero slab"
-            r, rsign = by_amask[am]
-            out.append((r, c, w * csign * rsign))
-    return tuple(out)
-
-
 def to_matrix(g: Multivector) -> ExactMatrix:
     size = 1 << g.n
-    grid = [[GaussianRational.ZERO] * size for _ in range(size)]
-    for mono, coeff in g.terms():
-        for r, c, w in _mono_matrix_entries(g.n, mono.a_mask, mono.b_mask):
-            grid[r][c] = grid[r][c] + coeff * w
-    return ExactMatrix(grid)
+    cells = _collect(
+        ((r, c), coeff if s > 0 else -coeff)
+        for mono, coeff in g.terms()
+        for r, c, s in _mono_matrix_entries(g.n, mono.a_mask, mono.b_mask)
+    )
+    zero = GaussianRational.ZERO
+    return ExactMatrix([[cells.get((r, c), zero) for c in range(size)] for r in range(size)])
 
 
 def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None = None) -> Multivector:
@@ -120,15 +87,16 @@ def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None 
         n = M.rows.bit_length() - 1
     if M.rows != 1 << n:
         raise DimensionMismatch(f"matrix size {M.rows} is not 2^{n}")
-    acc = Multivector(n, {}, complexified=True)
-    for r in range(M.rows):
-        for c in range(M.cols):
-            x = M.cells[r][c]
-            if x:
-                acc = acc + spectral_unit(n, r, c).scale(x)
+    terms = _collect(
+        pair
+        for r, row in enumerate(M.cells)
+        for c, x in enumerate(row)
+        if x
+        for pair in _signed(n, x, _unit_terms(n, r, c))
+    )
     if complexified is None:
         complexified = any(not x.is_real() for row in M.cells for x in row)
-    return Multivector(n, dict(acc.terms()), complexified=complexified)
+    return Multivector(n, terms, complexified=complexified)
 
 
 def mv_trace(g: Multivector) -> GaussianRational:
@@ -160,29 +128,18 @@ def block_split(g: Multivector):
     if g.n == 0:
         raise DomainError("rank must be at least 1 to take blocks")
     n1 = g.n - 1
-    slots = [{}, {}, {}, {}]
-
-    def put(k, w, c):
-        tot = slots[k].get(w, GaussianRational.ZERO) + c
-        if tot.is_zero():
-            slots[k].pop(w, None)
-        else:
-            slots[k][w] = tot
-
+    # index-1 letters of a term -> the blocks it feeds; a term free of index 1
+    # is u1 w + u1^dag w, so it feeds both h1 and h4
+    blocks = {(1, 1): (0,), (1, 0): (1,), (0, 1): (2,), (0, 0): (0, 3)}
+    parts = ([], [], [], [])
     for m, c in g.terms():
         w = WittMonomial(n1, m.a_mask >> 1, m.b_mask >> 1)
-        sgn = -1 if w.degree % 2 else 1
-        has_a, has_b = m.a_mask & 1, m.b_mask & 1
-        if has_a and has_b:
-            put(0, w, c)
-        elif has_a:
-            put(1, w, c * sgn)
-        elif has_b:
-            put(2, w, c * sgn)
-        else:
-            put(0, w, c)
-            put(3, w, c)
-    return tuple(Multivector(n1, s, complexified=g.complexified) for s in slots)
+        letters = (m.a_mask & 1, m.b_mask & 1)
+        if letters[0] != letters[1] and w.degree % 2:
+            c = -c
+        for k in blocks[letters]:
+            parts[k].append((w, c))
+    return tuple(Multivector(n1, _collect(p), complexified=g.complexified) for p in parts)
 
 
 def block_assemble(h1: Multivector, h2: Multivector, h3: Multivector, h4: Multivector) -> Multivector:
@@ -190,27 +147,17 @@ def block_assemble(h1: Multivector, h2: Multivector, h3: Multivector, h4: Multiv
     if len(ranks) != 1:
         raise DimensionMismatch("blocks must share a rank")
     n = ranks.pop() + 1
-    terms: dict[WittMonomial, GaussianRational] = {}
 
-    def put(am, bm, c):
-        key = WittMonomial(n, am, bm)
-        tot = terms.get(key, GaussianRational.ZERO) + c
-        if tot.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = tot
+    def lift(w, a_bit, b_bit, c):
+        return WittMonomial(n, w.a_mask << 1 | a_bit, w.b_mask << 1 | b_bit), c
 
-    for w, c in h1.terms():  # u1 h1
-        put(w.a_mask << 1 | 1, w.b_mask << 1 | 1, c)
-    for w, c in h2.terms():  # a1 h2^-
-        sgn = -1 if w.degree % 2 else 1
-        put(w.a_mask << 1 | 1, w.b_mask << 1, c * sgn)
-    for w, c in h3.terms():  # b1 h3^-
-        sgn = -1 if w.degree % 2 else 1
-        put(w.a_mask << 1, w.b_mask << 1 | 1, c * sgn)
-    for w, c in h4.terms():  # u1^dag h4 = (1 - u1) h4
-        put(w.a_mask << 1, w.b_mask << 1, c)
-        put(w.a_mask << 1 | 1, w.b_mask << 1 | 1, -c)
+    terms = _collect(chain(
+        (lift(w, 1, 1, c) for w, c in h1.terms()),  # u1 h1
+        (lift(w, 1, 0, -c if w.degree % 2 else c) for w, c in h2.terms()),  # a1 h2^-
+        (lift(w, 0, 1, -c if w.degree % 2 else c) for w, c in h3.terms()),  # b1 h3^-
+        (lift(w, 0, 0, c) for w, c in h4.terms()),  # u1^dag h4 = (1 - u1) h4
+        (lift(w, 1, 1, -c) for w, c in h4.terms()),
+    ))
     comp = any(h.complexified for h in (h1, h2, h3, h4))
     return Multivector(n, terms, complexified=comp)
 

@@ -274,7 +274,15 @@ def _std_factor(n: int, k: int) -> Multivector:
 
 
 def standard_irrep(p: Permutation, n: int) -> Multivector:
-    """Image of p in the 2^n-dimensional standard representation of S_{2^n + 1}."""
+    """Image of p in the 2^n-dimensional standard representation of S_{2^n + 1}.
+
+    Known defect: the factor for (1 k) with k <= 2^n and the pinned display
+    for (1, 2^n + 1) are written in different bases.  So at n = 2 the product
+    of the images of (14) and (15), a 3-cycle, does not cube to 1, and images
+    of permutations that move the letter 2^n + 1 are not multiplicative
+    (the character of (345) comes out 4, not 1).  Permutations fixing that letter are correct.  Mending it changes
+    the frozen standard-irrep-matrices golden.
+    """
     m = 1 << n
     if p.degree > m + 1:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m + 1}")

@@ -6,9 +6,33 @@ Rank n means generators a_1..a_n, b_1..b_n subject to
     distinct-index generators anticommute.
 
 A canonical monomial visits indices in ascending order, emitting a_i before
-b_i when both occur; it is encoded by the bitmask pair (a_mask, b_mask).
-The only non-canonical same-index adjacency is b_i a_i, which rewrites to
-1 - a_i b_i and makes products branch into sums.
+b_i when both occur; it is encoded by the bitmask pair (a_mask, b_mask), bit
+i-1 standing for index i.
+
+The kernel is closed form (Jordan-Wigner).  Per index the local words
+1, a, b, ab multiply as 2x2 matrix units (left factor down, right across):
+
+           1       a       b       ab
+    1      1       a       b       ab
+    a      a       0       ab      0
+    b      b     1 - ab    0       b
+    ab     ab      a       0       ab
+
+and the one sign is parity: bringing the local words of two canonical
+monomials together passes each odd local word of the right factor over the
+odd local words of the left factor at higher indices.  With sp(m) the mask
+whose bit j is the parity of the bits of m above j, the product of (A1, B1)
+and (A2, B2) carries (-1)^popcount((A2 ^ B2) & sp(A1 ^ B1)).  The b.a entry,
+1 - ab, is the only branching one.  The same rule gives
+
+    reversal        ab -> ba = 1 - ab per index, and (-1)^(k(k-1)/2) for
+                    the k single letters;
+    blade basis     a = (e + f)/2, b = (e - f)/2, ab = (1 - ef)/2, and back
+                    e = a + b, f = a - b, ef = 1 - 2ab, with blade order
+                    e's then f's costing (-1)^popcount(F & sp(E));
+
+and, in spectral.py, the matrix units.  reduce_word still rewrites arbitrary
+words token by token; the closed forms are tested against that engine.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -19,7 +43,7 @@ conjugates it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InputError
@@ -116,11 +140,15 @@ class BladeMonomial(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# rewriting kernel
+# kernel
 
 
 def _reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
-    """Rewrite an arbitrary word into canonical monomials with integer weights."""
+    """Rewrite an arbitrary word into canonical monomials with integer weights.
+
+    This is the definition the closed forms below are tested against; only
+    reduce_word uses it at run time.
+    """
     out: dict[tuple[int, int], int] = {}
     stack = [(list(tokens), 1)]
     while stack:
@@ -162,17 +190,113 @@ def _reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int],
     return out
 
 
-@lru_cache(maxsize=None)
-def _mono_mul(n, a1, b1, a2, b2) -> tuple[tuple[tuple[int, int], int], ...]:
-    w1 = WittMonomial(n, a1, b1).word()
-    w2 = WittMonomial(n, a2, b2).word()
-    return tuple(sorted(_reduce_tokens(w1 + w2).items()))
+def _sign(x: int) -> int:
+    """(-1) ** popcount(x)."""
+    return -1 if x.bit_count() & 1 else 1
 
 
-@lru_cache(maxsize=None)
-def _mono_reverse(n, a_mask, b_mask) -> tuple[tuple[tuple[int, int], int], ...]:
-    word = WittMonomial(n, a_mask, b_mask).word()
-    return tuple(sorted(_reduce_tokens(word[::-1]).items()))
+def _reversal_sign(k: int) -> int:
+    """(-1) ** (k(k-1)/2), the sign of reversing k anticommuting letters."""
+    return -1 if k & 2 else 1
+
+
+def _suffix_parity(m: int) -> int:
+    """Bit j is the parity of the bits of m above bit j."""
+    x = m >> 1
+    shift = 1
+    while x >> shift:
+        x ^= x >> shift
+        shift <<= 1
+    return x
+
+
+def _subsets(mask: int):
+    """Every submask of mask, from mask itself down to 0."""
+    s = mask
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & mask
+
+
+def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
+    """sign * (a_mask, b_mask) * prod over sites of (1 - a_i b_i), as ((a, b), +-1) terms.
+
+    The sites lie outside a_mask | b_mask, and a_i b_i is even, so it drops
+    into its slot of the canonical word without a sign.
+    """
+    return [((a_mask | s, b_mask | s), -sign if s.bit_count() & 1 else sign) for s in _subsets(sites)]
+
+
+def _mono_mul(a1: int, b1: int, a2: int, b2: int):
+    """(a1, b1) * (a2, b2) as ((a_mask, b_mask), +-1) terms; empty when it vanishes."""
+    if a1 & ~b1 & a2 or b1 & b2 & ~a2:  # a.a or b.b meet at some index
+        return []
+    first_a = a1 | (a2 & ~b1)
+    last_b = b2 | (b1 & ~a2)
+    branch = b1 & ~a1 & a2 & ~b2  # b meets a: b.a = 1 - ab
+    return _with_idempotents(first_a, last_b, branch, _sign((a2 ^ b2) & _suffix_parity(a1 ^ b1)))
+
+
+def _mono_reverse(a_mask: int, b_mask: int):
+    """The reversed word of (a_mask, b_mask) as ((a_mask, b_mask), +-1) terms."""
+    pairs = a_mask & b_mask  # each a_i b_i reverses to b_i a_i = 1 - a_i b_i
+    sign = _reversal_sign((a_mask ^ b_mask).bit_count())
+    return _with_idempotents(a_mask & ~pairs, b_mask & ~pairs, pairs, sign)
+
+
+def _mono_to_blades(a_mask: int, b_mask: int):
+    """(a_mask, b_mask) in the blade basis as ((e_mask, f_mask), Fraction) terms."""
+    single, pairs = a_mask ^ b_mask, a_mask & b_mask
+    scale = Fraction(1, 1 << (a_mask | b_mask).bit_count())
+    out = []
+    for t in _subsets(single):  # single letters that take f rather than e
+        for s in _subsets(pairs):  # pairs that take -ef rather than 1
+            em, fm = (single & ~t) | s, t | s
+            out.append(((em, fm), scale * _sign((t & b_mask) ^ s) * _sign(fm & _suffix_parity(em))))
+    return out
+
+
+def _blade_to_monos(e_mask: int, f_mask: int):
+    """Blade (e_mask, f_mask) as ((a_mask, b_mask), integer) terms."""
+    single, pairs = e_mask ^ f_mask, e_mask & f_mask
+    sign = _sign(f_mask & _suffix_parity(e_mask))
+    out = []
+    for t in _subsets(single):  # single letters that take b rather than a
+        for s in _subsets(pairs):  # pairs that take -2ab rather than 1
+            weight = sign * _sign((t & f_mask) ^ s) << s.bit_count()
+            out.append((((single & ~t) | s, t | s), weight))
+    return out
+
+
+def _mono_matrix_entries(n: int, a_mask: int, b_mask: int):
+    """Spectral matrix of (a_mask, b_mask) as (row, col, +-1) entries."""
+    free = ((1 << n) - 1) & ~(a_mask | b_mask)
+    row0, col0 = b_mask & ~a_mask, a_mask & ~b_mask
+    flips = _suffix_parity(a_mask ^ b_mask)
+    return [(row0 | s, col0 | s, _sign((col0 | s) & flips)) for s in _subsets(free)]
+
+
+def _unit_terms(n: int, row: int, col: int):
+    """Spectral unit E_{row,col} as ((a_mask, b_mask), +-1) terms."""
+    full = (1 << n) - 1
+    sign = _reversal_sign(col.bit_count()) * _sign(col & _suffix_parity(row))
+    return _with_idempotents(full & ~row, full & ~col, row & col, sign)
+
+
+def _signed(n: int, c, terms):
+    """Pair each ((a_mask, b_mask), +-1) kernel term with the coefficient +-c."""
+    return ((WittMonomial(n, am, bm), c if s > 0 else -c) for (am, bm), s in terms)
+
+
+def _collect(pairs) -> dict:
+    """Sum the coefficients of (key, coefficient) pairs by key, dropping zero sums."""
+    acc = {}
+    for key, c in pairs:
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
+    return {key: c for key, c in acc.items() if not c.is_zero()}
 
 
 def _as_coeff(x) -> GaussianRational:
@@ -250,17 +374,11 @@ class Multivector:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = scalar_mv(self.n, other, complexified=True)
+            other = scalar_mv(self.n, other)
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_rank(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            tot = terms.get(m, GaussianRational.ZERO) + c
-            if tot.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = tot
+        terms = _collect(chain(self._terms.items(), other._terms.items()))
         return self._make(self.n, terms, self.complexified or other.complexified)
 
     __radd__ = __add__
@@ -288,18 +406,15 @@ class Multivector:
             return NotImplemented
         self._check_rank(other)
         n = self.n
-        acc: dict[WittMonomial, GaussianRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                c = c1 * c2
-                for (am, bm), w in _mono_mul(n, m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask):
-                    key = WittMonomial(n, am, bm)
-                    tot = acc.get(key, GaussianRational.ZERO) + c * w
-                    if tot.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = tot
-        return self._make(n, acc, self.complexified or other.complexified)
+
+        def products():
+            for m1, c1 in self._terms.items():
+                for m2, c2 in other._terms.items():
+                    terms = _mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask)
+                    if terms:
+                        yield from _signed(n, c1 * c2, terms)
+
+        return self._make(n, _collect(products()), self.complexified or other.complexified)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -335,18 +450,12 @@ class Multivector:
 
     def reverse(self) -> "Multivector":
         conj = self.n % 2 == 1
-        acc: dict[WittMonomial, GaussianRational] = {}
-        for m, c in self._terms.items():
-            if conj:
-                c = c.conjugate()
-            for (am, bm), w in _mono_reverse(self.n, m.a_mask, m.b_mask):
-                key = WittMonomial(self.n, am, bm)
-                tot = acc.get(key, GaussianRational.ZERO) + c * w
-                if tot.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
-        return self._make(self.n, acc, self.complexified)
+        terms = _collect(
+            pair
+            for m, c in self._terms.items()
+            for pair in _signed(self.n, c.conjugate() if conj else c, _mono_reverse(m.a_mask, m.b_mask))
+        )
+        return self._make(self.n, terms, self.complexified)
 
     def grade_involution(self) -> "Multivector":
         acc = {}
@@ -361,16 +470,11 @@ class Multivector:
     # -- blade view ---------------------------------------------------------------
 
     def to_blades(self) -> dict[BladeMonomial, GaussianRational]:
-        acc: dict[BladeMonomial, GaussianRational] = {}
-        for m, c in self._terms.items():
-            for (em, fm), w in _mono_to_blades(self.n, m.a_mask, m.b_mask):
-                key = BladeMonomial(self.n, em, fm)
-                tot = acc.get(key, GaussianRational.ZERO) + c * w
-                if tot.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
-        return acc
+        return _collect(
+            (BladeMonomial(self.n, em, fm), c * w)
+            for m, c in self._terms.items()
+            for (em, fm), w in _mono_to_blades(m.a_mask, m.b_mask)
+        )
 
     def grade_project(self, k: int) -> "Multivector":
         kept = {bl: c for bl, c in self.to_blades().items() if bl.grade == k}
@@ -575,89 +679,22 @@ def reduce_word(n: int, word: Iterable, coeff=1, complexified: bool = False) -> 
 # f's ascending.
 
 
-def _blade_times_gen(e_mask: int, f_mask: int, pos: int, square: int):
-    """Right-multiply a basis blade by the generator at slot `pos`.
-
-    Slots 0..31 are e_1..e_32, slots 32..63 are f_1..f_32, so the slot order
-    matches the canonical blade order (e's first, then f's); `square` is the
-    generator's square (+1 or -1). Returns (e_mask, f_mask, sign).
-    """
-    blade = e_mask | (f_mask << 32)
-    sign = 1
-    for p in range(pos + 1, 64):
-        if blade >> p & 1:
-            sign = -sign
-    if blade >> pos & 1:
-        blade &= ~(1 << pos)
-        sign *= square
-    else:
-        blade |= 1 << pos
-    return blade & 0xFFFFFFFF, blade >> 32, sign
-
-
-@lru_cache(maxsize=None)
-def _mono_to_blades(n, a_mask, b_mask) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    acc: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    for idx, kind in WittMonomial(n, a_mask, b_mask).word():
-        nxt: dict[tuple[int, int], Fraction] = {}
-        f_weight = Fraction(1, 2) if kind == 0 else Fraction(-1, 2)
-        for (em, fm), w in acc.items():
-            for pos, square, scale in (
-                (idx - 1, 1, Fraction(1, 2)),
-                (32 + idx - 1, -1, f_weight),
-            ):
-                em2, fm2, sgn = _blade_times_gen(em, fm, pos, square)
-                key = (em2, fm2)
-                tot = nxt.get(key, Fraction(0)) + w * sgn * scale
-                if tot:
-                    nxt[key] = tot
-                else:
-                    nxt.pop(key, None)
-        acc = nxt
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
-def _blade_to_monos(n, e_mask, f_mask) -> tuple[tuple[tuple[int, int], int], ...]:
-    # expand each e_i / f_i into a_i +- b_i and reduce the resulting words
-    gens = [(i, 1) for i in _mask_indices(e_mask)] + [(i, -1) for i in _mask_indices(f_mask)]
-    words: list[tuple[tuple[tuple[int, int], ...], int]] = [((), 1)]
-    for idx, b_sign in gens:
-        words = [
-            (word + ((idx, kind),), sgn * (b_sign if kind else 1))
-            for word, sgn in words
-            for kind in (0, 1)
-        ]
-    acc: dict[tuple[int, int], int] = {}
-    for word, sgn in words:
-        for key, w in _reduce_tokens(word).items():
-            tot = acc.get(key, 0) + sgn * w
-            if tot:
-                acc[key] = tot
-            else:
-                acc.pop(key, None)
-    return tuple(sorted(acc.items()))
-
-
 def to_blade_basis(g: Multivector) -> dict[BladeMonomial, GaussianRational]:
     return g.to_blades()
 
 
 def from_blade_basis(n: int, blade_terms, complexified: bool = False) -> Multivector:
-    acc: dict[WittMonomial, GaussianRational] = {}
-    any_imag = False
+    blades = []
     for bl, c in blade_terms.items():
         if not isinstance(bl, BladeMonomial):
             bl = BladeMonomial(*bl)
         if bl.n != n:
             raise DimensionMismatch(f"blade rank {bl.n} inside rank-{n} element")
-        c = _as_coeff(c)
-        any_imag = any_imag or not c.is_real()
-        for (am, bm), w in _blade_to_monos(n, bl.e_mask, bl.f_mask):
-            key = WittMonomial(n, am, bm)
-            tot = acc.get(key, GaussianRational.ZERO) + c * w
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
-    return Multivector(n, acc, complexified=complexified or any_imag)
+        blades.append((bl, _as_coeff(c)))
+    terms = _collect(
+        (WittMonomial(n, am, bm), c * w)
+        for bl, c in blades
+        for (am, bm), w in _blade_to_monos(bl.e_mask, bl.f_mask)
+    )
+    any_imag = any(not c.is_real() for _, c in blades)
+    return Multivector(n, terms, complexified=complexified or any_imag)

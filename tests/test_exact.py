@@ -122,6 +122,14 @@ class TestExactMatrix:
         with pytest.raises(DimensionMismatch):
             b * b
 
+    def test_json_reads_numbers_exactly_and_rejects_bad_entries(self):
+        M = ExactMatrix([["1/3", "2i"], [0, Fraction(1, 2)]])
+        assert ExactMatrix.from_json(M.to_json()) == M
+        assert ExactMatrix.from_json([[0.5, 3], [-2, "1-i"]]) == ExactMatrix([["1/2", 3], [-2, "1-i"]])
+        for bad in ([], [[]], "x", [[1], 2], [["q"]], [[None]], [[float("inf")]], [[1, 2], [3]]):
+            with pytest.raises(InputError):
+                ExactMatrix.from_json(bad)
+
     def test_solve_linear(self):
         cols = [ExactMatrix.column([1, 0, 1]), ExactMatrix.column([0, 1, 1])]
         target = ExactMatrix.column([2, 3, 5])

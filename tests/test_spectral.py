@@ -26,7 +26,19 @@ from wittmat import (
     u,
     zero,
 )
+from wittmat import reduce_word
+from wittmat.witt import _mono_matrix_entries, _reduce_tokens
 from conftest import rand_matrix, rand_mv
+
+
+def unit_word(n, row, col):
+    """The defining word of E_{row,col}: b's over row ascending, u_1..u_n, a's over col descending."""
+    bits = [i for i in range(1, n + 1) if row >> (i - 1) & 1]
+    word = [(i, 1) for i in bits]
+    for i in range(1, n + 1):
+        word += [(i, 0), (i, 1)]
+    bits = [j for j in range(1, n + 1) if col >> (j - 1) & 1]
+    return word + [(j, 0) for j in reversed(bits)]
 
 
 class TestSpectralUnits:
@@ -63,6 +75,27 @@ class TestSpectralUnits:
         assert spectral_unit(1, 0, 1) == a(1, 1)
         assert spectral_unit(1, 1, 0) == b(1, 1)
         assert spectral_unit(1, 1, 1) == one(1) - u(1, 1)
+
+    def test_units_match_defining_words(self):
+        for n in (1, 2, 3):
+            for r in range(1 << n):
+                for c in range(1 << n):
+                    assert spectral_unit(n, r, c) == reduce_word(n, unit_word(n, r, c)), (n, r, c)
+
+    def test_monomial_entries_match_rewriting(self):
+        # m = sum of [m]_{rc} E_{rc}, with each E_{rc} reduced from its word
+        rng = random.Random(142)
+        for n, samples in ((1, None), (2, None), (3, None), (4, 60), (5, 20)):
+            size = 1 << n
+            monos = [(am, bm) for am in range(size) for bm in range(size)]
+            if samples is not None:
+                monos = [rng.choice(monos) for _ in range(samples)]
+            for am, bm in monos:
+                total = {}
+                for r, c, w in _mono_matrix_entries(n, am, bm):
+                    for key, v in _reduce_tokens(tuple(unit_word(n, r, c))).items():
+                        total[key] = total.get(key, 0) + w * v
+                assert {k: v for k, v in total.items() if v} == {(am, bm): 1}, (n, am, bm)
 
     def test_index_validation(self):
         with pytest.raises(InputError):

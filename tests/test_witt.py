@@ -27,7 +27,50 @@ from wittmat import (
     wedge_ab,
     zero,
 )
+from wittmat import GaussianRational
+from wittmat.witt import _blade_to_monos, _mono_mul, _mono_reverse, _mono_to_blades, _reduce_tokens
 from conftest import rand_mv
+
+
+def monomials(n, samples):
+    """Every (a_mask, b_mask) at rank n, or a seeded sample of them."""
+    size = 1 << n
+    monos = [(am, bm) for am in range(size) for bm in range(size)]
+    if samples is None:
+        return monos
+    rng = random.Random(200 + n)
+    return [rng.choice(monos) for _ in range(samples)]
+
+
+def monomial_pairs(n, samples):
+    """Every pair of monomials at rank n, or a seeded sample of pairs."""
+    monos = monomials(n, None)
+    if samples is None:
+        return [(m1, m2) for m1 in monos for m2 in monos]
+    rng = random.Random(300 + n)
+    return [(rng.choice(monos), rng.choice(monos)) for _ in range(samples)]
+
+
+# (rank, sample size); None means every pair
+KERNEL_RANKS = ((1, None), (2, None), (3, None), (4, 400), (5, 400))
+
+
+def word(n, a_mask, b_mask):
+    return WittMonomial(n, a_mask, b_mask).word()
+
+
+def blade_by_rewriting(e_mask, f_mask):
+    """The blade e_E f_F with e_i = a_i + b_i, f_i = a_i - b_i, reduced by the rewriting engine."""
+    gens = [(i, 1) for i in range(1, 33) if e_mask >> (i - 1) & 1]
+    gens += [(i, -1) for i in range(1, 33) if f_mask >> (i - 1) & 1]
+    words = [((), 1)]
+    for idx, b_sign in gens:
+        words = [(w + ((idx, kind),), sgn * (b_sign if kind else 1)) for w, sgn in words for kind in (0, 1)]
+    acc = {}
+    for w, sgn in words:
+        for key, weight in _reduce_tokens(w).items():
+            acc[key] = acc.get(key, 0) + sgn * weight
+    return {key: weight for key, weight in acc.items() if weight}
 
 
 class TestGeneratorRelations:
@@ -121,6 +164,32 @@ class TestReduceWord:
             reduce_word(2, ["a5"])
 
 
+class TestClosedFormKernel:
+    """The closed forms against their definitions through the rewriting engine."""
+
+    def test_product_matches_rewriting(self):
+        for n, samples in KERNEL_RANKS:
+            for (a1, b1), (a2, b2) in monomial_pairs(n, samples):
+                expect = _reduce_tokens(word(n, a1, b1) + word(n, a2, b2))
+                assert dict(_mono_mul(a1, b1, a2, b2)) == expect, (n, a1, b1, a2, b2)
+
+    def test_reverse_matches_rewriting(self):
+        for n, samples in KERNEL_RANKS:
+            for am, bm in monomials(n, samples):
+                assert dict(_mono_reverse(am, bm)) == _reduce_tokens(word(n, am, bm)[::-1]), (n, am, bm)
+
+    def test_blade_conversions_match_rewriting(self):
+        # a rank-5 blade expands into up to 2^10 words, so it gets a smaller sample
+        for n, samples in KERNEL_RANKS[:4] + ((5, 10),):
+            for x, y in monomials(n, samples):
+                assert dict(_blade_to_monos(x, y)) == blade_by_rewriting(x, y), (n, x, y)
+                back = {}
+                for blade, w in _mono_to_blades(x, y):
+                    for key, v in blade_by_rewriting(*blade).items():
+                        back[key] = back.get(key, 0) + w * v
+                assert {k: v for k, v in back.items() if v} == {(x, y): 1}, (n, x, y)
+
+
 class TestAlgebraStructure:
     def test_associativity_random(self):
         rng = random.Random(121)
@@ -144,6 +213,13 @@ class TestAlgebraStructure:
         n = 1
         g = a(n, 1) + 2
         assert g.coeff(WittMonomial(n, 0, 0)) == 2
+
+    def test_real_scalar_keeps_element_real(self):
+        x = a(2, 1)
+        for g in (x + 1, x - 1, 1 + x, 1 - x, x + Fraction(1, 2)):
+            assert not g.complexified
+        assert (x + GaussianRational.I).complexified
+        assert (x.complexify() + 1).complexified
 
 
 class TestInvolutions:
