@@ -3,11 +3,22 @@
 Everything here is dense, deterministic, and float-free: scalars are pairs of
 ``fractions.Fraction``, matrices are tuples of tuples of scalars, and the only
 polynomial factorisation offered is rational-root splitting.
+
+Elimination and matrix products run fraction-free on integer numerators.
+Each row (and, for the right factor of a product, each column) is lifted to
+one common denominator; products are integer dot products, and ``rref`` is
+fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
+whose every division is exact.  A matrix with no imaginary part runs on
+plain ints, any other on (re, im) pairs in Z[i].  Scalars are built again
+only for the result, so every output equals the plain Fraction computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, DomainError, InputError
@@ -42,7 +53,8 @@ class GaussianRational:
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
-            assert im == 0
+            if im != 0:
+                raise DomainError("GaussianRational(z, im) takes no im when z is a GaussianRational")
             object.__setattr__(self, "re", re.re)
             object.__setattr__(self, "im", re.im)
             return
@@ -211,8 +223,74 @@ def _as_scalar(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
 
 
+# -- integer lifting for the ExactMatrix kernels ------------------------------
+# A vector of GaussianRationals is carried as integer numerators over one
+# common denominator: parallel lists of real and imaginary numerators, the
+# imaginary list None on the real path (no entry has an imaginary part).
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _lift(entries, cplx: bool):
+    """(den, re, im) with den * entries[k] == re[k] + im[k]*i and den the least common denominator."""
+    if not cplx:
+        den = lcm(*(x.re.denominator for x in entries))
+        return den, [x.re.numerator * (den // x.re.denominator) for x in entries], None
+    den = lcm(*(x.re.denominator for x in entries), *(x.im.denominator for x in entries))
+    return (
+        den,
+        [x.re.numerator * (den // x.re.denominator) for x in entries],
+        [x.im.numerator * (den // x.im.denominator) for x in entries],
+    )
+
+
+def _scalar(re: int, im: int, den: int) -> GaussianRational:
+    if not (re or im):
+        return GaussianRational.ZERO
+    return GaussianRational(Fraction(re, den), Fraction(im, den) if im else _FRACTION_ZERO)
+
+
+def _unlift(re, im, den: int) -> list[GaussianRational]:
+    if im is None:
+        return [_scalar(a, 0, den) for a in re]
+    return [_scalar(a, b, den) for a, b in zip(re, im)]
+
+
+def _entry(row, c: int) -> tuple[int, int]:
+    re, im = row
+    return re[c], (0 if im is None else im[c])
+
+
+def _bareiss_step(p, f, q, x, y):
+    """The row (p*x - f*y) / q, for (re, im) scalars p, f, q and lifted rows x, y.
+
+    Bareiss's theorem makes every division exact.  Over Z[i] the remainder
+    comes for free, so it is checked there.
+    """
+    (xr, xi), (yr, yi) = x, y
+    (pr, pi), (fr, fi), (qr, qi) = p, f, q
+    if xi is None:
+        return [(pr * a - fr * b) // qr for a, b in zip(xr, yr)], None
+    norm = qr * qr + qi * qi
+    outr, outi = [], []
+    for a, b, c, d in zip(xr, xi, yr, yi):
+        tr = pr * a - pi * b - fr * c + fi * d
+        ti = pr * b + pi * a - fr * d - fi * c
+        sr, rr = divmod(tr * qr + ti * qi, norm)
+        si, ri = divmod(ti * qr - tr * qi, norm)
+        if rr or ri:
+            raise DomainError("inexact division in Z[i]: fraction-free elimination invariant broken")
+        outr.append(sr)
+        outi.append(si)
+    return outr, outi
+
+
 class ExactMatrix:
-    """Dense matrix of GaussianRational entries."""
+    """Dense matrix of GaussianRational entries.
+
+    ``rref`` and ``*`` work fraction-free on integer numerators, each row over
+    one common denominator (Bareiss 1968); see the module docstring.
+    """
 
     __slots__ = ("rows", "cols", "cells")
 
@@ -250,6 +328,8 @@ class ExactMatrix:
         """Rows of rational strings; JSON numbers are taken at their exact binary value."""
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             raise InputError("matrix JSON must be a non-empty array of arrays")
+        if any(isinstance(x, bool) for row in data for x in row):
+            raise InputError("bad matrix entry: a JSON boolean is not a number")
         try:
             rows = [[GaussianRational.parse(x) if isinstance(x, str) else GaussianRational(Fraction(x)) for x in row]
                     for row in data]
@@ -319,14 +399,25 @@ class ExactMatrix:
                 raise DimensionMismatch(
                     f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})"
                 )
-            ocols = list(zip(*other.cells))
+            # rows of self over d, columns of other over e: C_ij = (row . col) / (d e)
+            cplx = self._has_imag() or other._has_imag()
+            rows = [_lift(row, cplx) for row in self.cells]
+            cols = [_lift(col, cplx) for col in zip(*other.cells)]
+            if not cplx:
+                return ExactMatrix(
+                    [[_scalar(sum(map(mul, ar, br)), 0, d * e) for e, br, _ in cols] for d, ar, _ in rows]
+                )
             return ExactMatrix(
                 [
                     [
-                        sum((a * b for a, b in zip(row, col)), GaussianRational.ZERO)
-                        for col in ocols
+                        _scalar(
+                            sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
+                            sum(map(mul, ar, bi)) + sum(map(mul, ai, br)),
+                            d * e,
+                        )
+                        for e, br, bi in cols
                     ]
-                    for row in self.cells
+                    for d, ar, ai in rows
                 ]
             )
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -353,6 +444,9 @@ class ExactMatrix:
             base = base * base
             k >>= 1
         return out
+
+    def _has_imag(self) -> bool:
+        return any(x.im for row in self.cells for x in row)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.cells)))
@@ -387,28 +481,40 @@ class ExactMatrix:
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form with leftmost-pivot selection.
 
-        Returns the reduced matrix and the pivot column indices.
+        Returns the reduced matrix and the pivot column indices.  Runs
+        fraction-free Gauss-Jordan (Bareiss 1968) on each row's integer
+        numerators: with pivot p in row r and previous pivot q, every other
+        row becomes (p*row - row[c]*row_r) / q, an exact division.  Rows only
+        ever change by nonzero factors, so the pivots are those of plain
+        Gauss-Jordan.  At the end every pivot equals the last one, d, and the
+        RREF is the integer matrix over d.
         """
-        m = [list(row) for row in self.cells]
+        cplx = self._has_imag()
+        m = [_lift(row, cplx)[1:] for row in self.cells]
         pivots = []
+        prev = (1, 0)
         r = 0
         for c in range(self.cols):
             if r == self.rows:
                 break
             # first row at or below r with a nonzero entry in column c
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
+            pr = next((i for i in range(r, self.rows) if _entry(m[i], c) != (0, 0)), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
+            p = _entry(m[r], c)
             for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                if i != r:
+                    m[i] = _bareiss_step(p, _entry(m[i], c), prev, m[i], m[r])
+            prev = p
             pivots.append(c)
             r += 1
-        return ExactMatrix(m), tuple(pivots)
+        d, di = prev
+        if di:  # x / d = x * conj(d) / |d|^2
+            m = [([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)])
+                 for row in m]
+            d = d * d + di * di
+        return ExactMatrix([_unlift(re, im, d) for re, im in m]), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -460,7 +566,8 @@ def solve_linear(columns: Sequence[ExactMatrix], target: ExactMatrix):
     k = len(columns)
     if k in pivots:  # pivot in the augmented column: inconsistent
         return None
-    assert pivots == tuple(range(k)), "solve_linear requires independent columns"
+    if pivots != tuple(range(k)):
+        raise DomainError("solve_linear requires linearly independent columns")
     sol = [GaussianRational.ZERO] * k
     for prow, pcol in enumerate(pivots):
         sol[pcol] = red.cells[prow][k]
@@ -588,7 +695,8 @@ class RationalPolynomial:
                 break
             roots.append(root)
             poly, rem = divmod(poly, RationalPolynomial([-root, 1]))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise DomainError(f"rational root {root} left a nonzero remainder {rem}")
         return roots, poly
 
     def _find_rational_root(self):
@@ -665,7 +773,8 @@ class RationalPolynomial:
 
 def _divisors(n: int):
     n = abs(n)
-    assert n > 0
+    if n == 0:
+        raise DomainError("0 has infinitely many divisors")
     small, large = [], []
     d = 1
     while d * d <= n:

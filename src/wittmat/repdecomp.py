@@ -201,7 +201,8 @@ def regrep_transform() -> ExactMatrix:
         raise DomainError(f"specialized eigenspace is {len(eig)}-dimensional, expected 6")
     reduced, _ = shifted.transpose().rref()
     complement = [row for row in reduced.cells if any(x for x in row)]
-    assert len(complement) == 2
+    if len(complement) != 2:
+        raise DomainError(f"invariant plane is {len(complement)}-dimensional, expected 2")
     cols = [[v[(i, 0)] for i in range(8)] for v in eig] + [list(row) for row in complement]
     P = ExactMatrix([[cols[j][i] for j in range(8)] for i in range(8)])
     P.inverse()  # must be invertible

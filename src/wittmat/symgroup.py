@@ -65,7 +65,11 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, spec) -> "Permutation":
-        """Build from cycles: "(1 8)(2 3)", "(189)" (digits as letters), or [(1,8)]."""
+        """Build from cycles: "(1 8)(2 3)", "(189)" (digits as letters), or [(1,8)].
+
+        Cycles that share letters compose as a product, the rightmost acting
+        first: from_cycles("(12)(23)") == from_cycles("(12)") * from_cycles("(23)").
+        """
         if isinstance(spec, str):
             body = spec.strip()
             if body and "(" not in body:
@@ -89,16 +93,17 @@ class Permutation:
                     raise InputError(f"malformed cycle: ({grp})") from None
         else:
             cycles = [tuple(int(x) for x in cyc) for cyc in spec]
-        m = max((ltr for cyc in cycles for ltr in cyc), default=0)
-        images = list(range(1, m + 1))
+        out = cls.identity()
         for cyc in cycles:
             if any(ltr < 1 for ltr in cyc):
                 raise InputError("cycle letters must be positive")
             if len(set(cyc)) != len(cyc):
                 raise InputError(f"repeated letter in cycle {cyc}")
+            images = list(range(1, max(cyc, default=0) + 1))
             for pos, ltr in enumerate(cyc):
                 images[ltr - 1] = cyc[(pos + 1) % len(cyc)]
-        return cls(images)
+            out = out * cls(images)
+        return out
 
     @property
     def degree(self) -> int:

@@ -68,9 +68,15 @@ class TestPermutation:
             assert p * p.inverse() == Permutation.identity()
             assert p ** p.order() == Permutation.identity()
 
-    def test_overlapping_cycles_rejected(self):
+    def test_overlapping_cycles_compose(self):
+        P = Permutation.from_cycles
+        assert P("(12)(21)") == Permutation.identity()
+        assert P("(123)(132)") == Permutation.identity()
+        assert P("(12)(23)") == P("(12)") * P("(23)") == P("(123)")
+        assert P("(12)(13)") == P("(12)") * P("(13)") == P("(132)")
+        assert P([(1, 2), (2, 3)]) == P("(12)(23)")
         with pytest.raises(InputError):
-            Permutation.from_cycles("(12)(13)")
+            P("(121)")
 
 
 class TestMatrixImages:
