@@ -206,7 +206,7 @@ def _cmd_perm(args) -> _Result:
     if args.standard_irrep:
         g = standard_irrep(p, args.n)
         M = to_matrix(g)
-    elif args.rep in ("std", "standard"):
+    elif args.rep == "std":
         M = std_rep_matrix(p, 1 << args.n)
         g = geom_perm(p, args.n, rep="standard")
     else:
@@ -256,7 +256,7 @@ def _cmd_surgery(args) -> _Result:
         return _Result(body, ("sections", [("cut", cut), ("matrix", M)]))
     gc = surgery_gc(args.n)
     gci = surgery_gc_inverse(args.n)
-    D = to_matrix(gci * casimir_mv(args.n) * gc)
+    D = to_matrix(gci) * to_matrix(casimir_mv(args.n)) * to_matrix(gc)
     body = {"g_c": gc.to_json(), "diagonalized_casimir": D.to_json()}
     return _Result(body, ("sections", [("g_c", gc), ("diagonalized casimir", D)]))
 

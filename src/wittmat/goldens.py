@@ -92,6 +92,12 @@ def run_all() -> list[GoldenResult]:
     return results
 
 
+def _check(cond, msg: str):
+    """Fail the running check with msg; unlike assert, this survives python -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers for frozen table entries
 
@@ -113,16 +119,16 @@ def _entry(n: int, text: str) -> Multivector:
         if dag:
             tok = tok[:-1]
         kind, digits = tok[0], tok[1:]
-        assert kind in "abu" and digits.isdigit(), f"bad token {tok!r}"
+        _check(kind in "abu" and digits.isdigit(), f"bad token {tok!r}")
         for ch in digits:
             i = int(ch)
             if kind == "u":
                 result = result * (u_dag(n, i) if dag else u(n, i))
             elif kind == "a":
-                assert not dag, f"unexpected dagger on {tok!r}"
+                _check(not dag, f"unexpected dagger on {tok!r}")
                 result = result * a(n, i)
             else:
-                assert not dag, f"unexpected dagger on {tok!r}"
+                _check(not dag, f"unexpected dagger on {tok!r}")
                 result = result * b(n, i)
     return -result if negate else result
 
@@ -181,7 +187,7 @@ def _check_rank1_table():
     for r in range(2):
         for c in range(2):
             want = _entry(1, _TABLE_RANK1[r][c])
-            assert table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch"
+            _check(table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch")
     return "4 entries"
 
 
@@ -191,7 +197,7 @@ def _check_rank2_table():
     for r in range(4):
         for c in range(4):
             want = _entry(2, _TABLE_RANK2[r][c])
-            assert table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch"
+            _check(table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch")
     return "16 entries"
 
 
@@ -201,19 +207,19 @@ def _check_rank3_table():
     for r in range(8):
         for c in range(8):
             want = _entry(3, _TABLE_RANK3[r][c])
-            assert table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch"
+            _check(table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch")
     printed = _entry(3, "b2 a3 u1d")
-    assert table[2][4] != printed, "uncorrected (3,5) variant should differ"
-    assert table[3][5] == printed, "entry (4,6) really is b2 a3 u1d"
+    _check(table[2][4] != printed, "uncorrected (3,5) variant should differ")
+    _check(table[3][5] == printed, "entry (4,6) really is b2 a3 u1d")
     return "64 entries; (3,5) frozen as b2 a3 u1 (display prints u1d there)"
 
 
 @_golden("rank1-null-matrices")
 def _check_rank1_null_matrices():
-    assert to_matrix(a(1, 1)) == _mat([[0, 1], [0, 0]]), "[a1]"
-    assert to_matrix(b(1, 1)) == _mat([[0, 0], [1, 0]]), "[b1]"
-    assert to_matrix(u(1, 1)) == _mat([[1, 0], [0, 0]]), "[a1 b1]"
-    assert to_matrix(u_dag(1, 1)) == _mat([[0, 0], [0, 1]]), "[b1 a1]"
+    _check(to_matrix(a(1, 1)) == _mat([[0, 1], [0, 0]]), "[a1]")
+    _check(to_matrix(b(1, 1)) == _mat([[0, 0], [1, 0]]), "[b1]")
+    _check(to_matrix(u(1, 1)) == _mat([[1, 0], [0, 0]]), "[a1 b1]")
+    _check(to_matrix(u_dag(1, 1)) == _mat([[0, 0], [0, 1]]), "[b1 a1]")
     return ""
 
 
@@ -227,7 +233,7 @@ def _check_rank2_null_matrices():
     }
     gens = {"a1": a(2, 1), "a2": a(2, 2), "b1": b(2, 1), "b2": b(2, 2)}
     for name, g in gens.items():
-        assert to_matrix(g) == _mat(want[name]), f"[{name}]"
+        _check(to_matrix(g) == _mat(want[name]), f"[{name}]")
     return "4 matrices"
 
 
@@ -245,9 +251,9 @@ def _check_block_embeddings():
         got = to_matrix(lifted)
         for i in range(2):
             for j in range(2):
-                assert got[(i, j)] == A[(i, j)], "repeated block, top left"
-                assert got[(i + 2, j + 2)] == A[(i, j)], "repeated block, bottom right"
-                assert got[(i, j + 2)].is_zero() and got[(i + 2, j)].is_zero(), "off blocks"
+                _check(got[(i, j)] == A[(i, j)], "repeated block, top left")
+                _check(got[(i + 2, j + 2)] == A[(i, j)], "repeated block, bottom right")
+                _check(got[(i, j + 2)].is_zero() and got[(i + 2, j)].is_zero(), "off blocks")
         # index map 1 -> 2 interleaves, with sign flips on the odd strand
         primed = Multivector(
             2,
@@ -258,11 +264,11 @@ def _check_block_embeddings():
             for j in range(2):
                 for k in range(2):
                     sign = -1 if (k == 1 and i != j) else 1
-                    assert got2[(2 * i + k, 2 * j + k)] == A[(i, j)] * sign, "interleaved block"
+                    _check(got2[(2 * i + k, 2 * j + k)] == A[(i, j)] * sign, "interleaved block")
         for r in range(4):
             for c in range(4):
                 if (r - c) % 2 != 0:
-                    assert got2[(r, c)].is_zero(), "interleaved zeros"
+                    _check(got2[(r, c)].is_zero(), "interleaved zeros")
     return "5 random samples, both block patterns"
 
 
@@ -281,12 +287,12 @@ def _check_involution_rank1():
         CC = to_matrix(g.clifford_conj())
         g11, g12 = M[(0, 0)], M[(0, 1)]
         g21, g22 = M[(1, 0)], M[(1, 1)]
-        assert R == ExactMatrix([[g22.conjugate(), g12.conjugate()], [g21.conjugate(), g11.conjugate()]]), "reverse"
-        assert GI == ExactMatrix([[g11.conjugate(), -g12.conjugate()], [-g21.conjugate(), g22.conjugate()]]), "grade involution"
-        assert CC == ExactMatrix([[g22, -g12], [-g21, g11]]), "conjugation"
+        _check(R == ExactMatrix([[g22.conjugate(), g12.conjugate()], [g21.conjugate(), g11.conjugate()]]), "reverse")
+        _check(GI == ExactMatrix([[g11.conjugate(), -g12.conjugate()], [-g21.conjugate(), g22.conjugate()]]), "grade involution")
+        _check(CC == ExactMatrix([[g22, -g12], [-g21, g11]]), "conjugation")
         det = det2(g)
-        assert det == g11 * g22 - g12 * g21, "determinant"
-        assert (g * g.clifford_conj()) == scalar_mv(1, det, complexified=True), "g g* is scalar"
+        _check(det == g11 * g22 - g12 * g21, "determinant")
+        _check((g * g.clifford_conj()) == scalar_mv(1, det, complexified=True), "g g* is scalar")
     return "6 random samples"
 
 
@@ -305,15 +311,15 @@ def _check_involution_rank2():
         for i in range(4):
             for j in range(4):
                 src = M[(3 - j, 3 - i)]
-                assert R[(i, j)] == src * (_EPS_DAG[i] * _EPS_DAG[j]), f"reverse ({i + 1},{j + 1})"
-                assert CC[(i, j)] == src * (_EPS_CONJ[i] * _EPS_CONJ[j]), f"conjugation ({i + 1},{j + 1})"
+                _check(R[(i, j)] == src * (_EPS_DAG[i] * _EPS_DAG[j]), f"reverse ({i + 1},{j + 1})")
+                _check(CC[(i, j)] == src * (_EPS_CONJ[i] * _EPS_CONJ[j]), f"conjugation ({i + 1},{j + 1})")
     return "6 random samples"
 
 
 @_golden("det-closed-form")
 def _check_det_closed_form():
     g = u(1, 1).scale(2) + a(1, 1).scale(3) + b(1, 1).scale(5) + u_dag(1, 1).scale(7)
-    assert det2(g) == GaussianRational(-1), "2u + 3a + 5b + 7u_dag has determinant -1"
+    _check(det2(g) == GaussianRational(-1), "2u + 3a + 5b + 7u_dag has determinant -1")
     return ""
 
 
@@ -325,12 +331,12 @@ def _check_reverse_table():
     G = [[E[c][r].reverse() for c in range(size)] for r in range(size)]
     for r in range(size):
         for c in range(size):
-            assert G[r][c] != E[r][c], f"reversed table should differ at ({r},{c})"
+            _check(G[r][c] != E[r][c], f"reversed table should differ at ({r},{c})")
             for rr in range(size):
                 for cc in range(size):
                     prod = G[r][c] * G[rr][cc]
                     want = G[r][cc] if c == rr else Multivector(n, {})
-                    assert prod == want, "matrix-unit law for the reversed table"
+                    _check(prod == want, "matrix-unit law for the reversed table")
     return "reversed table obeys the unit law yet differs entrywise"
 
 
@@ -342,10 +348,10 @@ def _check_trace():
         for _ in range(4):
             M = _rand_complex_matrix(rng, size)
             g = from_matrix(M, n, complexified=True)
-            assert mv_trace(g) == M.trace(), "trace equals matrix trace"
+            _check(mv_trace(g) == M.trace(), "trace equals matrix trace")
             blades = g.to_blades()
             empty = next((c for mono, c in blades.items() if mono.e_mask == 0 and mono.f_mask == 0), GaussianRational.ZERO)
-            assert mv_trace(g) == empty * size, "trace is 2^n times the grade-0 part"
+            _check(mv_trace(g) == empty * size, "trace is 2^n times the grade-0 part")
     return "ranks 1..3"
 
 
@@ -357,12 +363,12 @@ def _check_trace():
 def _check_perm_rep_small():
     t12 = Permutation.from_cycles("(12)")
     t13 = Permutation.from_cycles("(13)")
-    assert geom_perm(t12, 1) == a(1, 1) + b(1, 1), "(12) at rank 1"
-    assert perm_matrix(t12, 2) == _mat([[0, 1], [1, 0]]), "[ (12) ]"
-    assert perm_matrix(t12, 3) == _mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), "(12) on 3 letters"
-    assert perm_matrix(t13, 3) == _mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "(13) on 3 letters"
+    _check(geom_perm(t12, 1) == a(1, 1) + b(1, 1), "(12) at rank 1")
+    _check(perm_matrix(t12, 2) == _mat([[0, 1], [1, 0]]), "[ (12) ]")
+    _check(perm_matrix(t12, 3) == _mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), "(12) on 3 letters")
+    _check(perm_matrix(t13, 3) == _mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "(13) on 3 letters")
     t23 = t12 * t13 * t12
-    assert t23 == Permutation.from_cycles("(23)"), "(23) = (12)(13)(12)"
+    _check(t23 == Permutation.from_cycles("(23)"), "(23) = (12)(13)(12)")
     return ""
 
 
@@ -376,7 +382,7 @@ def _check_perm_geom_rank2():
     }
     for cyc, want in forms.items():
         got = geom_perm(Permutation.from_cycles(cyc), n)
-        assert got == want, f"{cyc} closed form"
+        _check(got == want, f"{cyc} closed form")
     return "3 closed forms"
 
 
@@ -393,13 +399,13 @@ def _check_perm_geom_rank3():
     }
     for cyc, want in forms.items():
         got = geom_perm(Permutation.from_cycles(cyc), n)
-        assert got == want, f"{cyc} closed form"
+        _check(got == want, f"{cyc} closed form")
     ones_b = one(n)
     for i in (1, 2, 3):
         ones_b = ones_b * (one(n) + b(n, i))
     want19 = one(n) - u_all(n) - ones_b * u_all(n)
     got19 = geom_perm(Permutation.from_cycles("(19)"), n, rep="standard")
-    assert got19 == want19, "(19) closed form"
+    _check(got19 == want19, "(19) closed form")
     return "4 closed forms"
 
 
@@ -415,25 +421,25 @@ def _check_nine_cycle():
         if r > 0:
             row[r - 1] = 1
         want_rows.append(row)
-    assert M == _mat(want_rows), "9-cycle matrix"
+    _check(M == _mat(want_rows), "9-cycle matrix")
     g = geom_perm(sigma, n, rep="standard")
     a1, a2, a3 = a(n, 1), a(n, 2), a(n, 3)
     bracket = a3 * a2 * a1 + a3 * a2 - a3 * a1 + a3 + a2 * a1 - a2 + a1 + one(n)
     closed = b(n, 1) + b(n, 2) * a1 + b(n, 3) * a2 * a1 - bracket * u_all_dag(n)
-    assert g == closed, "9-cycle closed form with the -a31 term restored"
+    _check(g == closed, "9-cycle closed form with the -a31 term restored")
     printed = (
         b(n, 1)
         + b(n, 2) * a1
         + b(n, 3) * a2 * a1
         - (a3 * a2 * a1 + a3 * a2 + a3 + a2 * a1 - a2 + a1 + one(n)) * u_all_dag(n)
     )
-    assert printed != g, "7-term bracket variant really does differ"
+    _check(printed != g, "7-term bracket variant really does differ")
     power = one(n)
     for k in range(1, 10):
         power = power * g
         if k < 9:
-            assert power != one(n), f"9-cycle power {k} is not 1"
-    assert power == one(n), "9th power is 1"
+            _check(power != one(n), f"9-cycle power {k} is not 1")
+    _check(power == one(n), "9th power is 1")
     return "closed-form bracket frozen with -a31 restored (display omits it)"
 
 
@@ -443,7 +449,7 @@ def _check_nine_cycle():
 
 @_golden("allones-casimir")
 def _check_allones_casimir():
-    assert all_ones_mv(1) == one(1) + a(1, 1) + b(1, 1), "rank-1 all-ones"
+    _check(all_ones_mv(1) == one(1) + a(1, 1) + b(1, 1), "rank-1 all-ones")
     n = 2
     disp = (
         one(n)
@@ -451,18 +457,18 @@ def _check_allones_casimir():
         + b(n, 1)
         + (a(n, 2) + b(n, 2)) * ((a(n, 1) - b(n, 1)) + wedge_ab(n, 1).scale(2))
     )
-    assert all_ones_mv(2) == disp, "rank-2 all-ones display form"
+    _check(all_ones_mv(2) == disp, "rank-2 all-ones display form")
     for m in (1, 2, 3):
         A = all_ones_mv(m)
         size = 1 << m
         MA = to_matrix(A)
-        assert all(MA[(i, j)] == GaussianRational(1) for i in range(size) for j in range(size)), "all-ones matrix"
-        assert A * A == A.scale(size), "A^2 = 2^n A"
+        _check(all(MA[(i, j)] == GaussianRational(1) for i in range(size) for j in range(size)), "all-ones matrix")
+        _check(A * A == A.scale(size), "A^2 = 2^n A")
         C = casimir_mv(m)
-        assert C == A - one(m), "C = A - 1"
-        assert C * C == C.scale(size - 2) + scalar_mv(m, size - 1), "C^2 = (2^n-2)C + (2^n-1)"
+        _check(C == A - one(m), "C = A - 1")
+        _check(C * C == C.scale(size - 2) + scalar_mv(m, size - 1), "C^2 = (2^n-2)C + (2^n-1)")
     J3 = _mat([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    assert J3 - ExactMatrix.identity(3) == _mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "3x3 Casimir display"
+    _check(J3 - ExactMatrix.identity(3) == _mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "3x3 Casimir display")
     return "ranks 1..3"
 
 
@@ -472,12 +478,12 @@ def _check_minpoly_allones():
         J = ExactMatrix([[1] * m for _ in range(m)])
         got = min_poly(J)
         want = RationalPolynomial.from_roots([Fraction(0), Fraction(m)])
-        assert got == want, f"min poly of the {m}x{m} all-ones matrix is x(x-{m})"
+        _check(got == want, f"min poly of the {m}x{m} all-ones matrix is x(x-{m})")
         C = J - ExactMatrix.identity(m)
         wantc = RationalPolynomial.from_roots([Fraction(-1), Fraction(m - 1)])
-        assert min_poly(C) == wantc, f"min poly of the {m}x{m} Casimir matrix"
+        _check(min_poly(C) == wantc, f"min poly of the {m}x{m} Casimir matrix")
     bad = RationalPolynomial.from_roots([Fraction(0), Fraction(1)])
-    assert min_poly(ExactMatrix([[1] * 4 for _ in range(4)])) != bad, "x(x-1) only fits m=1"
+    _check(min_poly(ExactMatrix([[1] * 4 for _ in range(4)])) != bad, "x(x-1) only fits m=1")
     return "display says x(x-1); frozen corrected value is x(x-m)"
 
 
@@ -487,12 +493,12 @@ def _check_spectral_idempotents():
         s1, s2 = casimir_idempotents(n)
         size = 1 << n
         C = casimir_mv(n)
-        assert s1 == (C - scalar_mv(n, size - 1)).scale(Fraction(-1, size)), "s1 = (C - (2^n-1))/(-2^n)"
-        assert s2 == (C + one(n)).scale(Fraction(1, size)), "s2 = (C + 1)/2^n"
-        assert s1 * s1 == s1 and s2 * s2 == s2, "idempotents"
-        assert s1 * s2 == Multivector(n, {}), "mutually annihilating"
-        assert s1 + s2 == one(n), "partition of unity"
-        assert C == -s1 + s2.scale(size - 1), "C = -s1 + (2^n-1)s2"
+        _check(s1 == (C - scalar_mv(n, size - 1)).scale(Fraction(-1, size)), "s1 = (C - (2^n-1))/(-2^n)")
+        _check(s2 == (C + one(n)).scale(Fraction(1, size)), "s2 = (C + 1)/2^n")
+        _check(s1 * s1 == s1 and s2 * s2 == s2, "idempotents")
+        _check(s1 * s2 == Multivector(n, {}), "mutually annihilating")
+        _check(s1 + s2 == one(n), "partition of unity")
+        _check(C == -s1 + s2.scale(size - 1), "C = -s1 + (2^n-1)s2")
     return "ranks 1..3"
 
 
@@ -507,7 +513,7 @@ def _check_surgery_diag():
         for i in range(size - 1):
             want[i][i] = -1
         want[size - 1][size - 1] = size - 1
-        assert D == _mat(want), f"rank-{n} diagonalized Casimir"
+        _check(D == _mat(want), f"rank-{n} diagonalized Casimir")
     return "diag(-1,..,-1,2^n-1) at ranks 1..3"
 
 
@@ -522,18 +528,18 @@ def _check_standard_irrep():
     }
     for cyc, rows in displays.items():
         g = standard_irrep(Permutation.from_cycles(cyc), n)
-        assert to_matrix(g) == _mat(rows), f"{cyc} matrix"
+        _check(to_matrix(g) == _mat(rows), f"{cyc} matrix")
     two = scalar_mv(n, 2)
     closed14 = one(n) - (two + b(n, 1) + b(n, 2)) * u_all(n)
     closed15 = one(n) - (two + b(n, 1) + b(n, 2) + b(n, 1) * b(n, 2)) * u_all(n)
-    assert standard_irrep(Permutation.from_cycles("(14)"), n) == closed14, "(14) closed form"
-    assert standard_irrep(Permutation.from_cycles("(15)"), n) == closed15, "(15) closed form"
-    assert standard_irrep(Permutation.from_cycles("(12)"), n) == geom_perm(
+    _check(standard_irrep(Permutation.from_cycles("(14)"), n) == closed14, "(14) closed form")
+    _check(standard_irrep(Permutation.from_cycles("(15)"), n) == closed15, "(15) closed form")
+    _check(standard_irrep(Permutation.from_cycles("(12)"), n) == geom_perm(
         Permutation.from_cycles("(12)"), n
-    ), "(12) unchanged by the surgery conjugation"
-    assert standard_irrep(Permutation.from_cycles("(13)"), n) == geom_perm(
+    ), "(12) unchanged by the surgery conjugation")
+    _check(standard_irrep(Permutation.from_cycles("(13)"), n) == geom_perm(
         Permutation.from_cycles("(13)"), n
-    ), "(13) unchanged by the surgery conjugation"
+    ), "(13) unchanged by the surgery conjugation")
     return "4 matrices, 2 closed forms"
 
 
@@ -545,17 +551,17 @@ def _check_standard_irrep():
 def _check_commutant_s4():
     gens = [perm_matrix(Permutation.from_cycles(c), 4) for c in ("(12)", "(13)", "(14)")]
     basis = commutant(gens).basis
-    assert len(basis) == 2, "commutant of S4 has dimension 2"
+    _check(len(basis) == 2, "commutant of S4 has dimension 2")
     for B in basis:
         d = B[(0, 0)]
         t = B[(0, 1)]
         for i in range(4):
             for j in range(4):
                 want = d if i == j else t
-                assert B[(i, j)] == want, "constant-diagonal constant-offdiagonal pattern"
+                _check(B[(i, j)] == want, "constant-diagonal constant-offdiagonal pattern")
     M = g_all_matrix(Fraction(2), Fraction(1))
     want = RationalPolynomial.from_roots([Fraction(1), Fraction(5)])
-    assert min_poly(M) == want, "min poly (x-(s-t))(x-(3t+s)) at s=2, t=1"
+    _check(min_poly(M) == want, "min poly (x-(s-t))(x-(3t+s)) at s=2, t=1")
     return "dimension 2"
 
 
@@ -574,25 +580,25 @@ def _check_commutant_klein():
         for c in ("(12)(34)", "(13)(24)")
     ]
     basis = commutant(gens).basis
-    assert len(basis) == 4, "commutant of the Klein group has dimension 4"
+    _check(len(basis) == 4, "commutant of the Klein group has dimension 4")
     for B in basis:
         for cls in _KLEIN_CLASSES:
             vals = {B[pos] for pos in cls}
-            assert len(vals) == 1, "entries constant on each position class"
+            _check(len(vals) == 1, "entries constant on each position class")
     M = g_alt_matrix(Fraction(0), Fraction(1), Fraction(2), Fraction(3))
     roots = [Fraction(0), Fraction(-2), Fraction(-4), Fraction(6)]
-    assert min_poly(M) == RationalPolynomial.from_roots(sorted(roots)), "four-root factored form"
+    _check(min_poly(M) == RationalPolynomial.from_roots(sorted(roots)), "four-root factored form")
     return "dimension 4"
 
 
 @_golden("family-minpoly-collapse")
 def _check_family_collapse():
     rep = family_minpoly_check("all", [Fraction(2), Fraction(1)])
-    assert rep.ok and rep.collapsed == (), "distinct roots at s=2, t=1"
+    _check(rep.ok and rep.collapsed == (), "distinct roots at s=2, t=1")
     rep0 = family_minpoly_check("all", [Fraction(5), Fraction(0)])
-    assert rep0.ok and rep0.collapsed == ((GaussianRational(5), 2),), "t=0 collapses both roots to s"
+    _check(rep0.ok and rep0.collapsed == ((GaussianRational(5), 2),), "t=0 collapses both roots to s")
     repa = family_minpoly_check("alt", [Fraction(1), Fraction(1), Fraction(1), Fraction(1)])
-    assert repa.ok and repa.collapsed == ((GaussianRational.ZERO, 3),), "equal parameters collapse three roots"
+    _check(repa.ok and repa.collapsed == ((GaussianRational.ZERO, 3),), "equal parameters collapse three roots")
     return "collapse happens at t=0, not s=t"
 
 
@@ -611,21 +617,21 @@ def _check_surgery_band_cut():
         for i in range(4):
             for j in range(4):
                 if i < 2 and j < 2:
-                    assert H[(i, j)] == M[(i, j)], "untouched block"
+                    _check(H[(i, j)] == M[(i, j)], "untouched block")
                 elif i >= 2 and j >= 2:
-                    assert H[(i, j)] == -M[(i, j)], "negated band intersection"
+                    _check(H[(i, j)] == -M[(i, j)], "negated band intersection")
                 else:
-                    assert H[(i, j)].is_zero(), "cleared bands"
+                    _check(H[(i, j)].is_zero(), "cleared bands")
         u12d = u_all_dag(2)
         H2 = to_matrix(g - g * u12d - u12d * g)
         for i in range(4):
             for j in range(4):
                 if i < 3 and j < 3:
-                    assert H2[(i, j)] == M[(i, j)], "untouched 3x3 block"
+                    _check(H2[(i, j)] == M[(i, j)], "untouched 3x3 block")
                 elif i == 3 and j == 3:
-                    assert H2[(i, j)] == -M[(i, j)], "negated corner"
+                    _check(H2[(i, j)] == -M[(i, j)], "negated corner")
                 else:
-                    assert H2[(i, j)].is_zero(), "cleared last row and column"
+                    _check(H2[(i, j)].is_zero(), "cleared last row and column")
     return "u2-cut display corrected: full lower band negates, (3,4),(4,3) are -g34,-g43 and (4,4) is -g44"
 
 
@@ -636,14 +642,14 @@ def _check_column_extraction():
     g = from_matrix(M, 2)
     picked = to_matrix(g * (b(2, 1) * u(2, 2)))
     for i in range(4):
-        assert picked[(i, 0)] == M[(i, 1)], "second column moved to first"
+        _check(picked[(i, 0)] == M[(i, 1)], "second column moved to first")
         for j in range(1, 4):
-            assert picked[(i, j)].is_zero(), "other columns cleared"
+            _check(picked[(i, j)].is_zero(), "other columns cleared")
     picked4 = to_matrix(g * (b(2, 1) * b(2, 2)))
     for i in range(4):
-        assert picked4[(i, 0)] == M[(i, 3)], "fourth column moved to first"
+        _check(picked4[(i, 0)] == M[(i, 3)], "fourth column moved to first")
         for j in range(1, 4):
-            assert picked4[(i, j)].is_zero(), "other columns cleared"
+            _check(picked4[(i, j)].is_zero(), "other columns cleared")
     return ""
 
 
@@ -663,19 +669,19 @@ def _check_regrep_matrix():
         x0, x1, x2, x3, x4, x5 = xs
         M = to_matrix(regrep_element(xs).element)
         tot = _x05(xs)
-        assert M[(0, 0)] == x0 - x2 + x3 - x5, "(1,1)"
-        assert M[(0, 7)] == x1 - x3 - x4 + x5, "(1,8)"
-        assert M[(7, 0)] == x1 - x2 + x4 - x5, "(8,1)"
-        assert M[(7, 7)] == x0 + x2 - x3 - x4, "(8,8)"
+        _check(M[(0, 0)] == x0 - x2 + x3 - x5, "(1,1)")
+        _check(M[(0, 7)] == x1 - x3 - x4 + x5, "(1,8)")
+        _check(M[(7, 0)] == x1 - x2 + x4 - x5, "(8,1)")
+        _check(M[(7, 7)] == x0 + x2 - x3 - x4, "(8,8)")
         for i in range(1, 7):
-            assert M[(i, 0)] == -x2 - x5, f"({i + 1},1)"
-            assert M[(i, i)] == tot, f"({i + 1},{i + 1}) diagonal"
-            assert M[(i, 7)] == -x3 - x4, f"({i + 1},8) corrected entry"
+            _check(M[(i, 0)] == -x2 - x5, f"({i + 1},1)")
+            _check(M[(i, i)] == tot, f"({i + 1},{i + 1}) diagonal")
+            _check(M[(i, 7)] == -x3 - x4, f"({i + 1},8) corrected entry")
             for j in range(1, 7):
                 if i != j:
-                    assert M[(i, j)].is_zero(), "interior zeros"
+                    _check(M[(i, j)].is_zero(), "interior zeros")
         for j in range(1, 7):
-            assert M[(0, j)].is_zero() and M[(7, j)].is_zero(), "first and last row zeros"
+            _check(M[(0, j)].is_zero() and M[(7, j)].is_zero(), "first and last row zeros")
     return "display's zero entries at rows 2..7, column 8 are frozen corrected to -x3-x4"
 
 
@@ -688,20 +694,20 @@ def _check_regrep_blocks():
         P, D = regrep_decompose(regrep_element(xs))
         tot = _x05(xs)
         for i in range(6):
-            assert D[(i, i)] == tot, "six copies of the trivial part"
+            _check(D[(i, i)] == tot, "six copies of the trivial part")
             for j in range(8):
                 if j != i:
-                    assert D[(i, j)].is_zero(), "off-diagonal zeros"
+                    _check(D[(i, j)].is_zero(), "off-diagonal zeros")
         for j in range(6):
-            assert D[(6, j)].is_zero() and D[(7, j)].is_zero(), "block separation"
+            _check(D[(6, j)].is_zero() and D[(7, j)].is_zero(), "block separation")
         blk_tr = D[(6, 6)] + D[(7, 7)]
         blk_det = D[(6, 6)] * D[(7, 7)] - D[(6, 7)] * D[(7, 6)]
         disp_tr = (x0 + x1 - x3 - x4) + (x0 - x1 + x3 - x5)
         disp_det = (x0 + x1 - x3 - x4) * (x0 - x1 + x3 - x5) - (x2 - x3 - x4 + x5) * (
             -x1 + x2 + x4 - x5
         )
-        assert blk_tr == disp_tr, "2x2 block trace"
-        assert blk_det == disp_det, "2x2 block determinant"
+        _check(blk_tr == disp_tr, "2x2 block trace")
+        _check(blk_det == disp_det, "2x2 block determinant")
     return "block equals the displayed 2x2 up to the eigenvector-scaling freedom"
 
 
@@ -726,10 +732,10 @@ _SIGNATURE_TABLE = (
 def _check_signatures():
     for p, q, n, plus, minus in _SIGNATURE_TABLE:
         gs = generators(SignatureSpec(p, q, n))
-        assert gs.plus_labels == plus, f"G({p},{q}) plus labels"
-        assert gs.minus_labels == minus, f"G({p},{q}) minus labels"
+        _check(gs.plus_labels == plus, f"G({p},{q}) plus labels")
+        _check(gs.minus_labels == minus, f"G({p},{q}) minus labels")
         report = verify_signature(gs)
-        assert report.ok, f"G({p},{q}) fails: {report.failures}"
+        _check(report.ok, f"G({p},{q}) fails: {report.failures}")
     return "9 generator lists"
 
 
@@ -737,23 +743,23 @@ def _check_signatures():
 def _check_extra_vector():
     f2 = f_extra(1)
     want = (e(1, 1) * f(1, 1)).complexify().scale(GaussianRational.I)
-    assert f2 == want, "f2 = e1 f1 i"
+    _check(f2 == want, "f2 = e1 f1 i")
     for n in (1, 2, 3):
         fx = f_extra(n)
-        assert fx * fx == -one(n).complexify(), "square -1"
+        _check(fx * fx == -one(n).complexify(), "square -1")
         for i in range(1, n + 1):
             for gen in (e(n, i).complexify(), f(n, i).complexify()):
-                assert fx * gen == -(gen * fx), "anticommutes with every generator"
+                _check(fx * gen == -(gen * fx), "anticommutes with every generator")
         pc = pseudoscalar_candidate(n)
-        assert pc * pc == one(n), "pseudoscalar candidate squares to +1"
+        _check(pc * pc == one(n), "pseudoscalar candidate squares to +1")
         prod = pc.complexify() * fx
-        assert prod == scalar_mv(n, GaussianRational.I, complexified=True), "product is the formal i"
+        _check(prod == scalar_mv(n, GaussianRational.I, complexified=True), "product is the formal i")
     return "ranks 1..3"
 
 
 @_golden("character-values")
 def _check_character_values():
-    assert character(geom_perm(Permutation.from_cycles("(12)"), 2)) == GaussianRational(2), "fix count of (12) on 4 letters"
-    assert character(one(2)) == GaussianRational(4), "identity character"
-    assert character(geom_perm(Permutation.from_cycles("(12)(34)"), 2)) == GaussianRational.ZERO, "fix count of (12)(34)"
+    _check(character(geom_perm(Permutation.from_cycles("(12)"), 2)) == GaussianRational(2), "fix count of (12) on 4 letters")
+    _check(character(one(2)) == GaussianRational(4), "identity character")
+    _check(character(geom_perm(Permutation.from_cycles("(12)(34)"), 2)) == GaussianRational.ZERO, "fix count of (12)(34)")
     return ""

@@ -100,7 +100,8 @@ def generators(spec: SignatureSpec) -> GeneratorSet:
     else:
         plus = base_plus[:p]
         minus = base_minus[:q]
-    assert len(plus) == p and len(minus) == q
+    if len(plus) != p or len(minus) != q:
+        raise DomainError(f"G({p},{q}) got {len(plus)} plus and {len(minus)} minus generators")
     return GeneratorSet(
         n=n,
         plus=tuple(mv for _, mv in plus),

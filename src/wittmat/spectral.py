@@ -167,5 +167,6 @@ def det2(g: Multivector) -> GaussianRational:
     if g.n != 1:
         raise DimensionMismatch("det2 is defined at rank 1")
     p = g * g.clifford_conj()
-    assert p.is_scalar(), "g g* must reduce to a scalar at rank 1"
+    if not p.is_scalar():
+        raise DomainError("g g* must reduce to a scalar at rank 1")
     return p.scalar_part()

@@ -1,27 +1,27 @@
 """Symmetric groups acting inside G(n,n): permutation and standard images.
 
-S_m for m = 2^n acts on the spectral basis by permutation matrices pulled back
-through from_matrix.  The all-ones matrix A and Casimir C = A - 1 have exact
-closed forms in the Witt generators, built by the doubling recursion
+S_m for m = 2^n acts on the spectral basis by permutation matrices.  Every
+element here is its exact 2^n x 2^n matrix pulled back once by from_matrix:
+the all-ones matrix J gives A, the Casimir is C = A - 1, and the diagonalizer
+g_c keeps columns 1..m-1 of I - J/m and the last column of J/m.  Conjugation
+by g_c turns permutation images into standard-representation images, which
+extend to S_{m+1} through the quotient matrix of (1, m+1).  The paper's
+doubling recursion for A,
 
     A_{2^{k+1}} = A_{2^k} (1 + 2^k (a_{k+1} + b_{k+1}) w_1 w_2 .. w_k),
 
-with w_j = a_j b_j - 1/2 and A_1 = 1.  Spectral surgery with the idempotents
-of A produces g_c, and conjugation by g_c turns permutation images into
-standard-representation images, which extend to S_{m+1} through the closed
-form for the transposition (1, m+1).
+with w_j = a_j b_j - 1/2 and A_1 = 1, is checked against it in the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 
 from .errors import DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .spectral import from_matrix, mv_inverse, mv_trace
-from .witt import Multivector, b, one, reduce_word, scalar_mv, u_all, u_all_dag, wedge_ab
+from .spectral import from_matrix, mv_trace
+from .witt import Multivector, one, scalar_mv
 
 __all__ = [
     "Permutation",
@@ -208,18 +208,19 @@ def geom_perm(p: Permutation, n: int, rep: str = "permutation") -> Multivector:
     raise InputError(f"unknown representation {rep!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def all_ones_mv(n: int) -> Multivector:
-    """Closed form of the all-ones matrix, by the doubling recursion."""
+def _size(n: int) -> int:
     if n < 1:
         raise DomainError("rank must be at least 1")
-    acc = one(n)
-    wedge = one(n)
-    for k in range(n):
-        step = one(n) + (reduce_word(n, [(k + 1, 0)]) + reduce_word(n, [(k + 1, 1)])).scale(1 << k) * wedge
-        acc = acc * step
-        wedge = wedge * wedge_ab(n, k + 1)
-    return acc
+    return 1 << n
+
+
+def all_ones_mv(n: int) -> Multivector:
+    """A, pulled back from the all-ones matrix J.
+
+    The paper's doubling recursion gives the same element; the tests check it.
+    """
+    m = _size(n)
+    return from_matrix(ExactMatrix([[1] * m for _ in range(m)]), n=n)
 
 
 def casimir_mv(n: int) -> Multivector:
@@ -228,24 +229,29 @@ def casimir_mv(n: int) -> Multivector:
 
 def casimir_idempotents(n: int) -> tuple[Multivector, Multivector]:
     """The pair s1 = (A - 2^n)/(-2^n), s2 = A/2^n with s^2 = s and s1 s2 = 0."""
-    m = 1 << n
+    m = _size(n)
     a_mv = all_ones_mv(n)
     s1 = (a_mv - scalar_mv(n, m)).scale(Fraction(-1, m))
     s2 = a_mv.scale(Fraction(1, m))
     return s1, s2
 
 
-@functools.lru_cache(maxsize=None)
+def _gc_matrix(m: int) -> ExactMatrix:
+    """[g_c]: columns 1..m-1 of I - J/m, then the last column of J/m."""
+    return ExactMatrix([[Fraction(1, m) if c == m - 1 else int(r == c) - Fraction(1, m)
+                         for c in range(m)] for r in range(m)])
+
+
 def surgery_gc(n: int) -> Multivector:
-    """g_c = s1 (1 - u^dag) + s2 u^dag, diagonalizing to (-1, .., -1, 2^n - 1)."""
-    s1, s2 = casimir_idempotents(n)
-    udag = u_all_dag(n)
-    return s1 * (one(n) - udag) + s2 * udag
+    """g_c = s1 (1 - u^dag) + s2 u^dag, pulled back from its matrix.
+
+    It diagonalizes C to (-1, .., -1, 2^n - 1).
+    """
+    return from_matrix(_gc_matrix(_size(n)), n=n)
 
 
-@functools.lru_cache(maxsize=None)
 def surgery_gc_inverse(n: int) -> Multivector:
-    return mv_inverse(surgery_gc(n))
+    return from_matrix(_gc_matrix(_size(n)).inverse(), n=n)
 
 
 def _one_k_transpositions(p: Permutation) -> list[int]:
@@ -263,38 +269,28 @@ def _one_k_transpositions(p: Permutation) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _std_factor(n: int, k: int) -> Multivector:
-    """Standard image of the transposition (1 k), k up to 2^n + 1."""
-    m = 1 << n
-    if k <= m:
-        gc, gcinv = surgery_gc(n), surgery_gc_inverse(n)
-        return gcinv * geom_perm(Permutation.from_cycles([(1, k)]), n) * gc
-    # the extra letter: 1 - u - (1+b_1)..(1+b_n) u  with u = u_{1..n}
-    u = u_all(n)
-    prod = one(n)
-    for i in range(1, n + 1):
-        prod = prod * (one(n) + b(n, i))
-    return one(n) - u - prod * u
-
-
 def standard_irrep(p: Permutation, n: int) -> Multivector:
     """Image of p in the 2^n-dimensional standard representation of S_{2^n + 1}.
 
-    Known defect: the factor for (1 k) with k <= 2^n and the pinned display
-    for (1, 2^n + 1) are written in different bases.  So at n = 2 the product
-    of the images of (14) and (15), a 3-cycle, does not cube to 1, and images
-    of permutations that move the letter 2^n + 1 are not multiplicative
-    (the character of (345) comes out 4, not 1).  Permutations fixing that letter are correct.  Mending it changes
+    The product of the matrices of the factors (1 k) of p, pulled back once:
+    [g_c]^-1 P_(1k) [g_c] for k <= 2^n, std_rep_matrix((1, 2^n + 1)) for the
+    extra letter.  Known defect: the two kinds of factor are written in
+    different bases.  So at n = 2 the product of the images of (14) and (15),
+    a 3-cycle, does not cube to 1, and images of permutations that move the
+    letter 2^n + 1 are not multiplicative (the character of (345) comes out 4,
+    not 1).  Permutations fixing that letter are correct.  Mending it changes
     the frozen standard-irrep-matrices golden.
     """
     m = 1 << n
     if p.degree > m + 1:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m + 1}")
-    out = one(n)
+    gc = _gc_matrix(m)
+    gci = gc.inverse()
+    out = ExactMatrix.identity(m)
     for k in _one_k_transpositions(p):
-        out = out * _std_factor(n, k)
-    return out
+        t = Permutation.from_cycles([(1, k)])
+        out = out * (gci * perm_matrix(t, m) * gc if k <= m else std_rep_matrix(t, m))
+    return from_matrix(out, n=n)
 
 
 def character(g: Multivector) -> GaussianRational:

@@ -47,7 +47,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational
+from .exact import GaussianRational, _as_scalar
 
 __all__ = [
     "WittMonomial",
@@ -299,16 +299,6 @@ def _collect(pairs) -> dict:
     return {key: c for key, c in acc.items() if not c.is_zero()}
 
 
-def _as_coeff(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    if isinstance(x, str):
-        return GaussianRational.parse(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a coefficient")
-
-
 class Multivector:
     """Finite GaussianRational combination of canonical monomials at a fixed rank."""
 
@@ -325,7 +315,7 @@ class Multivector:
                 raise DimensionMismatch(f"monomial rank {mono.n} inside rank-{n} element")
             if mono.a_mask >> n or mono.b_mask >> n:
                 raise InputError(f"monomial index out of range for rank {n}")
-            c = _as_coeff(coeff)
+            c = _as_scalar(coeff)
             if c.is_zero():
                 continue
             if not complexified and not c.is_real():
@@ -384,7 +374,7 @@ class Multivector:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Multivector) else -_as_coeff(other))
+        return self + (-other if isinstance(other, Multivector) else -_as_scalar(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -393,7 +383,7 @@ class Multivector:
         return self.scale(-1)
 
     def scale(self, c) -> "Multivector":
-        c = _as_coeff(c)
+        c = _as_scalar(c)
         comp = self.complexified or not c.is_real()
         if c.is_zero():
             return self._make(self.n, {}, comp)
@@ -571,7 +561,7 @@ def one(n: int) -> Multivector:
 
 
 def scalar_mv(n: int, c, complexified: bool | None = None) -> Multivector:
-    c = _as_coeff(c)
+    c = _as_scalar(c)
     if complexified is None:
         complexified = not c.is_real()
     return Multivector(n, {WittMonomial(n, 0, 0): c}, complexified=complexified)
@@ -667,7 +657,7 @@ def reduce_word(n: int, word: Iterable, coeff=1, complexified: bool = False) -> 
         _check_index(n, idx)
         total_sign *= sign
         tokens.append((idx, kind))
-    c = _as_coeff(coeff) * total_sign
+    c = _as_scalar(coeff) * total_sign
     reduced = _reduce_tokens(tuple(tokens))
     terms = {WittMonomial(n, am, bm): c * w for (am, bm), w in reduced.items()}
     return Multivector(n, terms, complexified=complexified or not c.is_real())
@@ -690,7 +680,7 @@ def from_blade_basis(n: int, blade_terms, complexified: bool = False) -> Multive
             bl = BladeMonomial(*bl)
         if bl.n != n:
             raise DimensionMismatch(f"blade rank {bl.n} inside rank-{n} element")
-        blades.append((bl, _as_coeff(c)))
+        blades.append((bl, _as_scalar(c)))
     terms = _collect(
         (WittMonomial(n, am, bm), c * w)
         for bl, c in blades

@@ -1,11 +1,20 @@
 """Command-line interface: outputs, formats, determinism, exit codes."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
 from wittmat import one, to_matrix, u
 from wittmat.cli import main
+
+
+# sha256 of the stdout of fixed commands, frozen with the benchmark
+DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "cli_digests.json")
+with open(DIGESTS, encoding="utf-8") as _fh:
+    FROZEN = json.load(_fh)
 
 
 def run(capsys, *argv):
@@ -86,6 +95,9 @@ class TestHappyPaths:
         assert code == 0
         data = json.loads(out)
         assert data["matrix"] == [["0", "1"], ["1", "0"]]
+        code, out, _ = run(capsys, "perm", "--cycles", "(13)", "--rep", "std", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["matrix"] == [["-1", "0"], ["-1", "1"]]
 
     def test_casimir(self, capsys):
         code, out, _ = run(capsys, "casimir", "--n", "2")
@@ -133,6 +145,12 @@ class TestHappyPaths:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("command", sorted(FROZEN))
+    def test_frozen_stdout_digest(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN[command]
+
     def test_byte_identical_runs(self, capsys, g1_path):
         outs = set()
         for _ in range(3):

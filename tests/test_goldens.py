@@ -1,5 +1,9 @@
 """The frozen reference checks must all pass."""
 
+import os
+import subprocess
+import sys
+
 from wittmat import run_all
 
 
@@ -15,3 +19,20 @@ def test_results_carry_names_and_details():
     assert len({r.name for r in results}) == len(results)
     for r in results:
         assert isinstance(r.detail, str)
+
+
+def test_corrupted_value_fails_under_optimize():
+    # python -O strips assert statements; a wrong frozen value must still fail
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "from wittmat import goldens\n"
+        "from wittmat.cli import main\n"
+        "goldens._TABLE_RANK1[0][0] = 'a1'\n"
+        "sys.exit(main(['verify-paper', '--format', 'pretty']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout
+    assert "FAIL  rank1-spectral-table" in proc.stdout
+    assert "29/30 checks passed" in proc.stdout

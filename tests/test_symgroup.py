@@ -1,6 +1,7 @@
 """Permutations, their algebra images, Casimir elements, and characters."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from wittmat import (
     GaussianRational,
     InputError,
     Permutation,
+    a,
     all_ones_mv,
+    b,
     casimir_idempotents,
     casimir_mv,
     character,
@@ -27,8 +30,12 @@ from wittmat import (
     surgery_gc,
     surgery_gc_inverse,
     to_matrix,
+    u_all,
+    u_all_dag,
+    wedge_ab,
     zero,
 )
+from wittmat.symgroup import _one_k_transpositions
 
 
 def rand_perm(rng: random.Random, m: int) -> Permutation:
@@ -266,3 +273,66 @@ class TestStandardIrrep:
             p = rand_perm(rng, 4)
             fixed = sum(1 for k in range(1, 5) if p(k) == k)
             assert character(geom_perm(p, n)) == GaussianRational(fixed)
+
+
+# -- the paper's native constructions: the oracles for the pulled-back elements --
+
+
+def doubling_all_ones(n):
+    """A_{2^{k+1}} = A_{2^k} (1 + 2^k (a_{k+1} + b_{k+1}) w_1 .. w_k), w_j = a_j b_j - 1/2."""
+    acc = wedge = one(n)
+    for k in range(n):
+        acc = acc * (one(n) + (a(n, k + 1) + b(n, k + 1)).scale(1 << k) * wedge)
+        wedge = wedge * wedge_ab(n, k + 1)
+    return acc
+
+
+def native_standard_irrep(p, n, factors):
+    """Product of native factor images; factors caches them per (n, k)."""
+    m = 1 << n
+
+    def factor(k):
+        if k <= m:
+            t = geom_perm(Permutation.from_cycles([(1, k)]), n)
+            return surgery_gc_inverse(n) * t * surgery_gc(n)
+        # the pinned closed form of (1, m+1): 1 - u - (1 + b_1)..(1 + b_n) u
+        prod = one(n)
+        for i in range(1, n + 1):
+            prod = prod * (one(n) + b(n, i))
+        return one(n) - u_all(n) - prod * u_all(n)
+
+    out = one(n)
+    for k in _one_k_transpositions(p):
+        if (n, k) not in factors:
+            factors[n, k] = factor(k)
+        out = out * factors[n, k]
+    return out
+
+
+class TestAgainstNativeConstructions:
+    def test_all_ones_is_the_doubling_recursion(self):
+        for n in (1, 2, 3, 4):
+            assert all_ones_mv(n) == doubling_all_ones(n)
+
+    def test_gc_is_the_surgery_formula(self):
+        for n in (1, 2, 3, 4):
+            s1, s2 = casimir_idempotents(n)
+            udag = u_all_dag(n)
+            assert surgery_gc(n) == s1 * (one(n) - udag) + s2 * udag
+
+    def test_standard_irrep_matches_native_factors(self):
+        # byte for byte, so the known extra-letter defect is pinned too
+        factors = {}
+        perms = [(1, Permutation(imgs)) for imgs in itertools.permutations(range(1, 4))]
+        perms += [(2, Permutation(imgs)) for imgs in itertools.permutations(range(1, 6))]
+        rng = random.Random(172)
+        perms += [(3, rand_perm(rng, 9)) for _ in range(12)]
+        for n, p in perms:
+            want = native_standard_irrep(p, n, factors).to_json()
+            assert standard_irrep(p, n).to_json() == want, (n, p)
+
+    def test_rank_below_one_is_rejected(self):
+        for fn in (all_ones_mv, casimir_mv, casimir_idempotents, surgery_gc, surgery_gc_inverse):
+            for n in (0, -1):
+                with pytest.raises(DomainError):
+                    fn(n)
