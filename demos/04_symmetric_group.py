@@ -12,9 +12,9 @@ from wittmat import (
     all_ones_mv,
     casimir_idempotents,
     casimir_mv,
-    character,
     geom_perm,
     min_poly,
+    mv_trace,
     one,
     standard_irrep,
     surgery_gc,
@@ -59,5 +59,5 @@ print(D.pretty())
 print("\nstandard images of the transpositions through the extra letter:")
 for cyc in ("(12)", "(13)", "(14)", "(15)"):
     g = standard_irrep(Permutation.from_cycles(cyc), n)
-    print(f"  {cyc}: trace {character(g)}")
+    print(f"  {cyc}: trace {mv_trace(g)}")
     print(to_matrix(g).pretty())

@@ -8,7 +8,7 @@ two-dimensional representation content.
 
 from fractions import Fraction
 
-from wittmat import extract_column, regrep_decompose, regrep_element, to_matrix, u, b
+from wittmat import regrep_decompose, regrep_element, to_matrix, u, b
 
 xs = [Fraction(v) for v in (1, 2, 3, 4, 5, 6)]
 el = regrep_element(xs)
@@ -35,6 +35,6 @@ print("\npadded coefficient column:", padded)
 # column surgery: right-multiplying by one monomial slides a single column
 # of the matrix into the first position and clears the rest
 n = 3
-picked = extract_column(el.element, b(n, 1) * u(n, 2) * u(n, 3))
+picked = el.element * (b(n, 1) * u(n, 2) * u(n, 3))
 print("\ncolumn extraction via b1 u2 u3 (second column of [X]):")
 print(to_matrix(picked).pretty())

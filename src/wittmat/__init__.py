@@ -26,7 +26,6 @@ from .witt import (
     one,
     reduce_word,
     scalar_mv,
-    to_blade_basis,
     u,
     u_all,
     u_all_dag,
@@ -35,7 +34,6 @@ from .witt import (
     zero,
 )
 from .spectral import (
-    SpectralIndex,
     block_assemble,
     block_split,
     det2,
@@ -60,7 +58,6 @@ from .symgroup import (
     all_ones_mv,
     casimir_idempotents,
     casimir_mv,
-    character,
     geom_perm,
     perm_matrix,
     standard_irrep,
@@ -73,7 +70,6 @@ from .repdecomp import (
     FamilyReport,
     RegRepElement,
     commutant,
-    extract_column,
     family_minpoly_check,
     g_all_matrix,
     g_alt_matrix,
@@ -103,7 +99,6 @@ __all__ = [
     "RegRepElement",
     "SignatureReport",
     "SignatureSpec",
-    "SpectralIndex",
     "WittMonomial",
     "WittmatError",
     "a",
@@ -113,12 +108,10 @@ __all__ = [
     "block_split",
     "casimir_idempotents",
     "casimir_mv",
-    "character",
     "commutant",
     "det2",
     "e",
     "eval_poly",
-    "extract_column",
     "f",
     "f_extra",
     "family_minpoly_check",
@@ -148,7 +141,6 @@ __all__ = [
     "surgery_cut",
     "surgery_gc",
     "surgery_gc_inverse",
-    "to_blade_basis",
     "to_matrix",
     "u",
     "u_all",

@@ -15,12 +15,11 @@ import sys
 
 from .errors import DimensionMismatch, DomainError, InputError, WittmatError
 from .exact import ExactMatrix, GaussianRational, min_poly
-from .witt import Multivector
+from .witt import Multivector, one
 from .spectral import det2, from_matrix, spectral_table, to_matrix
 from .signatures import SignatureSpec, generators, verify_signature
 from .symgroup import (
     Permutation,
-    all_ones_mv,
     casimir_idempotents,
     casimir_mv,
     geom_perm,
@@ -132,9 +131,6 @@ def _cmd_mul(args) -> _Result:
     h = _load_mv(args.rhs, args.rank_cap)
     if g.n != h.n:
         raise DimensionMismatch(f"rank mismatch: {g.n} vs {h.n}")
-    if g.complexified != h.complexified:
-        g = g.complexify()
-        h = h.complexify()
     prod = g * h
     return _Result(prod.to_json(), ("text", prod.pretty()))
 
@@ -219,9 +215,9 @@ def _cmd_perm(args) -> _Result:
 
 def _cmd_casimir(args) -> _Result:
     _check_cap(args.n, args.rank_cap)
-    A = all_ones_mv(args.n)
-    C = casimir_mv(args.n)
     s1, s2 = casimir_idempotents(args.n)
+    A = s2.scale(1 << args.n)
+    C = A - one(args.n)
     mpa = min_poly(to_matrix(A))
     mpc = min_poly(to_matrix(C))
     body = {
@@ -297,7 +293,7 @@ def _cmd_minpoly(args) -> _Result:
             "family": report.kind,
             "params": [str(v) for v in report.params],
             "minpoly": str(report.minpoly),
-            "roots": [str(r) for r, _ in _root_multiplicities(report)],
+            "roots": [str(r) for r in dict.fromkeys(report.expected_roots)],
             "collapsed": [[str(r), k] for r, k in report.collapsed],
             "ok": report.ok,
         }
@@ -314,18 +310,6 @@ def _cmd_minpoly(args) -> _Result:
     mp = min_poly(M)
     body = {"minpoly": str(mp), "factored": mp.factored_str()}
     return _Result(body, ("text", f"{mp} = {mp.factored_str()}"))
-
-
-def _root_multiplicities(report):
-    seen = []
-    for r in report.expected_roots:
-        for i, (root, k) in enumerate(seen):
-            if root == r:
-                seen[i] = (root, k + 1)
-                break
-        else:
-            seen.append((r, 1))
-    return seen
 
 
 def _parse_scalar_list(text: str):

@@ -126,20 +126,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -349,9 +335,6 @@ class ExactMatrix:
     def row(self, i: int):
         return self.cells[i]
 
-    def col(self, j: int):
-        return tuple(self.cells[i][j] for i in range(self.rows))
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -430,20 +413,6 @@ class ExactMatrix:
         return NotImplemented
 
     __matmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not self.is_square:
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ExactMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def _has_imag(self) -> bool:
         return any(x.im for row in self.cells for x in row)
@@ -589,14 +558,6 @@ class RationalPolynomial:
         raise AttributeError("RationalPolynomial is immutable")
 
     @classmethod
-    def x(cls) -> "RationalPolynomial":
-        return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls([c])
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "RationalPolynomial":
         p = cls([1])
         for r in roots:
@@ -617,23 +578,6 @@ class RationalPolynomial:
         if not self.coeffs:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def monic(self) -> "RationalPolynomial":
-        inv = self.leading().inverse()
-        return RationalPolynomial([inv * c for c in self.coeffs])
-
-    def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [GaussianRational.ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [GaussianRational.ZERO] * (n - len(other.coeffs))
-        return RationalPolynomial([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self + RationalPolynomial([-c for c in other.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -700,12 +644,7 @@ class RationalPolynomial:
         return roots, poly
 
     def _find_rational_root(self):
-        from math import gcd
-
-        denoms = [c.re.denominator for c in self.coeffs]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // gcd(scale, d)
+        scale = lcm(*(c.re.denominator for c in self.coeffs))
         ints = [int(c.re * scale) for c in self.coeffs]
         if ints[0] == 0:
             return Fraction(0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational, RationalPolynomial, _as_scalar, min_poly
@@ -36,7 +35,6 @@ __all__ = [
     "g_alt_matrix",
     "family_minpoly_check",
     "surgery_cut",
-    "extract_column",
     "regrep_element",
     "regrep_transform",
     "regrep_decompose",
@@ -157,13 +155,6 @@ def surgery_cut(g: Multivector, u: Multivector) -> Multivector:
     if u * u != u:
         raise DomainError("u not idempotent")
     return g - g * u - u * g
-
-
-def extract_column(g: Multivector, m: Multivector) -> Multivector:
-    """Right-multiply by a single monomial, moving one column of [g] into place."""
-    if len(m.terms()) != 1:
-        raise InputError("extractor must be a single-term multivector")
-    return g * m
 
 
 _REGREP_CYCLES = ("(18)", "(19)", "(89)", "(189)", "(198)")

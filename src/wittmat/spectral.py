@@ -23,7 +23,6 @@ nonzero entries.  Nothing is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DimensionMismatch, DomainError, InputError
@@ -31,7 +30,6 @@ from .exact import ExactMatrix, GaussianRational
 from .witt import Multivector, WittMonomial, _collect, _mono_matrix_entries, _signed, _unit_terms
 
 __all__ = [
-    "SpectralIndex",
     "spectral_unit",
     "spectral_table",
     "to_matrix",
@@ -44,23 +42,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralIndex:
-    n: int
-    row: int
-    col: int
-
-    def __post_init__(self):
-        size = 1 << self.n
-        if not (0 <= self.row < size and 0 <= self.col < size):
-            raise InputError(f"row/col out of range for rank {self.n}")
-
-    def unit(self) -> Multivector:
-        return spectral_unit(self.n, self.row, self.col)
-
-
 def spectral_unit(n: int, row: int, col: int) -> Multivector:
-    SpectralIndex(n, row, col)  # validate
+    size = 1 << n
+    if not (0 <= row < size and 0 <= col < size):
+        raise InputError(f"row/col out of range for rank {n}")
     return Multivector(n, dict(_signed(n, GaussianRational.ONE, _unit_terms(n, row, col))))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .spectral import from_matrix, mv_trace
+from .spectral import from_matrix
 from .witt import Multivector, one, scalar_mv
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "surgery_gc",
     "surgery_gc_inverse",
     "standard_irrep",
-    "character",
 ]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -199,11 +198,14 @@ def std_rep_matrix(p: Permutation, m: int) -> ExactMatrix:
 
 
 def geom_perm(p: Permutation, n: int, rep: str = "permutation") -> Multivector:
-    """The multivector whose spectral matrix is the chosen matrix image of p."""
+    """The multivector whose spectral matrix is the chosen matrix image of p.
+
+    rep is "permutation" (perm_matrix) or "standard" (std_rep_matrix).
+    """
     m = 1 << n
-    if rep in ("permutation", "perm"):
+    if rep == "permutation":
         return from_matrix(perm_matrix(p, m), n=n)
-    if rep in ("standard", "std"):
+    if rep == "standard":
         return from_matrix(std_rep_matrix(p, m), n=n)
     raise InputError(f"unknown representation {rep!r}")
 
@@ -291,8 +293,3 @@ def standard_irrep(p: Permutation, n: int) -> Multivector:
         t = Permutation.from_cycles([(1, k)])
         out = out * (gci * perm_matrix(t, m) * gc if k <= m else std_rep_matrix(t, m))
     return from_matrix(out, n=n)
-
-
-def character(g: Multivector) -> GaussianRational:
-    """Trace of the spectral image, read off as 2^n times the projected scalar."""
-    return mv_trace(g)

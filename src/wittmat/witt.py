@@ -66,7 +66,6 @@ __all__ = [
     "zero",
     "scalar_mv",
     "wedge_ab",
-    "to_blade_basis",
     "from_blade_basis",
 ]
 
@@ -127,16 +126,6 @@ class BladeMonomial(NamedTuple):
     @property
     def grade(self) -> int:
         return bin(self.e_mask).count("1") + bin(self.f_mask).count("1")
-
-    def pretty(self) -> str:
-        if not self.e_mask and not self.f_mask:
-            return "1"
-        out = ""
-        if self.e_mask:
-            out += "e" + "".join(str(i) for i in _mask_indices(self.e_mask))
-        if self.f_mask:
-            out += "f" + "".join(str(i) for i in _mask_indices(self.f_mask))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +400,6 @@ class Multivector:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InputError("negative multivector powers need an explicit inverse")
-        out = one(self.n) if not self.complexified else one(self.n).complexify()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     @classmethod
     def _make(cls, n, terms, complexified) -> "Multivector":
         mv = object.__new__(cls)
@@ -667,10 +644,6 @@ def reduce_word(n: int, word: Iterable, coeff=1, complexified: bool = False) -> 
 # blade basis conversion: e_i = a_i + b_i, f_i = a_i - b_i with e_i^2 = 1,
 # f_i^2 = -1, all generators anticommuting; blade order is e's ascending then
 # f's ascending.
-
-
-def to_blade_basis(g: Multivector) -> dict[BladeMonomial, GaussianRational]:
-    return g.to_blades()
 
 
 def from_blade_basis(n: int, blade_terms, complexified: bool = False) -> Multivector:

@@ -144,6 +144,111 @@ class TestHappyPaths:
         assert "PASS" in out and "FAIL" not in out
 
 
+# --format pretty output of the commands that print titled sections
+PRETTY_SECTIONS = {
+    "perm --cycles (12) --n 1": """\
+permutation:
+  (1 2)
+matrix:
+  [ 0  1 ]
+  [ 1  0 ]
+multivector:
+  b1 + a1
+""",
+    "casimir --n 1": """\
+allones:
+  1 + b1 + a1
+casimir:
+  b1 + a1
+s1:
+  1/2 - 1/2 b1 - 1/2 a1
+s2:
+  1/2 + 1/2 b1 + 1/2 a1
+minpoly allones:
+  x^2 - 2x = x(x - 2)
+minpoly casimir:
+  x^2 - 1 = (x + 1)(x - 1)
+""",
+    "surgery --n 1": """\
+g_c:
+  1/2 - 1/2 b1 + 1/2 a1
+diagonalized casimir:
+  [ -1  0 ]
+  [  0  1 ]
+""",
+    "commutant --group klein": """\
+dimension:
+  4
+basis[0]:
+  [ 0  0  0  1 ]
+  [ 0  0  1  0 ]
+  [ 0  1  0  0 ]
+  [ 1  0  0  0 ]
+basis[1]:
+  [ 0  0  1  0 ]
+  [ 0  0  0  1 ]
+  [ 1  0  0  0 ]
+  [ 0  1  0  0 ]
+basis[2]:
+  [ 0  1  0  0 ]
+  [ 1  0  0  0 ]
+  [ 0  0  0  1 ]
+  [ 0  0  1  0 ]
+basis[3]:
+  [ 1  0  0  0 ]
+  [ 0  1  0  0 ]
+  [ 0  0  1  0 ]
+  [ 0  0  0  1 ]
+""",
+    "regrep --x 1,2,3,4,5,6": """\
+X:
+  [ -4   0   0   0   0   0   0  -1 ]
+  [ -9  21   0   0   0   0   0  -9 ]
+  [ -9   0  21   0   0   0   0  -9 ]
+  [ -9   0   0  21   0   0   0  -9 ]
+  [ -9   0   0   0  21   0   0  -9 ]
+  [ -9   0   0   0   0  21   0  -9 ]
+  [ -9   0   0   0   0   0  21  -9 ]
+  [ -2   0   0   0   0   0   0  -5 ]
+P:
+  [ 0  0  0  0  0  0   1  0 ]
+  [ 1  0  0  0  0  0   0  1 ]
+  [ 0  1  0  0  0  0   0  1 ]
+  [ 0  0  1  0  0  0   0  1 ]
+  [ 0  0  0  1  0  0   0  1 ]
+  [ 0  0  0  0  1  0   0  1 ]
+  [ 0  0  0  0  0  1   0  1 ]
+  [ 0  0  0  0  0  0  -1  3 ]
+D:
+  [ 21   0   0   0   0   0   0   0 ]
+  [  0  21   0   0   0   0   0   0 ]
+  [  0   0  21   0   0   0   0   0 ]
+  [  0   0   0  21   0   0   0   0 ]
+  [  0   0   0   0  21   0   0   0 ]
+  [  0   0   0   0   0  21   0   0 ]
+  [  0   0   0   0   0   0  -3  -3 ]
+  [  0   0   0   0   0   0   0  -6 ]
+""",
+}
+
+
+class TestPrettySections:
+    @pytest.mark.parametrize("command", sorted(PRETTY_SECTIONS))
+    def test_sections(self, capsys, command):
+        code, out, err = run(capsys, *command.split(), "--format", "pretty")
+        assert code == 0 and err == ""
+        assert out == PRETTY_SECTIONS[command]
+
+    def test_involutions_sections(self, capsys, g1_path):
+        code, out, err = run(capsys, "involutions", g1_path, "--format", "pretty")
+        assert code == 0 and err == ""
+        assert out == (
+            "reverse:\n  2 + 5 b1 + 3 a1 + 5 a1b1\n"
+            "grade_involution:\n  7 - 5 b1 - 3 a1 - 5 a1b1\n"
+            "clifford_conj:\n  2 - 5 b1 - 3 a1 + 5 a1b1\n"
+        )
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", sorted(FROZEN))
     def test_frozen_stdout_digest(self, capsys, command):

@@ -10,7 +10,6 @@ from wittmat import (
     ExactMatrix,
     GaussianRational,
     InputError,
-    SpectralIndex,
     a,
     b,
     block_assemble,
@@ -99,7 +98,7 @@ class TestSpectralUnits:
 
     def test_index_validation(self):
         with pytest.raises(InputError):
-            SpectralIndex(1, 2, 0)
+            spectral_unit(1, 2, 0)
         with pytest.raises(InputError):
             spectral_unit(2, 0, 4)
 

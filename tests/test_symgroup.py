@@ -17,11 +17,11 @@ from wittmat import (
     b,
     casimir_idempotents,
     casimir_mv,
-    character,
     eval_poly,
     geom_perm,
     min_poly,
     mv_inverse,
+    mv_trace,
     one,
     perm_matrix,
     scalar_mv,
@@ -258,13 +258,13 @@ class TestStandardIrrep:
             "(12)(34)": 0,
             "(1234)": 0,
         }
-        assert character(standard_irrep(Permutation.identity(), n)) == GaussianRational(4)
+        assert mv_trace(standard_irrep(Permutation.identity(), n)) == GaussianRational(4)
         for spec, val in cases.items():
             g = standard_irrep(Permutation.from_cycles(spec), n)
-            assert character(g) == GaussianRational(val)
+            assert mv_trace(g) == GaussianRational(val)
         # the extra-letter transposition also has trace 2 in its own basis
         p5 = Permutation.from_cycles("(15)")
-        assert character(standard_irrep(p5, n)) == GaussianRational(2)
+        assert mv_trace(standard_irrep(p5, n)) == GaussianRational(2)
 
     def test_permutation_character(self):
         rng = random.Random(171)
@@ -272,7 +272,7 @@ class TestStandardIrrep:
         for _ in range(20):
             p = rand_perm(rng, 4)
             fixed = sum(1 for k in range(1, 5) if p(k) == k)
-            assert character(geom_perm(p, n)) == GaussianRational(fixed)
+            assert mv_trace(geom_perm(p, n)) == GaussianRational(fixed)
 
 
 # -- the paper's native constructions: the oracles for the pulled-back elements --

@@ -19,7 +19,6 @@ from wittmat import (
     one,
     reduce_word,
     scalar_mv,
-    to_blade_basis,
     u,
     u_all,
     u_all_dag,
@@ -284,11 +283,6 @@ class TestBladeBasis:
                 blades = g.to_blades()
                 back = from_blade_basis(n, blades, complexified=True)
                 assert back == g
-
-    def test_module_level_matches_method(self):
-        rng = random.Random(127)
-        g = rand_mv(rng, 2)
-        assert to_blade_basis(g) == g.to_blades()
 
     def test_grades(self):
         n = 2
