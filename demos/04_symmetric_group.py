@@ -56,8 +56,12 @@ D = to_matrix(surgery_gc_inverse(n) * C * gc)
 print("  conjugated Casimir:")
 print(D.pretty())
 
+# The paper prints (15), which moves the extra letter, in the quotient basis;
+# standard_irrep holds its g_c conjugate, which has the same trace.
 print("\nstandard images of the transpositions through the extra letter:")
 for cyc in ("(12)", "(13)", "(14)", "(15)"):
-    g = standard_irrep(Permutation.from_cycles(cyc), n)
+    p = Permutation.from_cycles(cyc)
+    g = standard_irrep(p, n)
+    shown = g if p(m + 1) == m + 1 else geom_perm(p, n, rep="standard")
     print(f"  {cyc}: trace {mv_trace(g)}")
-    print(to_matrix(g).pretty())
+    print(to_matrix(shown).pretty())

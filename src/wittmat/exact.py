@@ -209,10 +209,12 @@ def _as_scalar(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
 
 
-# -- integer lifting for the ExactMatrix kernels ------------------------------
+# -- integer lifting ------------------------------------------------------------
 # A vector of GaussianRationals is carried as integer numerators over one
 # common denominator: parallel lists of real and imaginary numerators, the
 # imaginary list None on the real path (no entry has an imaginary part).
+# ExactMatrix products and elimination lift rows and columns; Multivector
+# products and the matrix bridge lift coefficient lists (witt._lifted_sum).
 
 _FRACTION_ZERO = Fraction(0)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .exact import ExactMatrix, GaussianRational, RationalPolynomial, min_poly
 from .witt import (
@@ -525,20 +526,32 @@ def _check_standard_irrep():
         "(14)": [[-1, 0, 0, 0], [-1, 1, 0, 0], [-1, 0, 1, 0], [0, 0, 0, 1]],
         "(15)": [[-1, 0, 0, 0], [-1, 1, 0, 0], [-1, 0, 1, 0], [-1, 0, 0, 1]],
     }
+    # (15) is printed in the quotient basis of S_5; the irrep holds it conjugated by g_c
     for cyc, rows in displays.items():
-        g = standard_irrep(Permutation.from_cycles(cyc), n)
-        _check(to_matrix(g) == _mat(rows), f"{cyc} matrix")
+        p = Permutation.from_cycles(cyc)
+        if cyc == "(15)":
+            printed = from_matrix(_mat(rows), n=n)
+            _check(printed == geom_perm(p, n, rep="standard"), f"{cyc} matrix")
+            _check(standard_irrep(p, n) == surgery_gc_inverse(n) * printed * surgery_gc(n), f"{cyc} in the g_c basis")
+        else:
+            _check(to_matrix(standard_irrep(p, n)) == _mat(rows), f"{cyc} matrix")
     two = scalar_mv(n, 2)
     closed14 = one(n) - (two + b(n, 1) + b(n, 2)) * u_all(n)
     closed15 = one(n) - (two + b(n, 1) + b(n, 2) + b(n, 1) * b(n, 2)) * u_all(n)
     _check(standard_irrep(Permutation.from_cycles("(14)"), n) == closed14, "(14) closed form")
-    _check(standard_irrep(Permutation.from_cycles("(15)"), n) == closed15, "(15) closed form")
+    _check(geom_perm(Permutation.from_cycles("(15)"), n, rep="standard") == closed15, "(15) closed form")
     _check(standard_irrep(Permutation.from_cycles("(12)"), n) == geom_perm(
         Permutation.from_cycles("(12)"), n
     ), "(12) unchanged by the surgery conjugation")
     _check(standard_irrep(Permutation.from_cycles("(13)"), n) == geom_perm(
         Permutation.from_cycles("(13)"), n
     ), "(13) unchanged by the surgery conjugation")
+    # (12) and (12345) generate S_5, so these products make the map a homomorphism
+    gens = [Permutation.from_cycles(c) for c in ("(12)", "(12345)")]
+    images = {p: standard_irrep(p, n) for p in map(Permutation, permutations(range(1, 6)))}
+    for p, g in images.items():
+        for s in gens:
+            _check(images[p * s] == g * images[s], f"homomorphism at {p.cycle_str()} * {s.cycle_str()}")
     return "4 matrices, 2 closed forms"
 
 

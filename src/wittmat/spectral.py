@@ -18,16 +18,28 @@ above j):
                      k = popcount(c), times (-1)^popcount(c & sp(r)).
 
 to_matrix writes each monomial's entries; from_matrix sums the units of the
-nonzero entries.  Nothing is cached.
+nonzero entries.  Both run on integer numerators over one common denominator,
+lifted once with exact._lift (on (re, im) pairs only when some input has an
+imaginary part) and summed per cell or per monomial by witt._lifted_sum, the
+helper the Multivector product uses.  Nothing is cached.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import DimensionMismatch, DomainError, InputError
-from .exact import ExactMatrix, GaussianRational
-from .witt import Multivector, WittMonomial, _collect, _mono_matrix_entries, _signed, _unit_terms
+from .exact import ExactMatrix, GaussianRational, _lift
+from .witt import (
+    Multivector,
+    WittMonomial,
+    _collect,
+    _lifted_sum,
+    _lifted_terms,
+    _mono_matrix_entries,
+    _signed,
+    _unit_terms,
+)
 
 __all__ = [
     "spectral_unit",
@@ -55,11 +67,11 @@ def spectral_table(n: int) -> list[list[Multivector]]:
 
 
 def to_matrix(g: Multivector) -> ExactMatrix:
-    size = 1 << g.n
-    cells = _collect(
-        ((r, c), coeff if s > 0 else -coeff)
-        for mono, coeff in g.terms()
-        for r, c, s in _mono_matrix_entries(g.n, mono.a_mask, mono.b_mask)
+    n, size = g.n, 1 << g.n
+    cplx = g._has_imag()
+    den, lifted = _lifted_terms(g, cplx)
+    cells = _lifted_sum(
+        ((x, y, _mono_matrix_entries(n, m.a_mask, m.b_mask)) for m, x, y in lifted), den, cplx
     )
     zero = GaussianRational.ZERO
     return ExactMatrix([[cells.get((r, c), zero) for c in range(size)] for r in range(size)])
@@ -72,16 +84,14 @@ def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None 
         n = M.rows.bit_length() - 1
     if M.rows != 1 << n:
         raise DimensionMismatch(f"matrix size {M.rows} is not 2^{n}")
-    terms = _collect(
-        pair
-        for r, row in enumerate(M.cells)
-        for c, x in enumerate(row)
-        if x
-        for pair in _signed(n, x, _unit_terms(n, r, c))
-    )
+    nonzero = [(r, c, x) for r, row in enumerate(M.cells) for c, x in enumerate(row) if x]
+    cplx = any(x.im for _, _, x in nonzero)
     if complexified is None:
-        complexified = any(not x.is_real() for row in M.cells for x in row)
-    return Multivector(n, terms, complexified=complexified)
+        complexified = cplx
+    den, re, im = _lift([x for _, _, x in nonzero], cplx)
+    units = (_unit_terms(n, r, c) for r, c, _ in nonzero)
+    terms = _lifted_sum(zip(re, im or repeat(0), units), den, cplx)
+    return Multivector(n, {WittMonomial(n, am, bm): x for (am, bm), x in terms.items()}, complexified=complexified)
 
 
 def mv_trace(g: Multivector) -> GaussianRational:

@@ -4,8 +4,8 @@ S_m for m = 2^n acts on the spectral basis by permutation matrices.  Every
 element here is its exact 2^n x 2^n matrix pulled back once by from_matrix:
 the all-ones matrix J gives A, the Casimir is C = A - 1, and the diagonalizer
 g_c keeps columns 1..m-1 of I - J/m and the last column of J/m.  Conjugation
-by g_c turns permutation images into standard-representation images, which
-extend to S_{m+1} through the quotient matrix of (1, m+1).  The paper's
+by g_c turns the quotient matrices of S_{m+1} (which are the permutation
+matrices on S_m) into standard-representation images.  The paper's
 doubling recursion for A,
 
     A_{2^{k+1}} = A_{2^k} (1 + 2^k (a_{k+1} + b_{k+1}) w_1 w_2 .. w_k),
@@ -244,6 +244,12 @@ def _gc_matrix(m: int) -> ExactMatrix:
                          for c in range(m)] for r in range(m)])
 
 
+def _gc_inverse_matrix(m: int) -> ExactMatrix:
+    """[g_c]^-1, an integer matrix: rows 1..m-1 are e_r - e_m, the last row is all ones."""
+    return ExactMatrix([[1 if r == m - 1 or r == c else -1 if c == m - 1 else 0
+                         for c in range(m)] for r in range(m)])
+
+
 def surgery_gc(n: int) -> Multivector:
     """g_c = s1 (1 - u^dag) + s2 u^dag, pulled back from its matrix.
 
@@ -253,43 +259,15 @@ def surgery_gc(n: int) -> Multivector:
 
 
 def surgery_gc_inverse(n: int) -> Multivector:
-    return from_matrix(_gc_matrix(_size(n)).inverse(), n=n)
-
-
-def _one_k_transpositions(p: Permutation) -> list[int]:
-    """Write p as a product of transpositions (1 k), returned as the list of k's."""
-    out = []
-    for cyc in p.cycles():
-        pairs = [(cyc[0], cyc[pos]) for pos in range(len(cyc) - 1, 0, -1)]
-        for x, y in pairs:
-            if x == 1:
-                out.append(y)
-            elif y == 1:
-                out.append(x)
-            else:
-                out.extend((x, y, x))
-    return out
+    return from_matrix(_gc_inverse_matrix(_size(n)), n=n)
 
 
 def standard_irrep(p: Permutation, n: int) -> Multivector:
     """Image of p in the 2^n-dimensional standard representation of S_{2^n + 1}.
 
-    The product of the matrices of the factors (1 k) of p, pulled back once:
-    [g_c]^-1 P_(1k) [g_c] for k <= 2^n, std_rep_matrix((1, 2^n + 1)) for the
-    extra letter.  Known defect: the two kinds of factor are written in
-    different bases.  So at n = 2 the product of the images of (14) and (15),
-    a 3-cycle, does not cube to 1, and images of permutations that move the
-    letter 2^n + 1 are not multiplicative (the character of (345) comes out 4,
-    not 1).  Permutations fixing that letter are correct.  Mending it changes
-    the frozen standard-irrep-matrices golden.
+    The quotient matrix std_rep_matrix(p, 2^n) conjugated into the g_c basis,
+    [g_c]^-1 Q(p) [g_c], pulled back once.  For p fixing the letter 2^n + 1
+    this is the g_c conjugate of the permutation image.
     """
     m = 1 << n
-    if p.degree > m + 1:
-        raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m + 1}")
-    gc = _gc_matrix(m)
-    gci = gc.inverse()
-    out = ExactMatrix.identity(m)
-    for k in _one_k_transpositions(p):
-        t = Permutation.from_cycles([(1, k)])
-        out = out * (gci * perm_matrix(t, m) * gc if k <= m else std_rep_matrix(t, m))
-    return from_matrix(out, n=n)
+    return from_matrix(_gc_inverse_matrix(m) * std_rep_matrix(p, m) * _gc_matrix(m), n=n)

@@ -31,8 +31,17 @@ and (A2, B2) carries (-1)^popcount((A2 ^ B2) & sp(A1 ^ B1)).  The b.a entry,
                     e = a + b, f = a - b, ef = 1 - 2ab, with blade order
                     e's then f's costing (-1)^popcount(F & sp(E));
 
-and, in spectral.py, the matrix units.  reduce_word still rewrites arbitrary
-words token by token; the closed forms are tested against that engine.
+and, in spectral.py, the matrix units.  reduce_word is a fold of generator
+products; the word-rewriting engine that defined the kernel survives in the
+tests as its oracle.
+
+Products run on integer numerators.  Each factor's coefficients are lifted
+once to numerators over one common denominator (exact._lift, the helper the
+ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
+an imaginary part; the kernel terms are summed as +-ints per key, and each
+coefficient is built once, over the product of the two denominators.
+_lifted_sum does the summing for the product and for both directions of the
+matrix bridge in spectral.py.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -43,11 +52,11 @@ conjugates it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _as_scalar
+from .exact import GaussianRational, _as_scalar, _lift, _scalar
 
 __all__ = [
     "WittMonomial",
@@ -132,53 +141,6 @@ class BladeMonomial(NamedTuple):
 # kernel
 
 
-def _reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
-    """Rewrite an arbitrary word into canonical monomials with integer weights.
-
-    This is the definition the closed forms below are tested against; only
-    reduce_word uses it at run time.
-    """
-    out: dict[tuple[int, int], int] = {}
-    stack = [(list(tokens), 1)]
-    while stack:
-        word, sign = stack.pop()
-        i = 0
-        while i + 1 < len(word):
-            t1, t2 = word[i], word[i + 1]
-            if t1 == t2:  # N1: null square kills the branch
-                sign = 0
-                break
-            if t1[0] == t2[0]:
-                if t1[1] == 1:  # b_i a_i -> 1 - a_i b_i
-                    stack.append((word[:i] + word[i + 2 :], sign))
-                    word[i], word[i + 1] = t2, t1
-                    sign = -sign
-                    i = max(i - 1, 0)
-                    continue
-                i += 1  # a_i b_i is canonical
-                continue
-            if t1[0] > t2[0]:  # N2 distinct indices: anticommute
-                word[i], word[i + 1] = t2, t1
-                sign = -sign
-                i = max(i - 1, 0)
-                continue
-            i += 1
-        if sign:
-            a_mask = b_mask = 0
-            for idx, kind in word:
-                if kind:
-                    b_mask |= 1 << (idx - 1)
-                else:
-                    a_mask |= 1 << (idx - 1)
-            key = (a_mask, b_mask)
-            tot = out.get(key, 0) + sign
-            if tot:
-                out[key] = tot
-            else:
-                del out[key]
-    return out
-
-
 def _sign(x: int) -> int:
     """(-1) ** popcount(x)."""
     return -1 if x.bit_count() & 1 else 1
@@ -260,11 +222,11 @@ def _blade_to_monos(e_mask: int, f_mask: int):
 
 
 def _mono_matrix_entries(n: int, a_mask: int, b_mask: int):
-    """Spectral matrix of (a_mask, b_mask) as (row, col, +-1) entries."""
+    """Spectral matrix of (a_mask, b_mask) as ((row, col), +-1) entries."""
     free = ((1 << n) - 1) & ~(a_mask | b_mask)
     row0, col0 = b_mask & ~a_mask, a_mask & ~b_mask
     flips = _suffix_parity(a_mask ^ b_mask)
-    return [(row0 | s, col0 | s, _sign((col0 | s) & flips)) for s in _subsets(free)]
+    return [((row0 | s, col0 | s), _sign((col0 | s) & flips)) for s in _subsets(free)]
 
 
 def _unit_terms(n: int, row: int, col: int):
@@ -286,6 +248,35 @@ def _collect(pairs) -> dict:
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
     return {key: c for key, c in acc.items() if not c.is_zero()}
+
+
+def _lifted_terms(g: "Multivector", cplx: bool):
+    """(den, [(mono, re, im)]) with den * coefficient == re + im*i for every term of g.
+
+    On the real path (cplx false) every im is 0.
+    """
+    den, re, im = _lift(g._terms.values(), cplx)
+    return den, list(zip(g._terms, re, im or repeat(0)))
+
+
+def _lifted_sum(weighted, den: int, cplx: bool) -> dict:
+    """Sum kernel terms weighted by integer numerators; build each scalar once, over den.
+
+    weighted yields (re, im, terms), and every (key, +-1) of terms adds
+    +-(re + im*i) at key.  The real path never reads im.  Zero sums are dropped.
+    """
+    acc = {}
+    get = acc.get
+    if not cplx:
+        for x, _, terms in weighted:
+            for key, s in terms:
+                acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
+        return {key: _scalar(x, 0, den) for key, x in acc.items() if x}
+    for x, y, terms in weighted:
+        for key, s in terms:
+            re, im = get(key, (0, 0))
+            acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
+    return {key: _scalar(re, im, den) for key, (re, im) in acc.items() if re or im}
 
 
 class Multivector:
@@ -385,15 +376,22 @@ class Multivector:
             return NotImplemented
         self._check_rank(other)
         n = self.n
+        cplx = self._has_imag() or other._has_imag()
+        d1, left = _lifted_terms(self, cplx)
+        d2, right = _lifted_terms(other, cplx)
 
         def products():
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    terms = _mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask)
+            for m1, x1, y1 in left:
+                a1, b1 = m1.a_mask, m1.b_mask
+                for m2, x2, y2 in right:
+                    terms = _mono_mul(a1, b1, m2.a_mask, m2.b_mask)
                     if terms:
-                        yield from _signed(n, c1 * c2, terms)
+                        yield x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, terms
 
-        return self._make(n, _collect(products()), self.complexified or other.complexified)
+        terms = _lifted_sum(products(), d1 * d2, cplx)
+        return self._make(
+            n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, self.complexified or other.complexified
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -407,6 +405,9 @@ class Multivector:
         object.__setattr__(mv, "complexified", complexified)
         object.__setattr__(mv, "_terms", terms)
         return mv
+
+    def _has_imag(self) -> bool:
+        return any(c.im for c in self._terms.values())
 
     def complexify(self) -> "Multivector":
         return self._make(self.n, dict(self._terms), True)
@@ -622,22 +623,23 @@ def _parse_token(tok):
 
 
 def reduce_word(n: int, word: Iterable, coeff=1, complexified: bool = False) -> Multivector:
-    """Rewrite a product of signed generators into canonical form.
+    """The product coeff * w_1 * w_2 * ... of signed generators, in canonical form.
 
     Tokens may be strings like "a1", "-b2" or pairs (index, kind) with kind
     "a"/"b" or 0/1.
     """
-    tokens = []
+    factors = []
     total_sign = 1
     for tok in word:
         idx, kind, sign = _parse_token(tok)
         _check_index(n, idx)
         total_sign *= sign
-        tokens.append((idx, kind))
+        factors.append((b if kind else a)(n, idx))
     c = _as_scalar(coeff) * total_sign
-    reduced = _reduce_tokens(tuple(tokens))
-    terms = {WittMonomial(n, am, bm): c * w for (am, bm), w in reduced.items()}
-    return Multivector(n, terms, complexified=complexified or not c.is_real())
+    out = scalar_mv(n, c, complexified=complexified or not c.is_real())
+    for g in factors:
+        out = out * g
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
-"""Shared builders for randomized test data.
+"""Shared builders for randomized test data, and the Hypothesis profile.
 
 Every randomized test seeds its own random.Random so failures reproduce;
 helpers here only turn an rng into exact scalars, matrices, and multivectors.
+Hypothesis runs derandomized with no example database, so every run draws the
+same examples and nothing is written into the checkout.
 """
 
 from fractions import Fraction
 import random
 
+from hypothesis import settings
+
 from wittmat import ExactMatrix, GaussianRational, Multivector, WittMonomial
+
+settings.register_profile("wittmat", derandomize=True, deadline=None, database=None)
+settings.load_profile("wittmat")
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 7) -> Fraction:

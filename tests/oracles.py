@@ -1,0 +1,97 @@
+"""Reference implementations the library is tested against.
+
+reduce_tokens is the word-rewriting engine that defined the monomial product
+before the closed-form kernels; the closed forms and reduce_word are checked
+against it.  The three functions after it are the product and the matrix
+bridge as they were before integer lifting: every term is a GaussianRational
+product, summed per key.  The lifted versions must match them byte for byte.
+"""
+
+from wittmat import ExactMatrix, GaussianRational, Multivector, WittMonomial
+from wittmat.witt import _mono_matrix_entries, _mono_mul, _unit_terms
+
+
+def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
+    """Rewrite a word of (index, kind) tokens, kind 0 for a and 1 for b, into
+    canonical monomials with integer weights."""
+    out: dict[tuple[int, int], int] = {}
+    stack = [(list(tokens), 1)]
+    while stack:
+        word, sign = stack.pop()
+        i = 0
+        while i + 1 < len(word):
+            t1, t2 = word[i], word[i + 1]
+            if t1 == t2:  # N1: null square kills the branch
+                sign = 0
+                break
+            if t1[0] == t2[0]:
+                if t1[1] == 1:  # b_i a_i -> 1 - a_i b_i
+                    stack.append((word[:i] + word[i + 2 :], sign))
+                    word[i], word[i + 1] = t2, t1
+                    sign = -sign
+                    i = max(i - 1, 0)
+                    continue
+                i += 1  # a_i b_i is canonical
+                continue
+            if t1[0] > t2[0]:  # N2 distinct indices: anticommute
+                word[i], word[i + 1] = t2, t1
+                sign = -sign
+                i = max(i - 1, 0)
+                continue
+            i += 1
+        if sign:
+            a_mask = b_mask = 0
+            for idx, kind in word:
+                if kind:
+                    b_mask |= 1 << (idx - 1)
+                else:
+                    a_mask |= 1 << (idx - 1)
+            key = (a_mask, b_mask)
+            tot = out.get(key, 0) + sign
+            if tot:
+                out[key] = tot
+            else:
+                del out[key]
+    return out
+
+
+def _sum_signed(items) -> dict:
+    """Sum +-c over (key, c, +-1) items by key, dropping zero sums."""
+    acc = {}
+    for key, c, s in items:
+        term = c if s > 0 else -c
+        acc[key] = acc[key] + term if key in acc else term
+    return {key: c for key, c in acc.items() if not c.is_zero()}
+
+
+def mul(g: Multivector, h: Multivector) -> Multivector:
+    n = g.n
+    terms = _sum_signed(
+        (WittMonomial(n, *key), c1 * c2, s)
+        for m1, c1 in g.terms()
+        for m2, c2 in h.terms()
+        for key, s in _mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask)
+    )
+    return Multivector(n, terms, complexified=g.complexified or h.complexified)
+
+
+def to_matrix(g: Multivector) -> ExactMatrix:
+    size = 1 << g.n
+    cells = _sum_signed(
+        (cell, c, s) for m, c in g.terms() for cell, s in _mono_matrix_entries(g.n, m.a_mask, m.b_mask)
+    )
+    zero = GaussianRational.ZERO
+    return ExactMatrix([[cells.get((r, c), zero) for c in range(size)] for r in range(size)])
+
+
+def from_matrix(M: ExactMatrix, n: int, complexified: bool | None = None) -> Multivector:
+    terms = _sum_signed(
+        (WittMonomial(n, *key), x, s)
+        for r, row in enumerate(M.cells)
+        for c, x in enumerate(row)
+        if x
+        for key, s in _unit_terms(n, r, c)
+    )
+    if complexified is None:
+        complexified = any(not x.is_real() for row in M.cells for x in row)
+    return Multivector(n, terms, complexified=complexified)

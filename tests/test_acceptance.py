@@ -261,8 +261,15 @@ def test_criterion_06_casimir_machinery(capsys):
     )
     if to_matrix(conj) != diag:
         failures.append("diag(-1,-1,-1,3)")
+    # (15) is displayed in the quotient basis; the irrep is its g_c conjugate
     for cyc, rows in STD_IRREP_DISPLAYS.items():
-        if to_matrix(standard_irrep(Permutation.from_cycles(cyc), n)) != ExactMatrix(rows):
+        p = Permutation.from_cycles(cyc)
+        if cyc == "(15)":
+            if to_matrix(geom_perm(p, n, rep="standard")) != ExactMatrix(rows):
+                failures.append(f"quotient image {cyc}")
+            if standard_irrep(p, n) != surgery_gc_inverse(n) * from_matrix(ExactMatrix(rows)) * surgery_gc(n):
+                failures.append(f"standard image {cyc}")
+        elif to_matrix(standard_irrep(p, n)) != ExactMatrix(rows):
             failures.append(f"standard image {cyc}")
     # the displayed minimal polynomial x(x-1) for the all-ones matrix is a
     # misprint; the element satisfies A^2 = mA, so the verified form is x(x-m)

@@ -26,8 +26,9 @@ from wittmat import (
     zero,
 )
 from wittmat import reduce_word
-from wittmat.witt import _mono_matrix_entries, _reduce_tokens
+from wittmat.witt import _mono_matrix_entries
 from conftest import rand_matrix, rand_mv
+from oracles import reduce_tokens
 
 
 def unit_word(n, row, col):
@@ -91,8 +92,8 @@ class TestSpectralUnits:
                 monos = [rng.choice(monos) for _ in range(samples)]
             for am, bm in monos:
                 total = {}
-                for r, c, w in _mono_matrix_entries(n, am, bm):
-                    for key, v in _reduce_tokens(tuple(unit_word(n, r, c))).items():
+                for (r, c), w in _mono_matrix_entries(n, am, bm):
+                    for key, v in reduce_tokens(tuple(unit_word(n, r, c))).items():
                         total[key] = total.get(key, 0) + w * v
                 assert {k: v for k, v in total.items() if v} == {(am, bm): 1}, (n, am, bm)
 

@@ -35,7 +35,6 @@ from wittmat import (
     wedge_ab,
     zero,
 )
-from wittmat.symgroup import _one_k_transpositions
 
 
 def rand_perm(rng: random.Random, m: int) -> Permutation:
@@ -214,6 +213,8 @@ class TestSurgery:
     def test_gc_inverse(self):
         for n in (1, 2, 3):
             assert surgery_gc(n) * surgery_gc_inverse(n) == one(n)
+        for n in (1, 2, 3, 4, 5):
+            assert to_matrix(surgery_gc_inverse(n)) == to_matrix(surgery_gc(n)).inverse()
 
 
 class TestStandardIrrep:
@@ -228,10 +229,14 @@ class TestStandardIrrep:
                 assert standard_irrep(p, n) == gcinv * geom_perm(p, n) * gc
 
     def test_extra_letter_image_is_quotient_matrix(self):
+        # the quotient matrix of a transposition moving letter m+1, in the g_c basis
         for n in (1, 2):
             m = 1 << n
-            p = Permutation.from_cycles([(1, m + 1)])
-            assert to_matrix(standard_irrep(p, n)) == std_rep_matrix(p, m)
+            gc, gcinv = surgery_gc(n), surgery_gc_inverse(n)
+            for k in range(1, m + 1):
+                p = Permutation.from_cycles([(k, m + 1)])
+                assert to_matrix(geom_perm(p, n, rep="standard")) == std_rep_matrix(p, m)
+                assert standard_irrep(p, n) == gcinv * geom_perm(p, n, rep="standard") * gc
 
     def test_transposition_images_are_involutions(self):
         for n in (1, 2):
@@ -248,6 +253,23 @@ class TestStandardIrrep:
                 p, q = rand_perm(rng, m), rand_perm(rng, m)
                 assert standard_irrep(p * q, n) == standard_irrep(p, n) * standard_irrep(q, n)
 
+    def test_is_homomorphism_on_all_letters(self):
+        rng = random.Random(173)
+        for n in (1, 2):
+            perms = [Permutation(imgs) for imgs in itertools.permutations(range(1, (1 << n) + 2))]
+            images = {p: standard_irrep(p, n) for p in perms}
+            for _ in range(150):
+                p, q = rng.choice(perms), rng.choice(perms)
+                assert images[p * q] == images[p] * images[q], (n, p, q)
+
+    def test_character_is_fixed_points_minus_one(self):
+        for n in (1, 2):
+            m = 1 << n
+            for imgs in itertools.permutations(range(1, m + 2)):
+                p = Permutation(imgs)
+                fixed = sum(1 for k in range(1, m + 2) if p(k) == k)
+                assert mv_trace(standard_irrep(p, n)) == GaussianRational(fixed - 1), (n, p)
+
     def test_character_values(self):
         n = 2
         # conjugation preserves traces, so images of S_4 keep the
@@ -262,7 +284,7 @@ class TestStandardIrrep:
         for spec, val in cases.items():
             g = standard_irrep(Permutation.from_cycles(spec), n)
             assert mv_trace(g) == GaussianRational(val)
-        # the extra-letter transposition also has trace 2 in its own basis
+        # so does the extra-letter transposition: 3 fixed points of 5, minus 1
         p5 = Permutation.from_cycles("(15)")
         assert mv_trace(standard_irrep(p5, n)) == GaussianRational(2)
 
@@ -287,22 +309,38 @@ def doubling_all_ones(n):
     return acc
 
 
+def one_k_transpositions(p: Permutation) -> list[int]:
+    """Write p as a product of transpositions (1 k), returned as the list of k's."""
+    out = []
+    for cyc in p.cycles():
+        pairs = [(cyc[0], cyc[pos]) for pos in range(len(cyc) - 1, 0, -1)]
+        for x, y in pairs:
+            if x == 1:
+                out.append(y)
+            elif y == 1:
+                out.append(x)
+            else:
+                out.extend((x, y, x))
+    return out
+
+
 def native_standard_irrep(p, n, factors):
-    """Product of native factor images; factors caches them per (n, k)."""
+    """Product of native factor images, each conjugated by g_c; factors caches them per (n, k)."""
     m = 1 << n
 
     def factor(k):
         if k <= m:
             t = geom_perm(Permutation.from_cycles([(1, k)]), n)
-            return surgery_gc_inverse(n) * t * surgery_gc(n)
-        # the pinned closed form of (1, m+1): 1 - u - (1 + b_1)..(1 + b_n) u
-        prod = one(n)
-        for i in range(1, n + 1):
-            prod = prod * (one(n) + b(n, i))
-        return one(n) - u_all(n) - prod * u_all(n)
+        else:
+            # the quotient image of (1, m+1) in closed form: 1 - u - (1 + b_1)..(1 + b_n) u
+            prod = one(n)
+            for i in range(1, n + 1):
+                prod = prod * (one(n) + b(n, i))
+            t = one(n) - u_all(n) - prod * u_all(n)
+        return surgery_gc_inverse(n) * t * surgery_gc(n)
 
     out = one(n)
-    for k in _one_k_transpositions(p):
+    for k in one_k_transpositions(p):
         if (n, k) not in factors:
             factors[n, k] = factor(k)
         out = out * factors[n, k]
@@ -321,7 +359,7 @@ class TestAgainstNativeConstructions:
             assert surgery_gc(n) == s1 * (one(n) - udag) + s2 * udag
 
     def test_standard_irrep_matches_native_factors(self):
-        # byte for byte, so the known extra-letter defect is pinned too
+        # byte for byte, extra-letter factors included
         factors = {}
         perms = [(1, Permutation(imgs)) for imgs in itertools.permutations(range(1, 4))]
         perms += [(2, Permutation(imgs)) for imgs in itertools.permutations(range(1, 6))]

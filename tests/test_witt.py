@@ -27,8 +27,9 @@ from wittmat import (
     zero,
 )
 from wittmat import GaussianRational
-from wittmat.witt import _blade_to_monos, _mono_mul, _mono_reverse, _mono_to_blades, _reduce_tokens
+from wittmat.witt import _blade_to_monos, _mono_mul, _mono_reverse, _mono_to_blades
 from conftest import rand_mv
+from oracles import reduce_tokens
 
 
 def monomials(n, samples):
@@ -67,7 +68,7 @@ def blade_by_rewriting(e_mask, f_mask):
         words = [(w + ((idx, kind),), sgn * (b_sign if kind else 1)) for w, sgn in words for kind in (0, 1)]
     acc = {}
     for w, sgn in words:
-        for key, weight in _reduce_tokens(w).items():
+        for key, weight in reduce_tokens(w).items():
             acc[key] = acc.get(key, 0) + sgn * weight
     return {key: weight for key, weight in acc.items() if weight}
 
@@ -169,13 +170,13 @@ class TestClosedFormKernel:
     def test_product_matches_rewriting(self):
         for n, samples in KERNEL_RANKS:
             for (a1, b1), (a2, b2) in monomial_pairs(n, samples):
-                expect = _reduce_tokens(word(n, a1, b1) + word(n, a2, b2))
+                expect = reduce_tokens(word(n, a1, b1) + word(n, a2, b2))
                 assert dict(_mono_mul(a1, b1, a2, b2)) == expect, (n, a1, b1, a2, b2)
 
     def test_reverse_matches_rewriting(self):
         for n, samples in KERNEL_RANKS:
             for am, bm in monomials(n, samples):
-                assert dict(_mono_reverse(am, bm)) == _reduce_tokens(word(n, am, bm)[::-1]), (n, am, bm)
+                assert dict(_mono_reverse(am, bm)) == reduce_tokens(word(n, am, bm)[::-1]), (n, am, bm)
 
     def test_blade_conversions_match_rewriting(self):
         # a rank-5 blade expands into up to 2^10 words, so it gets a smaller sample
