@@ -35,13 +35,20 @@ and, in spectral.py, the matrix units.  reduce_word is a fold of generator
 products; the word-rewriting engine that defined the kernel survives in the
 tests as its oracle.
 
+A product of two elements never visits a vanishing pair of monomials.  A
+pair vanishes exactly when a lone a of the left factor meets an a of the
+right, or a b of the left meets a lone b of the right, so _products groups
+both factors on those masks and skips a vanishing pair of groups whole.
+Every live pair has a single-term product except where a b.a = 1 - ab
+branches, the only multi-term case.
+
 Products run on integer numerators.  Each factor's coefficients are lifted
 once to numerators over one common denominator (exact._lift, the helper the
 ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
-an imaginary part; the kernel terms are summed as +-ints per key, and each
-coefficient is built once, over the product of the two denominators.
-_lifted_sum does the summing for the product and for both directions of the
-matrix bridge in spectral.py.
+an imaginary part; the grouped kernel pairs only the live terms, their terms
+are summed as +-ints per key, and each coefficient is built once, over the
+product of the two denominators.  _lifted_sum does the summing for the
+product and for both directions of the matrix bridge in spectral.py.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -177,17 +184,49 @@ def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
     The sites lie outside a_mask | b_mask, and a_i b_i is even, so it drops
     into its slot of the canonical word without a sign.
     """
-    return [((a_mask | s, b_mask | s), -sign if s.bit_count() & 1 else sign) for s in _subsets(sites)]
+    terms = [((a_mask, b_mask), sign)]
+    while sites:
+        site = sites & -sites
+        sites ^= site
+        terms += [((am | site, bm | site), -s) for (am, bm), s in terms]
+    return terms
 
 
-def _mono_mul(a1: int, b1: int, a2: int, b2: int):
-    """(a1, b1) * (a2, b2) as ((a_mask, b_mask), +-1) terms; empty when it vanishes."""
-    if a1 & ~b1 & a2 or b1 & b2 & ~a2:  # a.a or b.b meet at some index
-        return []
-    first_a = a1 | (a2 & ~b1)
-    last_b = b2 | (b1 & ~a2)
-    branch = b1 & ~a1 & a2 & ~b2  # b meets a: b.a = 1 - ab
-    return _with_idempotents(first_a, last_b, branch, _sign((a2 ^ b2) & _suffix_parity(a1 ^ b1)))
+def _products(left, right):
+    """Every nonvanishing product of a term of left by a term of right.
+
+    Both factors are lists of (mono, re, im) with integer numerators, as from
+    _lifted_terms; each live pair yields (re, im, terms): the product of its
+    numerators, and its monomial product as ((a_mask, b_mask), +-1) terms.
+    A pair vanishes when a lone a on the left meets an a on the right or a b
+    on the left meets a lone b on the right, so the left factor is grouped by
+    (lone a, b) and the right by (a, lone b), and a vanishing pair of groups
+    is skipped whole.  What a pair of groups or a left term shares is
+    computed once.  A live pair's product is the single term
+    (first_a, last_b) with its parity sign, except where a lone b on the
+    left meets a lone a on the right: each such b.a = 1 - ab doubles the
+    terms, the only multi-term case.
+    """
+    lgroups, rgroups = {}, {}
+    for m, x, y in left:
+        a1, b1 = m.a_mask, m.b_mask
+        lgroups.setdefault((a1 & ~b1, b1), []).append((a1, b1 & ~a1, _suffix_parity(a1 ^ b1), x, y))
+    for m, x, y in right:
+        a2, b2 = m.a_mask, m.b_mask
+        rgroups.setdefault((a2, b2 & ~a2), []).append((b2, a2 & ~b2, a2 ^ b2, x, y))
+    for (lone_a1, b1), lterms in lgroups.items():
+        for (a2, lone_b2), rterms in rgroups.items():
+            if lone_a1 & a2 or b1 & lone_b2:  # a.a or b.b meet at some index
+                continue
+            kept_b, new_a = b1 & ~a2, a2 & ~b1
+            for a1, lone_b1, flips, x1, y1 in lterms:
+                first_a = a1 | new_a
+                for b2, lone_a2, odd2, x2, y2 in rterms:
+                    key = (first_a, b2 | kept_b)
+                    sign = -1 if (odd2 & flips).bit_count() & 1 else 1
+                    branch = lone_b1 & lone_a2
+                    terms = _with_idempotents(*key, branch, sign) if branch else [(key, sign)]
+                    yield x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, terms
 
 
 def _mono_reverse(a_mask: int, b_mask: int):
@@ -379,16 +418,7 @@ class Multivector:
         cplx = self._has_imag() or other._has_imag()
         d1, left = _lifted_terms(self, cplx)
         d2, right = _lifted_terms(other, cplx)
-
-        def products():
-            for m1, x1, y1 in left:
-                a1, b1 = m1.a_mask, m1.b_mask
-                for m2, x2, y2 in right:
-                    terms = _mono_mul(a1, b1, m2.a_mask, m2.b_mask)
-                    if terms:
-                        yield x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, terms
-
-        terms = _lifted_sum(products(), d1 * d2, cplx)
+        terms = _lifted_sum(_products(left, right), d1 * d2, cplx)
         return self._make(
             n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, self.complexified or other.complexified
         )

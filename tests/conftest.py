@@ -3,16 +3,22 @@
 Every randomized test seeds its own random.Random so failures reproduce;
 helpers here only turn an rng into exact scalars, matrices, and multivectors.
 Hypothesis runs derandomized with no example database, so every run draws the
-same examples and nothing is written into the checkout.
+same examples.  Its home directory, where it still caches the literal
+constants it collects from the source, is one fixed directory under the
+system temporary directory, so nothing is written into the checkout.
 """
 
 from fractions import Fraction
+import os
 import random
+import tempfile
 
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from wittmat import ExactMatrix, GaussianRational, Multivector, WittMonomial
 
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "wittmat-hypothesis"))
 settings.register_profile("wittmat", derandomize=True, deadline=None, database=None)
 settings.load_profile("wittmat")
 

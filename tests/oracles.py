@@ -2,13 +2,16 @@
 
 reduce_tokens is the word-rewriting engine that defined the monomial product
 before the closed-form kernels; the closed forms and reduce_word are checked
-against it.  The three functions after it are the product and the matrix
-bridge as they were before integer lifting: every term is a GaussianRational
-product, summed per key.  The lifted versions must match them byte for byte.
+against it.  mono_mul is the closed-form product of one monomial pair, with
+its own expansion of the b.a = 1 - ab branches, as it was before the library
+grouped the factors to skip vanishing pairs.  The three functions after it
+are the product and the matrix bridge as they were before integer lifting:
+every pair of terms is visited and every term is a GaussianRational product,
+summed per key.  The lifted, grouped versions must match them byte for byte.
 """
 
 from wittmat import ExactMatrix, GaussianRational, Multivector, WittMonomial
-from wittmat.witt import _mono_matrix_entries, _mono_mul, _unit_terms
+from wittmat.witt import _mono_matrix_entries, _sign, _subsets, _suffix_parity, _unit_terms
 
 
 def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
@@ -55,6 +58,21 @@ def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], 
     return out
 
 
+def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
+    """sign * (a_mask, b_mask) * prod over sites of (1 - a_i b_i), as ((a, b), +-1) terms."""
+    return [((a_mask | s, b_mask | s), -sign if s.bit_count() & 1 else sign) for s in _subsets(sites)]
+
+
+def mono_mul(a1: int, b1: int, a2: int, b2: int):
+    """(a1, b1) * (a2, b2) as ((a_mask, b_mask), +-1) terms; empty when it vanishes."""
+    if a1 & ~b1 & a2 or b1 & b2 & ~a2:  # a.a or b.b meet at some index
+        return []
+    first_a = a1 | (a2 & ~b1)
+    last_b = b2 | (b1 & ~a2)
+    branch = b1 & ~a1 & a2 & ~b2  # b meets a: b.a = 1 - ab
+    return _with_idempotents(first_a, last_b, branch, _sign((a2 ^ b2) & _suffix_parity(a1 ^ b1)))
+
+
 def _sum_signed(items) -> dict:
     """Sum +-c over (key, c, +-1) items by key, dropping zero sums."""
     acc = {}
@@ -70,7 +88,7 @@ def mul(g: Multivector, h: Multivector) -> Multivector:
         (WittMonomial(n, *key), c1 * c2, s)
         for m1, c1 in g.terms()
         for m2, c2 in h.terms()
-        for key, s in _mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask)
+        for key, s in mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask)
     )
     return Multivector(n, terms, complexified=g.complexified or h.complexified)
 

@@ -4,14 +4,16 @@ The integer-lifted product and matrix bridge are compared byte for byte with
 the GaussianRational oracles in oracles.py; the laws are checked on the
 library alone.  Coefficients are small or tall (12-digit numerators) rationals,
 with imaginary parts on complexified elements; the zero element and
-single-term elements are drawn on purpose.
+single-term elements are drawn on purpose.  Dense elements, up to the full
+basis, put many monomials in each group of the product kernel, so the b.a
+branch is reached inside multi-term groups.
 """
 
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from wittmat import (
@@ -61,6 +63,32 @@ def tuples_at_one_rank(draw, count: int, ranks=RANKS, max_terms: int = 10):
 
 
 @st.composite
+def dense_pairs(draw, ranks, max_terms: int):
+    """Two elements of one rank, each with up to max_terms (at most 4^n) distinct monomials."""
+    n = draw(ranks)
+    size = 1 << n
+    basis = [WittMonomial(n, am, bm) for am in range(size) for bm in range(size)]
+    pair = []
+    for _ in range(2):
+        complexified = draw(st.booleans())
+        k = draw(st.integers(0, min(max_terms, len(basis))))
+        monos = draw(st.permutations(basis))[:k]
+        coeffs = draw(st.lists(scalars(complexified), min_size=k, max_size=k))
+        pair.append(Multivector(n, dict(zip(monos, coeffs)), complexified=complexified))
+    return tuple(pair)
+
+
+def full_basis(n: int, offset: int, complexified: bool) -> Multivector:
+    """Every monomial of rank n, with distinct small coefficients."""
+    size = 1 << n
+    terms = {}
+    for k in range(size * size):
+        re = Fraction((-1) ** k * (k + offset), k + 2)
+        terms[WittMonomial(n, k >> n, k & (size - 1))] = GaussianRational(re, Fraction(k + 1, 3) if complexified else 0)
+    return Multivector(n, terms, complexified=complexified)
+
+
+@st.composite
 def matrices(draw):
     """A sparse 2^n x 2^n matrix, n in 1..4, with or without imaginary entries."""
     n = draw(RANKS)
@@ -85,6 +113,24 @@ class TestAgainstOracle:
     def test_product(self, gh):
         g, h = gh
         assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @given(dense_pairs(st.integers(1, 3), max_terms=64))
+    def test_dense_product(self, gh):
+        g, h = gh
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @settings(max_examples=12)
+    @given(dense_pairs(st.just(4), max_terms=96))
+    def test_dense_product_rank_4(self, gh):
+        g, h = gh
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("complexified", [False, True])
+    def test_full_basis_product(self, n, complexified):
+        g, h = full_basis(n, 1, complexified), full_basis(n, 100, complexified)
+        for x, y in ((g, g), (g, h), (h, g)):
+            assert as_bytes(x * y) == as_bytes(oracles.mul(x, y))
 
     @given(tuples_at_one_rank(1, max_terms=16))
     def test_to_matrix(self, gs):

@@ -27,7 +27,7 @@ from wittmat import (
     zero,
 )
 from wittmat import GaussianRational
-from wittmat.witt import _blade_to_monos, _mono_mul, _mono_reverse, _mono_to_blades
+from wittmat.witt import _blade_to_monos, _mono_reverse, _mono_to_blades, _products
 from conftest import rand_mv
 from oracles import reduce_tokens
 
@@ -57,6 +57,13 @@ KERNEL_RANKS = ((1, None), (2, None), (3, None), (4, 400), (5, 400))
 
 def word(n, a_mask, b_mask):
     return WittMonomial(n, a_mask, b_mask).word()
+
+
+def kernel_product(n, a1, b1, a2, b2):
+    """(a1, b1) * (a2, b2) through the product kernel on one-term factors."""
+    out = list(_products([(WittMonomial(n, a1, b1), 1, 0)], [(WittMonomial(n, a2, b2), 1, 0)]))
+    assert all((x, y) == (1, 0) for x, y, _ in out)
+    return {key: s for _, _, terms in out for key, s in terms}
 
 
 def blade_by_rewriting(e_mask, f_mask):
@@ -171,7 +178,7 @@ class TestClosedFormKernel:
         for n, samples in KERNEL_RANKS:
             for (a1, b1), (a2, b2) in monomial_pairs(n, samples):
                 expect = reduce_tokens(word(n, a1, b1) + word(n, a2, b2))
-                assert dict(_mono_mul(a1, b1, a2, b2)) == expect, (n, a1, b1, a2, b2)
+                assert kernel_product(n, a1, b1, a2, b2) == expect, (n, a1, b1, a2, b2)
 
     def test_reverse_matches_rewriting(self):
         for n, samples in KERNEL_RANKS:
