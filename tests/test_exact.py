@@ -327,6 +327,46 @@ class TestRationalPolynomial:
         assert roots == [Fraction(0), Fraction(2), Fraction(2)]
         assert str(rem) == "1"
 
+    # coefficients lowest degree first -> (str, factored_str, roots in discovery order, str of remainder)
+    TEXT_FORMS = [
+        ([2, 0, -2], "-2x^2 + 2", "-2 (x + 1)(x - 1)", ["1", "-1"], "-2"),
+        ([Fraction(-1, 3), Fraction(2, 3)], "2/3x - 1/3", "2/3 (x - 1/2)", ["1/2"], "2/3"),
+        (
+            [Fraction(25, 16), Fraction(-5, 3), Fraction(-11, 4), 3],
+            "3x^3 - 11/4x^2 - 5/3x + 25/16",
+            "3 (x + 3/4)(x - 5/6)^2",
+            ["-3/4", "5/6", "5/6"],
+            "3",
+        ),
+        ([6, -5, 7, -5, 1], "x^4 - 5x^3 + 7x^2 - 5x + 6", "(x - 2)(x - 3)(x^2 + 1)", ["2", "3"], "x^2 + 1"),
+        ([GaussianRational(0, 1), 1], "x + 1i", "x + 1i", [], "x + 1i"),
+        (
+            [GaussianRational(1, 1), GaussianRational(0, -1), 2, 1],
+            "x^3 + 2x^2 + (-1i)x + 1+1i",
+            "x^3 + 2x^2 + (-1i)x + 1+1i",
+            [],
+            "x^3 + 2x^2 + (-1i)x + 1+1i",
+        ),
+        ([], "0", "0", [], "0"),
+        ([5], "5", "5", [], "5"),
+        ([-1], "-1", "-1", [], "-1"),
+        ([0, 0, 0, 1], "x^3", "x^3", ["0", "0", "0"], "1"),
+        ([0, 0, 4, -4], "-4x^3 + 4x^2", "-4 x^2(x - 1)", ["0", "0", "1"], "-4"),
+        ([0, -1, 0, 1], "x^3 - x", "(x + 1)x(x - 1)", ["0", "1", "-1"], "1"),
+        ([0, -4, 0, 2], "2x^3 - 4x", "x(2x^2 - 4)", ["0"], "2x^2 - 4"),
+        ([-2, 0, 1], "x^2 - 2", "x^2 - 2", [], "x^2 - 2"),
+        ([Fraction(1, 2), -1, 1], "x^2 - x + 1/2", "x^2 - x + 1/2", [], "x^2 - x + 1/2"),
+    ]
+
+    @pytest.mark.parametrize("coeffs, text, factored, roots, rest", TEXT_FORMS)
+    def test_text_forms_and_root_order(self, coeffs, text, factored, roots, rest):
+        p = RationalPolynomial(coeffs)
+        assert str(p) == text
+        assert p.factored_str() == factored
+        found, rem = p.factor_rational_roots()
+        assert [str(r) for r in found] == roots
+        assert str(rem) == rest
+
     def test_eval_poly_cayley_hamilton_style(self):
         m = ExactMatrix([[2, 1], [1, 2]])
         # (x-1)(x-3) annihilates this symmetric matrix

@@ -315,3 +315,19 @@ class TestSerialization:
         assert g.pretty() == "a1b12"
         assert zero(n).pretty() == "0"
         assert one(n).pretty() == "1"
+
+    def test_pretty_signed_sums(self):
+        n = 2
+        i = GaussianRational(0, 1)
+        cases = [
+            (zero(n), "0"),
+            (scalar_mv(n, Fraction(-3, 4)), "-3/4"),
+            (scalar_mv(n, GaussianRational(1, -2)), "1-2i"),
+            (a(n, 1) - b(n, 2) + a(n, 1) * b(n, 1), "-b2 + a1 + a1b1"),
+            (a(n, 2).scale(Fraction(1, 3)) - b(n, 1).scale(Fraction(5, 2)) + scalar_mv(n, 2), "2 - 5/2 b1 + 1/3 a2"),
+            (a(n, 1).scale(i) + b(n, 1).scale(1 - i) - one(n), "-1 + (1-1i) b1 + (1i) a1"),
+            (-(a(n, 1) * a(n, 2)) - b(n, 1).scale(2), "-2 b1 - a12"),
+            (b(n, 2) * a(n, 1) - one(n), "-1 - a1b2"),
+        ]
+        for g, text in cases:
+            assert g.pretty() == text
