@@ -64,36 +64,17 @@ def _check_cap(n: int, cap: int):
         raise InputError("rank must be at least 1")
 
 
-def _emit_pretty(payload):
-    # pretty payloads are prepared as (kind, value) pairs by each command
-    kind, value = payload
-    if kind == "text":
-        print(value)
-    elif kind == "lines":
-        for item in value:
+def _emit_pretty(items):
+    # each item is a line or a (title, value) section; a section value is a
+    # string or has .pretty(), rendered here so that JSON runs never pay for it
+    for item in items:
+        if isinstance(item, str):
             print(item)
-    elif kind == "sections":
-        for title, sub in value:
-            print(f"{title}:")
-            for line in _pretty_block(sub):
-                print("  " + line)
-    else:
-        raise AssertionError(f"unknown pretty payload {kind}")
-
-
-def _pretty_block(value) -> list:
-    if isinstance(value, Multivector):
-        return [value.pretty()]
-    if isinstance(value, ExactMatrix):
-        return value.pretty().splitlines()
-    if isinstance(value, str):
-        return [value]
-    if isinstance(value, (list, tuple)):
-        out = []
-        for item in value:
-            out.extend(_pretty_block(item))
-        return out
-    return [str(value)]
+            continue
+        title, value = item
+        print(f"{title}:")
+        for line in [value] if isinstance(value, str) else value.pretty().splitlines():
+            print("  " + line)
 
 
 class _Result:
@@ -123,7 +104,7 @@ def _cmd_spectral_table(args) -> _Result:
     cells = [[table[r][c].pretty() for c in range(size)] for r in range(size)]
     width = max(len(s) for row in cells for s in row)
     lines = ["  ".join(s.ljust(width) for s in row).rstrip() for row in cells]
-    return _Result(body, ("lines", lines))
+    return _Result(body, lines)
 
 
 def _cmd_mul(args) -> _Result:
@@ -132,13 +113,13 @@ def _cmd_mul(args) -> _Result:
     if g.n != h.n:
         raise DimensionMismatch(f"rank mismatch: {g.n} vs {h.n}")
     prod = g * h
-    return _Result(prod.to_json(), ("text", prod.pretty()))
+    return _Result(prod.to_json(), [prod.pretty()])
 
 
 def _cmd_to_matrix(args) -> _Result:
     g = _load_mv(args.operand, args.rank_cap)
     M = to_matrix(g)
-    return _Result(M.to_json(), ("text", M.pretty()))
+    return _Result(M.to_json(), [M.pretty()])
 
 
 def _cmd_from_matrix(args) -> _Result:
@@ -147,7 +128,7 @@ def _cmd_from_matrix(args) -> _Result:
         _check_cap(args.n, args.rank_cap)
     g = from_matrix(M, n=args.n)
     _check_cap(g.n, args.rank_cap)
-    return _Result(g.to_json(), ("text", g.pretty()))
+    return _Result(g.to_json(), [g.pretty()])
 
 
 def _cmd_involutions(args) -> _Result:
@@ -158,14 +139,13 @@ def _cmd_involutions(args) -> _Result:
         "clifford_conj": g.clifford_conj(),
     }
     body = {name: mv.to_json() for name, mv in images.items()}
-    pretty = ("sections", [(name, mv) for name, mv in images.items()])
-    return _Result(body, pretty)
+    return _Result(body, list(images.items()))
 
 
 def _cmd_det2(args) -> _Result:
     g = _load_mv(args.operand, args.rank_cap)
     value = det2(g)
-    return _Result({"det": str(value)}, ("text", str(value)))
+    return _Result({"det": str(value)}, [str(value)])
 
 
 def _cmd_embed(args) -> _Result:
@@ -193,7 +173,7 @@ def _cmd_embed(args) -> _Result:
     for label, mv in zip(gs.minus_labels, gs.minus):
         lines.append(f"-1  {label} = {mv.pretty()}")
     lines.append("verification: " + ("ok" if report.ok else "; ".join(report.failures)))
-    return _Result(body, ("lines", lines))
+    return _Result(body, lines)
 
 
 def _cmd_perm(args) -> _Result:
@@ -209,8 +189,7 @@ def _cmd_perm(args) -> _Result:
         M = perm_matrix(p, 1 << args.n)
         g = geom_perm(p, args.n, rep="permutation")
     body = {"cycles": p.cycle_str(), "matrix": M.to_json(), "multivector": g.to_json()}
-    pretty = ("sections", [("permutation", p.cycle_str()), ("matrix", M), ("multivector", g)])
-    return _Result(body, pretty)
+    return _Result(body, [("permutation", p.cycle_str()), ("matrix", M), ("multivector", g)])
 
 
 def _cmd_casimir(args) -> _Result:
@@ -228,14 +207,14 @@ def _cmd_casimir(args) -> _Result:
         "minpoly_allones": str(mpa),
         "minpoly_casimir": str(mpc),
     }
-    pretty = ("sections", [
+    pretty = [
         ("allones", A),
         ("casimir", C),
         ("s1", s1),
         ("s2", s2),
         ("minpoly allones", f"{mpa} = {mpa.factored_str()}"),
         ("minpoly casimir", f"{mpc} = {mpc.factored_str()}"),
-    ])
+    ]
     return _Result(body, pretty)
 
 
@@ -249,12 +228,12 @@ def _cmd_surgery(args) -> _Result:
         cut = surgery_cut(g, w)
         M = to_matrix(cut)
         body = {"cut": cut.to_json(), "matrix": M.to_json()}
-        return _Result(body, ("sections", [("cut", cut), ("matrix", M)]))
+        return _Result(body, [("cut", cut), ("matrix", M)])
     gc = surgery_gc(args.n)
     gci = surgery_gc_inverse(args.n)
     D = to_matrix(gci) * to_matrix(casimir_mv(args.n)) * to_matrix(gc)
     body = {"g_c": gc.to_json(), "diagonalized_casimir": D.to_json()}
-    return _Result(body, ("sections", [("g_c", gc), ("diagonalized casimir", D)]))
+    return _Result(body, [("g_c", gc), ("diagonalized casimir", D)])
 
 
 _BUILTIN_GROUPS = {
@@ -277,9 +256,9 @@ def _cmd_commutant(args) -> _Result:
         "dimension": result.dimension,
         "basis": [B.to_json() for B in result.basis],
     }
-    pretty = ("sections", [("dimension", str(result.dimension))] + [
+    pretty = [("dimension", str(result.dimension))] + [
         (f"basis[{i}]", B) for i, B in enumerate(result.basis)
-    ])
+    ]
     return _Result(body, pretty)
 
 
@@ -303,13 +282,13 @@ def _cmd_minpoly(args) -> _Result:
             "collapsed roots: " + (", ".join(f"{r} (x{k})" for r, k in report.collapsed) or "none"),
             "factored form matches" if report.ok else "factored form MISMATCH",
         ]
-        return _Result(body, ("lines", lines))
+        return _Result(body, lines)
     if args.operand is None:
         raise InputError("give a matrix file or --family")
     M = ExactMatrix.from_json(_load_json(args.operand))
     mp = min_poly(M)
     body = {"minpoly": str(mp), "factored": mp.factored_str()}
-    return _Result(body, ("text", f"{mp} = {mp.factored_str()}"))
+    return _Result(body, [f"{mp} = {mp.factored_str()}"])
 
 
 def _parse_scalar_list(text: str):
@@ -318,10 +297,7 @@ def _parse_scalar_list(text: str):
         part = part.strip()
         if not part:
             raise InputError("empty entry in list")
-        try:
-            out.append(GaussianRational.parse(part))
-        except ValueError as exc:
-            raise InputError(f"bad rational {part!r}: {exc}") from exc
+        out.append(GaussianRational.parse(part))
     return out
 
 
@@ -335,8 +311,7 @@ def _cmd_regrep(args) -> _Result:
         "P": P.to_json(),
         "D": D.to_json(),
     }
-    pretty = ("sections", [("X", X), ("P", P), ("D", D)])
-    return _Result(body, pretty)
+    return _Result(body, [("X", X), ("P", P), ("D", D)])
 
 
 def _cmd_verify_paper(args) -> _Result:
@@ -352,7 +327,7 @@ def _cmd_verify_paper(args) -> _Result:
         lines.append(f"{mark}  {r.name}{suffix}")
     failed = sum(1 for r in results if not r.ok)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    return _Result(body, ("lines", lines), exit_code=0 if failed == 0 else 1)
+    return _Result(body, lines, exit_code=0 if failed == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +428,8 @@ def main(argv=None) -> int:
         result.emit(args)
         return result.exit_code
     except WittmatError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
 
 
 if __name__ == "__main__":

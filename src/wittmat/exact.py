@@ -2,7 +2,8 @@
 
 Everything here is dense, deterministic, and float-free: scalars are pairs of
 ``fractions.Fraction``, matrices are tuples of tuples of scalars, and the only
-polynomial factorisation offered is rational-root splitting.
+polynomial factorisation offered is rational-root splitting, where each
+candidate root is tested and divided out in one Horner pass.
 
 Elimination and matrix products run fraction-free on integer numerators.
 Each row (and, for the right factor of a product, each column) is lifted to
@@ -576,11 +577,6 @@ class RationalPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def leading(self) -> GaussianRational:
-        if not self.coeffs:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _as_scalar(other)
@@ -605,87 +601,35 @@ class RationalPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __divmod__(self, other: "RationalPolynomial"):
-        if other.is_zero():
-            raise DomainError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [GaussianRational.ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead_inv = other.leading().inverse()
-        for k in range(len(rem) - len(other.coeffs), -1, -1):
-            f = rem[k + other.degree] * lead_inv
-            q[k] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - f * c
-        return RationalPolynomial(q), RationalPolynomial(rem)
-
-    def evaluate(self, x) -> GaussianRational:
-        x = _as_scalar(x)
-        acc = GaussianRational.ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def factor_rational_roots(self):
         """Split off rational roots; returns (roots with multiplicity, remainder).
 
         Only applies to polynomials with purely rational coefficients;
         whatever does not split stays in the (possibly irreducible) remainder.
+        Each candidate root is tested and divided out in one Horner pass.
         """
         if self.is_zero() or any(not c.is_real() for c in self.coeffs):
             return [], self
         roots = []
-        poly = self
-        while poly.degree >= 1:
-            root = poly._find_rational_root()
-            if root is None:
+        coeffs = [c.re for c in self.coeffs]
+        while len(coeffs) > 1:
+            for r in _root_candidates(coeffs):
+                quotient, rem = _deflate(coeffs, r)
+                if rem == 0:
+                    roots.append(r)
+                    coeffs = quotient
+                    break
+            else:
                 break
-            roots.append(root)
-            poly, rem = divmod(poly, RationalPolynomial([-root, 1]))
-            if not rem.is_zero():
-                raise DomainError(f"rational root {root} left a nonzero remainder {rem}")
-        return roots, poly
-
-    def _find_rational_root(self):
-        scale = lcm(*(c.re.denominator for c in self.coeffs))
-        ints = [int(c.re * scale) for c in self.coeffs]
-        if ints[0] == 0:
-            return Fraction(0)
-        lead = abs(ints[-1])
-        const = abs(ints[0])
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if self.evaluate(cand).is_zero():
-                        return cand
-        return None
+        return roots, RationalPolynomial(coeffs)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    body = xs
-                elif c == -1:
-                    body = f"-{xs}"
-                elif c.is_real():
-                    body = f"{c}{xs}"
-                else:
-                    body = f"({c}){xs}"
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(f"+ {body}")
-        return " ".join(parts)
+        terms = [
+            ("1" if k == 0 else "x" if k == 1 else f"x^{k}", c)
+            for k, c in enumerate(self.coeffs)
+            if not c.is_zero()
+        ]
+        return _format_sum(reversed(terms), "")
 
     def factored_str(self) -> str:
         roots, rest = self.factor_rational_roots()
@@ -710,6 +654,58 @@ class RationalPolynomial:
 
     def __repr__(self):
         return f"RationalPolynomial({self})"
+
+
+def _format_sum(terms: Iterable, sep: str) -> str:
+    """Render (name, coefficient) pairs as a signed sum such as ``2 - 1/2 b1 + (1i) a1``.
+
+    Name "1" prints the coefficient alone, 1 and -1 print the bare name, a complex
+    coefficient is parenthesised, and ``sep`` joins coefficient and name; no terms is "0".
+    """
+    parts = []
+    for name, c in terms:
+        if name == "1":
+            body = str(c)
+        elif c == 1:
+            body = name
+        elif c == -1:
+            body = f"-{name}"
+        elif c.is_real():
+            body = f"{c}{sep}{name}"
+        else:
+            body = f"({c}){sep}{name}"
+        if not parts:
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append(f"- {body[1:]}")
+        else:
+            parts.append(f"+ {body}")
+    return " ".join(parts) or "0"
+
+
+def _deflate(coeffs: list, r: Fraction):
+    """Divide by (x - r) in one Horner pass; returns (quotient, remainder), lowest degree first."""
+    acc = 0
+    partial = []
+    for c in reversed(coeffs):
+        acc = acc * r + c
+        partial.append(acc)
+    rem = partial.pop()
+    return partial[::-1], rem
+
+
+def _root_candidates(coeffs: list):
+    """Rational root candidates: 0 if the constant term vanishes, else +-p/q for
+    p dividing the constant and q the leading coefficient, denominators cleared."""
+    if coeffs[0] == 0:
+        yield Fraction(0)
+        return
+    scale = lcm(*(c.denominator for c in coeffs))
+    const, lead = int(coeffs[0] * scale), int(coeffs[-1] * scale)
+    for p in _divisors(const):
+        for q in _divisors(lead):
+            yield Fraction(p, q)
+            yield Fraction(-p, q)
 
 
 def _divisors(n: int):

@@ -63,7 +63,7 @@ from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _as_scalar, _lift, _scalar
+from .exact import GaussianRational, _as_scalar, _format_sum, _lift, _scalar
 
 __all__ = [
     "WittMonomial",
@@ -116,9 +116,6 @@ class WittMonomial(NamedTuple):
             if self.b_mask & bit:
                 toks.append((i, 1))
         return tuple(toks)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.a_mask, self.b_mask)
 
     def pretty(self) -> str:
         """Render the canonical word with same-letter runs grouped: a1b12, b1a2."""
@@ -351,7 +348,7 @@ class Multivector:
 
     def terms(self):
         """Term pairs sorted by (a_mask, b_mask)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items(), key=lambda kv: kv[0])
 
     def coeff(self, mono: WittMonomial) -> GaussianRational:
         return self._terms.get(mono, GaussianRational.ZERO)
@@ -484,28 +481,7 @@ class Multivector:
     # -- text and JSON ----------------------------------------------------------
 
     def pretty(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for m, c in self.terms():
-            name = m.pretty()
-            if name == "1":
-                body = str(c)
-            elif c == 1:
-                body = name
-            elif c == -1:
-                body = f"-{name}"
-            elif c.is_real():
-                body = f"{c} {name}"
-            else:
-                body = f"({c}) {name}"
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(f"+ {body}")
-        return " ".join(parts)
+        return _format_sum(((m.pretty(), c) for m, c in self.terms()), " ")
 
     def __repr__(self):
         return f"Multivector[{self.n}]({self.pretty()})"
