@@ -1,6 +1,7 @@
 """Exact scalar, matrix, and polynomial arithmetic."""
 
 from fractions import Fraction
+import hashlib
 import json
 import os
 import random
@@ -271,6 +272,59 @@ class TestAgainstFractionOracle:
         monkeypatch.setattr(ExactMatrix, "rref", oracle_rref)
         monkeypatch.setattr(ExactMatrix, "__mul__", lambda A, B: oracle_mul(A, B) if isinstance(B, ExactMatrix) else A.scale(B))
         assert got == [str(min_poly(M)) for M in mats]
+
+
+# sha256[:16] of the inverse's JSON (None: singular) and of str(min_poly), per square case
+PINNED = {
+    "real1x1": ("6668e708856d802f", "ed359f450f1df7c0"),
+    "real3x3": ("58257f294ba3c84d", "7237472b96225797"),
+    "real5x5": ("056c413ddbc32ec3", "493c9aa16deac907"),
+    "real8x8": ("c1640ac09ba5a3b5", "a385fd0ad90f7060"),
+    "real-repeated-row": (None, "76df0ffc0f0f3343"),
+    "real-zero-column": (None, "846f3ea9f031788f"),
+    "gauss1x1": ("fcb66bf6b389cbee", "8b356af3ebdd9ea1"),
+    "gauss3x3": ("e10010e9cb625c01", "3bd171f72f08f69a"),
+    "gauss5x5": ("261213647eba5960", "62c92cb4df6598ec"),
+    "gauss8x8": ("a5725a5c67e82d8a", "af3d3bb813eda2bb"),
+    "gauss-repeated-row": (None, "814b13e9f501fd12"),
+    "gauss-zero-column": (None, "120da89a3f834946"),
+    "tall1x1": ("1a8a78ebca7b4ad5", "376f3f4719d9bdff"),
+    "tall3x3": ("ed6f5d0598222946", "b0bf02a810abdd59"),
+    "tall5x5": ("cbed250a1511d45d", "83547a5d2fc0208d"),
+    "tall8x8": ("1dc3aecaba4f5592", "9f0682fcc395cc63"),
+    "tall-repeated-row": (None, "b46eebba5fd1460c"),
+    "tall-zero-column": (None, "013966be7d8cc03e"),
+    "zero1x1": (None, "2d711642b726b044"),
+    "gauss-pivot-1+i": ("26f259151f2f98e8", "ae87df984150fb77"),
+    "gauss-imaginary-column": ("155ff652a24f084c", "8c57c91c15989e02"),
+}
+SQUARE = [(label, M) for label, M in DIFFERENTIAL if M.is_square]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("label,M", SQUARE, ids=[c[0] for c in SQUARE])
+    def test_inverse_and_min_poly(self, label, M):
+        want_inv, want_mp = PINNED[label]
+        if want_inv is None:
+            with pytest.raises(DomainError, match="^matrix is singular$"):
+                M.inverse()
+        else:
+            assert _digest(_json(M.inverse())) == want_inv
+        assert _digest(str(min_poly(M))) == want_mp
+
+    def test_square_cases_all_pinned(self):
+        assert sorted(PINNED) == sorted(label for label, _ in SQUARE)
+
+    def test_non_square_errors(self):
+        M = ExactMatrix([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionMismatch, match="^inverse of a non-square matrix$"):
+            M.inverse()
+        with pytest.raises(DimensionMismatch, match="^minimal polynomial of a non-square matrix$"):
+            min_poly(M)
 
 
 _SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
