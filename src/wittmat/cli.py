@@ -287,8 +287,9 @@ def _cmd_minpoly(args) -> _Result:
         raise InputError("give a matrix file or --family")
     M = ExactMatrix.from_json(_load_json(args.operand))
     mp = min_poly(M)
-    body = {"minpoly": str(mp), "factored": mp.factored_str()}
-    return _Result(body, [f"{mp} = {mp.factored_str()}"])
+    factored = mp.factored_str()
+    body = {"minpoly": str(mp), "factored": factored}
+    return _Result(body, [f"{mp} = {factored}"])
 
 
 def _parse_scalar_list(text: str):

@@ -10,9 +10,14 @@ Each row (and, for the right factor of a product, each column) is lifted to
 one common denominator; products are integer dot products, and ``rref`` is
 fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
-whose every division is exact.  A matrix with no imaginary part runs on
-plain ints, any other on (re, im) pairs in Z[i].  Scalars are built again
-only for the result, so every output equals the plain Fraction computation.
+whose every division is exact.  ``inverse`` runs the same steps on [A | I]
+but stores only its n live columns: a pivot's column of A is known once it is
+eliminated, and its slot takes over the column of I that the pivot row starts
+to fill.  ``min_poly`` keeps one running fraction-free echelon form of the
+integer powers B^k of B = d*A, and stops at the first power that reduces to
+zero.  A matrix with no imaginary part runs on plain ints, any other on
+(re, im) pairs in Z[i].  Scalars are built again only for the result, so
+every output equals the plain Fraction computation.
 """
 
 from __future__ import annotations
@@ -250,6 +255,22 @@ def _entry(row, c: int) -> tuple[int, int]:
     return re[c], (0 if im is None else im[c])
 
 
+def _put(row, c: int, z) -> None:
+    re, im = row
+    re[c] = z[0]
+    if im is not None:
+        im[c] = z[1]
+
+
+def _over_pivot(m, d):
+    """(rows, den): the lifted rows m over the (re, im) pivot d, with den an int."""
+    d, di = d
+    if not di:
+        return m, d
+    # x / d = x * conj(d) / |d|^2
+    return [([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)]) for row in m], d * d + di * di
+
+
 def _bareiss_step(p, f, q, x, y):
     """The row (p*x - f*y) / q, for (re, im) scalars p, f, q and lifted rows x, y.
 
@@ -298,6 +319,15 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, cells: tuple) -> "ExactMatrix":
+        """The matrix over cells, a non-empty tuple of equal-length tuples of GaussianRationals, taken as is."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", len(cells))
+        object.__setattr__(M, "cols", len(cells[0]))
+        object.__setattr__(M, "cells", cells)
+        return M
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -481,11 +511,7 @@ class ExactMatrix:
             prev = p
             pivots.append(c)
             r += 1
-        d, di = prev
-        if di:  # x / d = x * conj(d) / |d|^2
-            m = [([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)])
-                 for row in m]
-            d = d * d + di * di
+        m, d = _over_pivot(m, prev)
         return ExactMatrix([_unlift(re, im, d) for re, im in m]), tuple(pivots)
 
     def rank(self) -> int:
@@ -507,16 +533,47 @@ class ExactMatrix:
         return basis
 
     def inverse(self) -> "ExactMatrix":
+        """Fraction-free Gauss-Jordan on [A | I] that stores only its n live columns.
+
+        Row i of A is lifted once to (d_i, row_i).  Once column c holds its
+        pivot p, the left-block column c is p in the pivot row and 0 elsewhere,
+        so its slot takes over the right-block column of the pivot row's
+        original index o, which until then is d_o times the previous pivot q
+        in that row and 0 elsewhere.  Other rows then take the Bareiss step of
+        ``rref``.  At the end slot c of row i is inverse[i][o_c] times the last
+        pivot.  A missing pivot means a singular matrix.
+        """
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = ExactMatrix(
-            [list(self.cells[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        )
-        red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
-            raise DomainError("matrix is singular")
-        return ExactMatrix([red.cells[i][n:] for i in range(n)])
+        cplx = self._has_imag()
+        lifted = [_lift(row, cplx) for row in self.cells]
+        dens = [den for den, _, _ in lifted]
+        m = [(re, im) for _, re, im in lifted]
+        orig = list(range(n))  # original index of the row at each position
+        prev = (1, 0)
+        for c in range(n):
+            pr = next((i for i in range(c, n) if _entry(m[i], c) != (0, 0)), None)
+            if pr is None:
+                raise DomainError("matrix is singular")
+            m[c], m[pr] = m[pr], m[c]
+            orig[c], orig[pr] = orig[pr], orig[c]
+            p = _entry(m[c], c)
+            d = dens[orig[c]]
+            _put(m[c], c, (d * prev[0], d * prev[1]))
+            for i in range(n):
+                if i != c:
+                    f = _entry(m[i], c)
+                    _put(m[i], c, (0, 0))
+                    m[i] = _bareiss_step(p, f, prev, m[i], m[c])
+            prev = p
+        m, d = _over_pivot(m, prev)
+        slot = sorted(range(n), key=orig.__getitem__)  # slot[o]: the slot holding right-block column o
+        cells = []
+        for re, im in m:
+            row = _unlift(re, im, d)
+            cells.append(tuple(row[c] for c in slot))
+        return ExactMatrix._wrap(tuple(cells))
 
 
 def solve_linear(columns: Sequence[ExactMatrix], target: ExactMatrix):
@@ -735,16 +792,61 @@ def eval_poly(p: RationalPolynomial, A: ExactMatrix) -> ExactMatrix:
 
 
 def min_poly(A: ExactMatrix) -> RationalPolynomial:
-    """Monic minimal polynomial via the first linear dependence among I, A, A^2, ..."""
+    """Monic minimal polynomial from the first linear dependence among I, A, A^2, ...
+
+    A is lifted once to B = d*A over one common denominator, and the powers
+    B^k are integer products.  Each flattened B^k, tagged with e_k, is reduced
+    against the rows kept so far by the Bareiss steps that made them: a
+    running fraction-free row echelon form, whose every division is exact.
+    The first row that reduces to zero carries c_0..c_k with
+    sum c_j B^j = 0, so m_A(x) = sum c_j x^j / (c_k d^(k-j)).
+    """
     if not A.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    flat = lambda M: ExactMatrix.column([x for row in M.cells for x in row])
-    powers = []
-    current = ExactMatrix.identity(A.rows)
-    while True:
-        target = flat(current)
-        combo = solve_linear(powers, target)
-        if combo is not None:
-            return RationalPolynomial([-c for c in combo] + [1])
-        powers.append(target)
-        current = current * A
+    n = A.rows
+    size = n * n
+    cplx = A._has_imag()
+    d, bre, bim = _lift([x for row in A.cells for x in row], cplx)
+    cols = [(bre[j::n], None if bim is None else bim[j::n]) for j in range(n)]
+    power = ([int(i == j) for i in range(n) for j in range(n)], [0] * size if cplx else None)
+    kept = []  # (pivot column, pivot, row) in the order the rows were reduced
+    k = 0
+    while True:  # Cayley-Hamilton: at most n + 1 powers, so the tag has n + 1 slots
+        tag = [0] * (n + 1)
+        tag[k] = 1
+        w = (power[0] + tag, None if power[1] is None else power[1] + [0] * (n + 1))
+        prev = (1, 0)
+        for c, p, row in kept:
+            w = _bareiss_step(p, _entry(w, c), prev, w, row)
+            prev = p
+        c = next((j for j in range(size) if _entry(w, j) != (0, 0)), None)
+        if c is None:
+            return _monic(w, size, k, d)
+        kept.append((c, _entry(w, c), w))
+        power = _flat_product(power, cols, n)
+        k += 1
+
+
+def _flat_product(x, cols, n: int):
+    """X * B for a row-major lifted n x n matrix X and the lifted columns of B."""
+    xr, xi = x
+    starts = range(0, n * n, n)
+    if xi is None:
+        return [sum(map(mul, ar, br)) for ar in [xr[s:s + n] for s in starts] for br, _ in cols], None
+    outr, outi = [], []
+    for s in starts:
+        ar, ai = xr[s:s + n], xi[s:s + n]
+        for br, bi in cols:
+            outr.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+            outi.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+    return outr, outi
+
+
+def _monic(w, size: int, k: int, d: int) -> RationalPolynomial:
+    """sum c_j x^j / (c_k d^(k-j)) for the tag c_0..c_k that follows the first size entries of w."""
+    cr, ci = w[0][size:size + k + 1], [0] * (k + 1) if w[1] is None else w[1][size:size + k + 1]
+    lr, li = cr[k], ci[k]
+    norm = lr * lr + li * li  # c_j / c_k = c_j * conj(c_k) / |c_k|^2
+    return RationalPolynomial(
+        [_scalar(a * lr + b * li, b * lr - a * li, norm * d ** (k - j)) for j, (a, b) in enumerate(zip(cr, ci))]
+    )

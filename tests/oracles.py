@@ -8,9 +8,14 @@ grouped the factors to skip vanishing pairs.  The three functions after it
 are the product and the matrix bridge as they were before integer lifting:
 every pair of terms is visited and every term is a GaussianRational product,
 summed per key.  The lifted, grouped versions must match them byte for byte.
+
+The last four are the elimination layer in GaussianRational arithmetic:
+Gauss-Jordan, row-by-column products, and inverse and min_poly as they were
+before they ran on integers, an rref of [A | I] and one linear solve per
+power of A, here run on the first two.
 """
 
-from wittmat import ExactMatrix, GaussianRational, Multivector, WittMonomial
+from wittmat import DimensionMismatch, DomainError, ExactMatrix, GaussianRational, Multivector, RationalPolynomial, WittMonomial
 from wittmat.witt import _mono_matrix_entries, _sign, _subsets, _suffix_parity, _unit_terms
 
 
@@ -113,3 +118,61 @@ def from_matrix(M: ExactMatrix, n: int, complexified: bool | None = None) -> Mul
     if complexified is None:
         complexified = any(not x.is_real() for row in M.cells for x in row)
     return Multivector(n, terms, complexified=complexified)
+
+
+def oracle_rref(M: ExactMatrix):
+    """Gauss-Jordan over GaussianRational, leftmost pivot, first nonzero row."""
+    m = [list(row) for row in M.cells]
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        if r == M.rows:
+            break
+        pr = next((i for i in range(r, M.rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(M.rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return ExactMatrix(m), tuple(pivots)
+
+
+def oracle_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """Row-by-column GaussianRational dot products."""
+    ocols = list(zip(*B.cells))
+    return ExactMatrix([[sum((a * b for a, b in zip(row, col)), GaussianRational.ZERO) for col in ocols]
+                        for row in A.cells])
+
+
+def oracle_inverse(A: ExactMatrix) -> ExactMatrix:
+    """The right half of the rref of [A | I]."""
+    if not A.is_square:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    n = A.rows
+    red, pivots = oracle_rref(ExactMatrix([list(A.cells[i]) + [int(j == i) for j in range(n)] for i in range(n)]))
+    if pivots != tuple(range(n)):
+        raise DomainError("matrix is singular")
+    return ExactMatrix([red.cells[i][n:] for i in range(n)])
+
+
+def oracle_min_poly(A: ExactMatrix) -> RationalPolynomial:
+    """Solve for A^k over I, A, ..., A^(k-1), for k = 1, 2, ..., until it is consistent."""
+    if not A.is_square:
+        raise DimensionMismatch("minimal polynomial of a non-square matrix")
+    size = A.rows * A.rows
+    powers = [[x for row in ExactMatrix.identity(A.rows).cells for x in row]]
+    current = A
+    while True:
+        target = [x for row in current.cells for x in row]
+        k = len(powers)
+        red, pivots = oracle_rref(ExactMatrix([[p[i] for p in powers] + [target[i]] for i in range(size)]))
+        if k not in pivots:  # consistent: A^k = sum of red[j][k] A^j
+            return RationalPolynomial([-red.cells[j][k] for j in range(k)] + [1])
+        powers.append(target)
+        current = oracle_mul(current, A)

@@ -123,6 +123,16 @@ class TestHappyPaths:
         assert data["minpoly"] == "x^2 - 6x + 5"
         assert data["ok"] is True
 
+    def test_minpoly_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["2", "1", "0"], ["0", "2", "0"], ["0", "0", "-1/2"]]))
+        code, out, _ = run(capsys, "minpoly", str(path))
+        assert code == 0
+        assert out == '{"minpoly": "x^3 - 7/2x^2 + 2x + 2", "factored": "(x + 1/2)(x - 2)^2"}\n'
+        code, out, _ = run(capsys, "minpoly", str(path), "--format", "pretty")
+        assert code == 0
+        assert out == "x^3 - 7/2x^2 + 2x + 2 = (x + 1/2)(x - 2)^2\n"
+
     def test_regrep(self, capsys):
         code, out, _ = run(capsys, "regrep", "--x", "1,2,3,4,5,6")
         assert code == 0

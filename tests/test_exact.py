@@ -23,6 +23,7 @@ from wittmat import (
     solve_linear,
 )
 from conftest import rand_gauss, rand_matrix
+from oracles import oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref
 
 
 class TestGaussianRational:
@@ -161,38 +162,20 @@ class TestExactMatrix:
         assert proc.returncode != 0, proc.stdout
         assert "independent columns" in proc.stderr
 
-
-# -- reference kernels in GaussianRational arithmetic: the oracle for rref and * --
-
-
-def oracle_rref(M):
-    """Gauss-Jordan over GaussianRational, leftmost pivot, first nonzero row."""
-    m = [list(row) for row in M.cells]
-    pivots = []
-    r = 0
-    for c in range(M.cols):
-        if r == M.rows:
-            break
-        pr = next((i for i in range(r, M.rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * x for x in m[r]]
-        for i in range(M.rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return ExactMatrix(m), tuple(pivots)
-
-
-def oracle_mul(A, B):
-    """Row-by-column GaussianRational dot products."""
-    ocols = list(zip(*B.cells))
-    return ExactMatrix([[sum((a * b for a, b in zip(row, col)), GaussianRational.ZERO) for col in ocols]
-                        for row in A.cells])
+    def test_singular_inverse_raises_under_optimize(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "from wittmat import DomainError, ExactMatrix as M, a, mv_inverse\n"
+            "for f in (M([[1, 2], [2, 4]]).inverse, M([['1+i', 2], ['2+2i', 4]]).inverse, lambda: mv_inverse(a(1, 1))):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except DomainError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "matrix is singular\n" * 3
 
 
 def _tall_fraction(rng):
@@ -225,6 +208,9 @@ def _differential_cases():
     cases.append(("zero1x1", ExactMatrix.zeros(1)))
     cases.append(("gauss-pivot-1+i", ExactMatrix([["1+i", 2, "i"], [3, "2-i", 1], ["1/2", 0, "3i"]])))
     cases.append(("gauss-imaginary-column", ExactMatrix([["i", 1, 2], ["2i", 3, "1+i"], [0, "1/3i", 1]])))
+    # zero leading entries: inverse and rref must swap rows at steps 0 and 1
+    cases.append(("real-row-swaps", ExactMatrix([[0, 1, 2], [0, 0, 3], [5, 1, 1]])))
+    cases.append(("gauss-row-swaps", ExactMatrix([[0, "i", 1], [0, 0, 2], ["1+i", 1, 0]])))
     return cases
 
 
@@ -242,18 +228,12 @@ class TestAgainstFractionOracle:
         want_red, want_pivots = oracle_rref(M)
         assert pivots == want_pivots
         assert _json(red) == _json(want_red)
+        if M.is_square:
+            assert _outcome(M.inverse) == _outcome(lambda: oracle_inverse(M))
         got_null = [_json(v) for v in M.nullspace()]
-        got_inv = None
-        if M.is_square and len(pivots) == M.rows:
-            got_inv = _json(M.inverse())
-        # the same nullspace and inverse code, run on the oracle elimination
+        # the same nullspace code, run on the oracle elimination
         monkeypatch.setattr(ExactMatrix, "rref", oracle_rref)
         assert got_null == [_json(v) for v in M.nullspace()]
-        if got_inv is not None:
-            assert got_inv == _json(M.inverse())
-        elif M.is_square:
-            with pytest.raises(DomainError):
-                M.inverse()
 
     @pytest.mark.parametrize("label,M", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
     def test_matmul(self, label, M):
@@ -264,14 +244,20 @@ class TestAgainstFractionOracle:
             C = _matrix(rng, 2, M.rows, kind)
             assert _json(C * M) == _json(oracle_mul(C, M))
 
-    def test_min_poly_on_oracle_kernels(self, monkeypatch):
+    def test_min_poly_on_oracle_kernels(self):
         rng = random.Random(121)
         mats = [_matrix(rng, 4, 4, kind) for kind in ("real", "gauss", "tall")]
         mats.append(ExactMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]))
-        got = [str(min_poly(M)) for M in mats]
-        monkeypatch.setattr(ExactMatrix, "rref", oracle_rref)
-        monkeypatch.setattr(ExactMatrix, "__mul__", lambda A, B: oracle_mul(A, B) if isinstance(B, ExactMatrix) else A.scale(B))
-        assert got == [str(min_poly(M)) for M in mats]
+        mats += [M for _, M in DIFFERENTIAL if M.is_square and M.rows <= 5]
+        assert [str(min_poly(M)) for M in mats] == [str(oracle_min_poly(M)) for M in mats]
+
+
+def _outcome(f):
+    """The JSON of f()'s matrix, or the DomainError it raised."""
+    try:
+        return _json(f())
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 # sha256[:16] of the inverse's JSON (None: singular) and of str(min_poly), per square case
@@ -297,6 +283,8 @@ PINNED = {
     "zero1x1": (None, "2d711642b726b044"),
     "gauss-pivot-1+i": ("26f259151f2f98e8", "ae87df984150fb77"),
     "gauss-imaginary-column": ("155ff652a24f084c", "8c57c91c15989e02"),
+    "real-row-swaps": ("ce74e1b0777f0995", "2d86a29bf5936414"),
+    "gauss-row-swaps": ("0dcc669f6e6c6d85", "04c9d2ecde92faad"),
 }
 SQUARE = [(label, M) for label, M in DIFFERENTIAL if M.is_square]
 

@@ -1,4 +1,4 @@
-"""Property tests of the algebra laws at ranks 1..4.
+"""Property tests of the algebra laws at ranks 1..4, and of the elimination layer.
 
 The integer-lifted product and matrix bridge are compared byte for byte with
 the GaussianRational oracles in oracles.py; the laws are checked on the
@@ -7,6 +7,12 @@ with imaginary parts on complexified elements; the zero element and
 single-term elements are drawn on purpose.  Dense elements, up to the full
 basis, put many monomials in each group of the product kernel, so the b.a
 branch is reached inside multi-term groups.
+
+ExactMatrix.inverse and min_poly are compared byte for byte with the
+GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
+that reach their special cases: zero leading entries that force row swaps,
+singular matrices, low rank, nilpotent Jordan blocks, permutations,
+diagonals with repeated eigenvalues, 1x1, zero and identity matrices.
 """
 
 import json
@@ -17,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from wittmat import (
+    DomainError,
     ExactMatrix,
     GaussianRational,
     InputError,
@@ -25,6 +32,7 @@ from wittmat import (
     block_assemble,
     block_split,
     from_matrix,
+    min_poly,
     to_matrix,
 )
 
@@ -201,3 +209,96 @@ class TestLaws:
         assert parts == hs
         assert all(p.complexified == any(h.complexified for h in hs) for p in parts)
 
+
+
+# -- the elimination layer ----------------------------------------------------
+
+
+def square(draw, n: int, imag: bool):
+    return [draw(st.lists(scalars(imag), min_size=n, max_size=n)) for _ in range(n)]
+
+
+def combination(draw, rows, imag: bool):
+    """A linear combination of rows with drawn small coefficients."""
+    out = [GaussianRational.ZERO] * len(rows[0])
+    for row in rows:
+        c = draw(scalars(imag))
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+@st.composite
+def inverse_cases(draw):
+    """An n x n matrix, n in 1..8: general, with zero leading entries, or singular."""
+    n = draw(st.integers(1, 8))
+    imag = draw(st.booleans())
+    rows = square(draw, n, imag)
+    shape = draw(st.sampled_from(["general", "swaps", "permuted-triangular", "singular"]))
+    if shape == "swaps":  # zero leading entries: column 0 vanishes on the first k rows
+        for i in range(draw(st.integers(1, n))):
+            rows[i][0] = GaussianRational.ZERO
+    elif shape == "permuted-triangular":  # every column's pivot sits in a later row
+        diag = [draw(scalars(imag).filter(bool)) for _ in range(n)]
+        rows = [[diag[i] if j == i else x if j > i else GaussianRational.ZERO for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+        rows = draw(st.permutations(rows))
+    elif shape == "singular":  # one row a combination of the others
+        j = draw(st.integers(0, n - 1))
+        rows[j] = combination(draw, rows[:j] + rows[j + 1:], imag) if n > 1 else [GaussianRational.ZERO]
+    return ExactMatrix(rows)
+
+
+def outcome(f) -> bytes:
+    try:
+        return as_bytes(f())
+    except DomainError as exc:
+        return f"DomainError: {exc}".encode()
+
+
+def jordan(sizes, value=0):
+    """Block-diagonal Jordan blocks of the given sizes, all with eigenvalue value."""
+    n = sum(sizes)
+    starts = {sum(sizes[:k]) for k in range(len(sizes))}
+    return ExactMatrix([[value if i == j else 1 if j == i + 1 and j not in starts else 0 for j in range(n)]
+                        for i in range(n)])
+
+
+@st.composite
+def min_poly_cases(draw, kind: str):
+    imag = kind == "gauss" or draw(st.booleans())
+    if kind in ("random", "gauss"):
+        return ExactMatrix(square(draw, draw(st.integers(1, 4)), imag))
+    if kind == "low-rank":
+        n = draw(st.integers(2, 5))
+        r = draw(st.integers(1, n - 1))
+        left = [draw(st.lists(scalars(imag), min_size=r, max_size=r)) for _ in range(n)]
+        right = [draw(st.lists(scalars(imag), min_size=n, max_size=n)) for _ in range(r)]
+        return ExactMatrix(left) * ExactMatrix(right)
+    if kind == "jordan":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        return jordan(sizes, draw(st.sampled_from([0, 0, 2, Fraction(-1, 3)])))
+    if kind == "permutation":
+        n = draw(st.integers(1, 8))
+        image = draw(st.permutations(range(n)))
+        return ExactMatrix([[int(j == image[i]) for j in range(n)] for i in range(n)])
+    if kind == "diagonal":  # repeated eigenvalues from a set of at most three
+        values = draw(st.lists(scalars(imag), min_size=1, max_size=3))
+        diag = draw(st.lists(st.sampled_from(values), min_size=1, max_size=8))
+        return ExactMatrix([[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)])
+    # kind == "tiny": 1x1, zero and identity
+    n = draw(st.integers(1, 6))
+    return draw(st.sampled_from([ExactMatrix(square(draw, 1, imag)), ExactMatrix.zeros(n), ExactMatrix.identity(n)]))
+
+
+class TestEliminationAgainstOracle:
+    @settings(max_examples=150)
+    @given(inverse_cases())
+    def test_inverse(self, M):
+        assert outcome(M.inverse) == outcome(lambda: oracles.oracle_inverse(M))
+
+    @settings(max_examples=30)
+    @pytest.mark.parametrize("kind", ["random", "gauss", "low-rank", "jordan", "permutation", "diagonal", "tiny"])
+    @given(data=st.data())
+    def test_min_poly(self, kind, data):
+        M = data.draw(min_poly_cases(kind))
+        assert str(min_poly(M)) == str(oracles.oracle_min_poly(M))
