@@ -262,9 +262,9 @@ def _put(row, c: int, z) -> None:
         im[c] = z[1]
 
 
-def _over_pivot(m, d):
-    """(rows, den): the lifted rows m over the (re, im) pivot d, with den an int."""
-    d, di = d
+def _over_pivot(m, pivot):
+    """(rows, den): the lifted rows m over the (re, im) pivot, with den an int."""
+    d, di = pivot
     if not di:
         return m, d
     # x / d = x * conj(d) / |d|^2
