@@ -10,143 +10,58 @@ generator sets, symmetric-group representations with Casimir surgery,
 commutant computations, and the decomposition of a six-term regular
 representation element.  All arithmetic is rational: there are no floats
 anywhere.
+
+`import wittmat` loads only the error classes; every other public name, and
+each submodule (`wittmat.exact` ... `wittmat.goldens`), is imported on first
+use (PEP 562), so a program pays only for the modules it touches.
 """
 
+import importlib
+
 from .errors import DimensionMismatch, DomainError, InputError, WittmatError
-from .exact import ExactMatrix, GaussianRational, RationalPolynomial, eval_poly, min_poly, solve_linear
-from .witt import (
-    BladeMonomial,
-    Multivector,
-    WittMonomial,
-    a,
-    b,
-    e,
-    f,
-    from_blade_basis,
-    one,
-    reduce_word,
-    scalar_mv,
-    u,
-    u_all,
-    u_all_dag,
-    u_dag,
-    wedge_ab,
-    zero,
-)
-from .spectral import (
-    block_assemble,
-    block_split,
-    det2,
-    from_matrix,
-    mv_inverse,
-    mv_trace,
-    spectral_table,
-    spectral_unit,
-    to_matrix,
-)
-from .signatures import (
-    GeneratorSet,
-    SignatureReport,
-    SignatureSpec,
-    f_extra,
-    generators,
-    pseudoscalar_candidate,
-    verify_signature,
-)
-from .symgroup import (
-    Permutation,
-    all_ones_mv,
-    casimir_idempotents,
-    casimir_mv,
-    geom_perm,
-    perm_matrix,
-    standard_irrep,
-    std_rep_matrix,
-    surgery_gc,
-    surgery_gc_inverse,
-)
-from .repdecomp import (
-    CommutantBasis,
-    FamilyReport,
-    RegRepElement,
-    commutant,
-    family_minpoly_check,
-    g_all_matrix,
-    g_alt_matrix,
-    regrep_decompose,
-    regrep_element,
-    regrep_transform,
-    surgery_cut,
-)
-from .goldens import GoldenResult, run_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BladeMonomial",
-    "CommutantBasis",
-    "DimensionMismatch",
-    "DomainError",
-    "ExactMatrix",
-    "FamilyReport",
-    "GaussianRational",
-    "GeneratorSet",
-    "GoldenResult",
-    "InputError",
-    "Multivector",
-    "Permutation",
-    "RationalPolynomial",
-    "RegRepElement",
-    "SignatureReport",
-    "SignatureSpec",
-    "WittMonomial",
-    "WittmatError",
-    "a",
-    "all_ones_mv",
-    "b",
-    "block_assemble",
-    "block_split",
-    "casimir_idempotents",
-    "casimir_mv",
-    "commutant",
-    "det2",
-    "e",
-    "eval_poly",
-    "f",
-    "f_extra",
-    "family_minpoly_check",
-    "from_blade_basis",
-    "from_matrix",
-    "g_all_matrix",
-    "g_alt_matrix",
-    "generators",
-    "geom_perm",
-    "min_poly",
-    "mv_inverse",
-    "mv_trace",
-    "one",
-    "perm_matrix",
-    "pseudoscalar_candidate",
-    "reduce_word",
-    "regrep_decompose",
-    "regrep_element",
-    "regrep_transform",
-    "run_all",
-    "scalar_mv",
-    "solve_linear",
-    "spectral_table",
-    "spectral_unit",
-    "standard_irrep",
-    "std_rep_matrix",
-    "surgery_cut",
-    "surgery_gc",
-    "surgery_gc_inverse",
-    "to_matrix",
-    "u",
-    "u_all",
-    "u_all_dag",
-    "u_dag",
-    "verify_signature",
-    "wedge_ab",
-    "zero",
-]
+# owning submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "exact": ("ExactMatrix", "GaussianRational", "RationalPolynomial", "eval_poly", "min_poly", "solve_linear"),
+    "witt": (
+        "BladeMonomial", "Multivector", "WittMonomial", "a", "b", "e", "f", "from_blade_basis", "one",
+        "reduce_word", "scalar_mv", "u", "u_all", "u_all_dag", "u_dag", "wedge_ab", "zero",
+    ),
+    "spectral": (
+        "block_assemble", "block_split", "det2", "from_matrix", "mv_inverse", "mv_trace", "spectral_table",
+        "spectral_unit", "to_matrix",
+    ),
+    "signatures": (
+        "GeneratorSet", "SignatureReport", "SignatureSpec", "f_extra", "generators", "pseudoscalar_candidate",
+        "verify_signature",
+    ),
+    "symgroup": (
+        "Permutation", "all_ones_mv", "casimir_idempotents", "casimir_mv", "geom_perm", "perm_matrix",
+        "standard_irrep", "std_rep_matrix", "surgery_gc", "surgery_gc_inverse",
+    ),
+    "repdecomp": (
+        "CommutantBasis", "FamilyReport", "RegRepElement", "commutant", "family_minpoly_check", "g_all_matrix",
+        "g_alt_matrix", "regrep_decompose", "regrep_element", "regrep_transform", "surgery_cut",
+    ),
+    "goldens": ("GoldenResult", "run_all"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["DimensionMismatch", "DomainError", "InputError", "WittmatError", *_OWNER])
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*__all__, *globals()})

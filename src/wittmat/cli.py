@@ -5,11 +5,16 @@ matrices as arrays of arrays of rational strings), prints deterministic
 output, and exits 0.  Errors map to fixed exit codes with a one-line
 diagnostic on stderr: 1 malformed input, 2 dimension or rank mismatch,
 3 domain error.
+
+A call imports only the modules its subcommand uses: errors, exact, witt and
+spectral always, and signatures, symgroup, repdecomp or goldens inside the
+subcommands that call them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
@@ -17,20 +22,24 @@ from .errors import DimensionMismatch, DomainError, InputError, WittmatError
 from .exact import ExactMatrix, GaussianRational, min_poly
 from .witt import Multivector, one
 from .spectral import det2, from_matrix, spectral_table, to_matrix
-from .signatures import SignatureSpec, generators, verify_signature
-from .symgroup import (
-    Permutation,
-    casimir_idempotents,
-    casimir_mv,
-    geom_perm,
-    perm_matrix,
-    standard_irrep,
-    std_rep_matrix,
-    surgery_gc,
-    surgery_gc_inverse,
-)
-from .repdecomp import commutant, family_minpoly_check, regrep_decompose, regrep_element, surgery_cut
-from .goldens import run_all
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for module.name that imports the module when first called."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+# called through these module globals, so a caller may rebind (wrap) them
+geom_perm = _deferred(".symgroup", "geom_perm")
+standard_irrep = _deferred(".symgroup", "standard_irrep")
+surgery_gc = _deferred(".symgroup", "surgery_gc")
+commutant = _deferred(".repdecomp", "commutant")
+regrep_decompose = _deferred(".repdecomp", "regrep_decompose")
+run_all = _deferred(".goldens", "run_all")
 
 _EXIT_CODES = ((InputError, 1), (DimensionMismatch, 2), (DomainError, 3))
 
@@ -149,6 +158,8 @@ def _cmd_det2(args) -> _Result:
 
 
 def _cmd_embed(args) -> _Result:
+    from .signatures import SignatureSpec, generators, verify_signature
+
     if args.n is None:
         n = 1
         while 2 * n + 1 < args.p + args.q:
@@ -177,6 +188,8 @@ def _cmd_embed(args) -> _Result:
 
 
 def _cmd_perm(args) -> _Result:
+    from .symgroup import Permutation, perm_matrix, std_rep_matrix
+
     _check_cap(args.n, args.rank_cap)
     p = Permutation.from_cycles(args.cycles)
     if args.standard_irrep:
@@ -193,6 +206,8 @@ def _cmd_perm(args) -> _Result:
 
 
 def _cmd_casimir(args) -> _Result:
+    from .symgroup import casimir_idempotents
+
     _check_cap(args.n, args.rank_cap)
     s1, s2 = casimir_idempotents(args.n)
     A = s2.scale(1 << args.n)
@@ -219,10 +234,14 @@ def _cmd_casimir(args) -> _Result:
 
 
 def _cmd_surgery(args) -> _Result:
+    from .symgroup import casimir_mv, surgery_gc_inverse
+
     _check_cap(args.n, args.rank_cap)
     if args.g is not None or args.idempotent is not None:
         if args.g is None or args.idempotent is None:
             raise InputError("band cut needs both --g and --idempotent")
+        from .repdecomp import surgery_cut
+
         g = _load_mv(args.g, args.rank_cap)
         w = _load_mv(args.idempotent, args.rank_cap)
         cut = surgery_cut(g, w)
@@ -245,6 +264,8 @@ _BUILTIN_GROUPS = {
 def _cmd_commutant(args) -> _Result:
     key = args.group.lower()
     if key in _BUILTIN_GROUPS:
+        from .symgroup import Permutation, perm_matrix
+
         gens = [perm_matrix(Permutation.from_cycles(c), 4) for c in _BUILTIN_GROUPS[key]]
     else:
         data = _load_json(args.group)
@@ -264,6 +285,8 @@ def _cmd_commutant(args) -> _Result:
 
 def _cmd_minpoly(args) -> _Result:
     if args.family is not None:
+        from .repdecomp import family_minpoly_check
+
         if args.params is None:
             raise InputError("--family needs --params")
         params = _parse_scalar_list(args.params)
@@ -303,6 +326,8 @@ def _parse_scalar_list(text: str):
 
 
 def _cmd_regrep(args) -> _Result:
+    from .repdecomp import regrep_element
+
     xs = _parse_scalar_list(args.x)
     element = regrep_element(xs)
     X = to_matrix(element.element)

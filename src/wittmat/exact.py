@@ -241,7 +241,10 @@ def _lift(entries, cplx: bool):
 def _scalar(re: int, im: int, den: int) -> GaussianRational:
     if not (re or im):
         return GaussianRational.ZERO
-    return GaussianRational(Fraction(re, den), Fraction(im, den) if im else _FRACTION_ZERO)
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "re", Fraction(re, den))
+    object.__setattr__(z, "im", Fraction(im, den) if im else _FRACTION_ZERO)
+    return z
 
 
 def _unlift(re, im, den: int) -> list[GaussianRational]:

@@ -74,7 +74,7 @@ def to_matrix(g: Multivector) -> ExactMatrix:
         ((x, y, _mono_matrix_entries(n, m.a_mask, m.b_mask)) for m, x, y in lifted), den, cplx
     )
     zero = GaussianRational.ZERO
-    return ExactMatrix([[cells.get((r, c), zero) for c in range(size)] for r in range(size)])
+    return ExactMatrix._wrap(tuple(tuple(cells.get((r, c), zero) for c in range(size)) for r in range(size)))
 
 
 def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None = None) -> Multivector:
