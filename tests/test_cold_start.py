@@ -40,10 +40,11 @@ def fresh(*args):
 
 def loaded_after(code):
     """wittmat modules, and dataclasses, in sys.modules after `code` runs in a fresh interpreter."""
-    report = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] in ('wittmat', 'dataclasses')))"
+    report = ("import json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('wittmat', 'dataclasses'))))")
     proc = fresh("-c", f"{code}\n{report}")
     assert proc.returncode == 0, proc.stderr.decode()
-    return eval(proc.stdout.decode().splitlines()[-1])
+    return json.loads(proc.stdout.decode().splitlines()[-1])
 
 
 class TestImportFootprint:
