@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # owning submodule -> the public names the package re-exports from it
 _EXPORTS = {
-    "exact": ("ExactMatrix", "GaussianRational", "RationalPolynomial", "eval_poly", "min_poly", "solve_linear"),
+    "exact": ("ExactMatrix", "GaussianRational", "RationalPolynomial", "eval_poly", "min_poly"),
     "witt": (
         "BladeMonomial", "Multivector", "WittMonomial", "a", "b", "e", "f", "from_blade_basis", "one",
         "reduce_word", "scalar_mv", "u", "u_all", "u_all_dag", "u_dag", "wedge_ab", "zero",

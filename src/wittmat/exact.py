@@ -2,28 +2,30 @@
 
 Everything here is dense, deterministic, and float-free: scalars are pairs of
 ``fractions.Fraction``, matrices are tuples of tuples of scalars, and the only
-polynomial factorisation offered is rational-root splitting, where each
-candidate root is tested and divided out in one Horner pass.
+polynomial factorisation offered is rational-root splitting: candidate roots
+are Hensel-lifted roots mod a small prime, and each is tested and divided out
+in one Horner pass.
 
-Elimination and matrix products run fraction-free on integer numerators.
-Each row (and, for the right factor of a product, each column) is lifted to
-one common denominator; products are integer dot products, and ``rref`` is
-fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
-whose every division is exact.  ``inverse`` runs the same steps on [A | I]
-but stores only its n live columns: a pivot's column of A is known once it is
-eliminated, and its slot takes over the column of I that the pivot row starts
-to fill.  ``min_poly`` keeps one running fraction-free echelon form of the
-integer powers B^k of B = d*A, and stops at the first power that reduces to
-zero.  A matrix with no imaginary part runs on plain ints, any other on
-(re, im) pairs in Z[i].  Scalars are built again only for the result, so
-every output equals the plain Fraction computation.
+Elimination and matrix products run fraction-free on integer numerators. Each
+row (and, for the right factor of a product, each column) is lifted to one
+common denominator.  One helper, ``_dots``, takes the integer dot products of
+a lifted row with lifted columns, for ``*`` and for the powers in
+``min_poly``.  ``rref`` is fraction-free Gauss-Jordan (E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian elimination",
+Math. Comp. 22, 1968), whose every division is exact.  ``inverse`` runs the
+same steps on [A | I] but stores only its n live columns: a pivot's column of
+A is known once it is eliminated, and its slot takes over the column of I that
+the pivot row starts to fill.  ``min_poly`` keeps one running fraction-free
+echelon form of the integer powers B^k of B = d*A, and stops at the first
+power that reduces to zero.  A matrix with no imaginary part runs on plain
+ints, any other on (re, im) pairs in Z[i].  Scalars are built again only for
+the result, so every output equals the plain Fraction computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -33,7 +35,6 @@ __all__ = [
     "GaussianRational",
     "ExactMatrix",
     "RationalPolynomial",
-    "solve_linear",
     "min_poly",
     "eval_poly",
 ]
@@ -274,6 +275,17 @@ def _over_pivot(m, pivot):
     return [([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)]) for row in m], d * d + di * di
 
 
+def _dots(row, cols):
+    """The lifted row times each lifted column: integer dot products, (re, im) lists."""
+    ar, ai = row
+    if ai is None:
+        return [sum(map(mul, ar, br)) for br, _ in cols], None
+    return (
+        [sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in cols],
+        [sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in cols],
+    )
+
+
 def _bareiss_step(p, f, q, x, y):
     """The row (p*x - f*y) / q, for (re, im) scalars p, f, q and lifted rows x, y.
 
@@ -420,25 +432,15 @@ class ExactMatrix:
                 )
             # rows of self over d, columns of other over e: C_ij = (row . col) / (d e)
             cplx = self._has_imag() or other._has_imag()
-            rows = [_lift(row, cplx) for row in self.cells]
-            cols = [_lift(col, cplx) for col in zip(*other.cells)]
-            if not cplx:
-                return ExactMatrix(
-                    [[_scalar(sum(map(mul, ar, br)), 0, d * e) for e, br, _ in cols] for d, ar, _ in rows]
-                )
-            return ExactMatrix(
-                [
-                    [
-                        _scalar(
-                            sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
-                            sum(map(mul, ar, bi)) + sum(map(mul, ai, br)),
-                            d * e,
-                        )
-                        for e, br, bi in cols
-                    ]
-                    for d, ar, ai in rows
-                ]
-            )
+            lifted = [_lift(col, cplx) for col in zip(*other.cells)]
+            dens = [e for e, _, _ in lifted]
+            cols = [(re, im) for _, re, im in lifted]
+            cells = []
+            for row in self.cells:
+                d, *ab = _lift(row, cplx)
+                re, im = _dots(ab, cols)
+                cells.append(tuple(_scalar(a, b, d * e) for a, b, e in zip(re, im or [0] * len(re), dens)))
+            return ExactMatrix._wrap(tuple(cells))
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
@@ -579,33 +581,6 @@ class ExactMatrix:
         return ExactMatrix._wrap(tuple(cells))
 
 
-def solve_linear(columns: Sequence[ExactMatrix], target: ExactMatrix):
-    """Express `target` as a combination of the given column vectors.
-
-    Returns the coefficient list, or None when the system is inconsistent.
-    Assumes the columns are linearly independent (unique solution).
-    """
-    if not columns:
-        return None if any(x for row in target.cells for x in row) else []
-    height = columns[0].rows
-    aug = ExactMatrix(
-        [
-            [col.cells[i][0] for col in columns] + [target.cells[i][0]]
-            for i in range(height)
-        ]
-    )
-    red, pivots = aug.rref()
-    k = len(columns)
-    if k in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    if pivots != tuple(range(k)):
-        raise DomainError("solve_linear requires linearly independent columns")
-    sol = [GaussianRational.ZERO] * k
-    for prow, pcol in enumerate(pivots):
-        sol[pcol] = red.cells[prow][k]
-    return sol
-
-
 class RationalPolynomial:
     """Polynomial with GaussianRational coefficients, stored lowest degree first."""
 
@@ -666,21 +641,21 @@ class RationalPolynomial:
 
         Only applies to polynomials with purely rational coefficients;
         whatever does not split stays in the (possibly irreducible) remainder.
-        Each candidate root is tested and divided out in one Horner pass.
+        The roots come 0 first, then by |numerator|, denominator, and positive
+        before negative; each candidate is tested and divided out in one
+        Horner pass.
         """
         if self.is_zero() or any(not c.is_real() for c in self.coeffs):
             return [], self
         roots = []
         coeffs = [c.re for c in self.coeffs]
-        while len(coeffs) > 1:
-            for r in _root_candidates(coeffs):
+        for r in sorted(_root_candidates(coeffs), key=lambda r: (r != 0, abs(r.numerator), r.denominator, r < 0)):
+            while len(coeffs) > 1:
                 quotient, rem = _deflate(coeffs, r)
-                if rem == 0:
-                    roots.append(r)
-                    coeffs = quotient
+                if rem:
                     break
-            else:
-                break
+                roots.append(r)
+                coeffs = quotient
         return roots, RationalPolynomial(coeffs)
 
     def __str__(self):
@@ -754,33 +729,82 @@ def _deflate(coeffs: list, r: Fraction):
     return partial[::-1], rem
 
 
-def _root_candidates(coeffs: list):
-    """Rational root candidates: 0 if the constant term vanishes, else +-p/q for
-    p dividing the constant and q the leading coefficient, denominators cleared."""
-    if coeffs[0] == 0:
-        yield Fraction(0)
-        return
-    scale = lcm(*(c.denominator for c in coeffs))
-    const, lead = int(coeffs[0] * scale), int(coeffs[-1] * scale)
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            yield Fraction(p, q)
-            yield Fraction(-p, q)
+def _root_candidates(coeffs: list) -> set:
+    """Rationals among which lie all rational roots of coeffs (Fractions, lowest degree first).
+
+    Past the roots at 0, the coefficients over their common denominator are
+    integers a_0..a_n, and y = a_n x turns the polynomial into the monic
+    g(y) = sum a_i a_n^(n-1-i) y^i, whose rational roots are integers with
+    |y| <= 1 + max|g_i|.  At a prime ell where every root of g mod ell is
+    simple, each such root is Newton-lifted (Hensel; von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 15) until the modulus exceeds twice that
+    bound, and its symmetric residue is the only integer root of g above it.
+    The primes tried start above 4n, where a multiple root is rare and the
+    search over F_ell costs O(n^2).  A repeated root is multiple mod every
+    prime, so once a prime shows a multiple root g is taken from the squarefree
+    part.
+    """
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    found = {Fraction(0)} if zeros else set()
+    poly = coeffs[zeros:]
+    if len(poly) < 2:
+        return found
+    lead, g = _monic_integer(poly)
+    ell = 4 * len(poly) - 1
+    while True:
+        ell += 2
+        if any(ell % q == 0 for q in range(3, isqrt(ell) + 1, 2)):
+            continue
+        dg = [i * c for i, c in enumerate(g)][1:]
+        roots = [r for r in range(ell) if _horner(g, r, ell) == 0]
+        if all(_horner(dg, r, ell) for r in roots):
+            break
+        lead, g = _monic_integer(_squarefree(poly))
+    bound = 2 * (1 + max(map(abs, g)))
+    for r in roots:
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - _horner(g, r, m) * pow(_horner(dg, r, m), -1, m)) % m
+        found.add(Fraction(r if 2 * r < m else r - m, lead))
+    return found
 
 
-def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        raise DomainError("0 has infinitely many divisors")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _monic_integer(poly: list):
+    """(a_n, g): a_n^(n-1) poly(y / a_n) for poly over its common denominator a, monic in y."""
+    scale = lcm(*(c.denominator for c in poly))
+    a = [c.numerator * (scale // c.denominator) for c in poly]
+    n = len(a) - 1
+    return a[n], [c * a[n] ** (n - 1 - i) for i, c in enumerate(a[:n])] + [1]
+
+
+def _horner(cs: list, x: int, m: int) -> int:
+    """The integer polynomial cs at x, mod m."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _poly_divmod(f: list, g: list):
+    """(quotient, remainder) of f by g over the rationals, lowest degree first, the remainder trimmed."""
+    r, q = list(f), []
+    while len(r) >= len(g):
+        q.append(r[-1] / g[-1])
+        for i, b in enumerate(g, len(r) - len(g)):
+            r[i] -= q[-1] * b
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
+
+
+def _squarefree(poly: list) -> list:
+    """poly / gcd(poly, poly') over the rationals (Euclid)."""
+    f, g = poly, [i * c for i, c in enumerate(poly)][1:]
+    while g:
+        f, g = g, _poly_divmod(f, g)[1]
+    return _poly_divmod(poly, f)[0]
 
 
 def eval_poly(p: RationalPolynomial, A: ExactMatrix) -> ExactMatrix:
@@ -797,11 +821,11 @@ def eval_poly(p: RationalPolynomial, A: ExactMatrix) -> ExactMatrix:
 def min_poly(A: ExactMatrix) -> RationalPolynomial:
     """Monic minimal polynomial from the first linear dependence among I, A, A^2, ...
 
-    A is lifted once to B = d*A over one common denominator, and the powers
-    B^k are integer products.  Each flattened B^k, tagged with e_k, is reduced
-    against the rows kept so far by the Bareiss steps that made them: a
-    running fraction-free row echelon form, whose every division is exact.
-    The first row that reduces to zero carries c_0..c_k with
+    A is lifted once to B = d*A over one common denominator, and each power
+    B^k is its rows times the columns of B.  Each flattened B^k, tagged with
+    e_k, is reduced against the rows kept so far by the Bareiss steps that
+    made them: a running fraction-free row echelon form, whose every division
+    is exact.  The first row that reduces to zero carries c_0..c_k with
     sum c_j B^j = 0, so m_A(x) = sum c_j x^j / (c_k d^(k-j)).
     """
     if not A.is_square:
@@ -811,45 +835,23 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
     cplx = A._has_imag()
     d, bre, bim = _lift([x for row in A.cells for x in row], cplx)
     cols = [(bre[j::n], None if bim is None else bim[j::n]) for j in range(n)]
-    power = ([int(i == j) for i in range(n) for j in range(n)], [0] * size if cplx else None)
+    power = [([int(i == j) for j in range(n)], [0] * n if cplx else None) for i in range(n)]
     kept = []  # (pivot column, pivot, row) in the order the rows were reduced
     k = 0
     while True:  # Cayley-Hamilton: at most n + 1 powers, so the tag has n + 1 slots
         tag = [0] * (n + 1)
         tag[k] = 1
-        w = (power[0] + tag, None if power[1] is None else power[1] + [0] * (n + 1))
+        w = ([x for re, _ in power for x in re] + tag, [x for _, im in power for x in im] + [0] * (n + 1) if cplx else None)
         prev = (1, 0)
         for c, p, row in kept:
             w = _bareiss_step(p, _entry(w, c), prev, w, row)
             prev = p
         c = next((j for j in range(size) if _entry(w, j) != (0, 0)), None)
         if c is None:
-            return _monic(w, size, k, d)
+            break
         kept.append((c, _entry(w, c), w))
-        power = _flat_product(power, cols, n)
+        power = [_dots(row, cols) for row in power]
         k += 1
-
-
-def _flat_product(x, cols, n: int):
-    """X * B for a row-major lifted n x n matrix X and the lifted columns of B."""
-    xr, xi = x
-    starts = range(0, n * n, n)
-    if xi is None:
-        return [sum(map(mul, ar, br)) for ar in [xr[s:s + n] for s in starts] for br, _ in cols], None
-    outr, outi = [], []
-    for s in starts:
-        ar, ai = xr[s:s + n], xi[s:s + n]
-        for br, bi in cols:
-            outr.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
-            outi.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
-    return outr, outi
-
-
-def _monic(w, size: int, k: int, d: int) -> RationalPolynomial:
-    """sum c_j x^j / (c_k d^(k-j)) for the tag c_0..c_k that follows the first size entries of w."""
-    cr, ci = w[0][size:size + k + 1], [0] * (k + 1) if w[1] is None else w[1][size:size + k + 1]
-    lr, li = cr[k], ci[k]
-    norm = lr * lr + li * li  # c_j / c_k = c_j * conj(c_k) / |c_k|^2
-    return RationalPolynomial(
-        [_scalar(a * lr + b * li, b * lr - a * li, norm * d ** (k - j)) for j, (a, b) in enumerate(zip(cr, ci))]
-    )
+    tag = (w[0][size:size + k + 1], None if w[1] is None else w[1][size:size + k + 1])
+    [(re, im)], den = _over_pivot([tag], _entry(tag, k))
+    return RationalPolynomial([_scalar(a, 0 if im is None else im[j], den * d ** (k - j)) for j, a in enumerate(re)])

@@ -16,9 +16,9 @@ instead of silently patched.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .exact import ExactMatrix, GaussianRational, RationalPolynomial, min_poly
 from .witt import (
@@ -60,8 +60,7 @@ from .repdecomp import (
 )
 
 
-@dataclass(frozen=True)
-class GoldenResult:
+class GoldenResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -18,7 +18,7 @@ into six x05 eigenvalues and one 2x2 block.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational, RationalPolynomial, _as_scalar, min_poly
@@ -41,15 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
+class CommutantBasis(NamedTuple):
     generators: tuple[ExactMatrix, ...]
     basis: tuple[ExactMatrix, ...]
     dimension: int
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     kind: str
     params: tuple[GaussianRational, ...]
     matrix: ExactMatrix
@@ -60,8 +58,7 @@ class FamilyReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RegRepElement:
+class RegRepElement(NamedTuple):
     coefficients: tuple[GaussianRational, ...]
     element: Multivector
 

@@ -14,7 +14,7 @@ q > n + 1, which reproduces the published generator lists verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 from .exact import GaussianRational
@@ -31,32 +31,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignatureSpec:
-    p: int
-    q: int
-    n: int
+class SignatureSpec(NamedTuple("SignatureSpec", [("p", int), ("q", int), ("n", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.n < 1:
+    def __new__(cls, p: int, q: int, n: int):
+        if p < 0 or q < 0 or n < 1:
             raise DomainError("signature parts must be nonnegative and rank positive")
-        if self.p + self.q > 2 * self.n + 1:
-            raise DomainError(
-                f"signature ({self.p},{self.q}) too large for ambient rank {self.n}"
-            )
+        if p + q > 2 * n + 1:
+            raise DomainError(f"signature ({p},{q}) too large for ambient rank {n}")
+        return super().__new__(cls, p, q, n)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     n: int
     plus: tuple[Multivector, ...]
     minus: tuple[Multivector, ...]
-    plus_labels: tuple[str, ...] = field(default=())
-    minus_labels: tuple[str, ...] = field(default=())
+    plus_labels: tuple[str, ...] = ()
+    minus_labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

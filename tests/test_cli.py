@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,6 +134,16 @@ class TestHappyPaths:
         code, out, _ = run(capsys, "minpoly", str(path), "--format", "pretty")
         assert code == 0
         assert out == "x^3 - 7/2x^2 + 2x + 2 = (x + 1/2)(x - 2)^2\n"
+
+    def test_minpoly_with_large_integer_roots(self, tmp_path):
+        # the roots are primes near 1e9: finding them must not depend on the size of the constant
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[1000000007, 1], [0, 998244353]]))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "wittmat.cli", "minpoly", str(path)], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["factored"] == "(x - 998244353)(x - 1000000007)"
 
     def test_regrep(self, capsys):
         code, out, _ = run(capsys, "regrep", "--x", "1,2,3,4,5,6")

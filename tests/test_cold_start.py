@@ -29,8 +29,8 @@ CORE = ["wittmat", "wittmat.cli", "wittmat.errors", "wittmat.exact", "wittmat.sp
 LOADS = {
     "spectral-table 2": [],
     "perm --cycles (123) --n 2": ["wittmat.symgroup"],
-    "embed --p 3 --q 4": ["dataclasses", "wittmat.signatures"],
-    "commutant --group klein": ["dataclasses", "wittmat.repdecomp", "wittmat.symgroup"],
+    "embed --p 3 --q 4": ["wittmat.signatures"],
+    "commutant --group klein": ["wittmat.repdecomp", "wittmat.symgroup"],
 }
 
 
@@ -66,7 +66,7 @@ class TestImportFootprint:
             "    mod = getattr(wittmat, name)\n"
             "    assert isinstance(mod, types.ModuleType) and mod.__name__ == 'wittmat.' + name, name\n"
         )
-        assert loaded_after(code) == sorted(["dataclasses", "wittmat", "wittmat.errors"]
+        assert loaded_after(code) == sorted(["wittmat", "wittmat.errors"]
                                             + [f"wittmat.{name}" for name in SUBMODULES])
 
     def test_dir_and_star_import_cover_all(self):

@@ -20,8 +20,8 @@ from wittmat import (
     RationalPolynomial,
     eval_poly,
     min_poly,
-    solve_linear,
 )
+import wittmat.exact as exact
 from conftest import rand_gauss, rand_matrix
 from oracles import oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref
 
@@ -137,30 +137,6 @@ class TestExactMatrix:
         for bad in ([], [[]], "x", [[1], 2], [["q"]], [[None]], [[float("inf")]], [[1, 2], [3]], [[True]], [[1, False]]):
             with pytest.raises(InputError):
                 ExactMatrix.from_json(bad)
-
-    def test_solve_linear(self):
-        cols = [ExactMatrix.column([1, 0, 1]), ExactMatrix.column([0, 1, 1])]
-        target = ExactMatrix.column([2, 3, 5])
-        coeffs = solve_linear(cols, target)
-        assert coeffs == [GaussianRational(2), GaussianRational(3)]
-        assert solve_linear(cols, ExactMatrix.column([1, 0, 0])) is None
-
-    def test_solve_linear_rejects_dependent_columns(self):
-        cols = [ExactMatrix.column([1, 0]), ExactMatrix.column([2, 0])]
-        with pytest.raises(DomainError):
-            solve_linear(cols, ExactMatrix.column([1, 0]))
-
-    def test_dependent_columns_raise_under_optimize(self):
-        # python -O strips assert statements; the check must survive it
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = (
-            "from wittmat import ExactMatrix as M, solve_linear\n"
-            "print(solve_linear([M.column([1, 0]), M.column([2, 0])], M.column([1, 0])))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode != 0, proc.stdout
-        assert "independent columns" in proc.stderr
 
     def test_singular_inverse_raises_under_optimize(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -408,6 +384,29 @@ class TestRationalPolynomial:
         found, rem = p.factor_rational_roots()
         assert [str(r) for r in found] == roots
         assert str(rem) == rest
+
+    def test_root_search_tests_few_candidates(self, monkeypatch):
+        # each candidate is one root mod a prime, tested once more after its last division
+        tested = []
+        deflate = exact._deflate
+        monkeypatch.setattr(exact, "_deflate", lambda coeffs, r: tested.append(r) or deflate(coeffs, r))
+        cases = [
+            (RationalPolynomial.from_roots([1000000007, 998244353]), [998244353, 1000000007]),
+            (
+                RationalPolynomial.from_roots([1000000007, 998244353, 1, 1, Fraction(-7, 3)]) * RationalPolynomial([2, 0, 1]),
+                [1, 1, Fraction(-7, 3), 998244353, 1000000007],
+            ),
+            (RationalPolynomial.from_roots([0, 0, 5, -5, 5]) * Fraction(3, 7), [0, 0, 5, 5, -5]),
+            (RationalPolynomial([-2, 0, 1]), []),
+            (min_poly(rand_matrix(random.Random(16), 16, 16)), []),
+        ]
+        for p, roots in cases:
+            tested.clear()
+            found, rest = p.factor_rational_roots()
+            assert found == roots
+            assert rest.degree == p.degree - len(roots)
+            assert len(set(tested)) <= p.degree
+            assert len(tested) <= len(set(tested)) + len(roots)
 
     def test_eval_poly_cayley_hamilton_style(self):
         m = ExactMatrix([[2, 1], [1, 2]])

@@ -8,8 +8,9 @@ import wittmat
 
 MODULES = ("exact", "witt", "spectral", "signatures", "symgroup", "repdecomp")
 
-# second names for spectral_unit's check, mv_trace, Multivector.to_blades and g * m
-REMOVED_ALIASES = ("SpectralIndex", "character", "to_blade_basis", "extract_column")
+# second names for spectral_unit's check, mv_trace, Multivector.to_blades and g * m, and
+# solve_linear, which nothing called once min_poly kept its own running echelon form
+REMOVED_ALIASES = ("SpectralIndex", "character", "to_blade_basis", "extract_column", "solve_linear")
 
 # methods nothing called: root search deflates in one Horner pass, terms() sorts on the monomial
 REMOVED_METHODS = (
