@@ -800,11 +800,15 @@ def _poly_divmod(f: list, g: list):
 
 
 def _squarefree(poly: list) -> list:
-    """poly / gcd(poly, poly') over the rationals (Euclid)."""
+    """poly / gcd(poly, poly') over the rationals (Euclid).
+
+    The gcd is made monic first, so the quotient keeps the leading coefficient
+    of poly instead of one with a denominator as wide as the gcd's.
+    """
     f, g = poly, [i * c for i, c in enumerate(poly)][1:]
     while g:
         f, g = g, _poly_divmod(f, g)[1]
-    return _poly_divmod(poly, f)[0]
+    return _poly_divmod(poly, [c / f[-1] for c in f])[0]
 
 
 def eval_poly(p: RationalPolynomial, A: ExactMatrix) -> ExactMatrix:
