@@ -800,11 +800,8 @@ def _poly_divmod(f: list, g: list):
 
 
 def _squarefree(poly: list) -> list:
-    """poly / gcd(poly, poly') over the rationals (Euclid).
-
-    The gcd is made monic first, so the quotient keeps the leading coefficient
-    of poly instead of one with a denominator as wide as the gcd's.
-    """
+    """poly / gcd(poly, poly') over the rationals (Euclid); dividing by the monic
+    gcd keeps the leading coefficient of poly, where the raw gcd's would widen it."""
     f, g = poly, [i * c for i, c in enumerate(poly)][1:]
     while g:
         f, g = g, _poly_divmod(f, g)[1]

@@ -397,6 +397,7 @@ class TestRationalPolynomial:
                 [1, 1, Fraction(-7, 3), 998244353, 1000000007],
             ),
             (RationalPolynomial.from_roots([0, 0, 5, -5, 5]) * Fraction(3, 7), [0, 0, 5, 5, -5]),
+            (RationalPolynomial([1000000007, 1]), [-1000000007]),
             (RationalPolynomial([-2, 0, 1]), []),
             (min_poly(rand_matrix(random.Random(16), 16, 16)), []),
         ]
