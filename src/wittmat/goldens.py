@@ -101,6 +101,9 @@ def _check(cond, msg: str):
 # parsing helpers for frozen table entries
 
 
+_FACTORS = {"a": a, "b": b, "u": u, "ud": u_dag}
+
+
 def _entry(n: int, text: str) -> Multivector:
     """Parse a table entry like "-b3 a1 u2d" into a multivector.
 
@@ -114,42 +117,21 @@ def _entry(n: int, text: str) -> Multivector:
         text = text[1:]
     result = one(n)
     for tok in text.split():
-        dag = tok.endswith("d")
-        if dag:
-            tok = tok[:-1]
-        kind, digits = tok[0], tok[1:]
-        _check(kind in "abu" and digits.isdigit(), f"bad token {tok!r}")
+        kind, digits = (tok[0] + "d", tok[1:-1]) if tok.endswith("d") else (tok[0], tok[1:])
+        factor = _FACTORS.get(kind)
+        _check(factor is not None and digits.isdigit(), f"bad token {tok!r}")
         for ch in digits:
-            i = int(ch)
-            if kind == "u":
-                result = result * (u_dag(n, i) if dag else u(n, i))
-            elif kind == "a":
-                _check(not dag, f"unexpected dagger on {tok!r}")
-                result = result * a(n, i)
-            else:
-                _check(not dag, f"unexpected dagger on {tok!r}")
-                result = result * b(n, i)
+            result = result * factor(n, int(ch))
     return -result if negate else result
-
-
-def _mat(rows) -> ExactMatrix:
-    return ExactMatrix(rows)
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
 
 
-def _rand_gauss(rng: random.Random) -> GaussianRational:
-    return GaussianRational(_rand_fraction(rng), _rand_fraction(rng))
-
-
-def _rand_real_matrix(rng: random.Random, size: int) -> ExactMatrix:
-    return ExactMatrix([[_rand_fraction(rng) for _ in range(size)] for _ in range(size)])
-
-
-def _rand_complex_matrix(rng: random.Random, size: int) -> ExactMatrix:
-    return ExactMatrix([[_rand_gauss(rng) for _ in range(size)] for _ in range(size)])
+def _rand_matrix(rng: random.Random, size: int, complex_entries: bool = False) -> ExactMatrix:
+    parts = range(2 if complex_entries else 1)  # a Gaussian entry draws its real part first
+    return ExactMatrix([[GaussianRational(*[_rand_fraction(rng) for _ in parts]) for _ in range(size)] for _ in range(size)])
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +162,30 @@ _TABLE_RANK3 = [
 ]
 
 
+def _check_table(n: int, rows):
+    """Compare spectral_table(n) entry by entry with the frozen rows; return the table."""
+    table = spectral_table(n)
+    for r, row in enumerate(rows):
+        for c, text in enumerate(row):
+            _check(table[r][c] == _entry(n, text), f"entry ({r + 1},{c + 1}) mismatch")
+    return table
+
+
 @_golden("rank1-spectral-table")
 def _check_rank1_table():
-    table = spectral_table(1)
-    for r in range(2):
-        for c in range(2):
-            want = _entry(1, _TABLE_RANK1[r][c])
-            _check(table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch")
+    _check_table(1, _TABLE_RANK1)
     return "4 entries"
 
 
 @_golden("rank2-spectral-table")
 def _check_rank2_table():
-    table = spectral_table(2)
-    for r in range(4):
-        for c in range(4):
-            want = _entry(2, _TABLE_RANK2[r][c])
-            _check(table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch")
+    _check_table(2, _TABLE_RANK2)
     return "16 entries"
 
 
 @_golden("rank3-spectral-table")
 def _check_rank3_table():
-    table = spectral_table(3)
-    for r in range(8):
-        for c in range(8):
-            want = _entry(3, _TABLE_RANK3[r][c])
-            _check(table[r][c] == want, f"entry ({r + 1},{c + 1}) mismatch")
+    table = _check_table(3, _TABLE_RANK3)
     printed = _entry(3, "b2 a3 u1d")
     _check(table[2][4] != printed, "uncorrected (3,5) variant should differ")
     _check(table[3][5] == printed, "entry (4,6) really is b2 a3 u1d")
@@ -215,10 +194,10 @@ def _check_rank3_table():
 
 @_golden("rank1-null-matrices")
 def _check_rank1_null_matrices():
-    _check(to_matrix(a(1, 1)) == _mat([[0, 1], [0, 0]]), "[a1]")
-    _check(to_matrix(b(1, 1)) == _mat([[0, 0], [1, 0]]), "[b1]")
-    _check(to_matrix(u(1, 1)) == _mat([[1, 0], [0, 0]]), "[a1 b1]")
-    _check(to_matrix(u_dag(1, 1)) == _mat([[0, 0], [0, 1]]), "[b1 a1]")
+    _check(to_matrix(a(1, 1)) == ExactMatrix([[0, 1], [0, 0]]), "[a1]")
+    _check(to_matrix(b(1, 1)) == ExactMatrix([[0, 0], [1, 0]]), "[b1]")
+    _check(to_matrix(u(1, 1)) == ExactMatrix([[1, 0], [0, 0]]), "[a1 b1]")
+    _check(to_matrix(u_dag(1, 1)) == ExactMatrix([[0, 0], [0, 1]]), "[b1 a1]")
     return ""
 
 
@@ -232,7 +211,7 @@ def _check_rank2_null_matrices():
     }
     gens = {"a1": a(2, 1), "a2": a(2, 2), "b1": b(2, 1), "b2": b(2, 2)}
     for name, g in gens.items():
-        _check(to_matrix(g) == _mat(want[name]), f"[{name}]")
+        _check(to_matrix(g) == ExactMatrix(want[name]), f"[{name}]")
     return "4 matrices"
 
 
@@ -240,25 +219,19 @@ def _check_rank2_null_matrices():
 def _check_block_embeddings():
     rng = random.Random(20240)
     for _ in range(5):
-        A = _rand_real_matrix(rng, 2)
+        A = _rand_matrix(rng, 2)
         g1 = from_matrix(A, 1)
-        # same expression reread at rank 2: index-1 generators only
-        lifted = Multivector(
-            2,
-            {WittMonomial(2, m.a_mask, m.b_mask): c for m, c in g1.terms()},
+        # same expression reread at rank 2, first on index 1 only, then with the index map 1 -> 2
+        got, got2 = (
+            to_matrix(Multivector(2, {WittMonomial(2, m.a_mask << s, m.b_mask << s): c for m, c in g1.terms()}))
+            for s in (0, 1)
         )
-        got = to_matrix(lifted)
         for i in range(2):
             for j in range(2):
                 _check(got[(i, j)] == A[(i, j)], "repeated block, top left")
                 _check(got[(i + 2, j + 2)] == A[(i, j)], "repeated block, bottom right")
                 _check(got[(i, j + 2)].is_zero() and got[(i + 2, j)].is_zero(), "off blocks")
         # index map 1 -> 2 interleaves, with sign flips on the odd strand
-        primed = Multivector(
-            2,
-            {WittMonomial(2, m.a_mask << 1, m.b_mask << 1): c for m, c in g1.terms()},
-        )
-        got2 = to_matrix(primed)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -279,7 +252,7 @@ def _check_block_embeddings():
 def _check_involution_rank1():
     rng = random.Random(20241)
     for _ in range(6):
-        M = _rand_complex_matrix(rng, 2)
+        M = _rand_matrix(rng, 2, complex_entries=True)
         g = from_matrix(M, 1, complexified=True)
         R = to_matrix(g.reverse())
         GI = to_matrix(g.grade_involution())
@@ -303,7 +276,7 @@ _EPS_CONJ = (1, -1, 1, -1)
 def _check_involution_rank2():
     rng = random.Random(20242)
     for _ in range(6):
-        M = _rand_real_matrix(rng, 4)
+        M = _rand_matrix(rng, 4)
         g = from_matrix(M, 2)
         R = to_matrix(g.reverse())
         CC = to_matrix(g.clifford_conj())
@@ -345,7 +318,7 @@ def _check_trace():
     for n in (1, 2, 3):
         size = 1 << n
         for _ in range(4):
-            M = _rand_complex_matrix(rng, size)
+            M = _rand_matrix(rng, size, complex_entries=True)
             g = from_matrix(M, n, complexified=True)
             _check(mv_trace(g) == M.trace(), "trace equals matrix trace")
             blades = g.to_blades()
@@ -363,9 +336,9 @@ def _check_perm_rep_small():
     t12 = Permutation.from_cycles("(12)")
     t13 = Permutation.from_cycles("(13)")
     _check(geom_perm(t12, 1) == a(1, 1) + b(1, 1), "(12) at rank 1")
-    _check(perm_matrix(t12, 2) == _mat([[0, 1], [1, 0]]), "[ (12) ]")
-    _check(perm_matrix(t12, 3) == _mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), "(12) on 3 letters")
-    _check(perm_matrix(t13, 3) == _mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "(13) on 3 letters")
+    _check(perm_matrix(t12, 2) == ExactMatrix([[0, 1], [1, 0]]), "[ (12) ]")
+    _check(perm_matrix(t12, 3) == ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), "(12) on 3 letters")
+    _check(perm_matrix(t13, 3) == ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "(13) on 3 letters")
     t23 = t12 * t13 * t12
     _check(t23 == Permutation.from_cycles("(23)"), "(23) = (12)(13)(12)")
     return ""
@@ -420,7 +393,7 @@ def _check_nine_cycle():
         if r > 0:
             row[r - 1] = 1
         want_rows.append(row)
-    _check(M == _mat(want_rows), "9-cycle matrix")
+    _check(M == ExactMatrix(want_rows), "9-cycle matrix")
     g = geom_perm(sigma, n, rep="standard")
     a1, a2, a3 = a(n, 1), a(n, 2), a(n, 3)
     bracket = a3 * a2 * a1 + a3 * a2 - a3 * a1 + a3 + a2 * a1 - a2 + a1 + one(n)
@@ -466,8 +439,8 @@ def _check_allones_casimir():
         C = casimir_mv(m)
         _check(C == A - one(m), "C = A - 1")
         _check(C * C == C.scale(size - 2) + scalar_mv(m, size - 1), "C^2 = (2^n-2)C + (2^n-1)")
-    J3 = _mat([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    _check(J3 - ExactMatrix.identity(3) == _mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "3x3 Casimir display")
+    J3 = ExactMatrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    _check(J3 - ExactMatrix.identity(3) == ExactMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "3x3 Casimir display")
     return "ranks 1..3"
 
 
@@ -512,7 +485,7 @@ def _check_surgery_diag():
         for i in range(size - 1):
             want[i][i] = -1
         want[size - 1][size - 1] = size - 1
-        _check(D == _mat(want), f"rank-{n} diagonalized Casimir")
+        _check(D == ExactMatrix(want), f"rank-{n} diagonalized Casimir")
     return "diag(-1,..,-1,2^n-1) at ranks 1..3"
 
 
@@ -529,22 +502,19 @@ def _check_standard_irrep():
     for cyc, rows in displays.items():
         p = Permutation.from_cycles(cyc)
         if cyc == "(15)":
-            printed = from_matrix(_mat(rows), n=n)
+            printed = from_matrix(ExactMatrix(rows), n=n)
             _check(printed == geom_perm(p, n, rep="standard"), f"{cyc} matrix")
             _check(standard_irrep(p, n) == surgery_gc_inverse(n) * printed * surgery_gc(n), f"{cyc} in the g_c basis")
         else:
-            _check(to_matrix(standard_irrep(p, n)) == _mat(rows), f"{cyc} matrix")
+            _check(to_matrix(standard_irrep(p, n)) == ExactMatrix(rows), f"{cyc} matrix")
     two = scalar_mv(n, 2)
     closed14 = one(n) - (two + b(n, 1) + b(n, 2)) * u_all(n)
     closed15 = one(n) - (two + b(n, 1) + b(n, 2) + b(n, 1) * b(n, 2)) * u_all(n)
     _check(standard_irrep(Permutation.from_cycles("(14)"), n) == closed14, "(14) closed form")
     _check(geom_perm(Permutation.from_cycles("(15)"), n, rep="standard") == closed15, "(15) closed form")
-    _check(standard_irrep(Permutation.from_cycles("(12)"), n) == geom_perm(
-        Permutation.from_cycles("(12)"), n
-    ), "(12) unchanged by the surgery conjugation")
-    _check(standard_irrep(Permutation.from_cycles("(13)"), n) == geom_perm(
-        Permutation.from_cycles("(13)"), n
-    ), "(13) unchanged by the surgery conjugation")
+    for cyc in ("(12)", "(13)"):
+        p = Permutation.from_cycles(cyc)
+        _check(standard_irrep(p, n) == geom_perm(p, n), f"{cyc} unchanged by the surgery conjugation")
     # (12) and (12345) generate S_5, so these products make the map a homomorphism
     gens = [Permutation.from_cycles(c) for c in ("(12)", "(12345)")]
     images = {p: standard_irrep(p, n) for p in map(Permutation, permutations(range(1, 6)))}
@@ -621,55 +591,43 @@ def _check_family_collapse():
 def _check_surgery_band_cut():
     rng = random.Random(20244)
     for _ in range(4):
-        M = _rand_real_matrix(rng, 4)
+        M = _rand_matrix(rng, 4)
         g = from_matrix(M, 2)
-        u2d = u_dag(2, 2)
-        H = to_matrix(g - g * u2d - u2d * g)
-        for i in range(4):
-            for j in range(4):
-                if i < 2 and j < 2:
-                    _check(H[(i, j)] == M[(i, j)], "untouched block")
-                elif i >= 2 and j >= 2:
-                    _check(H[(i, j)] == -M[(i, j)], "negated band intersection")
-                else:
-                    _check(H[(i, j)].is_zero(), "cleared bands")
-        u12d = u_all_dag(2)
-        H2 = to_matrix(g - g * u12d - u12d * g)
-        for i in range(4):
-            for j in range(4):
-                if i < 3 and j < 3:
-                    _check(H2[(i, j)] == M[(i, j)], "untouched 3x3 block")
-                elif i == 3 and j == 3:
-                    _check(H2[(i, j)] == -M[(i, j)], "negated corner")
-                else:
-                    _check(H2[(i, j)].is_zero(), "cleared last row and column")
+        for cut, k, kept, negated, cleared in (
+            (u_dag(2, 2), 2, "untouched block", "negated band intersection", "cleared bands"),
+            (u_all_dag(2), 3, "untouched 3x3 block", "negated corner", "cleared last row and column"),
+        ):
+            H = to_matrix(g - g * cut - cut * g)
+            for i in range(4):
+                for j in range(4):
+                    if i < k and j < k:
+                        _check(H[(i, j)] == M[(i, j)], kept)
+                    elif i >= k and j >= k:
+                        _check(H[(i, j)] == -M[(i, j)], negated)
+                    else:
+                        _check(H[(i, j)].is_zero(), cleared)
     return "u2-cut display corrected: full lower band negates, (3,4),(4,3) are -g34,-g43 and (4,4) is -g44"
 
 
 @_golden("column-extraction")
 def _check_column_extraction():
     rng = random.Random(20245)
-    M = _rand_real_matrix(rng, 4)
+    M = _rand_matrix(rng, 4)
     g = from_matrix(M, 2)
-    picked = to_matrix(g * (b(2, 1) * u(2, 2)))
-    for i in range(4):
-        _check(picked[(i, 0)] == M[(i, 1)], "second column moved to first")
-        for j in range(1, 4):
-            _check(picked[(i, j)].is_zero(), "other columns cleared")
-    picked4 = to_matrix(g * (b(2, 1) * b(2, 2)))
-    for i in range(4):
-        _check(picked4[(i, 0)] == M[(i, 3)], "fourth column moved to first")
-        for j in range(1, 4):
-            _check(picked4[(i, j)].is_zero(), "other columns cleared")
+    for picker, col, clause in (
+        (b(2, 1) * u(2, 2), 1, "second column moved to first"),
+        (b(2, 1) * b(2, 2), 3, "fourth column moved to first"),
+    ):
+        picked = to_matrix(g * picker)
+        for i in range(4):
+            _check(picked[(i, 0)] == M[(i, col)], clause)
+            for j in range(1, 4):
+                _check(picked[(i, j)].is_zero(), "other columns cleared")
     return ""
 
 
 # ---------------------------------------------------------------------------
 # regular representation of the three-letter group inside rank 3
-
-
-def _x05(xs):
-    return sum(xs, GaussianRational.ZERO)
 
 
 @_golden("regrep-matrix")
@@ -679,7 +637,7 @@ def _check_regrep_matrix():
         xs = [GaussianRational(_rand_fraction(rng)) for _ in range(6)]
         x0, x1, x2, x3, x4, x5 = xs
         M = to_matrix(regrep_element(xs).element)
-        tot = _x05(xs)
+        tot = sum(xs, GaussianRational.ZERO)
         _check(M[(0, 0)] == x0 - x2 + x3 - x5, "(1,1)")
         _check(M[(0, 7)] == x1 - x3 - x4 + x5, "(1,8)")
         _check(M[(7, 0)] == x1 - x2 + x4 - x5, "(8,1)")
@@ -703,7 +661,7 @@ def _check_regrep_blocks():
         xs = [GaussianRational(_rand_fraction(rng)) for _ in range(6)]
         x0, x1, x2, x3, x4, x5 = xs
         P, D = regrep_decompose(regrep_element(xs))
-        tot = _x05(xs)
+        tot = sum(xs, GaussianRational.ZERO)
         for i in range(6):
             _check(D[(i, i)] == tot, "six copies of the trivial part")
             for j in range(8):

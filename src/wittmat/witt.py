@@ -364,7 +364,7 @@ class Multivector:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = scalar_mv(self.n, other, complexified=self.complexified)
+            other = scalar_mv(self.n, other)
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
@@ -504,32 +504,37 @@ class Multivector:
     def from_json(cls, data) -> "Multivector":
         try:
             n = data["n"]
-            complexified = bool(data.get("complex", False))
+            complexified = data.get("complex", False)
             raw = data["terms"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"multivector JSON missing field: {exc}") from exc
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise InputError("multivector JSON has a bad rank")
+        if not isinstance(complexified, bool):
+            raise InputError(f"multivector JSON flag \"complex\" must be true or false, not {complexified!r}")
+        if not isinstance(raw, list):
+            raise InputError("multivector JSON \"terms\" must be an array")
         terms: dict[WittMonomial, GaussianRational] = {}
         for entry in raw:
             try:
-                a_idx = entry.get("a", [])
-                b_idx = entry.get("b", [])
                 coeff = GaussianRational.parse(entry["coeff"])
+                key = WittMonomial(n, _json_mask(n, entry.get("a", [])), _json_mask(n, entry.get("b", [])))
             except (TypeError, KeyError, AttributeError) as exc:
                 raise InputError(f"bad term entry {entry!r}") from exc
-            am = bm = 0
-            for i in a_idx:
-                if not isinstance(i, int) or not 1 <= i <= n:
-                    raise InputError(f"index {i!r} out of range for rank {n}")
-                am |= 1 << (i - 1)
-            for i in b_idx:
-                if not isinstance(i, int) or not 1 <= i <= n:
-                    raise InputError(f"index {i!r} out of range for rank {n}")
-                bm |= 1 << (i - 1)
-            key = WittMonomial(n, am, bm)
             terms[key] = terms.get(key, GaussianRational.ZERO) + coeff
         return cls(n, terms, complexified=complexified)
+
+
+def _json_mask(n: int, indices) -> int:
+    """Bit mask of a JSON index list; each index must be a distinct integer in 1..n."""
+    mask = 0
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+            raise InputError(f"index {i!r} is not an integer in 1..{n}")
+        if mask >> (i - 1) & 1:
+            raise InputError(f"index {i} repeated in one term")
+        mask |= 1 << (i - 1)
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "to-matrix", str(bad))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": True, "terms": [{"a": [True], "coeff": "1"}]},
+            {"n": 1, "complex": "false", "terms": []},
+            {"n": 2, "terms": [{"a": [1, 1], "coeff": "1"}]},
+        ],
+    )
+    def test_bad_multivector_json_is_input_error(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "mul", str(path), str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_rank_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "spectral-table", "9")
         assert code == 2

@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
-from wittmat import run_all
+import pytest
+
+from wittmat import a, b, run_all, u_dag
+from wittmat.goldens import _entry
 
 
 def test_all_reference_checks_pass():
@@ -19,6 +22,15 @@ def test_results_carry_names_and_details():
     assert len({r.name for r in results}) == len(results)
     for r in results:
         assert isinstance(r.detail, str)
+
+
+def test_entry_parses_frozen_tokens():
+    assert _entry(2, "-b2 u1d") == -(b(2, 2) * u_dag(2, 1))
+    assert _entry(2, "a21") == a(2, 2) * a(2, 1)
+    assert _entry(2, "u12d") == u_dag(2, 1) * u_dag(2, 2)
+    for bad in ("c1", "a1d", "u"):
+        with pytest.raises(AssertionError):
+            _entry(2, bad)
 
 
 def test_corrupted_value_fails_under_optimize():

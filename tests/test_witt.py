@@ -228,6 +228,12 @@ class TestAlgebraStructure:
         assert (x + GaussianRational.I).complexified
         assert (x.complexify() + 1).complexified
 
+    def test_compare_with_non_real_scalar(self):
+        # equality ignores the complexified flag, so a real element is simply unequal to i
+        assert (one(1) == GaussianRational.I) is False
+        assert one(1) != GaussianRational.I
+        assert scalar_mv(1, GaussianRational.I) == GaussianRational.I
+
 
 class TestInvolutions:
     def test_reverse_is_antiautomorphism(self):
@@ -308,6 +314,24 @@ class TestSerialization:
                 g = rand_mv(rng, n, complexified=comp)
                 back = Multivector.from_json(g.to_json())
                 assert back == g and back.complexified == g.complexified
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": True, "terms": [{"a": [True], "coeff": "1"}]},
+            {"n": 1, "terms": [{"a": [True], "coeff": "1"}]},
+            {"n": 2, "terms": [{"b": [True], "coeff": "1"}]},
+            {"n": 1, "complex": "false", "terms": []},
+            {"n": 1, "complex": 1, "terms": []},
+            {"n": 2, "terms": [{"a": [1, 1], "coeff": "1"}]},
+            {"n": 2, "terms": [{"a": [1], "b": [2, 1, 2], "coeff": "1"}]},
+            {"n": 1, "terms": [{"a": 1, "coeff": "1"}]},
+            {"n": 1, "terms": 5},
+        ],
+    )
+    def test_json_rejects_booleans_string_flags_and_repeated_indices(self, data):
+        with pytest.raises(InputError):
+            Multivector.from_json(data)
 
     def test_pretty_merges_runs(self):
         n = 2
