@@ -17,6 +17,7 @@ import argparse
 import importlib
 import json
 import sys
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, DomainError, InputError, WittmatError
 from .exact import ExactMatrix, GaussianRational, min_poly
@@ -74,11 +75,11 @@ def _check_cap(n: int, cap: int):
 
 
 def _emit_pretty(items):
-    # each item is a line or a (title, value) section; a section value is a
-    # string or has .pretty(), rendered here so that JSON runs never pay for it
+    # each item is a line or a (title, value) section; lines and section values are
+    # strings or have .pretty(), rendered here so that JSON runs never pay for it
     for item in items:
-        if isinstance(item, str):
-            print(item)
+        if not isinstance(item, tuple):
+            print(item if isinstance(item, str) else item.pretty())
             continue
         title, value = item
         print(f"{title}:")
@@ -86,19 +87,12 @@ def _emit_pretty(items):
             print("  " + line)
 
 
-class _Result:
-    """Holds both serializations so commands build output exactly once."""
+class _Result(NamedTuple):
+    """Both serializations, so commands build output exactly once."""
 
-    def __init__(self, as_json, pretty, exit_code: int = 0):
-        self.as_json = as_json
-        self.pretty = pretty
-        self.exit_code = exit_code
-
-    def emit(self, args):
-        if args.format == "json":
-            print(json.dumps(self.as_json))
-        else:
-            _emit_pretty(self.pretty)
+    as_json: object
+    pretty: list
+    exit_code: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +116,13 @@ def _cmd_mul(args) -> _Result:
     if g.n != h.n:
         raise DimensionMismatch(f"rank mismatch: {g.n} vs {h.n}")
     prod = g * h
-    return _Result(prod.to_json(), [prod.pretty()])
+    return _Result(prod.to_json(), [prod])
 
 
 def _cmd_to_matrix(args) -> _Result:
     g = _load_mv(args.operand, args.rank_cap)
     M = to_matrix(g)
-    return _Result(M.to_json(), [M.pretty()])
+    return _Result(M.to_json(), [M])
 
 
 def _cmd_from_matrix(args) -> _Result:
@@ -137,7 +131,7 @@ def _cmd_from_matrix(args) -> _Result:
         _check_cap(args.n, args.rank_cap)
     g = from_matrix(M, n=args.n)
     _check_cap(g.n, args.rank_cap)
-    return _Result(g.to_json(), [g.pretty()])
+    return _Result(g.to_json(), [g])
 
 
 def _cmd_involutions(args) -> _Result:
@@ -160,12 +154,8 @@ def _cmd_det2(args) -> _Result:
 def _cmd_embed(args) -> _Result:
     from .signatures import SignatureSpec, generators, verify_signature
 
-    if args.n is None:
-        n = 1
-        while 2 * n + 1 < args.p + args.q:
-            n += 1
-    else:
-        n = args.n
+    # the least n >= 1 with p + q <= 2n + 1
+    n = max(1, (args.p + args.q) // 2) if args.n is None else args.n
     _check_cap(n, args.rank_cap)
     gs = generators(SignatureSpec(args.p, args.q, n))
     report = verify_signature(gs)
@@ -179,10 +169,8 @@ def _cmd_embed(args) -> _Result:
         "failures": list(report.failures),
     }
     lines = [f"ambient rank {n}"]
-    for label, mv in zip(gs.plus_labels, gs.plus):
-        lines.append(f"+1  {label} = {mv.pretty()}")
-    for label, mv in zip(gs.minus_labels, gs.minus):
-        lines.append(f"-1  {label} = {mv.pretty()}")
+    for sign, labels, gens in (("+1", gs.plus_labels, gs.plus), ("-1", gs.minus_labels, gs.minus)):
+        lines += [f"{sign}  {label} = {mv.pretty()}" for label, mv in zip(labels, gens)]
     lines.append("verification: " + ("ok" if report.ok else "; ".join(report.failures)))
     return _Result(body, lines)
 
@@ -316,13 +304,7 @@ def _cmd_minpoly(args) -> _Result:
 
 
 def _parse_scalar_list(text: str):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise InputError("empty entry in list")
-        out.append(GaussianRational.parse(part))
-    return out
+    return [GaussianRational.parse(part) for part in text.split(",")]
 
 
 def _cmd_regrep(args) -> _Result:
@@ -332,20 +314,13 @@ def _cmd_regrep(args) -> _Result:
     element = regrep_element(xs)
     X = to_matrix(element.element)
     P, D = regrep_decompose(element)
-    body = {
-        "X": X.to_json(),
-        "P": P.to_json(),
-        "D": D.to_json(),
-    }
-    return _Result(body, [("X", X), ("P", P), ("D", D)])
+    mats = {"X": X, "P": P, "D": D}
+    return _Result({name: M.to_json() for name, M in mats.items()}, list(mats.items()))
 
 
 def _cmd_verify_paper(args) -> _Result:
     results = run_all()
-    body = [
-        {"name": r.name, "ok": r.ok, "detail": r.detail}
-        for r in results
-    ]
+    body = [r._asdict() for r in results]
     lines = []
     for r in results:
         mark = "PASS" if r.ok else "FAIL"
@@ -371,75 +346,63 @@ def _build_parser() -> _Parser:
     common.add_argument("--rank-cap", type=int, metavar="N", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, fn, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = add_parser("spectral-table", help="print the rank-n table of matrix units")
+    p = add_parser("spectral-table", _cmd_spectral_table, help="print the rank-n table of matrix units")
     p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_spectral_table)
 
-    p = add_parser("mul", help="multiply two multivector files")
+    p = add_parser("mul", _cmd_mul, help="multiply two multivector files")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.set_defaults(fn=_cmd_mul)
 
-    p = add_parser("to-matrix", help="spectral matrix of a multivector file")
+    p = add_parser("to-matrix", _cmd_to_matrix, help="spectral matrix of a multivector file")
     p.add_argument("operand")
-    p.set_defaults(fn=_cmd_to_matrix)
 
-    p = add_parser("from-matrix", help="multivector with the given spectral matrix")
+    p = add_parser("from-matrix", _cmd_from_matrix, help="multivector with the given spectral matrix")
     p.add_argument("operand")
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(fn=_cmd_from_matrix)
 
-    p = add_parser("involutions", help="reverse, grade involution and conjugation images")
+    p = add_parser("involutions", _cmd_involutions, help="reverse, grade involution and conjugation images")
     p.add_argument("operand")
-    p.set_defaults(fn=_cmd_involutions)
 
-    p = add_parser("det2", help="determinant of a rank-1 element")
+    p = add_parser("det2", _cmd_det2, help="determinant of a rank-1 element")
     p.add_argument("operand")
-    p.set_defaults(fn=_cmd_det2)
 
-    p = add_parser("embed", help="generator set for signature (p, q)")
+    p = add_parser("embed", _cmd_embed, help="generator set for signature (p, q)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(fn=_cmd_embed)
 
-    p = add_parser("perm", help="matrix and geometric images of a permutation")
+    p = add_parser("perm", _cmd_perm, help="matrix and geometric images of a permutation")
     p.add_argument("--cycles", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rep", choices=("perm", "std"), default="perm")
     p.add_argument("--standard-irrep", action="store_true",
                    help="conjugate by the Casimir diagonalizer instead")
-    p.set_defaults(fn=_cmd_perm)
 
-    p = add_parser("casimir", help="all-ones and Casimir elements with minimal polynomials")
+    p = add_parser("casimir", _cmd_casimir, help="all-ones and Casimir elements with minimal polynomials")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_casimir)
 
-    p = add_parser("surgery", help="Casimir diagonalizer, or a band cut with --g/--idempotent")
+    p = add_parser("surgery", _cmd_surgery, help="Casimir diagonalizer, or a band cut with --g/--idempotent")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", default=None)
     p.add_argument("--idempotent", default=None)
-    p.set_defaults(fn=_cmd_surgery)
 
-    p = add_parser("commutant", help="basis of matrices commuting with a generator set")
+    p = add_parser("commutant", _cmd_commutant, help="basis of matrices commuting with a generator set")
     p.add_argument("--group", required=True, help="s4, klein, or a JSON file of matrices")
-    p.set_defaults(fn=_cmd_commutant)
 
-    p = add_parser("minpoly", help="minimal polynomial of a matrix file or parameter family")
+    p = add_parser("minpoly", _cmd_minpoly, help="minimal polynomial of a matrix file or parameter family")
     p.add_argument("operand", nargs="?", default=None)
     p.add_argument("--family", choices=("all", "alt"), default=None)
     p.add_argument("--params", default=None, help="comma-separated parameters")
-    p.set_defaults(fn=_cmd_minpoly)
 
-    p = add_parser("regrep", help="decompose the 6-term regular-representation element")
+    p = add_parser("regrep", _cmd_regrep, help="decompose the 6-term regular-representation element")
     p.add_argument("--x", required=True, help="six comma-separated coefficients")
-    p.set_defaults(fn=_cmd_regrep)
 
-    p = add_parser("verify-paper", help="run every frozen reference check")
-    p.set_defaults(fn=_cmd_verify_paper)
+    add_parser("verify-paper", _cmd_verify_paper, help="run every frozen reference check")
 
     return parser
 
@@ -451,7 +414,10 @@ def main(argv=None) -> int:
         if args.rank_cap < 1:
             raise InputError("--rank-cap must be at least 1")
         result = args.fn(args)
-        result.emit(args)
+        if args.format == "json":
+            print(json.dumps(result.as_json))
+        else:
+            _emit_pretty(result.pretty)
         return result.exit_code
     except WittmatError as exc:
         print(f"error: {exc}", file=sys.stderr)

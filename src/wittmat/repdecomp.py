@@ -135,11 +135,8 @@ def family_minpoly_check(kind: str, params) -> FamilyReport:
     for r in roots:
         if not r.is_real():
             raise InputError("family parameters must be real rationals")
-    counts: dict[GaussianRational, int] = {}
-    for r in roots:
-        counts[r] = counts.get(r, 0) + 1
-    distinct = tuple(sorted(counts, key=lambda v: v.re))
-    collapsed = tuple((r, k) for r, k in sorted(counts.items(), key=lambda it: it[0].re) if k > 1)
+    distinct = tuple(sorted(set(roots), key=lambda v: v.re))
+    collapsed = tuple((r, roots.count(r)) for r in distinct if roots.count(r) > 1)
     expected = RationalPolynomial.from_roots([r.re for r in distinct])
     mp = min_poly(M)
     return FamilyReport(kind=kind, params=vals, matrix=M, expected_roots=roots,

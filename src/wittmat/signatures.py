@@ -14,6 +14,7 @@ q > n + 1, which reproduces the published generator lists verbatim.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -108,22 +109,17 @@ def generators(spec: SignatureSpec) -> GeneratorSet:
 def verify_signature(gs: GeneratorSet) -> SignatureReport:
     """Check every square and every pairwise anticommutator by multiplication."""
     labeled = []
-    for k, mv in enumerate(gs.plus):
-        lab = gs.plus_labels[k] if k < len(gs.plus_labels) else f"plus{k + 1}"
-        labeled.append((lab, mv, 1))
-    for k, mv in enumerate(gs.minus):
-        lab = gs.minus_labels[k] if k < len(gs.minus_labels) else f"minus{k + 1}"
-        labeled.append((lab, mv, -1))
+    for side, gens, labels, want in (("plus", gs.plus, gs.plus_labels, 1),
+                                     ("minus", gs.minus, gs.minus_labels, -1)):
+        for k, mv in enumerate(gens):
+            labeled.append((labels[k] if k < len(labels) else f"{side}{k + 1}", mv, want))
     failures = []
     for lab, mv, want in labeled:
         sq = mv * mv
         if sq != want * one(gs.n):
             got = str(sq.scalar_part()) if sq.is_scalar() else sq.pretty()
             failures.append(f"square({lab}) = {got}, expected {want:+d}")
-    for idx1 in range(len(labeled)):
-        for idx2 in range(idx1 + 1, len(labeled)):
-            lab1, g1, _ = labeled[idx1]
-            lab2, g2, _ = labeled[idx2]
-            if not (g1 * g2 + g2 * g1).is_zero():
-                failures.append(f"pair ({lab1}, {lab2}) does not anticommute")
+    for (lab1, g1, _), (lab2, g2, _) in combinations(labeled, 2):
+        if not (g1 * g2 + g2 * g1).is_zero():
+            failures.append(f"pair ({lab1}, {lab2}) does not anticommute")
     return SignatureReport(ok=not failures, failures=tuple(failures))

@@ -58,6 +58,12 @@ class Permutation:
             m -= 1
         object.__setattr__(self, "images", images[:m])
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
+
     @classmethod
     def identity(cls) -> "Permutation":
         return cls(())
@@ -169,10 +175,8 @@ class Permutation:
         return f"Permutation.from_cycles({self.cycle_str()!r})"
 
 
-def perm_matrix(p: Permutation, m: int | None = None) -> ExactMatrix:
+def perm_matrix(p: Permutation, m: int) -> ExactMatrix:
     """The m x m matrix with column j equal to the unit vector at p(j)."""
-    if m is None:
-        m = max(p.degree, 1)
     if p.degree > m:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m}")
     one_ = GaussianRational.ONE
@@ -187,14 +191,9 @@ def std_rep_matrix(p: Permutation, m: int) -> ExactMatrix:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m + 1}")
     one_ = GaussianRational.ONE
     zero = GaussianRational.ZERO
-    cols = []
-    for j in range(1, m + 1):
-        img = p(j)
-        if img == m + 1:
-            cols.append([-one_] * m)
-        else:
-            cols.append([one_ if i == img else zero for i in range(1, m + 1)])
-    return ExactMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
+    images = [p(j) for j in range(1, m + 1)]
+    return ExactMatrix([[-one_ if img == m + 1 else one_ if img == i else zero for img in images]
+                        for i in range(1, m + 1)])
 
 
 def geom_perm(p: Permutation, n: int, rep: str = "permutation") -> Multivector:

@@ -370,6 +370,8 @@ class Multivector:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self):
+        if self.is_scalar():
+            return hash(self.scalar_part())
         return hash((self.n, frozenset(self._terms.items())))
 
     # -- linear structure -----------------------------------------------------
@@ -633,24 +635,20 @@ def _parse_token(tok):
     raise InputError(f"bad generator token {tok!r}")
 
 
-def reduce_word(n: int, word: Iterable, coeff=1, complexified: bool = False) -> Multivector:
-    """The product coeff * w_1 * w_2 * ... of signed generators, in canonical form.
+def reduce_word(n: int, word: Iterable) -> Multivector:
+    """The product w_1 * w_2 * ... of signed generators, in canonical form.
 
     Tokens may be strings like "a1", "-b2" or pairs (index, kind) with kind
-    "a"/"b" or 0/1.
+    "a"/"b" or 0/1; the empty word gives 1.
     """
-    factors = []
+    out = one(n)
     total_sign = 1
     for tok in word:
         idx, kind, sign = _parse_token(tok)
         _check_index(n, idx)
         total_sign *= sign
-        factors.append((b if kind else a)(n, idx))
-    c = _as_scalar(coeff) * total_sign
-    out = scalar_mv(n, c, complexified=complexified or not c.is_real())
-    for g in factors:
-        out = out * g
-    return out
+        out = out * (b if kind else a)(n, idx)
+    return out if total_sign > 0 else -out
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,18 @@ class TestHappyPaths:
         data = json.loads(out)
         assert data["plus"] and data["ok"] is True
 
+    @pytest.mark.parametrize("p, q", [(0, 0), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_embed_default_rank(self, capsys, p, q):
+        # oracle: the least n >= 1 with p + q <= 2n + 1, by search
+        n = 1
+        while 2 * n + 1 < p + q:
+            n += 1
+        code, out, err = run(capsys, "embed", "--p", str(p), "--q", str(q))
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["n"] == n and data["ok"] is True
+        assert len(data["plus"]) == p and len(data["minus"]) == q
+
     def test_perm(self, capsys):
         code, out, _ = run(capsys, "perm", "--cycles", "(12)", "--n", "1")
         assert code == 0
@@ -341,6 +353,16 @@ class TestExitCodes:
         not_idem = write_mv(tmp_path, "ni.json", a(2, 1))
         code, _, err = run(capsys, "surgery", "--n", "2", "--g", g, "--idempotent", not_idem)
         assert code == 3 and "idempotent" in err
+
+    def test_embed_default_rank_above_cap(self, capsys):
+        code, out, err = run(capsys, "embed", "--p", "7", "--q", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_empty_scalar_in_list(self, capsys):
+        code, out, err = run(capsys, "regrep", "--x", "1,,2,3,4,5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -1,6 +1,7 @@
 """The exported names: every __all__ entry resolves, and each object has one name."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -18,6 +19,14 @@ REMOVED_METHODS = (
     ("RationalPolynomial", "leading"),
     ("RationalPolynomial", "__divmod__"),
     ("WittMonomial", "sort_key"),
+)
+
+# parameters no caller set: reduce_word's scale and flag (scale the result instead), and
+# perm_matrix's degree default (every caller names the matrix size)
+REMOVED_PARAMETERS = (
+    ("reduce_word", "coeff", "parameter"),
+    ("reduce_word", "complexified", "parameter"),
+    ("perm_matrix", "m", "default"),
 )
 
 
@@ -50,3 +59,12 @@ def test_removed_aliases_are_absent():
 @pytest.mark.parametrize("owner, method", REMOVED_METHODS)
 def test_removed_methods_are_absent(owner, method):
     assert not hasattr(getattr(wittmat, owner), method), f"{owner}.{method}"
+
+
+@pytest.mark.parametrize("func, param, gone", REMOVED_PARAMETERS)
+def test_removed_parameters_are_absent(func, param, gone):
+    params = inspect.signature(getattr(wittmat, func)).parameters
+    if gone == "default":
+        assert params[param].default is inspect.Parameter.empty, f"{func}({param}=...)"
+    else:
+        assert param not in params, f"{func}({param})"

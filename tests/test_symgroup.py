@@ -1,7 +1,9 @@
 """Permutations, their algebra images, Casimir elements, and characters."""
 
+import copy
 from fractions import Fraction
 import itertools
+import pickle
 import random
 
 import pytest
@@ -53,6 +55,13 @@ class TestPermutation:
     def test_from_cycles_tuples(self):
         p = Permutation.from_cycles([(1, 2, 3)])
         assert p == Permutation.from_cycles("(123)")
+
+    def test_immutable(self):
+        p = Permutation.from_cycles("(123)")
+        with pytest.raises(AttributeError):
+            p.images = (3, 1, 2)
+        assert p.images == (2, 3, 1)
+        assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
 
     def test_identity(self):
         e = Permutation.identity()

@@ -234,6 +234,14 @@ class TestAlgebraStructure:
         assert one(1) != GaussianRational.I
         assert scalar_mv(1, GaussianRational.I) == GaussianRational.I
 
+    def test_scalar_element_hashes_like_its_scalar(self):
+        # equal objects must hash equal, so sets and dict keys treat them as one
+        assert len({1, one(1)}) == 1
+        assert hash(scalar_mv(2, Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert hash(scalar_mv(1, GaussianRational.I)) == hash(GaussianRational.I)
+        assert hash(zero(3)) == hash(0)
+        assert {one(2): "x"}[1] == "x"
+
 
 class TestInvolutions:
     def test_reverse_is_antiautomorphism(self):
