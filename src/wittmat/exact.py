@@ -71,6 +71,9 @@ class GaussianRational:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
     # -- field operations -------------------------------------------------
 
     @staticmethod
@@ -221,7 +224,8 @@ def _as_scalar(x) -> GaussianRational:
 # common denominator: parallel lists of real and imaginary numerators, the
 # imaginary list None on the real path (no entry has an imaginary part).
 # ExactMatrix products and elimination lift rows and columns; Multivector
-# products and the matrix bridge lift coefficient lists (witt._lifted_sum).
+# products (witt._product_sum) and the matrix bridge (witt._lifted_sum) lift
+# coefficient lists.
 
 _FRACTION_ZERO = Fraction(0)
 
@@ -332,6 +336,9 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return ExactMatrix, (self.cells,)
 
     # -- constructors ------------------------------------------------------
 
@@ -594,6 +601,9 @@ class RationalPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
+
+    def __reduce__(self):
+        return RationalPolynomial, (self.coeffs,)
 
     @classmethod
     def from_roots(cls, roots: Sequence) -> "RationalPolynomial":

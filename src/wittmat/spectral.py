@@ -20,8 +20,8 @@ above j):
 to_matrix writes each monomial's entries; from_matrix sums the units of the
 nonzero entries.  Both run on integer numerators over one common denominator,
 lifted once with exact._lift (on (re, im) pairs only when some input has an
-imaginary part) and summed per cell or per monomial by witt._lifted_sum, the
-helper the Multivector product uses.  Nothing is cached.
+imaginary part) and summed per cell or per monomial by witt._lifted_sum.
+Nothing is cached.
 """
 
 from __future__ import annotations

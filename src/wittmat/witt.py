@@ -37,18 +37,21 @@ tests as its oracle.
 
 A product of two elements never visits a vanishing pair of monomials.  A
 pair vanishes exactly when a lone a of the left factor meets an a of the
-right, or a b of the left meets a lone b of the right, so _products groups
-both factors on those masks and skips a vanishing pair of groups whole.
-Every live pair has a single-term product except where a b.a = 1 - ab
-branches, the only multi-term case.
+right, or a b of the left meets a lone b of the right, so _product_sum
+groups both factors on those masks and skips a vanishing pair of groups
+whole.  A live pair's product is one monomial (first_a, last_b) with its
+parity sign, times b.a = 1 - ab at each index where a lone b of the left
+meets a lone a of the right; those indices are its b.a sites.
 
 Products run on integer numerators.  Each factor's coefficients are lifted
 once to numerators over one common denominator (exact._lift, the helper the
 ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
-an imaginary part; the grouped kernel pairs only the live terms, their terms
-are summed as +-ints per key, and each coefficient is built once, over the
-product of the two denominators.  _lifted_sum does the summing for the
-product and for both directions of the matrix bridge in spectral.py.
+an imaginary part.  The kernel adds each live pair's signed numerator
+product into one integer (or (re, im) pair) per key (first_a, last_b,
+sites); many pairs share a key, so after the loop each distinct key is
+expanded once into its 2^popcount(sites) monomials, and each coefficient is
+built once, over the product of the two denominators.  The matrix bridge in
+spectral.py sums its kernel terms with _lifted_sum.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -189,20 +192,21 @@ def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
     return terms
 
 
-def _products(left, right):
-    """Every nonvanishing product of a term of left by a term of right.
+def _product_sum(left, right, den: int, cplx: bool) -> dict:
+    """The product of left by right as {(a_mask, b_mask): scalar}, each scalar built once, over den.
 
     Both factors are lists of (mono, re, im) with integer numerators, as from
-    _lifted_terms; each live pair yields (re, im, terms): the product of its
-    numerators, and its monomial product as ((a_mask, b_mask), +-1) terms.
-    A pair vanishes when a lone a on the left meets an a on the right or a b
-    on the left meets a lone b on the right, so the left factor is grouped by
+    _lifted_terms; the real path (cplx false) never reads im.  A pair
+    vanishes when a lone a on the left meets an a on the right or a b on the
+    left meets a lone b on the right, so the left factor is grouped by
     (lone a, b) and the right by (a, lone b), and a vanishing pair of groups
     is skipped whole.  What a pair of groups or a left term shares is
-    computed once.  A live pair's product is the single term
-    (first_a, last_b) with its parity sign, except where a lone b on the
-    left meets a lone a on the right: each such b.a = 1 - ab doubles the
-    terms, the only multi-term case.
+    computed once.  A live pair's product is the term (first_a, last_b)
+    with its parity sign, times (1 - ab) at each site where a lone b on the
+    left meets a lone a on the right.  Its signed numerator is summed under
+    (first_a, last_b, sites), or (first_a, last_b) when it has no sites.
+    After the loop each distinct key with sites is expanded once, in place,
+    by _with_idempotents, and zero sums are dropped.
     """
     lgroups, rgroups = {}, {}
     for m, x, y in left:
@@ -211,19 +215,47 @@ def _products(left, right):
     for m, x, y in right:
         a2, b2 = m.a_mask, m.b_mask
         rgroups.setdefault((a2, b2 & ~a2), []).append((b2, a2 & ~b2, a2 ^ b2, x, y))
-    for (lone_a1, b1), lterms in lgroups.items():
-        for (a2, lone_b2), rterms in rgroups.items():
-            if lone_a1 & a2 or b1 & lone_b2:  # a.a or b.b meet at some index
-                continue
-            kept_b, new_a = b1 & ~a2, a2 & ~b1
-            for a1, lone_b1, flips, x1, y1 in lterms:
+    live = [
+        (a2 & ~b1, b1 & ~a2, lterms, rterms)
+        for (lone_a1, b1), lterms in lgroups.items()
+        for (a2, lone_b2), rterms in rgroups.items()
+        if not (lone_a1 & a2 or b1 & lone_b2)  # a.a or b.b meet at some index
+    ]
+    acc = {}
+    get = acc.get
+    if not cplx:
+        for new_a, kept_b, lterms, rterms in live:
+            for a1, lone_b1, flips, x1, _ in lterms:
                 first_a = a1 | new_a
-                for b2, lone_a2, odd2, x2, y2 in rterms:
-                    key = (first_a, b2 | kept_b)
-                    sign = -1 if (odd2 & flips).bit_count() & 1 else 1
-                    branch = lone_b1 & lone_a2
-                    terms = _with_idempotents(*key, branch, sign) if branch else [(key, sign)]
-                    yield x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, terms
+                for b2, lone_a2, odd2, x2, _ in rterms:
+                    sites = lone_b1 & lone_a2
+                    key = (first_a, b2 | kept_b, sites) if sites else (first_a, b2 | kept_b)
+                    if (odd2 & flips).bit_count() & 1:
+                        acc[key] = get(key, 0) - x1 * x2
+                    else:
+                        acc[key] = get(key, 0) + x1 * x2
+        for branched in [key for key in acc if len(key) == 3]:
+            x = acc.pop(branched)
+            for key, s in _with_idempotents(*branched, 1):
+                acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
+        return {key: _scalar(x, 0, den) for key, x in acc.items() if x}
+    for new_a, kept_b, lterms, rterms in live:
+        for a1, lone_b1, flips, x1, y1 in lterms:
+            first_a = a1 | new_a
+            for b2, lone_a2, odd2, x2, y2 in rterms:
+                sites = lone_b1 & lone_a2
+                key = (first_a, b2 | kept_b, sites) if sites else (first_a, b2 | kept_b)
+                re, im = get(key, (0, 0))
+                if (odd2 & flips).bit_count() & 1:
+                    acc[key] = (re - x1 * x2 + y1 * y2, im - x1 * y2 - y1 * x2)
+                else:
+                    acc[key] = (re + x1 * x2 - y1 * y2, im + x1 * y2 + y1 * x2)
+    for branched in [key for key in acc if len(key) == 3]:
+        x, y = acc.pop(branched)
+        for key, s in _with_idempotents(*branched, 1):
+            re, im = get(key, (0, 0))
+            acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
+    return {key: _scalar(re, im, den) for key, (re, im) in acc.items() if re or im}
 
 
 def _mono_reverse(a_mask: int, b_mask: int):
@@ -296,10 +328,11 @@ def _lifted_terms(g: "Multivector", cplx: bool):
 
 
 def _lifted_sum(weighted, den: int, cplx: bool) -> dict:
-    """Sum kernel terms weighted by integer numerators; build each scalar once, over den.
+    """The matrix bridge's sum of kernel terms weighted by integer numerators; each scalar built once, over den.
 
-    weighted yields (re, im, terms), and every (key, +-1) of terms adds
-    +-(re + im*i) at key.  The real path never reads im.  Zero sums are dropped.
+    weighted yields (re, im, terms), one per monomial (to_matrix) or nonzero
+    cell (from_matrix), and every (key, +-1) of terms adds +-(re + im*i) at
+    key.  The real path never reads im.  Zero sums are dropped.
     """
     acc = {}
     get = acc.get
@@ -343,6 +376,9 @@ class Multivector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
+
+    def __reduce__(self):
+        return Multivector, (self.n, self._terms, self.complexified)
 
     # -- inspection ---------------------------------------------------------
 
@@ -417,7 +453,7 @@ class Multivector:
         cplx = self._has_imag() or other._has_imag()
         d1, left = _lifted_terms(self, cplx)
         d2, right = _lifted_terms(other, cplx)
-        terms = _lifted_sum(_products(left, right), d1 * d2, cplx)
+        terms = _product_sum(left, right, d1 * d2, cplx)
         return self._make(
             n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, self.complexified or other.complexified
         )

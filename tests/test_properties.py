@@ -6,7 +6,10 @@ library alone.  Coefficients are small or tall (12-digit numerators) rationals,
 with imaginary parts on complexified elements; the zero element and
 single-term elements are drawn on purpose.  Dense elements, up to the full
 basis, put many monomials in each group of the product kernel, so the b.a
-branch is reached inside multi-term groups.
+branch is reached inside multi-term groups.  Seeded rank-5 elements of 100
+terms (small, tall and complex coefficients) are the dense products the
+benchmark times, and a pure-b element times a pure-a element branches at
+every index the two share.
 
 ExactMatrix.inverse and min_poly are compared byte for byte with the
 GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
@@ -16,6 +19,7 @@ diagonals with repeated eigenvalues, 1x1, zero and identity matrices.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +100,18 @@ def full_basis(n: int, offset: int, complexified: bool) -> Multivector:
     return Multivector(n, terms, complexified=complexified)
 
 
+def seeded(n: int, monos, seed: int, kind: str) -> Multivector:
+    """monos with seeded coefficients: small real, tall real (12-digit numerators) or small complex."""
+    rng = random.Random(seed)
+    top, den = (10**12 - 1, 10**6) if kind == "tall" else (9, 7)
+
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, den))
+
+    cplx = kind == "complex"
+    return Multivector(n, {m: GaussianRational(part(), part() if cplx else 0) for m in monos}, complexified=cplx)
+
+
 @st.composite
 def matrices(draw):
     """A sparse 2^n x 2^n matrix, n in 1..4, with or without imaginary entries."""
@@ -139,6 +155,23 @@ class TestAgainstOracle:
         g, h = full_basis(n, 1, complexified), full_basis(n, 100, complexified)
         for x, y in ((g, g), (g, h), (h, g)):
             assert as_bytes(x * y) == as_bytes(oracles.mul(x, y))
+
+    @pytest.mark.parametrize("kind", ["real", "tall", "complex"])
+    def test_dense_product_rank_5(self, kind):
+        size = 1 << 5
+        basis = [WittMonomial(5, am, bm) for am in range(size) for bm in range(size)]
+        rng = random.Random(500)
+        g = seeded(5, rng.sample(basis, 100), 501, kind)
+        h = seeded(5, rng.sample(basis, 100), 502, kind)
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_pure_b_times_pure_a(self, n, kind):
+        size = 1 << n
+        g = seeded(n, [WittMonomial(n, 0, bm) for bm in range(size)], 600 + n, kind)
+        h = seeded(n, [WittMonomial(n, am, 0) for am in range(size)], 700 + n, kind)
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
 
     @given(tuples_at_one_rank(1, max_terms=16))
     def test_to_matrix(self, gs):

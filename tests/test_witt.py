@@ -27,7 +27,7 @@ from wittmat import (
     zero,
 )
 from wittmat import GaussianRational
-from wittmat.witt import _blade_to_monos, _mono_reverse, _mono_to_blades, _products
+from wittmat.witt import _blade_to_monos, _mono_reverse, _mono_to_blades, _product_sum
 from conftest import rand_mv
 from oracles import reduce_tokens
 
@@ -60,10 +60,10 @@ def word(n, a_mask, b_mask):
 
 
 def kernel_product(n, a1, b1, a2, b2):
-    """(a1, b1) * (a2, b2) through the product kernel on one-term factors."""
-    out = list(_products([(WittMonomial(n, a1, b1), 1, 0)], [(WittMonomial(n, a2, b2), 1, 0)]))
-    assert all((x, y) == (1, 0) for x, y, _ in out)
-    return {key: s for _, _, terms in out for key, s in terms}
+    """(a1, b1) * (a2, b2) through the product kernel on one-term factors with numerator 1, over den 1."""
+    out = _product_sum([(WittMonomial(n, a1, b1), 1, 0)], [(WittMonomial(n, a2, b2), 1, 0)], 1, False)
+    assert all(c in (1, -1) for c in out.values())
+    return {key: 1 if c == 1 else -1 for key, c in out.items()}
 
 
 def blade_by_rewriting(e_mask, f_mask):
