@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, DomainError, InputError, WittmatError
 
 __version__ = "0.1.0"
 
-# owning submodule -> the public names the package re-exports from it
+# owning submodule -> its public names, which are its __all__; a literal, so `import wittmat` reads no submodule
 _EXPORTS = {
     "exact": ("ExactMatrix", "GaussianRational", "RationalPolynomial", "eval_poly", "min_poly"),
     "witt": (

@@ -7,14 +7,13 @@ diagnostic on stderr: 1 malformed input, 2 dimension or rank mismatch,
 3 domain error.
 
 A call imports only the modules its subcommand uses: errors, exact, witt and
-spectral always, and signatures, symgroup, repdecomp or goldens inside the
-subcommands that call them.
+spectral always, and signatures, symgroup, repdecomp or goldens when a
+subcommand first takes one of their names from the lazy package surface.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from typing import NamedTuple
@@ -25,22 +24,22 @@ from .witt import Multivector, one
 from .spectral import det2, from_matrix, spectral_table, to_matrix
 
 
-def _deferred(module: str, name: str):
-    """Stand-in for module.name that imports the module when first called."""
+def _deferred(name: str):
+    """Stand-in for wittmat.name, whose owning module the package imports when first called."""
 
     def call(*args, **kwargs):
-        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
 
     return call
 
 
 # called through these module globals, so a caller may rebind (wrap) them
-geom_perm = _deferred(".symgroup", "geom_perm")
-standard_irrep = _deferred(".symgroup", "standard_irrep")
-surgery_gc = _deferred(".symgroup", "surgery_gc")
-commutant = _deferred(".repdecomp", "commutant")
-regrep_decompose = _deferred(".repdecomp", "regrep_decompose")
-run_all = _deferred(".goldens", "run_all")
+geom_perm = _deferred("geom_perm")
+standard_irrep = _deferred("standard_irrep")
+surgery_gc = _deferred("surgery_gc")
+commutant = _deferred("commutant")
+regrep_decompose = _deferred("regrep_decompose")
+run_all = _deferred("run_all")
 
 _EXIT_CODES = ((InputError, 1), (DimensionMismatch, 2), (DomainError, 3))
 
@@ -152,7 +151,7 @@ def _cmd_det2(args) -> _Result:
 
 
 def _cmd_embed(args) -> _Result:
-    from .signatures import SignatureSpec, generators, verify_signature
+    from . import SignatureSpec, generators, verify_signature
 
     # the least n >= 1 with p + q <= 2n + 1
     n = max(1, (args.p + args.q) // 2) if args.n is None else args.n
@@ -176,7 +175,7 @@ def _cmd_embed(args) -> _Result:
 
 
 def _cmd_perm(args) -> _Result:
-    from .symgroup import Permutation, perm_matrix, std_rep_matrix
+    from . import Permutation, perm_matrix, std_rep_matrix
 
     _check_cap(args.n, args.rank_cap)
     p = Permutation.from_cycles(args.cycles)
@@ -194,7 +193,7 @@ def _cmd_perm(args) -> _Result:
 
 
 def _cmd_casimir(args) -> _Result:
-    from .symgroup import casimir_idempotents
+    from . import casimir_idempotents
 
     _check_cap(args.n, args.rank_cap)
     s1, s2 = casimir_idempotents(args.n)
@@ -222,13 +221,13 @@ def _cmd_casimir(args) -> _Result:
 
 
 def _cmd_surgery(args) -> _Result:
-    from .symgroup import casimir_mv, surgery_gc_inverse
+    from . import casimir_mv, surgery_gc_inverse
 
     _check_cap(args.n, args.rank_cap)
     if args.g is not None or args.idempotent is not None:
         if args.g is None or args.idempotent is None:
             raise InputError("band cut needs both --g and --idempotent")
-        from .repdecomp import surgery_cut
+        from . import surgery_cut
 
         g = _load_mv(args.g, args.rank_cap)
         w = _load_mv(args.idempotent, args.rank_cap)
@@ -252,7 +251,7 @@ _BUILTIN_GROUPS = {
 def _cmd_commutant(args) -> _Result:
     key = args.group.lower()
     if key in _BUILTIN_GROUPS:
-        from .symgroup import Permutation, perm_matrix
+        from . import Permutation, perm_matrix
 
         gens = [perm_matrix(Permutation.from_cycles(c), 4) for c in _BUILTIN_GROUPS[key]]
     else:
@@ -273,7 +272,7 @@ def _cmd_commutant(args) -> _Result:
 
 def _cmd_minpoly(args) -> _Result:
     if args.family is not None:
-        from .repdecomp import family_minpoly_check
+        from . import family_minpoly_check
 
         if args.params is None:
             raise InputError("--family needs --params")
@@ -308,7 +307,7 @@ def _parse_scalar_list(text: str):
 
 
 def _cmd_regrep(args) -> _Result:
-    from .repdecomp import regrep_element
+    from . import regrep_element
 
     xs = _parse_scalar_list(args.x)
     element = regrep_element(xs)

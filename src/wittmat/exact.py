@@ -29,15 +29,10 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 
-__all__ = [
-    "GaussianRational",
-    "ExactMatrix",
-    "RationalPolynomial",
-    "min_poly",
-    "eval_poly",
-]
+__all__ = _EXPORTS["exact"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -185,10 +180,10 @@ class GaussianRational:
         if not s.endswith("i"):
             return cls(_as_fraction(s))
         body = s[:-1]
-        # split off a real part if one precedes the imaginary term
+        # split off a real part if one precedes the imaginary term; a sign after e/E is an exponent's
         cut = -1
         for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/":
+            if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
                 cut = pos
                 break
         if cut == -1:

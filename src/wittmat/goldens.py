@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .exact import ExactMatrix, GaussianRational, RationalPolynomial, min_poly
 from .witt import (
     Multivector,
@@ -58,6 +59,8 @@ from .repdecomp import (
     regrep_decompose,
     regrep_element,
 )
+
+__all__ = _EXPORTS["goldens"]
 
 
 class GoldenResult(NamedTuple):

@@ -20,25 +20,14 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational, RationalPolynomial, _as_scalar, min_poly
 from .spectral import to_matrix
 from .symgroup import Permutation, geom_perm
 from .witt import Multivector, scalar_mv
 
-__all__ = [
-    "CommutantBasis",
-    "FamilyReport",
-    "RegRepElement",
-    "commutant",
-    "g_all_matrix",
-    "g_alt_matrix",
-    "family_minpoly_check",
-    "surgery_cut",
-    "regrep_element",
-    "regrep_transform",
-    "regrep_decompose",
-]
+__all__ = _EXPORTS["repdecomp"]
 
 
 class CommutantBasis(NamedTuple):

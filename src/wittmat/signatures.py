@@ -17,19 +17,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import DomainError
 from .exact import GaussianRational
 from .witt import Multivector, e, f, one
 
-__all__ = [
-    "SignatureSpec",
-    "GeneratorSet",
-    "SignatureReport",
-    "pseudoscalar_candidate",
-    "f_extra",
-    "generators",
-    "verify_signature",
-]
+__all__ = _EXPORTS["signatures"]
 
 
 class SignatureSpec(NamedTuple("SignatureSpec", [("p", int), ("q", int), ("n", int)])):
@@ -78,23 +71,17 @@ def f_extra(n: int) -> Multivector:
 
 def generators(spec: SignatureSpec) -> GeneratorSet:
     n, p, q = spec.n, spec.p, spec.q
-    i_unit = GaussianRational.I
     base_plus = [(f"e{k}", e(n, k).complexify()) for k in range(1, n + 1)]
     base_minus = [(f"f{k}", f(n, k).complexify()) for k in range(1, n + 1)]
     base_minus.append((f"f{n + 1}", f_extra(n)))
 
-    if p > n:
-        flips = p - n  # flip f's, lowest index first
-        plus = base_plus + [(f"i{lab}", mv.scale(i_unit)) for lab, mv in base_minus[:flips]]
-        minus = base_minus[flips:][:q]
-    elif q > n + 1:
-        flips = q - (n + 1)  # flip e's, highest index first
-        keep = n - flips
-        plus = base_plus[:keep][:p]
-        minus = [(f"i{lab}", mv.scale(i_unit)) for lab, mv in base_plus[keep:]] + base_minus
-    else:
-        plus = base_plus[:p]
-        minus = base_minus[:q]
+    def flipped(pairs):
+        return [(f"i{lab}", mv.scale(GaussianRational.I)) for lab, mv in pairs]
+
+    fp = max(0, p - n)  # f's flipped to +1, lowest index first
+    keep = n - max(0, q - n - 1)  # e's kept at +1; the rest flip to -1, highest index first
+    plus = (base_plus[:keep] + flipped(base_minus[:fp]))[:p]
+    minus = (flipped(base_plus[keep:]) + base_minus[fp:])[:q]
     if len(plus) != p or len(minus) != q:
         raise DomainError(f"G({p},{q}) got {len(plus)} plus and {len(minus)} minus generators")
     return GeneratorSet(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 
+from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational, _lift
 from .witt import (
@@ -41,17 +42,7 @@ from .witt import (
     _unit_terms,
 )
 
-__all__ = [
-    "spectral_unit",
-    "spectral_table",
-    "to_matrix",
-    "from_matrix",
-    "block_split",
-    "block_assemble",
-    "det2",
-    "mv_inverse",
-    "mv_trace",
-]
+__all__ = _EXPORTS["spectral"]
 
 
 def spectral_unit(n: int, row: int, col: int) -> Multivector:

@@ -17,24 +17,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
+from . import _EXPORTS
 from .errors import DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
 from .spectral import from_matrix
 from .witt import Multivector, one, scalar_mv
 
-__all__ = [
-    "Permutation",
-    "perm_matrix",
-    "std_rep_matrix",
-    "geom_perm",
-    "all_ones_mv",
-    "casimir_mv",
-    "casimir_idempotents",
-    "surgery_gc",
-    "surgery_gc_inverse",
-    "standard_irrep",
-]
+__all__ = _EXPORTS["symgroup"]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -139,11 +130,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        k, acc = 1, self
-        while acc.images:
-            acc = acc * self
-            k += 1
-        return k
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         seen, out = set(), []

@@ -65,28 +65,11 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
+from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
 from .exact import GaussianRational, _as_scalar, _format_sum, _lift, _scalar
 
-__all__ = [
-    "WittMonomial",
-    "BladeMonomial",
-    "Multivector",
-    "reduce_word",
-    "a",
-    "b",
-    "e",
-    "f",
-    "u",
-    "u_dag",
-    "u_all",
-    "u_all_dag",
-    "one",
-    "zero",
-    "scalar_mv",
-    "wedge_ab",
-    "from_blade_basis",
-]
+__all__ = _EXPORTS["witt"]
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:

@@ -147,6 +147,13 @@ class TestHappyPaths:
         assert code == 0
         assert out == "x^3 - 7/2x^2 + 2x + 2 = (x + 1/2)(x - 2)^2\n"
 
+    def test_minpoly_reads_exponent_in_imaginary_part(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["2e-3i"]]))
+        code, out, err = run(capsys, "minpoly", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["minpoly"] == "x - 1/500i"
+
     def test_minpoly_with_large_integer_roots(self, tmp_path):
         # the roots are primes near 1e9: finding them must not depend on the size of the constant
         path = tmp_path / "m.json"

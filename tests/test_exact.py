@@ -62,6 +62,28 @@ class TestGaussianRational:
         assert P("3/2-5/4i") == GaussianRational(Fraction(3, 2), Fraction(-5, 4))
         assert str(GaussianRational(Fraction(3, 2), Fraction(-5, 4))) == "3/2-5/4i"
 
+    @pytest.mark.parametrize("text, re, im", [
+        ("2e-3i", "0", "1/500"),
+        ("1+2e-3i", "1", "1/500"),
+        ("2E-3i", "0", "1/500"),
+        ("1e-3", "1/1000", "0"),
+        ("5e-1-2i", "1/2", "-2"),
+        ("2e3i", "0", "2000"),
+    ])
+    def test_parse_exponents(self, text, re, im):
+        # a sign after e or E belongs to the exponent, not to an imaginary term
+        assert GaussianRational.parse(text) == GaussianRational(re, im)
+
+    def test_division(self):
+        x, y = GaussianRational(1, 2), GaussianRational(3, -4)
+        assert x / y == GaussianRational(Fraction(-1, 5), Fraction(2, 5))
+        assert x / Fraction(1, 2) == GaussianRational(2, 4)
+        assert 2 / GaussianRational(1, 1) == GaussianRational(1, -1)
+        assert Fraction(1, 3) / y == GaussianRational(Fraction(1, 25), Fraction(4, 75))
+        for divide in (lambda: x / 0, lambda: x / GaussianRational.ZERO, lambda: 1 / GaussianRational.ZERO):
+            with pytest.raises(DomainError, match="division by zero"):
+                divide()
+
     def test_parse_rejects_garbage(self):
         for bad in ("", "x", "1+", "1++2i", "3/0"):
             with pytest.raises((InputError, ZeroDivisionError)):
@@ -123,6 +145,14 @@ class TestExactMatrix:
             b = rand_matrix(rng, 3, 3)
             assert (a * b).transpose() == b.transpose() * a.transpose()
             assert (a * b).trace() == (b * a).trace()
+
+    def test_scalar_products_and_negation(self):
+        M = rand_matrix(random.Random(114), 3, 2, complex_entries=True)
+        for c in (3, Fraction(-2, 7), GaussianRational(1, -1)):
+            want = [[x * c for x in row] for row in M.cells]
+            assert [list(row) for row in (M * c).cells] == want
+            assert [list(row) for row in (c * M).cells] == want
+        assert [list(row) for row in (-M).cells] == [[-x for x in row] for row in M.cells]
 
     def test_shape_mismatch_raises(self):
         a = ExactMatrix.zeros(2)

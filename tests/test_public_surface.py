@@ -1,4 +1,4 @@
-"""The exported names: every __all__ entry resolves, and each object has one name."""
+"""The exported names: every __all__ entry resolves to its owner, and each object has one name."""
 
 import importlib
 import inspect
@@ -7,7 +7,7 @@ import pytest
 
 import wittmat
 
-MODULES = ("exact", "witt", "spectral", "signatures", "symgroup", "repdecomp")
+MODULES = tuple(wittmat._EXPORTS)
 
 # second names for spectral_unit's check, mv_trace, Multivector.to_blades and g * m, and
 # solve_linear, which nothing called once min_poly kept its own running echelon form
@@ -42,10 +42,15 @@ def test_package_all_resolves_without_duplicates():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
-    mod = _module(name)
-    assert mod.__all__
-    for attr in mod.__all__:
-        assert hasattr(mod, attr), f"{name}.{attr}"
+    # `import *` binds exactly the module's entry in the owner table, and every class or
+    # function it binds is defined there, so a name filed under the wrong owner fails here
+    ns = {}
+    exec(f"from wittmat.{name} import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(wittmat._EXPORTS[name])
+    for attr, value in ns.items():
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == f"wittmat.{name}", f"{name}.{attr}"
 
 
 def test_removed_aliases_are_absent():

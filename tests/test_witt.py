@@ -221,6 +221,14 @@ class TestAlgebraStructure:
         g = a(n, 1) + 2
         assert g.coeff(WittMonomial(n, 0, 0)) == 2
 
+    def test_scalar_products(self):
+        g = a(3, 1).scale(Fraction(3, 2)) + u(3, 2) - b(3, 3).scale(5) + 1
+        assert len(g.terms()) == 4 and not g.complexified
+        for c, cplx in ((2, False), (Fraction(-1, 3), False), (GaussianRational.I, True)):
+            want = [(m, v * c) for m, v in g.terms()]
+            for prod in (g * c, c * g):
+                assert prod.terms() == want and prod.complexified is cplx
+
     def test_real_scalar_keeps_element_real(self):
         x = a(2, 1)
         for g in (x + 1, x - 1, 1 + x, 1 - x, x + Fraction(1, 2)):
