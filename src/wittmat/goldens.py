@@ -3,9 +3,12 @@
 Every check below recomputes a documented quantity from scratch and compares
 it against values frozen in this file: spectral tables, null-vector matrices,
 involution patterns, permutation images, Casimir identities, commutant
-families, and the regular-representation decomposition.  run_all() executes
-them in a fixed order and the `verify-paper` CLI subcommand prints the
-resulting table.
+families, and the regular-representation decomposition.  A matrix claim is
+built once as its whole expected matrix and compared by _check_matrix, whose
+failure names the first differing (row, col), 1-based.  _check and
+_check_matrix raise AssertionError themselves, so they still fail under
+python -O.  run_all() executes the checks in a fixed order and the
+`verify-paper` CLI subcommand prints the resulting table.
 
 A handful of frozen displays contain internal inconsistencies.  Those checks
 assert the corrected value, assert that the uncorrected variant really does
@@ -98,6 +101,15 @@ def _check(cond, msg: str):
     """Fail the running check with msg; unlike assert, this survives python -O."""
     if not cond:
         raise AssertionError(msg)
+
+
+def _check_matrix(got: ExactMatrix, want_rows, msg: str):
+    """Fail unless got has the shape and entries of want_rows; name the first differing (row, col), 1-based."""
+    want = ExactMatrix(want_rows)
+    _check((got.rows, got.cols) == (want.rows, want.cols), f"{msg}: {got.rows}x{got.cols}, want {want.rows}x{want.cols}")
+    if got.cells != want.cells:
+        r, c = next((r, c) for r in range(want.rows) for c in range(want.cols) if got[(r, c)] != want[(r, c)])
+        raise AssertionError(f"{msg} at ({r + 1},{c + 1})")
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +241,10 @@ def _check_block_embeddings():
             to_matrix(Multivector(2, {WittMonomial(2, m.a_mask << s, m.b_mask << s): c for m, c in g1.terms()}))
             for s in (0, 1)
         )
-        for i in range(2):
-            for j in range(2):
-                _check(got[(i, j)] == A[(i, j)], "repeated block, top left")
-                _check(got[(i + 2, j + 2)] == A[(i, j)], "repeated block, bottom right")
-                _check(got[(i, j + 2)].is_zero() and got[(i + 2, j)].is_zero(), "off blocks")
-        # index map 1 -> 2 interleaves, with sign flips on the odd strand
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    sign = -1 if (k == 1 and i != j) else 1
-                    _check(got2[(2 * i + k, 2 * j + k)] == A[(i, j)] * sign, "interleaved block")
-        for r in range(4):
-            for c in range(4):
-                if (r - c) % 2 != 0:
-                    _check(got2[(r, c)].is_zero(), "interleaved zeros")
+        _check_matrix(got, [[A[(r % 2, c % 2)] if r // 2 == c // 2 else 0 for c in range(4)] for r in range(4)], "repeated block")
+        # index map 1 -> 2 interleaves, with sign flips on the odd strand off the diagonal blocks
+        _check_matrix(got2, [[0 if (r - c) % 2 else A[(r // 2, c // 2)] * (-1 if r % 2 and r // 2 != c // 2 else 1)
+                              for c in range(4)] for r in range(4)], "interleaved block")
     return "5 random samples, both block patterns"
 
 
@@ -281,13 +282,8 @@ def _check_involution_rank2():
     for _ in range(6):
         M = _rand_matrix(rng, 4)
         g = from_matrix(M, 2)
-        R = to_matrix(g.reverse())
-        CC = to_matrix(g.clifford_conj())
-        for i in range(4):
-            for j in range(4):
-                src = M[(3 - j, 3 - i)]
-                _check(R[(i, j)] == src * (_EPS_DAG[i] * _EPS_DAG[j]), f"reverse ({i + 1},{j + 1})")
-                _check(CC[(i, j)] == src * (_EPS_CONJ[i] * _EPS_CONJ[j]), f"conjugation ({i + 1},{j + 1})")
+        for got, eps, name in ((g.reverse(), _EPS_DAG, "reverse"), (g.clifford_conj(), _EPS_CONJ, "conjugation")):
+            _check_matrix(to_matrix(got), [[M[(3 - j, 3 - i)] * (eps[i] * eps[j]) for j in range(4)] for i in range(4)], name)
     return "6 random samples"
 
 
@@ -388,15 +384,8 @@ def _check_perm_geom_rank3():
 def _check_nine_cycle():
     n = 3
     sigma = Permutation.from_cycles("(123456789)")
-    M = std_rep_matrix(sigma, 8)
-    want_rows = []
-    for r in range(8):
-        row = [0] * 8
-        row[7] = -1
-        if r > 0:
-            row[r - 1] = 1
-        want_rows.append(row)
-    _check(M == ExactMatrix(want_rows), "9-cycle matrix")
+    want = [[-1 if c == 7 else int(c == r - 1) for c in range(8)] for r in range(8)]
+    _check_matrix(std_rep_matrix(sigma, 8), want, "9-cycle matrix")
     g = geom_perm(sigma, n, rep="standard")
     a1, a2, a3 = a(n, 1), a(n, 2), a(n, 3)
     bracket = a3 * a2 * a1 + a3 * a2 - a3 * a1 + a3 + a2 * a1 - a2 + a1 + one(n)
@@ -436,8 +425,7 @@ def _check_allones_casimir():
     for m in (1, 2, 3):
         A = all_ones_mv(m)
         size = 1 << m
-        MA = to_matrix(A)
-        _check(all(MA[(i, j)] == GaussianRational(1) for i in range(size) for j in range(size)), "all-ones matrix")
+        _check_matrix(to_matrix(A), [[1] * size] * size, "all-ones matrix")
         _check(A * A == A.scale(size), "A^2 = 2^n A")
         C = casimir_mv(m)
         _check(C == A - one(m), "C = A - 1")
@@ -481,14 +469,8 @@ def _check_spectral_idempotents():
 def _check_surgery_diag():
     for n in (1, 2, 3):
         size = 1 << n
-        gc = surgery_gc(n)
-        gci = surgery_gc_inverse(n)
-        D = to_matrix(gci * casimir_mv(n) * gc)
-        want = [[0] * size for _ in range(size)]
-        for i in range(size - 1):
-            want[i][i] = -1
-        want[size - 1][size - 1] = size - 1
-        _check(D == ExactMatrix(want), f"rank-{n} diagonalized Casimir")
+        want = [[(size - 1 if i == size - 1 else -1) if i == j else 0 for j in range(size)] for i in range(size)]
+        _check_matrix(to_matrix(surgery_gc_inverse(n) * casimir_mv(n) * surgery_gc(n)), want, f"rank-{n} diagonalized Casimir")
     return "diag(-1,..,-1,2^n-1) at ranks 1..3"
 
 
@@ -537,12 +519,8 @@ def _check_commutant_s4():
     basis = commutant(gens).basis
     _check(len(basis) == 2, "commutant of S4 has dimension 2")
     for B in basis:
-        d = B[(0, 0)]
-        t = B[(0, 1)]
-        for i in range(4):
-            for j in range(4):
-                want = d if i == j else t
-                _check(B[(i, j)] == want, "constant-diagonal constant-offdiagonal pattern")
+        want = [[B[(0, 0)] if i == j else B[(0, 1)] for j in range(4)] for i in range(4)]
+        _check_matrix(B, want, "constant-diagonal constant-offdiagonal pattern")
     M = g_all_matrix(Fraction(2), Fraction(1))
     want = RationalPolynomial.from_roots([Fraction(1), Fraction(5)])
     _check(min_poly(M) == want, "min poly (x-(s-t))(x-(3t+s)) at s=2, t=1")
@@ -565,10 +543,9 @@ def _check_commutant_klein():
     ]
     basis = commutant(gens).basis
     _check(len(basis) == 4, "commutant of the Klein group has dimension 4")
+    first = {pos: cls[0] for cls in _KLEIN_CLASSES for pos in cls}  # a position outside every class raises KeyError
     for B in basis:
-        for cls in _KLEIN_CLASSES:
-            vals = {B[pos] for pos in cls}
-            _check(len(vals) == 1, "entries constant on each position class")
+        _check_matrix(B, [[B[first[(i, j)]] for j in range(4)] for i in range(4)], "entries constant on each position class")
     M = g_alt_matrix(Fraction(0), Fraction(1), Fraction(2), Fraction(3))
     roots = [Fraction(0), Fraction(-2), Fraction(-4), Fraction(6)]
     _check(min_poly(M) == RationalPolynomial.from_roots(sorted(roots)), "four-root factored form")
@@ -596,19 +573,9 @@ def _check_surgery_band_cut():
     for _ in range(4):
         M = _rand_matrix(rng, 4)
         g = from_matrix(M, 2)
-        for cut, k, kept, negated, cleared in (
-            (u_dag(2, 2), 2, "untouched block", "negated band intersection", "cleared bands"),
-            (u_all_dag(2), 3, "untouched 3x3 block", "negated corner", "cleared last row and column"),
-        ):
-            H = to_matrix(g - g * cut - cut * g)
-            for i in range(4):
-                for j in range(4):
-                    if i < k and j < k:
-                        _check(H[(i, j)] == M[(i, j)], kept)
-                    elif i >= k and j >= k:
-                        _check(H[(i, j)] == -M[(i, j)], negated)
-                    else:
-                        _check(H[(i, j)].is_zero(), cleared)
+        for cut, k, name in ((u_dag(2, 2), 2, "u2d cut"), (u_all_dag(2), 3, "u12d cut")):
+            want = [[M[(i, j)] if max(i, j) < k else -M[(i, j)] if min(i, j) >= k else 0 for j in range(4)] for i in range(4)]
+            _check_matrix(to_matrix(g - g * cut - cut * g), want, name)
     return "u2-cut display corrected: full lower band negates, (3,4),(4,3) are -g34,-g43 and (4,4) is -g44"
 
 
@@ -618,14 +585,10 @@ def _check_column_extraction():
     M = _rand_matrix(rng, 4)
     g = from_matrix(M, 2)
     for picker, col, clause in (
-        (b(2, 1) * u(2, 2), 1, "second column moved to first"),
-        (b(2, 1) * b(2, 2), 3, "fourth column moved to first"),
+        (b(2, 1) * u(2, 2), 1, "second column moved to first, others cleared"),
+        (b(2, 1) * b(2, 2), 3, "fourth column moved to first, others cleared"),
     ):
-        picked = to_matrix(g * picker)
-        for i in range(4):
-            _check(picked[(i, 0)] == M[(i, col)], clause)
-            for j in range(1, 4):
-                _check(picked[(i, j)].is_zero(), "other columns cleared")
+        _check_matrix(to_matrix(g * picker), [[M[(i, col)] if j == 0 else 0 for j in range(4)] for i in range(4)], clause)
     return ""
 
 
@@ -641,19 +604,10 @@ def _check_regrep_matrix():
         x0, x1, x2, x3, x4, x5 = xs
         M = to_matrix(regrep_element(xs).element)
         tot = sum(xs, GaussianRational.ZERO)
-        _check(M[(0, 0)] == x0 - x2 + x3 - x5, "(1,1)")
-        _check(M[(0, 7)] == x1 - x3 - x4 + x5, "(1,8)")
-        _check(M[(7, 0)] == x1 - x2 + x4 - x5, "(8,1)")
-        _check(M[(7, 7)] == x0 + x2 - x3 - x4, "(8,8)")
-        for i in range(1, 7):
-            _check(M[(i, 0)] == -x2 - x5, f"({i + 1},1)")
-            _check(M[(i, i)] == tot, f"({i + 1},{i + 1}) diagonal")
-            _check(M[(i, 7)] == -x3 - x4, f"({i + 1},8) corrected entry")
-            for j in range(1, 7):
-                if i != j:
-                    _check(M[(i, j)].is_zero(), "interior zeros")
-        for j in range(1, 7):
-            _check(M[(0, j)].is_zero() and M[(7, j)].is_zero(), "first and last row zeros")
+        want = [[-x2 - x5] + [tot if j == i else 0 for j in range(1, 7)] + [-x3 - x4] for i in range(8)]
+        want[0] = [x0 - x2 + x3 - x5] + [0] * 6 + [x1 - x3 - x4 + x5]
+        want[7] = [x1 - x2 + x4 - x5] + [0] * 6 + [x0 + x2 - x3 - x4]
+        _check_matrix(M, want, "regular-representation matrix")
     return "display's zero entries at rows 2..7, column 8 are frozen corrected to -x3-x4"
 
 
@@ -665,13 +619,9 @@ def _check_regrep_blocks():
         x0, x1, x2, x3, x4, x5 = xs
         P, D = regrep_decompose(regrep_element(xs))
         tot = sum(xs, GaussianRational.ZERO)
-        for i in range(6):
-            _check(D[(i, i)] == tot, "six copies of the trivial part")
-            for j in range(8):
-                if j != i:
-                    _check(D[(i, j)].is_zero(), "off-diagonal zeros")
-        for j in range(6):
-            _check(D[(6, j)].is_zero() and D[(7, j)].is_zero(), "block separation")
+        # the 2x2 block is fixed only up to eigenvector scaling, so below it is compared by trace and determinant
+        want = [[tot if i == j < 6 else D[(i, j)] if i >= 6 and j >= 6 else 0 for j in range(8)] for i in range(8)]
+        _check_matrix(D, want, "six copies of the trivial part and a 2x2 block")
         blk_tr = D[(6, 6)] + D[(7, 7)]
         blk_det = D[(6, 6)] * D[(7, 7)] - D[(6, 7)] * D[(7, 6)]
         disp_tr = (x0 + x1 - x3 - x4) + (x0 - x1 + x3 - x5)

@@ -123,10 +123,9 @@ class Permutation:
         return Permutation(images)
 
     def __pow__(self, k: int) -> "Permutation":
-        base = self.inverse() if k < 0 else self
         out = Permutation.identity()
-        for _ in range(abs(k)):
-            out = out * base
+        for _ in range(k % self.order()):  # never negative: p**-1 is p**(order - 1)
+            out = out * self
         return out
 
     def order(self) -> int:

@@ -83,6 +83,16 @@ class TestPermutation:
             assert p * p.inverse() == Permutation.identity()
             assert p ** p.order() == Permutation.identity()
 
+    def test_power_reduces_exponent_by_order(self):
+        p = Permutation.from_cycles("(12)(345)")  # order 6, so exponents reduce mod 6
+        assert p ** (10**12 + 1) == p ** 5 == p * p * p * p * p == p.inverse()
+        assert p ** -1 == p.inverse()
+        assert p ** -7 == p.inverse()
+        assert p ** 0 == Permutation.identity()
+        q = Permutation.from_cycles("(12)(34567)")  # order 10 divides 10**12
+        assert q ** (10**12 + 1) == q
+        assert Permutation.identity() ** -3 == Permutation.identity()
+
     def test_overlapping_cycles_compose(self):
         P = Permutation.from_cycles
         assert P("(12)(21)") == Permutation.identity()
