@@ -219,8 +219,8 @@ def _as_scalar(x) -> GaussianRational:
 # common denominator: parallel lists of real and imaginary numerators, the
 # imaginary list None on the real path (no entry has an imaginary part).
 # ExactMatrix products and elimination lift rows and columns; Multivector
-# products (witt._product_sum) and the matrix bridge (witt._lifted_sum) lift
-# coefficient lists.
+# products (witt._product_sum) and the matrix bridge (witt._to_cells and
+# witt._from_cells) lift coefficient lists.
 
 _FRACTION_ZERO = Fraction(0)
 

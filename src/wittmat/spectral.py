@@ -19,53 +19,48 @@ above j):
 
 to_matrix writes each monomial's entries; from_matrix sums the units of the
 nonzero entries.  Both run on integer numerators over one common denominator,
-lifted once with exact._lift (on (re, im) pairs only when some input has an
-imaginary part) and summed per cell or per monomial by witt._lifted_sum.
-Nothing is cached.
+lifted once with exact._lift (on (re, im) lists only when some input has an
+imaginary part), through witt._to_cells and witt._from_cells, the flat
+integer core that dense Multivector products share.  Nothing is cached.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
-from .exact import ExactMatrix, GaussianRational, _lift
-from .witt import (
-    Multivector,
-    WittMonomial,
-    _collect,
-    _lifted_sum,
-    _lifted_terms,
-    _mono_matrix_entries,
-    _signed,
-    _unit_terms,
-)
+from .exact import ExactMatrix, GaussianRational, _lift, _unlift
+from .witt import Multivector, WittMonomial, _collect, _from_cells, _lifted_terms, _signed, _to_cells, _unit_terms
 
 __all__ = _EXPORTS["spectral"]
 
 
+def _size(n: int) -> int:
+    """2^n, the matrix size at rank n."""
+    if n < 0:
+        raise InputError("rank must be nonnegative")
+    return 1 << n
+
+
 def spectral_unit(n: int, row: int, col: int) -> Multivector:
-    size = 1 << n
+    size = _size(n)
     if not (0 <= row < size and 0 <= col < size):
         raise InputError(f"row/col out of range for rank {n}")
     return Multivector(n, dict(_signed(n, GaussianRational.ONE, _unit_terms(n, row, col))))
 
 
 def spectral_table(n: int) -> list[list[Multivector]]:
-    size = 1 << n
+    size = _size(n)
     return [[spectral_unit(n, r, c) for c in range(size)] for r in range(size)]
 
 
 def to_matrix(g: Multivector) -> ExactMatrix:
-    n, size = g.n, 1 << g.n
+    size = 1 << g.n
     cplx = g._has_imag()
     den, lifted = _lifted_terms(g, cplx)
-    cells = _lifted_sum(
-        ((x, y, _mono_matrix_entries(n, m.a_mask, m.b_mask)) for m, x, y in lifted), den, cplx
-    )
-    zero = GaussianRational.ZERO
-    return ExactMatrix._wrap(tuple(tuple(cells.get((r, c), zero) for c in range(size)) for r in range(size)))
+    cells = _unlift(*_to_cells(g.n, lifted, cplx), den)
+    return ExactMatrix._wrap(tuple(tuple(cells[r : r + size]) for r in range(0, size * size, size)))
 
 
 def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None = None) -> Multivector:
@@ -73,16 +68,18 @@ def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None 
         raise DimensionMismatch("matrix must be square")
     if n is None:
         n = M.rows.bit_length() - 1
-    if M.rows != 1 << n:
+    if M.rows != _size(n):
         raise DimensionMismatch(f"matrix size {M.rows} is not 2^{n}")
-    nonzero = [(r, c, x) for r, row in enumerate(M.cells) for c, x in enumerate(row) if x]
-    cplx = any(x.im for _, _, x in nonzero)
+    flat = [x for row in M.cells for x in row]
+    cells = [k for k, x in enumerate(flat) if x]
+    nonzero = [flat[k] for k in cells]
+    cplx = any(x.im for x in nonzero)
     if complexified is None:
         complexified = cplx
-    den, re, im = _lift([x for _, _, x in nonzero], cplx)
-    units = (_unit_terms(n, r, c) for r, c, _ in nonzero)
-    terms = _lifted_sum(zip(re, im or repeat(0), units), den, cplx)
-    return Multivector(n, {WittMonomial(n, am, bm): x for (am, bm), x in terms.items()}, complexified=complexified)
+    elif cplx and not complexified:
+        raise InputError("imaginary coefficient in a non-complexified element")
+    den, re, im = _lift(nonzero, cplx)
+    return _from_cells(n, cells, re, im, den, bool(complexified))
 
 
 def mv_trace(g: Multivector) -> GaussianRational:

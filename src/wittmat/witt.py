@@ -50,8 +50,21 @@ an imaginary part.  The kernel adds each live pair's signed numerator
 product into one integer (or (re, im) pair) per key (first_a, last_b,
 sites); many pairs share a key, so after the loop each distinct key is
 expanded once into its 2^popcount(sites) monomials, and each coefficient is
-built once, over the product of the two denominators.  The matrix bridge in
-spectral.py sums its kernel terms with _lifted_sum.
+built once, over the product of the two denominators.
+
+A dense product runs through the matrix isomorphism instead.  The kernel
+takes one Python step per live term, the sum of |lterms| * |rterms| over
+the live pairs of groups, while a product of 2^n x 2^n matrices takes about
+8^n integer multiply-adds inside sum(map(mul)).  _live_count finds that
+count by a subset sum over the groups' keys, without listing the pairs, and
+past one measured threshold __mul__ writes both lifted factors into
+spectral matrices with _to_cells, multiplies them by integer row-column
+dots (exact._dots) and reads the product back with _from_cells.  to_matrix
+and from_matrix in spectral.py are the same two helpers.  Both work on flat
+integer lists of 4^n entries, index row * 2^n + col for a matrix and
+a_mask * 2^n + b_mask for an element; a set s of indices that a monomial
+leaves free, or that a unit's row and column share, moves an entry by
+s * (2^n + 1).
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -62,12 +75,13 @@ conjugates it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import add, or_
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _as_scalar, _format_sum, _lift, _scalar
+from .exact import GaussianRational, _as_scalar, _dots, _format_sum, _lift, _scalar
 
 __all__ = _EXPORTS["witt"]
 
@@ -272,14 +286,6 @@ def _blade_to_monos(e_mask: int, f_mask: int):
     return out
 
 
-def _mono_matrix_entries(n: int, a_mask: int, b_mask: int):
-    """Spectral matrix of (a_mask, b_mask) as ((row, col), +-1) entries."""
-    free = ((1 << n) - 1) & ~(a_mask | b_mask)
-    row0, col0 = b_mask & ~a_mask, a_mask & ~b_mask
-    flips = _suffix_parity(a_mask ^ b_mask)
-    return [((row0 | s, col0 | s), _sign((col0 | s) & flips)) for s in _subsets(free)]
-
-
 def _unit_terms(n: int, row: int, col: int):
     """Spectral unit E_{row,col} as ((a_mask, b_mask), +-1) terms."""
     full = (1 << n) - 1
@@ -310,25 +316,138 @@ def _lifted_terms(g: "Multivector", cplx: bool):
     return den, list(zip(g._terms, re, im or repeat(0)))
 
 
-def _lifted_sum(weighted, den: int, cplx: bool) -> dict:
-    """The matrix bridge's sum of kernel terms weighted by integer numerators; each scalar built once, over den.
+# A product whose live kernel terms exceed both _BRIDGE_DENSITY * 8^n and
+# _BRIDGE_FLOOR runs through the spectral matrices.  The bridge does about
+# 8^n integer multiply-adds inside sum(map(mul)) where the kernel takes one
+# Python step per live term, and it pays a fixed cost in lists and calls
+# that a product of fewer than a few hundred live terms does not repay: the
+# kernel wins at every density at rank 1, up to about 0.7 * 8^n at rank 2
+# (1.5 * 8^n with complex coefficients), and up to about 0.6 * 8^n at rank 3
+# with complex coefficients; from rank 4 on, every kind crosses over below
+# 0.4 * 8^n (grid in CHANGES.md).
+_BRIDGE_DENSITY = 0.4
+_BRIDGE_FLOOR = 400
 
-    weighted yields (re, im, terms), one per monomial (to_matrix) or nonzero
-    cell (from_matrix), and every (key, +-1) of terms adds +-(re + im*i) at
-    key.  The real path never reads im.  Zero sums are dropped.
+
+def _live_count(n: int, left, right) -> int:
+    """The live kernel terms of left * right, |lterms| * |rterms| summed over the live pairs of groups.
+
+    Both factors are lists of (mono, re, im).  The left group (lone a, b) and
+    the right group (a, lone b) are live together when the 2n-bit keys
+    lone_a | b << n and a | lone_b << n share no bit.  So a subset sum over
+    the right keys gives, at each mask, the right terms whose key lies
+    within it, and each left term reads it at the complement of its key.
     """
-    acc = {}
-    get = acc.get
-    if not cplx:
-        for x, _, terms in weighted:
-            for key, s in terms:
-                acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
-        return {key: _scalar(x, 0, den) for key, x in acc.items() if x}
-    for x, y, terms in weighted:
-        for key, s in terms:
-            re, im = get(key, (0, 0))
-            acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
-    return {key: _scalar(re, im, den) for key, (re, im) in acc.items() if re or im}
+    size = 1 << 2 * n
+    within = [0] * size
+    for m, _, _ in right:
+        within[m.a_mask | (m.b_mask & ~m.a_mask) << n] += 1
+    for j in range(2 * n):
+        bit = 1 << j
+        step = bit << 1
+        if j < n:  # a bit of a: bit strided slices
+            for lo in range(bit):
+                within[lo + bit :: step] = map(add, within[lo + bit :: step], within[lo::step])
+        else:  # a bit of lone b: size // step runs of whole rows
+            for lo in range(0, size, step):
+                within[lo + bit : lo + step] = map(add, within[lo + bit : lo + step], within[lo : lo + bit])
+    full = size - 1
+    return sum(within[full ^ (m.a_mask & ~m.b_mask | m.b_mask << n)] for m, _, _ in left)
+
+
+def _scatter(size: int, spots, xs) -> list:
+    """Spread numerators over a flat list of size * size integers.
+
+    Each spot (base, free, flips, odd), with its numerator x of xs, adds +-x
+    at base + s * (size + 1) for every submask s of free, negated when
+    odd + popcount(s & flips) is odd.
+    """
+    out = [0] * (size * size)
+    step = size + 1
+    for (base, free, flips, odd), x in zip(spots, xs):
+        if odd & 1:
+            x = -x
+        s = free
+        while True:
+            if (s & flips).bit_count() & 1:
+                out[base + s * step] -= x
+            else:
+                out[base + s * step] += x
+            if not s:
+                break
+            s = (s - 1) & free
+    return out
+
+
+def _to_cells(n: int, lifted, cplx: bool):
+    """The spectral matrix of lifted terms as flat integer lists (re, im), cell (row, col) at row * 2^n + col.
+
+    lifted is a list of (mono, re, im) as from _lifted_terms; on the real
+    path (cplx false) the returned im is None.  Monomial (A, B) has one
+    entry for each subset s of the indices outside A | B, at row
+    (B & ~A) | s and column c = (A & ~B) | s, with sign
+    (-1)^popcount(c & sp(A ^ B)); s is disjoint from both masks, so each
+    entry sits s * (2^n + 1) past the one of s = 0.
+    """
+    size = 1 << n
+    full = size - 1
+    sp = [_suffix_parity(m) for m in range(size)]
+    spots = []
+    for m, _, _ in lifted:
+        a_mask, b_mask = m.a_mask, m.b_mask
+        col0, flips = a_mask & ~b_mask, sp[a_mask ^ b_mask]
+        spots.append(((b_mask & ~a_mask) * size + col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count()))
+    re = _scatter(size, spots, [x for _, x, _ in lifted])
+    return re, (_scatter(size, spots, [y for _, _, y in lifted]) if cplx else None)
+
+
+def _cell_product(size: int, left, right):
+    """The product of two flat size x size matrices of (re, im) integer cell lists, by row-column dots.
+
+    Returns its nonzero cells as (cells, re, im): the flat indices and their
+    numerators, im None on the real path.
+    """
+    (lre, lim), (rre, rim) = left, right
+    cols = [(rre[c::size], None if rim is None else rim[c::size]) for c in range(size)]
+    re, im = [], None if lim is None else []
+    for r in range(0, size * size, size):
+        x, y = _dots((lre[r : r + size], None if lim is None else lim[r : r + size]), cols)
+        re += x
+        if im is not None:
+            im += y
+    cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
+    return cells, [re[k] for k in cells], None if im is None else [im[k] for k in cells]
+
+
+def _from_cells(n: int, cells, re, im, den: int, complexified: bool) -> "Multivector":
+    """The element whose spectral matrix holds (re[j] + im[j]*i) / den at flat index cells[j], and 0 elsewhere.
+
+    im is None on the real path.  The unit E_{rc} is the monomial
+    (full & ~r, full & ~c) with sign (-1)^(k(k-1)/2) for k = popcount(c),
+    times (-1)^popcount(c & sp(r)), times (1 - ab) at each index of r & c.
+    Each subset s of r & c moves its term from a_mask * 2^n + b_mask by
+    s * (2^n + 1), with sign (-1)^popcount(s).  Each coefficient is built
+    once, and zero sums are dropped.
+    """
+    size = 1 << n
+    full = size - 1
+    sp = [_suffix_parity(r) for r in range(size)]
+    spots = []
+    for k in cells:
+        r, c = k >> n, k & full
+        spots.append(((full ^ r) * size + (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & sp[r]).bit_count()))
+    out_re = _scatter(size, spots, re)
+    if im is None:
+        terms = {
+            WittMonomial(n, k >> n, k & full): _scalar(out_re[k], 0, den) for k in compress(range(size * size), out_re)
+        }
+    else:
+        out_im = _scatter(size, spots, im)
+        terms = {
+            WittMonomial(n, k >> n, k & full): _scalar(out_re[k], out_im[k], den)
+            for k in compress(range(size * size), map(or_, out_re, out_im))
+        }
+    return Multivector._make(n, terms, complexified)
 
 
 class Multivector:
@@ -436,10 +555,14 @@ class Multivector:
         cplx = self._has_imag() or other._has_imag()
         d1, left = _lifted_terms(self, cplx)
         d2, right = _lifted_terms(other, cplx)
+        comp = self.complexified or other.complexified
+        bound = max(_BRIDGE_DENSITY * 8**n, _BRIDGE_FLOOR)
+        # no more terms are live than there are pairs, so the count is skipped below that
+        if len(left) * len(right) > bound and _live_count(n, left, right) > bound:
+            cells = _cell_product(1 << n, _to_cells(n, left, cplx), _to_cells(n, right, cplx))
+            return _from_cells(n, *cells, d1 * d2, comp)
         terms = _product_sum(left, right, d1 * d2, cplx)
-        return self._make(
-            n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, self.complexified or other.complexified
-        )
+        return self._make(n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, comp)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

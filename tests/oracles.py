@@ -4,10 +4,13 @@ reduce_tokens is the word-rewriting engine that defined the monomial product
 before the closed-form kernels; the closed forms and reduce_word are checked
 against it.  mono_mul is the closed-form product of one monomial pair, with
 its own expansion of the b.a = 1 - ab branches, as it was before the library
-grouped the factors to skip vanishing pairs.  The three functions after it
-are the product and the matrix bridge as they were before integer lifting:
-every pair of terms is visited and every term is a GaussianRational product,
-summed per key.  The lifted, grouped versions must match them byte for byte.
+grouped the factors to skip vanishing pairs.  _mono_matrix_entries lists
+one monomial's matrix entries as ((row, col), +-1) pairs, as to_matrix did
+before it moved to index arithmetic on flat lists.  The three functions
+after it are the product and the matrix bridge as they were before integer
+lifting: every pair of terms is visited and every term is a GaussianRational
+product, summed per key.  The lifted, grouped versions must match them byte
+for byte.
 
 The last four are the elimination layer in GaussianRational arithmetic:
 Gauss-Jordan, row-by-column products, and inverse and min_poly as they were
@@ -16,7 +19,7 @@ power of A, here run on the first two.
 """
 
 from wittmat import DimensionMismatch, DomainError, ExactMatrix, GaussianRational, Multivector, RationalPolynomial, WittMonomial
-from wittmat.witt import _mono_matrix_entries, _sign, _subsets, _suffix_parity, _unit_terms
+from wittmat.witt import _sign, _subsets, _suffix_parity, _unit_terms
 
 
 def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
@@ -76,6 +79,14 @@ def mono_mul(a1: int, b1: int, a2: int, b2: int):
     last_b = b2 | (b1 & ~a2)
     branch = b1 & ~a1 & a2 & ~b2  # b meets a: b.a = 1 - ab
     return _with_idempotents(first_a, last_b, branch, _sign((a2 ^ b2) & _suffix_parity(a1 ^ b1)))
+
+
+def _mono_matrix_entries(n: int, a_mask: int, b_mask: int):
+    """Spectral matrix of (a_mask, b_mask) as ((row, col), +-1) entries."""
+    free = ((1 << n) - 1) & ~(a_mask | b_mask)
+    row0, col0 = b_mask & ~a_mask, a_mask & ~b_mask
+    flips = _suffix_parity(a_mask ^ b_mask)
+    return [((row0 | s, col0 | s), _sign((col0 | s) & flips)) for s in _subsets(free)]
 
 
 def _sum_signed(items) -> dict:

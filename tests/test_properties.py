@@ -1,4 +1,4 @@
-"""Property tests of the algebra laws at ranks 1..4, and of the elimination layer.
+"""Property tests of the algebra laws at ranks 1..4, of both product paths at ranks 1..6, and of the elimination layer.
 
 The integer-lifted product and matrix bridge are compared byte for byte with
 the GaussianRational oracles in oracles.py; the laws are checked on the
@@ -9,7 +9,10 @@ basis, put many monomials in each group of the product kernel, so the b.a
 branch is reached inside multi-term groups.  Seeded rank-5 elements of 100
 terms (small, tall and complex coefficients) are the dense products the
 benchmark times, and a pure-b element times a pure-a element branches at
-every index the two share.
+every index the two share.  Each product is also run down both of its paths,
+the kernel and the matrix bridge, by moving the bridge thresholds, at ranks
+1..6; a full-density rank-6 product must take the bridge within a bounded
+peak of traced memory.
 
 ExactMatrix.inverse and min_poly are compared byte for byte with the
 GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
@@ -20,12 +23,15 @@ diagonals with repeated eigenvalues, 1x1, zero and identity matrices.
 
 import json
 import random
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from wittmat import witt
 from wittmat import (
     DomainError,
     ExactMatrix,
@@ -38,6 +44,9 @@ from wittmat import (
     from_matrix,
     min_poly,
     to_matrix,
+    u,
+    u_dag,
+    zero,
 )
 
 RANKS = st.integers(1, 4)
@@ -188,6 +197,110 @@ class TestAgainstOracle:
                 oracles.from_matrix(M, n, complexified=False)
             return
         assert as_bytes(from_matrix(M, n, complexified)) == as_bytes(oracles.from_matrix(M, n, complexified))
+
+
+@contextmanager
+def product_path(path: str):
+    """Send every Multivector product through one path, the kernel or the matrix bridge.
+
+    The bridge thresholds go to infinity, or to -1 so that even a product with
+    no live kernel term, such as one by the zero element, takes the bridge.
+    """
+    saved = witt._BRIDGE_DENSITY, witt._BRIDGE_FLOOR
+    witt._BRIDGE_DENSITY = witt._BRIDGE_FLOOR = -1 if path == "bridge" else float("inf")
+    try:
+        yield
+    finally:
+        witt._BRIDGE_DENSITY, witt._BRIDGE_FLOOR = saved
+
+
+PATHS = pytest.mark.parametrize("path", ["kernel", "bridge"])
+
+
+def basis(n: int) -> list:
+    size = 1 << n
+    return [WittMonomial(n, am, bm) for am in range(size) for bm in range(size)]
+
+
+class TestProductPaths:
+    @PATHS
+    @given(tuples_at_one_rank(2, ranks=st.integers(1, 5), max_terms=16))
+    def test_product(self, path, gh):
+        g, h = gh
+        with product_path(path):
+            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @PATHS
+    @settings(max_examples=25)
+    @given(dense_pairs(st.integers(1, 4), max_terms=96))
+    def test_dense_product(self, path, gh):
+        g, h = gh
+        with product_path(path):
+            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @PATHS
+    @settings(max_examples=4)
+    @given(tuples_at_one_rank(2, ranks=st.just(6), max_terms=64))
+    def test_product_rank_6(self, path, gh):
+        g, h = gh
+        with product_path(path):
+            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+    @PATHS
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_zero_cancellation_tall_and_flags(self, path, n):
+        rng = random.Random(800 + n)
+        k = min(12, 4**n)
+        g = seeded(n, rng.sample(basis(n), k), 801 + n, "real")
+        tall = seeded(n, rng.sample(basis(n), k), 802 + n, "tall")
+        cplx = seeded(n, rng.sample(basis(n), k), 803 + n, "complex")
+        cases = [
+            (zero(n), g),
+            (g, zero(n)),
+            (u(n, 1), u_dag(n, 1)),  # two live pairs that cancel
+            (tall, g),
+            (tall, tall),
+            (g.complexify(), g),  # complexified with real coefficients
+            (g, cplx),
+        ]
+        with product_path(path):
+            for x, y in cases:
+                assert as_bytes(x * y) == as_bytes(oracles.mul(x, y))
+            assert (u(n, 1) * u_dag(n, 1)).is_zero()
+            assert (g.complexify() * g).complexified and (g * zero(n).complexify()).complexified
+
+    @given(tuples_at_one_rank(2, ranks=st.integers(0, 6), max_terms=40))
+    def test_live_count(self, gh):
+        g, h = gh
+        cplx = g._has_imag() or h._has_imag()
+        left, right = witt._lifted_terms(g, cplx)[1], witt._lifted_terms(h, cplx)[1]
+        pairs = [(m1, m2) for m1, _, _ in left for m2, _, _ in right]
+        live = sum(1 for m1, m2 in pairs if oracles.mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask))
+        assert witt._live_count(g.n, left, right) == live
+
+    def test_bridge_runs_past_the_threshold_only(self, monkeypatch):
+        calls = []
+        cell_product = witt._cell_product
+        monkeypatch.setattr(witt, "_cell_product", lambda *args: calls.append(args[0]) or cell_product(*args))
+        rng = random.Random(900)
+        dense = [seeded(4, rng.sample(basis(4), 85), 901 + i, "real") for i in range(2)]
+        sparse = [seeded(4, rng.sample(basis(4), 8), 903 + i, "real") for i in range(2)]
+        dense[0] * dense[1]
+        assert calls == [16]
+        sparse[0] * sparse[1]
+        assert calls == [16]
+
+    def test_full_density_rank_6_product_stays_small(self):
+        # the bridge peaks near 2.9 MB here, the kernel near 13.4 MB (its list of 117,649 live group pairs)
+        g, h = seeded(6, basis(6), 1001, "real"), seeded(6, basis(6), 1002, "real")
+        tracemalloc.start()
+        try:
+            gh = g * h
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert to_matrix(gh) == to_matrix(g) * to_matrix(h)
 
 
 class TestLaws:

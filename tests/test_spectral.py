@@ -10,6 +10,7 @@ from wittmat import (
     ExactMatrix,
     GaussianRational,
     InputError,
+    Multivector,
     a,
     b,
     block_assemble,
@@ -26,7 +27,6 @@ from wittmat import (
     zero,
 )
 from wittmat import reduce_word
-from wittmat.witt import _mono_matrix_entries
 from conftest import rand_matrix, rand_mv
 from oracles import reduce_tokens
 
@@ -91,10 +91,13 @@ class TestSpectralUnits:
             if samples is not None:
                 monos = [rng.choice(monos) for _ in range(samples)]
             for am, bm in monos:
+                M = to_matrix(Multivector(n, {(n, am, bm): 1}))
                 total = {}
-                for (r, c), w in _mono_matrix_entries(n, am, bm):
+                for r, c in ((r, c) for r in range(size) for c in range(size) if M.cells[r][c]):
+                    w = M.cells[r][c]
+                    assert w in (1, -1), (n, am, bm, r, c)
                     for key, v in reduce_tokens(tuple(unit_word(n, r, c))).items():
-                        total[key] = total.get(key, 0) + w * v
+                        total[key] = total.get(key, 0) + int(w.re) * v
                 assert {k: v for k, v in total.items() if v} == {(am, bm): 1}, (n, am, bm)
 
     def test_index_validation(self):
@@ -102,6 +105,19 @@ class TestSpectralUnits:
             spectral_unit(1, 2, 0)
         with pytest.raises(InputError):
             spectral_unit(2, 0, 4)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: spectral_unit(-1, 0, 0),
+            lambda: spectral_table(-1),
+            lambda: from_matrix(ExactMatrix.identity(1), n=-1),
+        ],
+        ids=["spectral_unit", "spectral_table", "from_matrix"],
+    )
+    def test_negative_rank(self, call):
+        with pytest.raises(InputError, match="rank must be nonnegative"):
+            call()
 
 
 class TestMatrixRepresentation:
