@@ -20,6 +20,17 @@ echelon form of the integer powers B^k of B = d*A, and stops at the first
 power that reduces to zero.  A matrix with no imaginary part runs on plain
 ints, any other on (re, im) pairs in Z[i].  Scalars are built again only for
 the result, so every output equals the plain Fraction computation.
+
+The Bareiss steps are lazy, so sparse matrices skip most of them.  A step
+with pivot p after pivot q only scales a row whose entry in the pivot column
+is zero, to p*row / q.  So each row keeps ``div``, the pivot it was last
+brought up to date with, and stands for the eager row row*q/div, q being the
+latest pivot.  A row with a zero entry is left alone.  A row with entry f is
+set to (p*row - f*pivot_row) / div, which is the eager row after the step, and
+its ``div`` becomes p.  A row about to pivot is first caught up once, to
+q*row / div.  Every row stored is an eager Bareiss row, whose entries are
+integer minors, so every division stays exact.  At the end each row is divided
+by its own ``div``.  A permutation matrix takes no step at all.
 """
 
 from __future__ import annotations
@@ -265,13 +276,13 @@ def _put(row, c: int, z) -> None:
         im[c] = z[1]
 
 
-def _over_pivot(m, pivot):
-    """(rows, den): the lifted rows m over the (re, im) pivot, with den an int."""
+def _over_pivot(row, pivot):
+    """(row, den): the lifted row over the (re, im) pivot, with den an int."""
     d, di = pivot
     if not di:
-        return m, d
+        return row, d
     # x / d = x * conj(d) / |d|^2
-    return [([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)]) for row in m], d * d + di * di
+    return ([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)]), d * d + di * di
 
 
 def _dots(row, cols):
@@ -289,19 +300,20 @@ def _bareiss_step(p, f, q, x, y):
     """The row (p*x - f*y) / q, for (re, im) scalars p, f, q and lifted rows x, y.
 
     Bareiss's theorem makes every division exact.  Over Z[i] the remainder
-    comes for free, so it is checked there.
+    comes for free, so it is checked there: the row is (u*x - v*y) / |q|^2
+    with u = p*conj(q) and v = f*conj(q), taken once per call.
     """
     (xr, xi), (yr, yi) = x, y
     (pr, pi), (fr, fi), (qr, qi) = p, f, q
     if xi is None:
         return [(pr * a - fr * b) // qr for a, b in zip(xr, yr)], None
     norm = qr * qr + qi * qi
+    ur, ui = pr * qr + pi * qi, pi * qr - pr * qi
+    vr, vi = fr * qr + fi * qi, fi * qr - fr * qi
     outr, outi = [], []
     for a, b, c, d in zip(xr, xi, yr, yi):
-        tr = pr * a - pi * b - fr * c + fi * d
-        ti = pr * b + pi * a - fr * d - fi * c
-        sr, rr = divmod(tr * qr + ti * qi, norm)
-        si, ri = divmod(ti * qr - tr * qi, norm)
+        sr, rr = divmod(ur * a - ui * b - vr * c + vi * d, norm)
+        si, ri = divmod(ur * b + ui * a - vr * d - vi * c, norm)
         if rr or ri:
             raise DomainError("inexact division in Z[i]: fraction-free elimination invariant broken")
         outr.append(sr)
@@ -493,13 +505,16 @@ class ExactMatrix:
         Returns the reduced matrix and the pivot column indices.  Runs
         fraction-free Gauss-Jordan (Bareiss 1968) on each row's integer
         numerators: with pivot p in row r and previous pivot q, every other
-        row becomes (p*row - row[c]*row_r) / q, an exact division.  Rows only
-        ever change by nonzero factors, so the pivots are those of plain
-        Gauss-Jordan.  At the end every pivot equals the last one, d, and the
-        RREF is the integer matrix over d.
+        row becomes (p*row - row[c]*row_r) / q, an exact division.  The steps
+        are lazy (see the module docstring): a row with a zero in column c is
+        left alone and stands for itself times p over its ``div``, and a row
+        is caught up to q before it pivots.  Rows only ever change by nonzero
+        factors, so the pivots are those of plain Gauss-Jordan.  The RREF is
+        each integer row over its own ``div``.
         """
         cplx = self._has_imag()
         m = [_lift(row, cplx)[1:] for row in self.cells]
+        div = [(1, 0)] * self.rows  # the pivot each row was last brought up to date with
         pivots = []
         prev = (1, 0)
         r = 0
@@ -511,15 +526,24 @@ class ExactMatrix:
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
+            div[r], div[pr] = div[pr], div[r]
+            if div[r] != prev:
+                m[r] = _bareiss_step(prev, (0, 0), div[r], m[r], m[r])
             p = _entry(m[r], c)
             for i in range(self.rows):
                 if i != r:
-                    m[i] = _bareiss_step(p, _entry(m[i], c), prev, m[i], m[r])
-            prev = p
+                    f = _entry(m[i], c)
+                    if f != (0, 0):
+                        m[i] = _bareiss_step(p, f, div[i], m[i], m[r])
+                        div[i] = p
+            div[r] = prev = p
             pivots.append(c)
             r += 1
-        m, d = _over_pivot(m, prev)
-        return ExactMatrix([_unlift(re, im, d) for re, im in m]), tuple(pivots)
+        cells = []
+        for row, q in zip(m, div):
+            (re, im), d = _over_pivot(row, q)
+            cells.append(tuple(_unlift(re, im, d)))
+        return ExactMatrix._wrap(tuple(cells)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -546,9 +570,10 @@ class ExactMatrix:
         pivot p, the left-block column c is p in the pivot row and 0 elsewhere,
         so its slot takes over the right-block column of the pivot row's
         original index o, which until then is d_o times the previous pivot q
-        in that row and 0 elsewhere.  Other rows then take the Bareiss step of
-        ``rref``.  At the end slot c of row i is inverse[i][o_c] times the last
-        pivot.  A missing pivot means a singular matrix.
+        in that row and 0 elsewhere.  Other rows then take the lazy Bareiss
+        step of ``rref``: a row with a zero in column c keeps its zero slot
+        and its ``div``.  At the end slot c of row i, over the row's ``div``,
+        is inverse[i][o_c].  A missing pivot means a singular matrix.
         """
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
@@ -558,6 +583,7 @@ class ExactMatrix:
         dens = [den for den, _, _ in lifted]
         m = [(re, im) for _, re, im in lifted]
         orig = list(range(n))  # original index of the row at each position
+        div = [(1, 0)] * n  # the pivot each row was last brought up to date with
         prev = (1, 0)
         for c in range(n):
             pr = next((i for i in range(c, n) if _entry(m[i], c) != (0, 0)), None)
@@ -565,19 +591,24 @@ class ExactMatrix:
                 raise DomainError("matrix is singular")
             m[c], m[pr] = m[pr], m[c]
             orig[c], orig[pr] = orig[pr], orig[c]
+            div[c], div[pr] = div[pr], div[c]
+            if div[c] != prev:
+                m[c] = _bareiss_step(prev, (0, 0), div[c], m[c], m[c])
             p = _entry(m[c], c)
             d = dens[orig[c]]
             _put(m[c], c, (d * prev[0], d * prev[1]))
             for i in range(n):
                 if i != c:
                     f = _entry(m[i], c)
-                    _put(m[i], c, (0, 0))
-                    m[i] = _bareiss_step(p, f, prev, m[i], m[c])
-            prev = p
-        m, d = _over_pivot(m, prev)
+                    if f != (0, 0):
+                        _put(m[i], c, (0, 0))
+                        m[i] = _bareiss_step(p, f, div[i], m[i], m[c])
+                        div[i] = p
+            div[c] = prev = p
         slot = sorted(range(n), key=orig.__getitem__)  # slot[o]: the slot holding right-block column o
         cells = []
-        for re, im in m:
+        for row, q in zip(m, div):
+            (re, im), d = _over_pivot(row, q)
             row = _unlift(re, im, d)
             cells.append(tuple(row[c] for c in slot))
         return ExactMatrix._wrap(tuple(cells))
@@ -831,8 +862,12 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
     B^k is its rows times the columns of B.  Each flattened B^k, tagged with
     e_k, is reduced against the rows kept so far by the Bareiss steps that
     made them: a running fraction-free row echelon form, whose every division
-    is exact.  The first row that reduces to zero carries c_0..c_k with
-    sum c_j B^j = 0, so m_A(x) = sum c_j x^j / (c_k d^(k-j)).
+    is exact.  The steps are lazy, as in ``rref``: a kept row whose pivot
+    column holds a zero in the power is skipped, and a power is caught up to
+    the last pivot only when it is kept.  The first power that reduces to
+    zero carries, up to one nonzero factor, c_0..c_k with sum c_j B^j = 0, so
+    m_A(x) = sum c_j x^j / (c_k d^(k-j)); only the ratios of its tag entries
+    are read.
     """
     if not A.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
@@ -843,21 +878,27 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
     cols = [(bre[j::n], None if bim is None else bim[j::n]) for j in range(n)]
     power = [([int(i == j) for j in range(n)], [0] * n if cplx else None) for i in range(n)]
     kept = []  # (pivot column, pivot, row) in the order the rows were reduced
+    prev = (1, 0)  # the last kept pivot
     k = 0
     while True:  # Cayley-Hamilton: at most n + 1 powers, so the tag has n + 1 slots
         tag = [0] * (n + 1)
         tag[k] = 1
         w = ([x for re, _ in power for x in re] + tag, [x for _, im in power for x in im] + [0] * (n + 1) if cplx else None)
-        prev = (1, 0)
+        div = (1, 0)  # the pivot w was last brought up to date with
         for c, p, row in kept:
-            w = _bareiss_step(p, _entry(w, c), prev, w, row)
-            prev = p
+            f = _entry(w, c)
+            if f != (0, 0):
+                w = _bareiss_step(p, f, div, w, row)
+                div = p
         c = next((j for j in range(size) if _entry(w, j) != (0, 0)), None)
         if c is None:
             break
-        kept.append((c, _entry(w, c), w))
+        if div != prev:
+            w = _bareiss_step(prev, (0, 0), div, w, w)
+        prev = _entry(w, c)
+        kept.append((c, prev, w))
         power = [_dots(row, cols) for row in power]
         k += 1
     tag = (w[0][size:size + k + 1], None if w[1] is None else w[1][size:size + k + 1])
-    [(re, im)], den = _over_pivot([tag], _entry(tag, k))
+    (re, im), den = _over_pivot(tag, _entry(tag, k))
     return RationalPolynomial([_scalar(a, 0 if im is None else im[j], den * d ** (k - j)) for j, a in enumerate(re)])

@@ -167,8 +167,8 @@ def perm_matrix(p: Permutation, m: int) -> ExactMatrix:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m}")
     one_ = GaussianRational.ONE
     zero = GaussianRational.ZERO
-    return ExactMatrix([[one_ if p(j) == i else zero for j in range(1, m + 1)]
-                        for i in range(1, m + 1)])
+    images = [p(j) for j in range(1, m + 1)]
+    return ExactMatrix([[one_ if img == i else zero for img in images] for i in range(1, m + 1)])
 
 
 def std_rep_matrix(p: Permutation, m: int) -> ExactMatrix:

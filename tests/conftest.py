@@ -16,7 +16,7 @@ import tempfile
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from wittmat import ExactMatrix, GaussianRational, Multivector, WittMonomial
+from wittmat import ExactMatrix, GaussianRational, Multivector, Permutation, WittMonomial
 
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "wittmat-hypothesis"))
 settings.register_profile("wittmat", derandomize=True, deadline=None, database=None)
@@ -53,3 +53,9 @@ def rand_mv(rng: random.Random, n: int, complexified: bool = False, max_terms: i
 def rand_matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool = False) -> ExactMatrix:
     draw = rand_gauss if complex_entries else rand_real_gauss
     return ExactMatrix([[draw(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def rand_perm(rng: random.Random, m: int) -> Permutation:
+    images = list(range(1, m + 1))
+    rng.shuffle(images)
+    return Permutation(images)

@@ -17,12 +17,15 @@ from wittmat import (
     ExactMatrix,
     GaussianRational,
     InputError,
+    Permutation,
     RationalPolynomial,
     eval_poly,
     min_poly,
+    perm_matrix,
+    std_rep_matrix,
 )
 import wittmat.exact as exact
-from conftest import rand_gauss, rand_matrix
+from conftest import rand_gauss, rand_matrix, rand_perm, rand_real_gauss
 from oracles import oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref
 
 
@@ -184,6 +187,95 @@ class TestExactMatrix:
         assert proc.stdout == "matrix is singular\n" * 3
 
 
+def _zi_row(zs):
+    """A lifted Z[i] row from (re, im) pairs."""
+    return [re for re, _ in zs], [im for _, im in zs]
+
+
+def _zi_mul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+class TestBareissStep:
+    def test_exact_division_in_z_i(self):
+        # x = q*x0 and y = q*y0, so (p*x - f*y) / q = p*x0 - f*y0
+        p, f, q = (3, 1), (1, -2), (1, 1)
+        x0, y0 = [(2, 4), (0, 5), (-1, 0)], [(1, -1), (3, 0), (2, 2)]
+        x, y = _zi_row([_zi_mul(q, z) for z in x0]), _zi_row([_zi_mul(q, z) for z in y0])
+        want = [(a[0] - b[0], a[1] - b[1]) for a, b in zip((_zi_mul(p, z) for z in x0), (_zi_mul(f, z) for z in y0))]
+        assert exact._bareiss_step(p, f, q, x, y) == _zi_row(want)
+
+    @pytest.mark.parametrize("q", [(2, 0), (1, 1), (0, 3), (2, -1)])
+    def test_inexact_division_in_z_i_raises(self, q):
+        x = _zi_row([(1, 2), (1, 0)])
+        with pytest.raises(DomainError, match=r"^inexact division in Z\[i\]"):
+            exact._bareiss_step((1, 0), (0, 0), q, x, x)
+
+    def test_inexact_division_raises_under_optimize(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "from wittmat import DomainError\n"
+            "from wittmat.exact import _bareiss_step\n"
+            "x = ([1, 1], [2, 0])\n"
+            "for q in ((2, 0), (1, 1)):\n"
+            "    try:\n"
+            "        _bareiss_step((1, 0), (0, 0), q, x, x)\n"
+            "    except DomainError as exc:\n"
+            "        print(str(exc).split(':')[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "inexact division in Z[i]\n" * 2
+
+
+class TestLazySteps:
+    """Count Bareiss steps: rows with a zero in the pivot column take none."""
+
+    @staticmethod
+    def _steps(monkeypatch, f):
+        calls = []
+        step = exact._bareiss_step
+
+        def counting(p, f_, q, x, y):
+            calls.append((f_, x[1] is not None))
+            return step(p, f_, q, x, y)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(exact, "_bareiss_step", counting)
+            f()
+        return calls
+
+    def test_permutation_matrix_takes_no_step(self, monkeypatch):
+        P = perm_matrix(rand_perm(random.Random(130), 16), 16)
+        assert self._steps(monkeypatch, P.inverse) == []
+        assert self._steps(monkeypatch, P.rref) == []
+
+    @pytest.mark.parametrize("k", [1, 8, 16])
+    def test_standard_image_of_a_transposition(self, monkeypatch, k):
+        # one all -1 column: its pivot updates the 15 other rows once
+        S = std_rep_matrix(Permutation.from_cycles([(k, 17)]), 16)
+        assert len(self._steps(monkeypatch, S.inverse)) == 15
+
+    @pytest.mark.parametrize("kind", ["real", "gauss"])
+    def test_dense_work_does_not_grow(self, monkeypatch, kind):
+        rng = random.Random(131)
+        part = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))  # never zero
+        A = ExactMatrix([[GaussianRational(part(), part() if kind == "gauss" else 0) for _ in range(6)] for _ in range(6)])
+        assert len(self._steps(monkeypatch, A.inverse)) == 6 * 5
+
+    def test_late_pivot_is_caught_up_in_z_i(self, monkeypatch):
+        M = dict(DIFFERENTIAL)["sparse-gauss-late-pivot"]
+        for f in (M.rref, M.inverse):
+            assert [cplx for f_, cplx in self._steps(monkeypatch, f) if f_ == (0, 0)] == [True]
+
+    def test_kept_power_is_caught_up_in_z_i(self, monkeypatch):
+        # A^2..A^5 skip every kept power and are caught up; A^6 reduces to zero against I
+        M = dict(DIFFERENTIAL)["sparse-gauss-monomial"]
+        steps = self._steps(monkeypatch, lambda: min_poly(M))
+        assert [cplx for f_, cplx in steps if f_ == (0, 0)] == [True] * 4
+
+
 def _tall_fraction(rng):
     return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
 
@@ -217,6 +309,43 @@ def _differential_cases():
     # zero leading entries: inverse and rref must swap rows at steps 0 and 1
     cases.append(("real-row-swaps", ExactMatrix([[0, 1, 2], [0, 0, 3], [5, 1, 1]])))
     cases.append(("gauss-row-swaps", ExactMatrix([[0, "i", 1], [0, 0, 2], ["1+i", 1, 0]])))
+    return cases + _sparse_cases(random.Random(122))
+
+
+def _sparse_cases(rng):
+    """Mostly-zero matrices, on which most lazy Bareiss steps are skipped."""
+    cases = [(f"sparse-perm{m}", perm_matrix(rand_perm(rng, m), m)) for m in (8, 16)]
+    cases.append(("sparse-std8", std_rep_matrix(rand_perm(rng, 9), 8)))
+    # upper triangular with a nonzero diagonal and a zero first super-diagonal
+    tri = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        tri[i][i] = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+        for j in range(i + 2, 6):
+            tri[i][j] = rand_real_gauss(rng)
+    cases.append(("sparse-upper-triangular", ExactMatrix(tri)))
+    blocks = [_matrix(rng, k, k, "gauss") for k in (3, 2, 3)]
+    block_diag = [[0] * 8 for _ in range(8)]
+    at = 0
+    for B in blocks:
+        for i, row in enumerate(B.cells):
+            block_diag[at + i][at:at + B.cols] = row
+        at += B.rows
+    cases.append(("sparse-gauss-block-diagonal", ExactMatrix(block_diag)))
+    # row 2 skips the steps at columns 0 and 1, then pivots and is caught up in Z[i]
+    late = [list(row) for row in _matrix(rng, 5, 5, "gauss").cells]
+    late[2][0] = late[2][1] = 0
+    cases.append(("sparse-gauss-late-pivot", ExactMatrix(late)))
+    # a 6-cycle times a Gaussian diagonal: its powers A^2..A^5 meet the kept
+    # powers only in zeros, so min_poly catches each up in Z[i] as it keeps it
+    cycle = perm_matrix(Permutation.from_cycles("(123456)"), 6)
+    scale = [GaussianRational(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(6)]
+    cases.append(("sparse-gauss-monomial", ExactMatrix([[x * z for x in row] for row, z in zip(cycle.cells, scale)])))
+    # rank 3 of 7: two zero rows, a repeated row and a multiple of another
+    rows = [[rand_real_gauss(rng) if rng.random() < 0.3 else 0 for _ in range(7)] for _ in range(3)]
+    rows[0][0] = rows[1][3] = rows[2][5] = GaussianRational(1)
+    zero_row = [0] * 7
+    cases.append(("sparse-rank-deficient", ExactMatrix([zero_row, rows[0], rows[1], rows[0], zero_row, rows[2],
+                                                        [2 * x for x in rows[1]]])))
     return cases
 
 
@@ -254,7 +383,7 @@ class TestAgainstFractionOracle:
         rng = random.Random(121)
         mats = [_matrix(rng, 4, 4, kind) for kind in ("real", "gauss", "tall")]
         mats.append(ExactMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]))
-        mats += [M for _, M in DIFFERENTIAL if M.is_square and M.rows <= 5]
+        mats += [M for label, M in DIFFERENTIAL if M.is_square and (M.rows <= 5 or label.startswith("sparse-"))]
         assert [str(min_poly(M)) for M in mats] == [str(oracle_min_poly(M)) for M in mats]
 
 
@@ -291,6 +420,14 @@ PINNED = {
     "gauss-imaginary-column": ("155ff652a24f084c", "8c57c91c15989e02"),
     "real-row-swaps": ("ce74e1b0777f0995", "2d86a29bf5936414"),
     "gauss-row-swaps": ("0dcc669f6e6c6d85", "04c9d2ecde92faad"),
+    "sparse-perm8": ("78946ef4e92d0833", "cda87dff8f9a195f"),
+    "sparse-perm16": ("faf72c479f126a5d", "cda87dff8f9a195f"),
+    "sparse-std8": ("6f9df874bc91cb91", "499b4de541073565"),
+    "sparse-upper-triangular": ("44a30cfb75d4994a", "c6ba253cb06dbdf0"),
+    "sparse-gauss-block-diagonal": ("dd12f93a7000efff", "bf78d2adc51d3b66"),
+    "sparse-gauss-late-pivot": ("7fabb76dd0609a1d", "7e4cefa3f2db008c"),
+    "sparse-gauss-monomial": ("cb15bdaa4d9e6667", "5ba5d891872b4f3f"),
+    "sparse-rank-deficient": (None, "837434795a2d4cfa"),
 }
 SQUARE = [(label, M) for label, M in DIFFERENTIAL if M.is_square]
 
@@ -326,9 +463,17 @@ _REAL = st.builds(GaussianRational, _SMALL)
 _GAUSS = st.builds(GaussianRational, _SMALL, _SMALL)
 
 
-def _matrices(rows, cols):
+def _sparse(entry):
+    """entry or zero, each about half the time."""
+    return st.tuples(st.booleans(), entry).map(lambda t: t[1] if t[0] else GaussianRational.ZERO)
+
+
+_SPARSE_KINDS = (_sparse(_REAL), _sparse(_GAUSS))
+
+
+def _matrices(rows, cols, kinds=(_REAL, _GAUSS)):
     """Real or Gaussian matrices, one kind per matrix: rref and * take a separate path for each."""
-    return st.sampled_from([_REAL, _GAUSS]).flatmap(
+    return st.sampled_from(kinds).flatmap(
         lambda entry: st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     ).map(ExactMatrix)
 
@@ -354,6 +499,25 @@ class TestProperties:
     def test_rref_idempotent(self, A):
         red, pivots = A.rref()
         assert red.rref() == (red, pivots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(lambda s: _matrices(*s, kinds=_SPARSE_KINDS)))
+    def test_sparse_rref_matches_oracle(self, A):
+        red, pivots = A.rref()
+        want_red, want_pivots = oracle_rref(A)
+        assert pivots == want_pivots
+        assert _json(red) == _json(want_red)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n, kinds=_SPARSE_KINDS)))
+    def test_sparse_inverse_is_two_sided(self, A):
+        if A.rank() < A.rows:
+            with pytest.raises(DomainError, match="^matrix is singular$"):
+                A.inverse()
+            return
+        eye = ExactMatrix.identity(A.rows)
+        inv = A.inverse()
+        assert A * inv == eye and inv * A == eye
 
     @settings(max_examples=40, deadline=None)
     @given(_chain())

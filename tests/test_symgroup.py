@@ -37,12 +37,7 @@ from wittmat import (
     wedge_ab,
     zero,
 )
-
-
-def rand_perm(rng: random.Random, m: int) -> Permutation:
-    images = list(range(1, m + 1))
-    rng.shuffle(images)
-    return Permutation(images)
+from conftest import rand_perm
 
 
 class TestPermutation:
@@ -135,6 +130,22 @@ class TestMatrixImages:
             perm_matrix(Permutation.from_cycles("(16)"), 5)
         with pytest.raises(DomainError):
             std_rep_matrix(Permutation.from_cycles("(16)"), 4)
+
+    def test_perm_matrix_columns_are_unit_vectors_at_images(self):
+        rng = random.Random(164)
+        for m in range(1, 17):
+            for _ in range(3):
+                p = rand_perm(rng, m)
+                want = ExactMatrix([[1 if p(j) == i else 0 for j in range(1, m + 1)] for i in range(1, m + 1)])
+                assert perm_matrix(p, m) == want
+
+    def test_perm_matrix_errors(self):
+        with pytest.raises(InputError, match="at least one row"):
+            perm_matrix(Permutation([1]), 0)
+        with pytest.raises(DomainError, match="degree overflow"):
+            perm_matrix(Permutation.from_cycles("(13)"), 2)
+        with pytest.raises(DomainError, match="degree overflow"):
+            perm_matrix(Permutation.from_cycles([(5, 17)]), 16)
 
 
 class TestGeomPerm:
