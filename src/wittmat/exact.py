@@ -21,6 +21,20 @@ power that reduces to zero.  A matrix with no imaginary part runs on plain
 ints, any other on (re, im) pairs in Z[i].  Scalars are built again only for
 the result, so every output equals the plain Fraction computation.
 
+An ExactMatrix holds its entries in one of two forms.  Matrices built from
+scalars hold their cells.  Producers that already hold integers, the
+spectral matrices of spectral.to_matrix, the symgroup matrices and the
+product of two such matrices, hand over the flat form instead: every entry,
+row-major, as integer numerators over one denominator (den, re, im), im None
+exactly when no entry has an imaginary part.  The cells of a flat matrix are
+built on their first read and then kept.  ``from_matrix``, ``min_poly``,
+elimination and ``*`` read the integers of the flat form directly, so a
+matrix that only passes between them never builds a scalar.  Elimination and
+``min_poly`` first divide each row (or the whole matrix) down to its least
+common denominator, so they see the integers a lift of the cells would give.
+One helper, ``_flat_product``, multiplies two flat matrices; dense
+Multivector products use it too.
+
 The Bareiss steps are lazy, so sparse matrices skip most of them.  A step
 with pivot p after pivot q only scales a row whose entry in the pivot column
 is zero, to p*row / q.  So each row keeps ``div``, the pivot it was last
@@ -36,7 +50,7 @@ by its own ``div``.  A permutation matrix takes no step at all.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -229,9 +243,9 @@ def _as_scalar(x) -> GaussianRational:
 # A vector of GaussianRationals is carried as integer numerators over one
 # common denominator: parallel lists of real and imaginary numerators, the
 # imaginary list None on the real path (no entry has an imaginary part).
-# ExactMatrix products and elimination lift rows and columns; Multivector
-# products (witt._product_sum) and the matrix bridge (witt._to_cells and
-# witt._from_cells) lift coefficient lists.
+# ExactMatrix products and elimination lift rows and columns, or take them
+# from a matrix's flat form; Multivector products (witt._product_sum) and the
+# matrix bridge (witt._to_cells and witt._from_cells) lift coefficient lists.
 
 _FRACTION_ZERO = Fraction(0)
 
@@ -247,6 +261,14 @@ def _lift(entries, cplx: bool):
         [x.re.numerator * (den // x.re.denominator) for x in entries],
         [x.im.numerator * (den // x.im.denominator) for x in entries],
     )
+
+
+def _reduced(den: int, re, im):
+    """(den, re, im) over the least common denominator: den and every numerator divided by their gcd."""
+    g = gcd(den, *re, *(im or ()))
+    if g == 1:
+        return den, re, im
+    return den // g, [x // g for x in re], None if im is None else [x // g for x in im]
 
 
 def _scalar(re: int, im: int, den: int) -> GaussianRational:
@@ -296,6 +318,25 @@ def _dots(row, cols):
     )
 
 
+def _flat_product(left, right, inner: int, width: int):
+    """The product of flat row-major integer matrices, left with inner columns and right with width columns.
+
+    Each side, and the product, is (re, im) with im None on the real path;
+    the product's im is None only when both sides' are.
+    """
+    (lre, lim), (rre, rim) = left, right
+    if (lim is None) != (rim is None):
+        lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
+    cols = [(rre[c::width], None if rim is None else rim[c::width]) for c in range(width)]
+    re, im = [], None if lim is None else []
+    for r in range(0, len(lre), inner):
+        x, y = _dots((lre[r : r + inner], None if lim is None else lim[r : r + inner]), cols)
+        re += x
+        if im is not None:
+            im += y
+    return re, im
+
+
 def _bareiss_step(p, f, q, x, y):
     """The row (p*x - f*y) / q, for (re, im) scalars p, f, q and lifted rows x, y.
 
@@ -321,31 +362,48 @@ def _bareiss_step(p, f, q, x, y):
     return outr, outi
 
 
+_EMPTY_MATRIX = "matrix needs at least one row and column"
+
+
 class ExactMatrix:
     """Dense matrix of GaussianRational entries.
 
     ``rref`` and ``*`` work fraction-free on integer numerators, each row over
-    one common denominator (Bareiss 1968); see the module docstring.
+    one common denominator (Bareiss 1968); see the module docstring.  A matrix
+    holds its cells, or the flat integer form (den, re, im) of all its entries,
+    row-major; then ``cells`` is built on its first read and kept.
     """
 
-    __slots__ = ("rows", "cols", "cells")
+    __slots__ = ("rows", "cols", "_cells", "_flat")
 
     def __init__(self, rows_of_entries: Iterable[Sequence]):
         cells = tuple(tuple(_as_scalar(x) for x in row) for row in rows_of_entries)
         if not cells or not cells[0]:
-            raise InputError("matrix needs at least one row and column")
+            raise InputError(_EMPTY_MATRIX)
         width = len(cells[0])
         if any(len(r) != width for r in cells):
             raise InputError("ragged matrix rows")
         object.__setattr__(self, "rows", len(cells))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_flat", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
         return ExactMatrix, (self.cells,)
+
+    @property
+    def cells(self) -> tuple:
+        """The entries as a tuple of row tuples of GaussianRationals."""
+        cells = self._cells
+        if cells is None:
+            den, re, im = self._flat
+            flat, w = _unlift(re, im, den), self.cols
+            cells = tuple(tuple(flat[r : r + w]) for r in range(0, len(flat), w))
+            object.__setattr__(self, "_cells", cells)
+        return cells
 
     # -- constructors ------------------------------------------------------
 
@@ -355,7 +413,23 @@ class ExactMatrix:
         M = object.__new__(cls)
         object.__setattr__(M, "rows", len(cells))
         object.__setattr__(M, "cols", len(cells[0]))
-        object.__setattr__(M, "cells", cells)
+        object.__setattr__(M, "_cells", cells)
+        object.__setattr__(M, "_flat", None)
+        return M
+
+    @classmethod
+    def _from_flat(cls, rows: int, cols: int, den: int, re: list, im) -> "ExactMatrix":
+        """The rows x cols matrix with entry (r, c) equal to (re[k] + im[k]*i) / den, k = r * cols + c.
+
+        im is None on the real path, and an all-zero im is dropped to None.
+        """
+        if rows < 1 or cols < 1:
+            raise InputError(_EMPTY_MATRIX)
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", rows)
+        object.__setattr__(M, "cols", cols)
+        object.__setattr__(M, "_cells", None)
+        object.__setattr__(M, "_flat", (den, re, im if im is not None and any(im) else None))
         return M
 
     @classmethod
@@ -444,14 +518,17 @@ class ExactMatrix:
                 raise DimensionMismatch(
                     f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})"
                 )
+            if self._flat is not None and other._flat is not None:
+                (d, *left), (e, *right) = self._flat, other._flat
+                re, im = _flat_product(left, right, self.cols, other.cols)
+                return ExactMatrix._from_flat(self.rows, other.cols, d * e, re, im)
             # rows of self over d, columns of other over e: C_ij = (row . col) / (d e)
             cplx = self._has_imag() or other._has_imag()
-            lifted = [_lift(col, cplx) for col in zip(*other.cells)]
+            lifted = other._lines(cplx, columns=True)
             dens = [e for e, _, _ in lifted]
             cols = [(re, im) for _, re, im in lifted]
             cells = []
-            for row in self.cells:
-                d, *ab = _lift(row, cplx)
+            for d, *ab in self._lines(cplx):
                 re, im = _dots(ab, cols)
                 cells.append(tuple(_scalar(a, b, d * e) for a, b, e in zip(re, im or [0] * len(re), dens)))
             return ExactMatrix._wrap(tuple(cells))
@@ -467,7 +544,38 @@ class ExactMatrix:
     __matmul__ = __mul__
 
     def _has_imag(self) -> bool:
+        if self._flat is not None:
+            return self._flat[2] is not None
         return any(x.im for row in self.cells for x in row)
+
+    def _lifted(self):
+        """(den, re, im): every entry, row-major, over one denominator, im None when no entry has an imaginary part.
+
+        A flat matrix returns its own lists, which callers only read, and its
+        denominator, which need not be the least: a product's is d1 * d2.
+        """
+        if self._flat is not None:
+            return self._flat
+        return _lift([x for row in self.cells for x in row], self._has_imag())
+
+    def _lines(self, cplx: bool, columns: bool = False) -> list:
+        """(den, re, im) for each row, or each column, of self, over its least common denominator.
+
+        im is a list exactly when cplx.  A line of a flat matrix is reduced
+        from the matrix's denominator, a line of cells is lifted.  Each call
+        returns fresh lists.
+        """
+        if self._flat is None:
+            return [_lift(line, cplx) for line in (zip(*self.cells) if columns else self.cells)]
+        den, re, im = self._flat
+        if cplx and im is None:
+            im = [0] * len(re)
+        w = self.cols
+        if columns:
+            lines = [slice(c, None, w) for c in range(w)]
+        else:
+            lines = [slice(r, r + w) for r in range(0, len(re), w)]
+        return [_reduced(den, re[s], None if im is None else im[s]) for s in lines]
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.cells)))
@@ -512,8 +620,7 @@ class ExactMatrix:
         factors, so the pivots are those of plain Gauss-Jordan.  The RREF is
         each integer row over its own ``div``.
         """
-        cplx = self._has_imag()
-        m = [_lift(row, cplx)[1:] for row in self.cells]
+        m = [(re, im) for _, re, im in self._lines(self._has_imag())]
         div = [(1, 0)] * self.rows  # the pivot each row was last brought up to date with
         pivots = []
         prev = (1, 0)
@@ -578,8 +685,7 @@ class ExactMatrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        cplx = self._has_imag()
-        lifted = [_lift(row, cplx) for row in self.cells]
+        lifted = self._lines(self._has_imag())
         dens = [den for den, _, _ in lifted]
         m = [(re, im) for _, re, im in lifted]
         orig = list(range(n))  # original index of the row at each position
@@ -873,8 +979,8 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = A.rows
     size = n * n
-    cplx = A._has_imag()
-    d, bre, bim = _lift([x for row in A.cells for x in row], cplx)
+    d, bre, bim = _reduced(*A._lifted())
+    cplx = bim is not None
     cols = [(bre[j::n], None if bim is None else bim[j::n]) for j in range(n)]
     power = [([int(i == j) for j in range(n)], [0] * n if cplx else None) for i in range(n)]
     kept = []  # (pivot column, pivot, row) in the order the rows were reduced

@@ -18,6 +18,8 @@ into six x05 eigenvalues and one 2x2 block.
 from __future__ import annotations
 
 import functools
+from math import lcm
+from operator import sub
 from typing import NamedTuple
 
 from . import _EXPORTS
@@ -61,19 +63,24 @@ def commutant(generators) -> CommutantBasis:
     for G in gens:
         if G.rows != G.cols or G.rows != m:
             raise DimensionMismatch("generators must be square matrices of equal size")
-    zero = GaussianRational.ZERO
-    rows = []
-    # unknown X flattened row-major: variable (i,l) at index i*m + l
-    for G in gens:
-        for i in range(m):
-            for j in range(m):
-                row = [zero] * (m * m)
-                for l in range(m):
-                    row[i * m + l] = row[i * m + l] + G.cells[l][j]
-                    row[l * m + j] = row[l * m + j] - G.cells[i][l]
-                rows.append(row)
+    # unknown X flattened row-major: variable (i,l) at index i*m + l; equation
+    # (i,j) of G is sum_l X[i][l] G[l][j] - G[i][l] X[l][j] = 0, its integer
+    # row built from G's numerators over the generators' common denominator
+    lifted = [G._lifted() for G in gens]
+    den = lcm(*(d for d, _, _ in lifted))
+    cplx = any(im is not None for _, _, im in lifted)
+    re, im = [], [] if cplx else None
+    for d, g_re, g_im in lifted:
+        for out, g in ((re, g_re), (im, g_im or [0] * (m * m))) if cplx else ((re, g_re),):
+            g = [x * (den // d) for x in g]
+            for i in range(m):
+                for j in range(m):
+                    row = [0] * (m * m)
+                    row[i * m : i * m + m] = g[j::m]
+                    row[j::m] = map(sub, row[j::m], g[i * m : i * m + m])
+                    out += row
     basis = []
-    for vec in ExactMatrix(rows).nullspace():
+    for vec in ExactMatrix._from_flat(len(gens) * m * m, m * m, den, re, im).nullspace():
         basis.append(ExactMatrix([[vec[(i * m + l, 0)] for l in range(m)] for i in range(m)]))
     return CommutantBasis(generators=gens, basis=tuple(basis), dimension=len(basis))
 

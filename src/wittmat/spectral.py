@@ -18,10 +18,14 @@ above j):
                      k = popcount(c), times (-1)^popcount(c & sp(r)).
 
 to_matrix writes each monomial's entries; from_matrix sums the units of the
-nonzero entries.  Both run on integer numerators over one common denominator,
-lifted once with exact._lift (on (re, im) lists only when some input has an
-imaginary part), through witt._to_cells and witt._from_cells, the flat
-integer core that dense Multivector products share.  Nothing is cached.
+nonzero entries.  Both run on integer numerators over one common denominator
+(on (re, im) lists only when some entry has an imaginary part), through
+witt._to_cells and witt._from_cells, the flat integer core that dense
+Multivector products share.  That flat form is also the one an ExactMatrix
+can hold: to_matrix hands its integers to the matrix as they are, and
+from_matrix reads them back, so a round trip, or a product of spectral
+matrices read back, builds no matrix entry as a scalar.  Only a matrix that
+holds its cells is lifted, once, with exact._lift.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import chain
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
-from .exact import ExactMatrix, GaussianRational, _lift, _unlift
+from .exact import ExactMatrix, GaussianRational
 from .witt import Multivector, WittMonomial, _collect, _from_cells, _lifted_terms, _signed, _to_cells, _unit_terms
 
 __all__ = _EXPORTS["spectral"]
@@ -59,8 +63,7 @@ def to_matrix(g: Multivector) -> ExactMatrix:
     size = 1 << g.n
     cplx = g._has_imag()
     den, lifted = _lifted_terms(g, cplx)
-    cells = _unlift(*_to_cells(g.n, lifted, cplx), den)
-    return ExactMatrix._wrap(tuple(tuple(cells[r : r + size]) for r in range(0, size * size, size)))
+    return ExactMatrix._from_flat(size, size, den, *_to_cells(g.n, lifted, cplx))
 
 
 def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None = None) -> Multivector:
@@ -70,16 +73,12 @@ def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None 
         n = M.rows.bit_length() - 1
     if M.rows != _size(n):
         raise DimensionMismatch(f"matrix size {M.rows} is not 2^{n}")
-    flat = [x for row in M.cells for x in row]
-    cells = [k for k, x in enumerate(flat) if x]
-    nonzero = [flat[k] for k in cells]
-    cplx = any(x.im for x in nonzero)
+    den, re, im = M._lifted()
     if complexified is None:
-        complexified = cplx
-    elif cplx and not complexified:
+        complexified = im is not None
+    elif im is not None and not complexified:
         raise InputError("imaginary coefficient in a non-complexified element")
-    den, re, im = _lift(nonzero, cplx)
-    return _from_cells(n, cells, re, im, den, bool(complexified))
+    return _from_cells(n, re, im, den, bool(complexified))
 
 
 def mv_trace(g: Multivector) -> GaussianRational:

@@ -5,8 +5,10 @@ element here is its exact 2^n x 2^n matrix pulled back once by from_matrix:
 the all-ones matrix J gives A, the Casimir is C = A - 1, and the diagonalizer
 g_c keeps columns 1..m-1 of I - J/m and the last column of J/m.  Conjugation
 by g_c turns the quotient matrices of S_{m+1} (which are the permutation
-matrices on S_m) into standard-representation images.  The paper's
-doubling recursion for A,
+matrices on S_m) into standard-representation images.  Each matrix is built
+as integer numerators over its one denominator, the flat form an ExactMatrix
+can hold, so no entry becomes a scalar on the way to from_matrix.  The
+paper's doubling recursion for A,
 
     A_{2^{k+1}} = A_{2^k} (1 + 2^k (a_{k+1} + b_{k+1}) w_1 w_2 .. w_k),
 
@@ -21,7 +23,7 @@ from math import lcm
 
 from . import _EXPORTS
 from .errors import DomainError, InputError
-from .exact import ExactMatrix, GaussianRational
+from .exact import ExactMatrix
 from .spectral import from_matrix
 from .witt import Multivector, one, scalar_mv
 
@@ -165,21 +167,24 @@ def perm_matrix(p: Permutation, m: int) -> ExactMatrix:
     """The m x m matrix with column j equal to the unit vector at p(j)."""
     if p.degree > m:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m}")
-    one_ = GaussianRational.ONE
-    zero = GaussianRational.ZERO
-    images = [p(j) for j in range(1, m + 1)]
-    return ExactMatrix([[one_ if img == i else zero for img in images] for i in range(1, m + 1)])
+    re = [0] * (m * m)
+    for j in range(m):
+        re[(p(j + 1) - 1) * m + j] = 1
+    return ExactMatrix._from_flat(m, m, 1, re, None)
 
 
 def std_rep_matrix(p: Permutation, m: int) -> ExactMatrix:
     """The m x m quotient image of p in S_{m+1}: letter m+1 maps to the all -1 column."""
     if p.degree > m + 1:
         raise DomainError(f"degree overflow: permutation moves letter {p.degree} > {m + 1}")
-    one_ = GaussianRational.ONE
-    zero = GaussianRational.ZERO
-    images = [p(j) for j in range(1, m + 1)]
-    return ExactMatrix([[-one_ if img == m + 1 else one_ if img == i else zero for img in images]
-                        for i in range(1, m + 1)])
+    re = [0] * (m * m)
+    for j in range(m):
+        img = p(j + 1)
+        if img == m + 1:
+            re[j::m] = [-1] * m
+        else:
+            re[(img - 1) * m + j] = 1
+    return ExactMatrix._from_flat(m, m, 1, re, None)
 
 
 def geom_perm(p: Permutation, n: int, rep: str = "permutation") -> Multivector:
@@ -207,7 +212,7 @@ def all_ones_mv(n: int) -> Multivector:
     The paper's doubling recursion gives the same element; the tests check it.
     """
     m = _size(n)
-    return from_matrix(ExactMatrix([[1] * m for _ in range(m)]), n=n)
+    return from_matrix(ExactMatrix._from_flat(m, m, 1, [1] * (m * m), None), n=n)
 
 
 def casimir_mv(n: int) -> Multivector:
@@ -224,15 +229,15 @@ def casimir_idempotents(n: int) -> tuple[Multivector, Multivector]:
 
 
 def _gc_matrix(m: int) -> ExactMatrix:
-    """[g_c]: columns 1..m-1 of I - J/m, then the last column of J/m."""
-    return ExactMatrix([[Fraction(1, m) if c == m - 1 else int(r == c) - Fraction(1, m)
-                         for c in range(m)] for r in range(m)])
+    """[g_c]: columns 1..m-1 of I - J/m, then the last column of J/m, over the denominator m."""
+    re = [1 if c == m - 1 else m * (r == c) - 1 for r in range(m) for c in range(m)]
+    return ExactMatrix._from_flat(m, m, m, re, None)
 
 
 def _gc_inverse_matrix(m: int) -> ExactMatrix:
     """[g_c]^-1, an integer matrix: rows 1..m-1 are e_r - e_m, the last row is all ones."""
-    return ExactMatrix([[1 if r == m - 1 or r == c else -1 if c == m - 1 else 0
-                         for c in range(m)] for r in range(m)])
+    re = [1 if r == m - 1 or r == c else -1 if c == m - 1 else 0 for r in range(m) for c in range(m)]
+    return ExactMatrix._from_flat(m, m, 1, re, None)
 
 
 def surgery_gc(n: int) -> Multivector:

@@ -58,13 +58,13 @@ the live pairs of groups, while a product of 2^n x 2^n matrices takes about
 8^n integer multiply-adds inside sum(map(mul)).  _live_count finds that
 count by a subset sum over the groups' keys, without listing the pairs, and
 past one measured threshold __mul__ writes both lifted factors into
-spectral matrices with _to_cells, multiplies them by integer row-column
-dots (exact._dots) and reads the product back with _from_cells.  to_matrix
-and from_matrix in spectral.py are the same two helpers.  Both work on flat
-integer lists of 4^n entries, index row * 2^n + col for a matrix and
-a_mask * 2^n + b_mask for an element; a set s of indices that a monomial
-leaves free, or that a unit's row and column share, moves an entry by
-s * (2^n + 1).
+spectral matrices with _to_cells, multiplies them with exact._flat_product,
+the integer product of flat ExactMatrix forms, and reads the product back
+with _from_cells.  to_matrix and from_matrix in spectral.py are the same two
+helpers.  Both work on flat integer lists of 4^n entries, index
+row * 2^n + col for a matrix and a_mask * 2^n + b_mask for an element; a set
+s of indices that a monomial leaves free, or that a unit's row and column
+share, moves an entry by s * (2^n + 1).
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -81,7 +81,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _as_scalar, _dots, _format_sum, _lift, _scalar
+from .exact import GaussianRational, _as_scalar, _flat_product, _format_sum, _lift, _scalar
 
 __all__ = _EXPORTS["witt"]
 
@@ -401,30 +401,13 @@ def _to_cells(n: int, lifted, cplx: bool):
     return re, (_scatter(size, spots, [y for _, _, y in lifted]) if cplx else None)
 
 
-def _cell_product(size: int, left, right):
-    """The product of two flat size x size matrices of (re, im) integer cell lists, by row-column dots.
+def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
+    """The element whose spectral matrix holds (re[k] + im[k]*i) / den at flat index k = row * 2^n + col.
 
-    Returns its nonzero cells as (cells, re, im): the flat indices and their
-    numerators, im None on the real path.
-    """
-    (lre, lim), (rre, rim) = left, right
-    cols = [(rre[c::size], None if rim is None else rim[c::size]) for c in range(size)]
-    re, im = [], None if lim is None else []
-    for r in range(0, size * size, size):
-        x, y = _dots((lre[r : r + size], None if lim is None else lim[r : r + size]), cols)
-        re += x
-        if im is not None:
-            im += y
-    cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
-    return cells, [re[k] for k in cells], None if im is None else [im[k] for k in cells]
-
-
-def _from_cells(n: int, cells, re, im, den: int, complexified: bool) -> "Multivector":
-    """The element whose spectral matrix holds (re[j] + im[j]*i) / den at flat index cells[j], and 0 elsewhere.
-
-    im is None on the real path.  The unit E_{rc} is the monomial
-    (full & ~r, full & ~c) with sign (-1)^(k(k-1)/2) for k = popcount(c),
-    times (-1)^popcount(c & sp(r)), times (1 - ab) at each index of r & c.
+    im is None on the real path; only the nonzero cells are scattered.  The
+    unit E_{rc} is the monomial (full & ~r, full & ~c) with sign
+    (-1)^(k(k-1)/2) for k = popcount(c), times (-1)^popcount(c & sp(r)),
+    times (1 - ab) at each index of r & c.
     Each subset s of r & c moves its term from a_mask * 2^n + b_mask by
     s * (2^n + 1), with sign (-1)^popcount(s).  Each coefficient is built
     once, and zero sums are dropped.
@@ -432,17 +415,18 @@ def _from_cells(n: int, cells, re, im, den: int, complexified: bool) -> "Multive
     size = 1 << n
     full = size - 1
     sp = [_suffix_parity(r) for r in range(size)]
+    cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
     spots = []
     for k in cells:
         r, c = k >> n, k & full
         spots.append(((full ^ r) * size + (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & sp[r]).bit_count()))
-    out_re = _scatter(size, spots, re)
+    out_re = _scatter(size, spots, [re[k] for k in cells])
     if im is None:
         terms = {
             WittMonomial(n, k >> n, k & full): _scalar(out_re[k], 0, den) for k in compress(range(size * size), out_re)
         }
     else:
-        out_im = _scatter(size, spots, im)
+        out_im = _scatter(size, spots, [im[k] for k in cells])
         terms = {
             WittMonomial(n, k >> n, k & full): _scalar(out_re[k], out_im[k], den)
             for k in compress(range(size * size), map(or_, out_re, out_im))
@@ -559,8 +543,9 @@ class Multivector:
         bound = max(_BRIDGE_DENSITY * 8**n, _BRIDGE_FLOOR)
         # no more terms are live than there are pairs, so the count is skipped below that
         if len(left) * len(right) > bound and _live_count(n, left, right) > bound:
-            cells = _cell_product(1 << n, _to_cells(n, left, cplx), _to_cells(n, right, cplx))
-            return _from_cells(n, *cells, d1 * d2, comp)
+            size = 1 << n
+            re, im = _flat_product(_to_cells(n, left, cplx), _to_cells(n, right, cplx), size, size)
+            return _from_cells(n, re, im, d1 * d2, comp)
         terms = _product_sum(left, right, d1 * d2, cplx)
         return self._make(n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, comp)
 

@@ -19,9 +19,16 @@ GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
 that reach their special cases: zero leading entries that force row swaps,
 singular matrices, low rank, nilpotent Jordan blocks, permutations,
 diagonals with repeated eigenvalues, 1x1, zero and identity matrices.
+
+Spectral matrices in the flat integer form that to_matrix hands over are
+compared with their eager copies, ExactMatrix(M.cells), at ranks 0..6 under
+every reader: equality, hashing, copies, text forms, elimination, min_poly,
+from_matrix and products in each mix of the two forms.
 """
 
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 from contextlib import contextmanager
@@ -38,11 +45,14 @@ from wittmat import (
     GaussianRational,
     InputError,
     Multivector,
+    RationalPolynomial,
     WittMonomial,
     block_assemble,
     block_split,
     from_matrix,
     min_poly,
+    one,
+    scalar_mv,
     to_matrix,
     u,
     u_dag,
@@ -280,8 +290,8 @@ class TestProductPaths:
 
     def test_bridge_runs_past_the_threshold_only(self, monkeypatch):
         calls = []
-        cell_product = witt._cell_product
-        monkeypatch.setattr(witt, "_cell_product", lambda *args: calls.append(args[0]) or cell_product(*args))
+        flat_product = witt._flat_product
+        monkeypatch.setattr(witt, "_flat_product", lambda *args: calls.append(args[2]) or flat_product(*args))
         rng = random.Random(900)
         dense = [seeded(4, rng.sample(basis(4), 85), 901 + i, "real") for i in range(2)]
         sparse = [seeded(4, rng.sample(basis(4), 8), 903 + i, "real") for i in range(2)]
@@ -448,3 +458,94 @@ class TestEliminationAgainstOracle:
     def test_min_poly(self, kind, data):
         M = data.draw(min_poly_cases(kind))
         assert str(min_poly(M)) == str(oracles.oracle_min_poly(M))
+
+
+# -- ExactMatrix in its flat form ---------------------------------------------
+
+
+KINDS = {"real": (SMALL, False), "complex": (SMALL, True), "tall": (TALL, False), "mixed": (PARTS, True)}
+
+
+@st.composite
+def elements(draw, ranks):
+    """A real, complexified, tall or mixed element; half of them plus a scalar, so that the matrix is often invertible."""
+    n = draw(ranks)
+    parts, imag = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    coeffs = st.builds(GaussianRational, parts, parts if imag else st.just(0))
+    monos = st.builds(WittMonomial, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    g = Multivector(n, draw(st.dictionaries(monos, coeffs, max_size=12)), complexified=imag)
+    return g + draw(coeffs) if draw(st.booleans()) else g
+
+
+def result(f):
+    """What f() returns, in comparable form, or the type and text of the error it raises."""
+    try:
+        out = f()
+    except (DomainError, InputError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):  # rref
+        return out[0].to_json(), out[1]
+    if isinstance(out, Multivector):
+        return as_bytes(out), out.complexified
+    return str(out) if isinstance(out, RationalPolynomial) else out.to_json()
+
+
+class TestFlatMatrices:
+    """to_matrix hands over its integers, the flat form; every reader of that form must act as on the cells.
+
+    Elements are drawn real, complexified, tall (12-digit numerators) or
+    mixed, and each flat matrix is checked against its eager copy
+    ExactMatrix(M.cells).  Elimination and from_matrix run on a fresh flat
+    matrix, which must still hold no cells afterwards.
+    """
+
+    @staticmethod
+    def check_against_eager(g):
+        E = ExactMatrix(to_matrix(g).cells)
+        M = to_matrix(g)
+        assert M._cells is None
+        assert M == E and E == M and hash(M) == hash(E)
+        assert pickle.dumps(to_matrix(g)) == pickle.dumps(E)
+        for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            out = clone(to_matrix(g))
+            assert out == E and hash(out) == hash(E)
+        assert to_matrix(g).to_json() == E.to_json()
+        assert to_matrix(g).pretty() == E.pretty()
+        assert to_matrix(g).transpose() == E.transpose()
+        assert to_matrix(g).trace() == E.trace()
+        readers = [ExactMatrix.rref, ExactMatrix.inverse, min_poly]
+        readers += [lambda A, c=c: from_matrix(A, g.n, c) for c in (None, True, False)]
+        for read in readers:
+            M = to_matrix(g)
+            assert result(lambda: read(M)) == result(lambda: read(E))
+            assert M._cells is None
+
+    @settings(max_examples=100)
+    @given(elements(st.integers(0, 5)))
+    def test_against_eager(self, g):
+        self.check_against_eager(g)
+
+    @settings(max_examples=4)
+    @given(elements(st.just(6)))
+    def test_against_eager_rank_6(self, g):
+        self.check_against_eager(g)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(elements(st.just(n)), elements(st.just(n)))))
+    def test_products(self, gh):
+        g, h = gh
+        eager = [ExactMatrix(to_matrix(x).cells) for x in gh]
+        want = eager[0] * eager[1]
+        flat = to_matrix(g) * to_matrix(h)
+        assert flat._cells is None
+        for got in (flat, to_matrix(g) * eager[1], eager[0] * to_matrix(h)):
+            assert got == want and got.to_json() == want.to_json()
+            assert got._has_imag() == want._has_imag()
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_imaginary_parts_that_cancel(self, n):
+        i = GaussianRational.I
+        P = to_matrix(scalar_mv(n, i)) * to_matrix(scalar_mv(n, -i))
+        assert P._flat[2] is None and P == ExactMatrix.identity(1 << n)
+        g = from_matrix(P)
+        assert g == one(n) and not g.complexified

@@ -56,6 +56,35 @@ class TestCommutant:
         N = ExactMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert commutant([N]).dimension == 3
 
+    def test_matches_the_scalar_equations(self):
+        # the equations X G - G X = 0 summed entry by entry in GaussianRationals, as the reference
+        def reference(gens):
+            m = gens[0].rows
+            rows = []
+            for G in gens:
+                for i in range(m):
+                    for j in range(m):
+                        row = [GaussianRational.ZERO] * (m * m)
+                        for l in range(m):
+                            row[i * m + l] = row[i * m + l] + G[(l, j)]
+                            row[l * m + j] = row[l * m + j] - G[(i, l)]
+                        rows.append(row)
+            return [[[v[(i * m + l, 0)] for l in range(m)] for i in range(m)] for v in ExactMatrix(rows).nullspace()]
+
+        rng = random.Random(330)
+        i = GaussianRational.I
+        diag_i = ExactMatrix([[i * (r + 1) if r == c else 0 for c in range(4)] for r in range(4)])
+        cases = [
+            [to_matrix(rand_mv(rng, 2, False, 6)), to_matrix(rand_mv(rng, 2, True, 6))],
+            [ExactMatrix([[rand_fraction(rng) for _ in range(3)] for _ in range(3)]) for _ in range(2)],
+            [ExactMatrix.identity(4).scale(i), to_matrix(b(2, 1)) * to_matrix(u(2, 2))],  # imaginary parts cancel
+            [perm_matrix(Permutation.from_cycles("(123)"), 4), diag_i],
+        ]
+        for gens in cases:
+            got = commutant(gens)
+            assert [B.to_json() for B in got.basis] == [ExactMatrix(B).to_json() for B in reference(gens)]
+            assert got.dimension == len(got.basis) > 0
+
     def test_errors(self):
         with pytest.raises(InputError):
             commutant([])

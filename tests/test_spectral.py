@@ -1,9 +1,11 @@
 """Spectral units, matrix representation, and block structure."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from wittmat import exact, witt
 from wittmat import (
     DimensionMismatch,
     DomainError,
@@ -11,23 +13,26 @@ from wittmat import (
     GaussianRational,
     InputError,
     Multivector,
+    WittMonomial,
     a,
     b,
     block_assemble,
     block_split,
     det2,
     from_matrix,
+    geom_perm,
     mv_inverse,
     mv_trace,
     one,
     spectral_table,
     spectral_unit,
+    standard_irrep,
     to_matrix,
     u,
     zero,
 )
 from wittmat import reduce_word
-from conftest import rand_matrix, rand_mv
+from conftest import rand_matrix, rand_mv, rand_perm
 from oracles import reduce_tokens
 
 
@@ -261,3 +266,51 @@ class TestBlocks:
             block_split(one(0))
         with pytest.raises(DimensionMismatch):
             block_assemble(one(1), one(1), one(1), one(2))
+
+
+class TestNoHiddenCells:
+    """Matrices passed from to_matrix to from_matrix, or multiplied between, build no scalar entries."""
+
+    @staticmethod
+    def _unlifts(monkeypatch, f):
+        """The sizes of the exact._unlift calls f makes: each call builds one matrix's cells."""
+        calls = []
+        unlift = exact._unlift
+
+        def counting(re, im, den):
+            calls.append(len(re))
+            return unlift(re, im, den)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(exact, "_unlift", counting)
+            f()
+        return calls
+
+    def test_bridge_builds_no_cells(self, monkeypatch):
+        rng = random.Random(140)
+        for n, cplx in ((4, False), (4, True), (6, False)):
+            g, h = rand_mv(rng, n, cplx, 12), rand_mv(rng, n, cplx, 12)
+            p = rand_perm(rng, 1 << n)
+            for f in (
+                lambda: from_matrix(to_matrix(g)),
+                lambda: from_matrix(to_matrix(g) * to_matrix(h)),
+                lambda: geom_perm(p, n),
+                lambda: geom_perm(p, n, rep="standard"),
+                lambda: standard_irrep(p, n),
+            ):
+                assert self._unlifts(monkeypatch, f) == []
+
+    def test_dense_bridge_product_builds_no_cells(self, monkeypatch):
+        size = 1 << 4
+        g = Multivector(4, {WittMonomial(4, k >> 4, k & 15): Fraction(k + 1, 3) for k in range(size * size)})
+        bridged = []
+        flat_product = witt._flat_product
+        monkeypatch.setattr(witt, "_flat_product", lambda *args: bridged.append(args[2]) or flat_product(*args))
+        assert self._unlifts(monkeypatch, lambda: g * g) == []
+        assert bridged == [size]
+
+    def test_cells_are_built_once(self, monkeypatch):
+        M = to_matrix(rand_mv(random.Random(141), 3, True, 8))
+        reads = []
+        assert self._unlifts(monkeypatch, lambda: reads.extend((M.cells, M.cells))) == [64]
+        assert reads[0] is reads[1] is M.cells

@@ -37,6 +37,7 @@ from wittmat import (
     wedge_ab,
     zero,
 )
+from wittmat import symgroup
 from conftest import rand_perm
 
 
@@ -139,9 +140,24 @@ class TestMatrixImages:
                 want = ExactMatrix([[1 if p(j) == i else 0 for j in range(1, m + 1)] for i in range(1, m + 1)])
                 assert perm_matrix(p, m) == want
 
+    def test_std_rep_and_gc_matrices_match_their_entries(self):
+        rng = random.Random(165)
+        for m in range(1, 17):
+            p = rand_perm(rng, m + 1)
+            images = [p(j) for j in range(1, m + 1)]
+            want = ExactMatrix([[-1 if img == m + 1 else int(img == i) for img in images] for i in range(1, m + 1)])
+            assert std_rep_matrix(p, m) == want
+            gc = ExactMatrix([[Fraction(1, m) if c == m - 1 else int(r == c) - Fraction(1, m) for c in range(m)]
+                              for r in range(m)])
+            gc_inv = ExactMatrix([[1 if r == m - 1 or r == c else -1 if c == m - 1 else 0 for c in range(m)]
+                                  for r in range(m)])
+            assert symgroup._gc_matrix(m) == gc and symgroup._gc_inverse_matrix(m) == gc_inv
+
     def test_perm_matrix_errors(self):
         with pytest.raises(InputError, match="at least one row"):
             perm_matrix(Permutation([1]), 0)
+        with pytest.raises(InputError, match="at least one row"):
+            std_rep_matrix(Permutation([1]), 0)
         with pytest.raises(DomainError, match="degree overflow"):
             perm_matrix(Permutation.from_cycles("(13)"), 2)
         with pytest.raises(DomainError, match="degree overflow"):
