@@ -33,7 +33,20 @@ matrix that only passes between them never builds a scalar.  Elimination and
 ``min_poly`` first divide each row (or the whole matrix) down to its least
 common denominator, so they see the integers a lift of the cells would give.
 One helper, ``_flat_product``, multiplies two flat matrices; dense
-Multivector products use it too.
+Multivector products use it too, and the product of two flat matrices is
+kept over its least common denominator, so chains of products stay narrow.
+It multiplies whole rows by Kronecker substitution (Kronecker 1882; D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comput. 44, 2009): each row of the right factor is
+packed into one integer with a slot per entry, wide enough that no slot
+carries into the next, so a row of the product is one sum of products of
+integers, done by CPython's bignum loop, and its slots are read back
+in one struct call.  Complex rows hold their real slots low and
+their imaginary slots high, so a row costs two such sums instead of four
+dot products per entry.  Entries too wide to pack well are first divided by
+the gcd of their row (left factor) or column (right factor), and only what
+is still too wide goes cell by cell through ``_dots``.  Two flat matrices
+are compared by cross-multiplying their numerators, without building cells.
 
 The Bareiss steps are lazy, so sparse matrices skip most of them.  A step
 with pivot p after pivot q only scales a row whose entry in the pivot column
@@ -51,7 +64,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from itertools import chain, repeat
+from operator import eq, floordiv, mul
+from struct import pack, unpack
 from typing import Iterable, Sequence
 
 from . import _EXPORTS
@@ -268,7 +283,7 @@ def _reduced(den: int, re, im):
     g = gcd(den, *re, *(im or ()))
     if g == 1:
         return den, re, im
-    return den // g, [x // g for x in re], None if im is None else [x // g for x in im]
+    return den // g, list(map(floordiv, re, repeat(g))), None if im is None else list(map(floordiv, im, repeat(g)))
 
 
 def _scalar(re: int, im: int, den: int) -> GaussianRational:
@@ -318,23 +333,123 @@ def _dots(row, cols):
     )
 
 
+# struct's little-endian signed integer codes by size in bytes: _packed_product
+# packs and reads slots of these sizes in one struct call.
+_SLOT_TYPES = {2: "h", 4: "i", 8: "q"}
+# Packing doubles the digits each multiplication works through, which loses
+# to the cell-by-cell dots on slots wider than this (measured in CHANGES.md).
+_PACKED_SLOT_BITS = 512
+
+
+def _bits(*lists) -> int:
+    """The largest bit length of an integer in the lists, 0 for none; a None list is skipped."""
+    return max(max(map(int.bit_length, xs), default=0) for xs in lists if xs is not None)
+
+
 def _flat_product(left, right, inner: int, width: int):
     """The product of flat row-major integer matrices, left with inner columns and right with width columns.
 
     Each side, and the product, is (re, im) with im None on the real path;
-    the product's im is None only when both sides' are.
+    the product's im is None only when both sides' are.  The product runs
+    packed (_packed_product) while its slots need at most _PACKED_SLOT_BITS.
+    Wider entries are first divided by their contents, the gcd of each row of
+    left and of each column of right, and entry (i, j) of the product of
+    those primitive parts is multiplied back by the contents of row i and
+    column j.  Lifted rows of a sparse matrix share most of their common
+    denominator, so this narrows them a lot: the 364-bit entries of a tall
+    rank-5 spectral matrix become at most 136 bits wide, which pack again.
+    Entries still too wide go cell by cell through _dots.
     """
     (lre, lim), (rre, rim) = left, right
-    if (lim is None) != (rim is None):
-        lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
-    cols = [(rre[c::width], None if rim is None else rim[c::width]) for c in range(width)]
-    re, im = [], None if lim is None else []
-    for r in range(0, len(lre), inner):
-        x, y = _dots((lre[r : r + inner], None if lim is None else lim[r : r + inner]), cols)
-        re += x
-        if im is not None:
-            im += y
-    return re, im
+    need = _bits(lre, lim) + _bits(rre, rim) + inner.bit_length() + 2
+    if need <= _PACKED_SLOT_BITS:
+        return _packed_product(lre, lim, rre, rim, inner, width, need)
+    lg = [gcd(*lre[r : r + inner], *(lim or ())[r : r + inner]) or 1 for r in range(0, len(lre), inner)]
+    rg = [gcd(*rre[c::width], *(rim or ())[c::width]) or 1 for c in range(width)]
+    scaled = any(g != 1 for g in chain(lg, rg))
+    if scaled:
+        lf, rf = [g for g in lg for _ in range(inner)], rg * inner
+        lre, lim, rre, rim = [
+            None if xs is None else list(map(floordiv, xs, f)) for xs, f in ((lre, lf), (lim, lf), (rre, rf), (rim, rf))
+        ]
+        need = _bits(lre, lim) + _bits(rre, rim) + inner.bit_length() + 2
+    if need <= _PACKED_SLOT_BITS:
+        re, im = _packed_product(lre, lim, rre, rim, inner, width, need)
+    else:
+        if (lim is None) != (rim is None):
+            lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
+        cols = [(rre[c::width], None if rim is None else rim[c::width]) for c in range(width)]
+        re, im = [], None if lim is None else []
+        for r in range(0, len(lre), inner):
+            x, y = _dots((lre[r : r + inner], None if lim is None else lim[r : r + inner]), cols)
+            re += x
+            if im is not None:
+                im += y
+    if not scaled:
+        return re, im
+    out = list(map(mul, [g for g in lg for _ in range(width)], rg * len(lg)))
+    return list(map(mul, re, out)), None if im is None else list(map(mul, im, out))
+
+
+def _packed_rows(ints, s: int, row_bytes: int, high: int) -> list:
+    """Each run of row_bytes // s integers packed into one, sum x_j * 2^(8*s*j).
+
+    Each x is written as an s-byte two's complement slot; a negative x then
+    reads 2^(8*s) too high, which shows as its slot's top bit (in high) and
+    is taken off one slot up.
+    """
+    t = _SLOT_TYPES.get(s)
+    buf = pack(f"<{len(ints)}{t}", *ints) if t else b"".join([x.to_bytes(s, "little", signed=True) for x in ints])
+    rows = [int.from_bytes(buf[k : k + row_bytes], "little") for k in range(0, len(buf), row_bytes)]
+    return [x - ((x & high) << 1) for x in rows]
+
+
+def _slots(buf: bytes, s: int) -> list:
+    """The s-byte two's complement slots of buf, little-endian, as ints."""
+    t = _SLOT_TYPES.get(s)
+    if t:
+        return list(unpack(f"<{len(buf) // s}{t}", buf))
+    return [int.from_bytes(buf[k : k + s], "little", signed=True) for k in range(0, len(buf), s)]
+
+
+def _packed_product(lre, lim, rre, rim, inner: int, width: int, need: int):
+    """_flat_product's product of (lre, lim) by (rre, rim), whole rows at a time, with slots of need bits or more.
+
+    Kronecker substitution: row k of right is packed into the integer
+    P_k = sum_j right[k][j] * 2^(w*j), so that row i of the product is the
+    one integer sum_k left[i][k] * P_k, whose w-bit slots are its entries.
+    need is bits(max|left|) + bits(max|right|) + bit_length(inner) + 2, and
+    w is need rounded up to 16, 32, 64 or a whole byte, so every entry, real
+    or imaginary, lies within +-2^(w-1): with 2^(w-1) added to each slot no
+    slot carries into the next, and flipping each slot's top bit leaves the
+    entries as two's complement slots.  A complex row holds its real slots
+    low and its imaginary slots W = width*w bits higher: with
+    P_k = R_k + (I_k << W) and Q_k = (R_k << W) - I_k, it is
+    sum Re(left)*P + sum Im(left)*Q.
+    """
+    s = 2 if need <= 16 else 4 if need <= 32 else 8 if need <= 64 else (need + 7) // 8
+    row_bytes = s * width
+    w, W = 8 * s, 8 * row_bytes
+    high = (((1 << W) - 1) // ((1 << w) - 1)) << (w - 1)  # the top bit of each slot of a row
+    P = _packed_rows(rre, s, row_bytes, high)
+    if rim is not None:
+        I = _packed_rows(rim, s, row_bytes, high)
+        P, Q = [p + (q << W) for p, q in zip(P, I)], [(p << W) - q for p, q in zip(P, I)]
+    elif lim is not None:
+        Q = [p << W for p in P]
+    if lim is None and rim is None:
+        bias, out_bytes = high, row_bytes
+    else:
+        bias, out_bytes = high | high << W, 2 * row_bytes
+    starts = range(0, len(lre), inner)
+    if lim is None:
+        sums = [sum(map(mul, lre[r : r + inner], P)) for r in starts]
+    else:
+        sums = [sum(map(mul, lre[r : r + inner], P)) + sum(map(mul, lim[r : r + inner], Q)) for r in starts]
+    rows = [((x + bias) ^ bias).to_bytes(out_bytes, "little") for x in sums]
+    if out_bytes == row_bytes:
+        return _slots(b"".join(rows), s), None
+    return _slots(b"".join([x[:row_bytes] for x in rows]), s), _slots(b"".join([x[row_bytes:] for x in rows]), s)
 
 
 def _bareiss_step(p, f, q, x, y):
@@ -521,7 +636,7 @@ class ExactMatrix:
             if self._flat is not None and other._flat is not None:
                 (d, *left), (e, *right) = self._flat, other._flat
                 re, im = _flat_product(left, right, self.cols, other.cols)
-                return ExactMatrix._from_flat(self.rows, other.cols, d * e, re, im)
+                return ExactMatrix._from_flat(self.rows, other.cols, *_reduced(d * e, re, im))
             # rows of self over d, columns of other over e: C_ij = (row . col) / (d e)
             cplx = self._has_imag() or other._has_imag()
             lifted = other._lines(cplx, columns=True)
@@ -552,7 +667,8 @@ class ExactMatrix:
         """(den, re, im): every entry, row-major, over one denominator, im None when no entry has an imaginary part.
 
         A flat matrix returns its own lists, which callers only read, and its
-        denominator, which need not be the least: a product's is d1 * d2.
+        denominator, which need not be the least: a spectral matrix's is that
+        of its element's coefficients, whose sums may cancel.
         """
         if self._flat is not None:
             return self._flat
@@ -588,7 +704,15 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.cells == other.cells
+        if self._flat is None or other._flat is None:
+            return self.cells == other.cells
+        # two flat forms: x1 / d1 == x2 / d2 exactly when x1 * d2 == x2 * d1
+        (d1, re1, im1), (d2, re2, im2) = self._flat, other._flat
+        return (
+            (self.rows, self.cols, im1 is None) == (other.rows, other.cols, im2 is None)
+            and all(map(eq, map(mul, re1, repeat(d2)), map(mul, re2, repeat(d1))))
+            and (im1 is None or all(map(eq, map(mul, im1, repeat(d2)), map(mul, im2, repeat(d1)))))
+        )
 
     def __hash__(self):
         return hash(self.cells)

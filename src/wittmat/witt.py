@@ -54,13 +54,16 @@ built once, over the product of the two denominators.
 
 A dense product runs through the matrix isomorphism instead.  The kernel
 takes one Python step per live term, the sum of |lterms| * |rterms| over
-the live pairs of groups, while a product of 2^n x 2^n matrices takes about
-8^n integer multiply-adds inside sum(map(mul)).  _live_count finds that
-count by a subset sum over the groups' keys, without listing the pairs, and
-past one measured threshold __mul__ writes both lifted factors into
-spectral matrices with _to_cells, multiplies them with exact._flat_product,
-the integer product of flat ExactMatrix forms, and reads the product back
-with _from_cells.  to_matrix and from_matrix in spectral.py are the same two
+the live pairs of groups, while the bridge's Python work follows the 4^n
+cells of a spectral matrix: exact._flat_product, the integer product of
+flat ExactMatrix forms, packs each row of the right factor into one integer
+and takes a row of the product as one sum of 2^n integer products, so its
+8^n multiply-adds run inside CPython's bignum loop.  _live_count finds the
+kernel's count by a subset sum over the groups' keys, without listing the
+pairs, and past max(_BRIDGE_PER_CELL * 4^n, _BRIDGE_FLOOR) live terms
+__mul__ writes both lifted factors into spectral matrices with _to_cells,
+multiplies them with exact._flat_product and reads the product back with
+_from_cells.  to_matrix and from_matrix in spectral.py are the same two
 helpers.  Both work on flat integer lists of 4^n entries, index
 row * 2^n + col for a matrix and a_mask * 2^n + b_mask for an element; a set
 s of indices that a monomial leaves free, or that a unit's row and column
@@ -316,17 +319,22 @@ def _lifted_terms(g: "Multivector", cplx: bool):
     return den, list(zip(g._terms, re, im or repeat(0)))
 
 
-# A product whose live kernel terms exceed both _BRIDGE_DENSITY * 8^n and
-# _BRIDGE_FLOOR runs through the spectral matrices.  The bridge does about
-# 8^n integer multiply-adds inside sum(map(mul)) where the kernel takes one
-# Python step per live term, and it pays a fixed cost in lists and calls
-# that a product of fewer than a few hundred live terms does not repay: the
-# kernel wins at every density at rank 1, up to about 0.7 * 8^n at rank 2
-# (1.5 * 8^n with complex coefficients), and up to about 0.6 * 8^n at rank 3
-# with complex coefficients; from rank 4 on, every kind crosses over below
-# 0.4 * 8^n (grid in CHANGES.md).
-_BRIDGE_DENSITY = 0.4
-_BRIDGE_FLOOR = 400
+# A product whose live kernel terms exceed both _BRIDGE_PER_CELL * 4^n and
+# _BRIDGE_FLOOR runs through the spectral matrices.  The kernel takes one
+# Python step per live term.  The bridge's own cost follows its 4^n cells:
+# writing both factors into them, reading the product back and packing its
+# rows, while the 8^n multiply-adds of the packed product run inside
+# CPython's bignum loop.  So the crossover tracks live terms per cell, not
+# per 8^n.  In the grid of CHANGES.md (the kernel plus the live count
+# against the bridge) real products cross near 0.4-0.7 live terms per cell at
+# ranks 4-6, complex ones near 1.3-2.1 and tall ones near 2.0-2.3.  No one
+# threshold on the live count serves all three; 1.2 keeps every kind at
+# 0.81x or better of the faster path.  The floor stands for the bridge's
+# fixed cost in lists and calls and governs ranks 1-3: the kernel wins at
+# every density at rank 1, up to about 1.2 * 8^n at rank 2 and up to about
+# 0.2 * 8^n at rank 3.
+_BRIDGE_PER_CELL = 1.2
+_BRIDGE_FLOOR = 120
 
 
 def _live_count(n: int, left, right) -> int:
@@ -540,7 +548,7 @@ class Multivector:
         d1, left = _lifted_terms(self, cplx)
         d2, right = _lifted_terms(other, cplx)
         comp = self.complexified or other.complexified
-        bound = max(_BRIDGE_DENSITY * 8**n, _BRIDGE_FLOOR)
+        bound = max(_BRIDGE_PER_CELL * 4**n, _BRIDGE_FLOOR)
         # no more terms are live than there are pairs, so the count is skipped below that
         if len(left) * len(right) > bound and _live_count(n, left, right) > bound:
             size = 1 << n

@@ -12,6 +12,10 @@ lifting: every pair of terms is visited and every term is a GaussianRational
 product, summed per key.  The lifted, grouped versions must match them byte
 for byte.
 
+flat_product is the integer matrix product cell by cell, one plain sum of
+products per entry, as exact._flat_product computed it before it packed
+whole rows into single integers.
+
 The last four are the elimination layer in GaussianRational arithmetic:
 Gauss-Jordan, row-by-column products, and inverse and min_poly as they were
 before they ran on integers, an rref of [A | I] and one linear solve per
@@ -129,6 +133,22 @@ def from_matrix(M: ExactMatrix, n: int, complexified: bool | None = None) -> Mul
     if complexified is None:
         complexified = any(not x.is_real() for row in M.cells for x in row)
     return Multivector(n, terms, complexified=complexified)
+
+
+def flat_product(left, right, inner: int, width: int):
+    """Flat row-major (re, im) integer matrices, left with inner columns, multiplied cell by cell.
+
+    im is None on a real side, and in the product exactly when both sides' are.
+    """
+    (lre, lim), (rre, rim) = left, right
+    li, ri = lim or [0] * len(lre), rim or [0] * len(rre)
+    re, im = [], []
+    for i in range(len(lre) // inner):
+        for j in range(width):
+            pairs = [(i * inner + k, k * width + j) for k in range(inner)]
+            re.append(sum(lre[a] * rre[b] - li[a] * ri[b] for a, b in pairs))
+            im.append(sum(lre[a] * ri[b] + li[a] * rre[b] for a, b in pairs))
+    return re, (None if lim is None and rim is None else im)
 
 
 def oracle_rref(M: ExactMatrix):

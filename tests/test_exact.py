@@ -1,5 +1,6 @@
 """Exact scalar, matrix, and polynomial arithmetic."""
 
+import copy
 from fractions import Fraction
 import hashlib
 import json
@@ -26,7 +27,7 @@ from wittmat import (
 )
 import wittmat.exact as exact
 from conftest import rand_gauss, rand_matrix, rand_perm, rand_real_gauss
-from oracles import oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref
+from oracles import flat_product, oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref
 
 
 class TestGaussianRational:
@@ -170,6 +171,30 @@ class TestExactMatrix:
         for bad in ([], [[]], "x", [[1], 2], [["q"]], [[None]], [[float("inf")]], [[1, 2], [3]], [[True]], [[1, False]]):
             with pytest.raises(InputError):
                 ExactMatrix.from_json(bad)
+
+    def test_flat_equality_cross_multiplies(self):
+        flat = ExactMatrix._from_flat
+        M = flat(2, 3, 6, [1, -2, 3, 0, 5, 6], None)
+        same = [flat(2, 3, 12, [2, -4, 6, 0, 10, 12], None), flat(2, 3, 6, [1, -2, 3, 0, 5, 6], [0] * 6)]
+        for N in same + [ExactMatrix(M.cells)]:
+            assert M == N and N == M and hash(M) == hash(N)
+        for N in (
+            flat(2, 3, 12, [2, -4, 6, 0, 10, 13], None),  # one entry differs
+            flat(3, 2, 6, [1, -2, 3, 0, 5, 6], None),  # same list, other shape
+            flat(2, 3, 6, [1, -2, 3, 0, 5, 6], [0, 0, 0, 0, 0, 1]),  # an imaginary part
+        ):
+            assert M != N and N != M and (M.cells == N.cells) is False
+        Z = flat(2, 2, 3, [1, 0, 0, 1], [0, 2, -1, 0])
+        assert Z == flat(2, 2, 9, [3, 0, 0, 3], [0, 6, -3, 0]) == ExactMatrix(Z.cells)
+        assert Z != flat(2, 2, 9, [3, 0, 0, 3], [0, 6, 3, 0])
+
+    def test_flat_product_is_over_its_least_denominator(self):
+        A = ExactMatrix._from_flat(2, 2, 6, [3, 0, 0, 3], None)  # I / 2
+        B = ExactMatrix._from_flat(2, 2, 4, [2, 2, 0, 2], [0, 2, 0, 0])
+        AB = A * B
+        den, re, im = AB._flat
+        assert (den, re, im) == (4, [1, 1, 0, 1], [0, 1, 0, 0])
+        assert AB == oracle_mul(ExactMatrix(A.cells), ExactMatrix(B.cells))
 
     def test_singular_inverse_raises_under_optimize(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -524,6 +549,102 @@ class TestProperties:
     def test_product_associates_with_vectors(self, abx):
         A, B, x = abx
         assert (A * B) * x == A * (B * x)
+
+
+# Slot widths a product needs, bits(max|left|) + bits(max|right|) +
+# bit_length(inner) + 2, on each side of every slot size _packed_product
+# uses and of the cell-by-cell limit.
+_SLOT_EDGES = (16, 17, 32, 33, 64, 65, exact._PACKED_SLOT_BITS, exact._PACKED_SLOT_BITS + 1)
+
+
+def _flat_side(rng, size: int, bits: int, cplx: bool, zeros: float):
+    """(re, im) of size integers of at most bits bits, one of exactly bits bits when bits > 0.
+
+    Entries are 0 with probability zeros, else +-(2^bits - 1), -2^(bits-1)
+    or uniform, so both extremes of each slot turn up.
+    """
+    top = (1 << bits) - 1
+    extremes = (top, -top, -(1 << (bits - 1))) if bits else (0,)
+
+    def entry():
+        if rng.random() < zeros:
+            return 0
+        return rng.choice(extremes) if rng.random() < 0.3 else rng.randint(-top, top)
+
+    re = [entry() for _ in range(size)]
+    im = [entry() for _ in range(size)] if cplx else None
+    (re if im is None or rng.random() < 0.5 else im)[rng.randrange(size)] = rng.choice(extremes)
+    return re, im
+
+
+@st.composite
+def _flat_operands(draw):
+    """(left, right, inner, width) with shapes 1..40 whose product needs one drawn slot width.
+
+    Now and then every row of left and column of right is scaled by its own
+    wide factor, so the operands are wide but their primitive parts are not.
+    """
+    rows, inner, width = (draw(st.integers(1, 40)) for _ in range(3))
+    need = draw(st.sampled_from(_SLOT_EDGES) | st.integers(8, 700))
+    spare = need - inner.bit_length() - 2
+    a_bits = draw(st.integers(0, spare))
+    lc, rc = draw(st.booleans()), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    left = _flat_side(rng, rows * inner, a_bits, lc, zeros)
+    right = _flat_side(rng, inner * width, spare - a_bits, rc, zeros)
+    if draw(st.booleans()):
+        lf = [f for f in (rng.getrandbits(300) | 1 for _ in range(rows)) for _ in range(inner)]
+        rf = [rng.getrandbits(300) | 1 for _ in range(width)] * inner
+        left = tuple(None if xs is None else [x * f for x, f in zip(xs, lf)] for xs in left)
+        right = tuple(None if xs is None else [x * f for x, f in zip(xs, rf)] for xs in right)
+    return left, right, inner, width
+
+
+class TestFlatProduct:
+    """exact._flat_product, packed or cell by cell, against the plain cell-by-cell sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_flat_operands())
+    def test_matches_cell_by_cell(self, operands):
+        left, right, inner, width = operands
+        kept = copy.deepcopy((left, right))
+        re, im = exact._flat_product(left, right, inner, width)
+        assert (re, im) == flat_product(left, right, inner, width)
+        assert (im is None) == (left[1] is None and right[1] is None)
+        assert (left, right) == kept  # the operands are flat forms that other matrices share
+
+    @pytest.mark.parametrize("need", _SLOT_EDGES)
+    @pytest.mark.parametrize("kind", ["real", "complex", "real x complex", "complex x real"])
+    def test_extremes_decode_at_each_slot_size(self, need, kind):
+        # the largest row times the largest column: inner = 2^k - 1 at its bit length,
+        # entries 2^a - 1 and 2^b - 1 with a + b + k + 2 = need, of both signs
+        inner = 7
+        a = (need - 5) // 2
+        x, y = (1 << a) - 1, (1 << (need - 5 - a)) - 1
+        lc, rc = kind.startswith("complex"), kind.endswith("complex")
+        left = ([x] * inner + [-x] * inner, [x] * inner + [-x] * inner if lc else None)
+        right = ([y, -y] * inner, [-y, -y] * inner if rc else None)
+        re, im = exact._flat_product(left, right, inner, 2)
+        assert (re, im) == flat_product(left, right, inner, 2)
+        peak = max(map(abs, re + (im or [])))
+        assert peak == (2 if lc and rc else 1) * inner * x * y
+        assert peak >= 1 << need - (3 if lc and rc else 4)  # within a factor 2 of what need allows
+
+    def test_wide_entries_lose_their_contents_or_go_cell_by_cell(self, monkeypatch):
+        calls = []
+        dots = exact._dots
+        monkeypatch.setattr(exact, "_dots", lambda row, cols: calls.append(len(cols)) or dots(row, cols))
+        rng = random.Random(150)
+        n = 16
+        wide = ([rng.getrandbits(300) - (1 << 299) for _ in range(n * n)], None)
+        # each row a 300-bit factor times small entries: the primitive parts pack
+        factors = [rng.getrandbits(300) | 1 for _ in range(n)]
+        tall = ([factors[k // n] * rng.randint(-9, 9) for k in range(n * n)], None)
+        for left, right, by_cell in ((wide, wide, True), (tall, tall, False), (tall, wide, False), (wide, tall, True)):
+            calls.clear()
+            assert exact._flat_product(left, right, n, n) == flat_product(left, right, n, n)
+            assert calls == ([n] * n if by_cell else [])
 
 
 class TestRationalPolynomial:

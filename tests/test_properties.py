@@ -213,15 +213,19 @@ class TestAgainstOracle:
 def product_path(path: str):
     """Send every Multivector product through one path, the kernel or the matrix bridge.
 
-    The bridge thresholds go to infinity, or to -1 so that even a product with
-    no live kernel term, such as one by the zero element, takes the bridge.
+    Every constant of the bridge threshold goes to infinity, or to -1 so that
+    even a product with no live kernel term, such as one by the zero element,
+    takes the bridge.
     """
-    saved = witt._BRIDGE_DENSITY, witt._BRIDGE_FLOOR
-    witt._BRIDGE_DENSITY = witt._BRIDGE_FLOOR = -1 if path == "bridge" else float("inf")
+    names = [name for name in vars(witt) if name.startswith("_BRIDGE_")]
+    saved = {name: getattr(witt, name) for name in names}
+    for name in names:
+        setattr(witt, name, -1 if path == "bridge" else float("inf"))
     try:
         yield
     finally:
-        witt._BRIDGE_DENSITY, witt._BRIDGE_FLOOR = saved
+        for name, value in saved.items():
+            setattr(witt, name, value)
 
 
 PATHS = pytest.mark.parametrize("path", ["kernel", "bridge"])
@@ -299,6 +303,38 @@ class TestProductPaths:
         assert calls == [16]
         sparse[0] * sparse[1]
         assert calls == [16]
+        # rank 5: a pair of 100 real terms a side lies far past the bound, pairs
+        # of 70 and 68 terms just over and just under it
+        bound = max(witt._BRIDGE_PER_CELL * 4**5, witt._BRIDGE_FLOOR)
+        for seed, k, live, bridged in ((920, 100, 2447, True), (910, 70, 1234, True), (910, 68, 1156, False)):
+            rng = random.Random(seed)
+            g, h = (seeded(5, rng.sample(basis(5), k), seed + i, "real") for i in (1, 2))
+            assert witt._live_count(5, witt._lifted_terms(g, False)[1], witt._lifted_terms(h, False)[1]) == live
+            assert (live > bound) == bridged
+            assert k == 100 or abs(live - bound) < 0.1 * bound
+            calls.clear()
+            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+            assert calls == ([32] if bridged else [])
+
+    def test_product_path_forces_every_constant(self, monkeypatch):
+        calls = []
+        flat_product = witt._flat_product
+        monkeypatch.setattr(witt, "_flat_product", lambda *args: calls.append(args[2]) or flat_product(*args))
+        names = {name for name in vars(witt) if name.startswith("_BRIDGE_")}
+        assert names == {"_BRIDGE_PER_CELL", "_BRIDGE_FLOOR"}
+        before = {name: getattr(witt, name) for name in names}
+        rng = random.Random(930)
+        dense = [seeded(4, basis(4), 931 + i, "real") for i in range(2)]
+        sparse = [seeded(4, rng.sample(basis(4), 2), 933 + i, "real") for i in range(2)]
+        with product_path("kernel"):
+            assert all(getattr(witt, name) == float("inf") for name in names)
+            dense[0] * dense[1]
+        with product_path("bridge"):
+            assert all(getattr(witt, name) == -1 for name in names)
+            sparse[0] * sparse[1]
+            zero(4) * sparse[0]
+        assert calls == [16, 16]
+        assert {name: getattr(witt, name) for name in names} == before
 
     def test_full_density_rank_6_product_stays_small(self):
         # the bridge peaks near 2.9 MB here, the kernel near 13.4 MB (its list of 117,649 live group pairs)

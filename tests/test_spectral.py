@@ -24,6 +24,7 @@ from wittmat import (
     mv_inverse,
     mv_trace,
     one,
+    perm_matrix,
     spectral_table,
     spectral_unit,
     standard_irrep,
@@ -308,6 +309,18 @@ class TestNoHiddenCells:
         monkeypatch.setattr(witt, "_flat_product", lambda *args: bridged.append(args[2]) or flat_product(*args))
         assert self._unlifts(monkeypatch, lambda: g * g) == []
         assert bridged == [size]
+
+    def test_flat_equality_builds_no_cells(self, monkeypatch):
+        rng = random.Random(142)
+        p = rand_perm(rng, 64)
+        g = rand_mv(rng, 4, True, 12)
+        pairs = [
+            (to_matrix(geom_perm(p, 6)), perm_matrix(p, 64)),
+            (to_matrix(g), to_matrix(g * one(4))),
+            (to_matrix(g), to_matrix(g + one(4))),
+        ]
+        assert self._unlifts(monkeypatch, lambda: [M == N for M, N in pairs]) == []
+        assert [M == N for M, N in pairs] == [True, True, False]
 
     def test_cells_are_built_once(self, monkeypatch):
         M = to_matrix(rand_mv(random.Random(141), 3, True, 8))
