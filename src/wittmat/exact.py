@@ -43,10 +43,11 @@ carries into the next, so a row of the product is one sum of products of
 integers, done by CPython's bignum loop, and its slots are read back
 in one struct call.  Complex rows hold their real slots low and
 their imaginary slots high, so a row costs two such sums instead of four
-dot products per entry.  Entries too wide to pack well are first divided by
-the gcd of their row (left factor) or column (right factor), and only what
-is still too wide goes cell by cell through ``_dots``.  Two flat matrices
-are compared by cross-multiplying their numerators, without building cells.
+dot products per entry.  Entries that would need wide slots are first
+divided by the gcd of their row (left factor) or column (right factor),
+which takes out most of a tall matrix's common denominator.  Two flat
+matrices are compared by cross-multiplying their numerators, without
+building cells.
 
 The Bareiss steps are lazy, so sparse matrices skip most of them.  A step
 with pivot p after pivot q only scales a row whose entry in the pivot column
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from itertools import chain, repeat
+from itertools import repeat
 from operator import eq, floordiv, mul
 from struct import pack, unpack
 from typing import Iterable, Sequence
@@ -336,9 +337,10 @@ def _dots(row, cols):
 # struct's little-endian signed integer codes by size in bytes: _packed_product
 # packs and reads slots of these sizes in one struct call.
 _SLOT_TYPES = {2: "h", 4: "i", 8: "q"}
-# Packing doubles the digits each multiplication works through, which loses
-# to the cell-by-cell dots on slots wider than this (measured in CHANGES.md).
-_PACKED_SLOT_BITS = 512
+# Past this slot width _flat_product first divides out the contents (row and
+# column gcds) of its operands; on narrower entries the gcds cost more than
+# they save (measured in CHANGES.md).
+_CONTENT_BITS = 512
 
 
 def _bits(*lists) -> int:
@@ -351,42 +353,26 @@ def _flat_product(left, right, inner: int, width: int):
 
     Each side, and the product, is (re, im) with im None on the real path;
     the product's im is None only when both sides' are.  The product runs
-    packed (_packed_product) while its slots need at most _PACKED_SLOT_BITS.
-    Wider entries are first divided by their contents, the gcd of each row of
-    left and of each column of right, and entry (i, j) of the product of
-    those primitive parts is multiplied back by the contents of row i and
-    column j.  Lifted rows of a sparse matrix share most of their common
-    denominator, so this narrows them a lot: the 364-bit entries of a tall
-    rank-5 spectral matrix become at most 136 bits wide, which pack again.
-    Entries still too wide go cell by cell through _dots.
+    packed, by _packed_product.  When its slots would need more than
+    _CONTENT_BITS, left and right are first divided by their contents, the
+    gcd of each row of left and of each column of right, and entry (i, j) of
+    the product of those primitive parts is multiplied back by the contents
+    of row i and column j.  Lifted rows of a sparse matrix share most of
+    their common denominator, so this narrows them a lot: the 364-bit entries
+    of a tall rank-5 spectral matrix become at most 136 bits wide.
     """
     (lre, lim), (rre, rim) = left, right
     need = _bits(lre, lim) + _bits(rre, rim) + inner.bit_length() + 2
-    if need <= _PACKED_SLOT_BITS:
+    if need <= _CONTENT_BITS:
         return _packed_product(lre, lim, rre, rim, inner, width, need)
     lg = [gcd(*lre[r : r + inner], *(lim or ())[r : r + inner]) or 1 for r in range(0, len(lre), inner)]
     rg = [gcd(*rre[c::width], *(rim or ())[c::width]) or 1 for c in range(width)]
-    scaled = any(g != 1 for g in chain(lg, rg))
-    if scaled:
-        lf, rf = [g for g in lg for _ in range(inner)], rg * inner
-        lre, lim, rre, rim = [
-            None if xs is None else list(map(floordiv, xs, f)) for xs, f in ((lre, lf), (lim, lf), (rre, rf), (rim, rf))
-        ]
-        need = _bits(lre, lim) + _bits(rre, rim) + inner.bit_length() + 2
-    if need <= _PACKED_SLOT_BITS:
-        re, im = _packed_product(lre, lim, rre, rim, inner, width, need)
-    else:
-        if (lim is None) != (rim is None):
-            lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
-        cols = [(rre[c::width], None if rim is None else rim[c::width]) for c in range(width)]
-        re, im = [], None if lim is None else []
-        for r in range(0, len(lre), inner):
-            x, y = _dots((lre[r : r + inner], None if lim is None else lim[r : r + inner]), cols)
-            re += x
-            if im is not None:
-                im += y
-    if not scaled:
-        return re, im
+    lf, rf = [g for g in lg for _ in range(inner)], rg * inner
+    lre, lim, rre, rim = [
+        None if xs is None else list(map(floordiv, xs, f)) for xs, f in ((lre, lf), (lim, lf), (rre, rf), (rim, rf))
+    ]
+    need = _bits(lre, lim) + _bits(rre, rim) + inner.bit_length() + 2
+    re, im = _packed_product(lre, lim, rre, rim, inner, width, need)
     out = list(map(mul, [g for g in lg for _ in range(width)], rg * len(lg)))
     return list(map(mul, re, out)), None if im is None else list(map(mul, im, out))
 

@@ -552,9 +552,10 @@ class TestProperties:
 
 
 # Slot widths a product needs, bits(max|left|) + bits(max|right|) +
-# bit_length(inner) + 2, on each side of every slot size _packed_product
-# uses and of the cell-by-cell limit.
-_SLOT_EDGES = (16, 17, 32, 33, 64, 65, exact._PACKED_SLOT_BITS, exact._PACKED_SLOT_BITS + 1)
+# bit_length(inner) + 2, on each side of every struct slot size _packed_product
+# uses (past 64 bits the slots are whole bytes) and of the width past which
+# contents are divided out first.
+_SLOT_EDGES = (16, 17, 32, 33, 64, 65, exact._CONTENT_BITS, exact._CONTENT_BITS + 1)
 
 
 def _flat_side(rng, size: int, bits: int, cplx: bool, zeros: float):
@@ -601,8 +602,25 @@ def _flat_operands(draw):
     return left, right, inner, width
 
 
+_KINDS = ["real", "complex", "real x complex", "complex x real"]
+
+
+def _extremes(need: int, kind: str):
+    """(left, right, x, y): the largest row times the largest column, two rows by inner = 7 by two columns.
+
+    inner is 2^k - 1 at its bit length, and the entries are +-x and +-y,
+    x = 2^a - 1 and y = 2^b - 1 with a + b + k + 2 = need.
+    """
+    a = (need - 5) // 2
+    x, y = (1 << a) - 1, (1 << (need - 5 - a)) - 1
+    lc, rc = kind.startswith("complex"), kind.endswith("complex")
+    left = ([x] * 7 + [-x] * 7, [x] * 7 + [-x] * 7 if lc else None)
+    right = ([y, -y] * 7, [-y, -y] * 7 if rc else None)
+    return left, right, x, y
+
+
 class TestFlatProduct:
-    """exact._flat_product, packed or cell by cell, against the plain cell-by-cell sums."""
+    """exact._flat_product, with or without its contents divided out, against the plain cell-by-cell sums."""
 
     @settings(max_examples=150, deadline=None)
     @given(_flat_operands())
@@ -615,36 +633,49 @@ class TestFlatProduct:
         assert (left, right) == kept  # the operands are flat forms that other matrices share
 
     @pytest.mark.parametrize("need", _SLOT_EDGES)
-    @pytest.mark.parametrize("kind", ["real", "complex", "real x complex", "complex x real"])
+    @pytest.mark.parametrize("kind", _KINDS)
     def test_extremes_decode_at_each_slot_size(self, need, kind):
-        # the largest row times the largest column: inner = 2^k - 1 at its bit length,
-        # entries 2^a - 1 and 2^b - 1 with a + b + k + 2 = need, of both signs
-        inner = 7
-        a = (need - 5) // 2
-        x, y = (1 << a) - 1, (1 << (need - 5 - a)) - 1
-        lc, rc = kind.startswith("complex"), kind.endswith("complex")
-        left = ([x] * inner + [-x] * inner, [x] * inner + [-x] * inner if lc else None)
-        right = ([y, -y] * inner, [-y, -y] * inner if rc else None)
-        re, im = exact._flat_product(left, right, inner, 2)
-        assert (re, im) == flat_product(left, right, inner, 2)
+        left, right, x, y = _extremes(need, kind)
+        re, im = exact._flat_product(left, right, 7, 2)
+        assert (re, im) == flat_product(left, right, 7, 2)
         peak = max(map(abs, re + (im or [])))
-        assert peak == (2 if lc and rc else 1) * inner * x * y
-        assert peak >= 1 << need - (3 if lc and rc else 4)  # within a factor 2 of what need allows
+        both = left[1] is not None and right[1] is not None
+        assert peak == (2 if both else 1) * 7 * x * y
+        assert peak >= 1 << need - (3 if both else 4)  # within a factor 2 of what need allows
 
-    def test_wide_entries_lose_their_contents_or_go_cell_by_cell(self, monkeypatch):
-        calls = []
-        dots = exact._dots
-        monkeypatch.setattr(exact, "_dots", lambda row, cols: calls.append(len(cols)) or dots(row, cols))
+    @pytest.mark.parametrize("need", _SLOT_EDGES[:6])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_extremes_decode_once_their_contents_are_out(self, need, kind, monkeypatch):
+        needs = []
+        packed = exact._packed_product
+        monkeypatch.setattr(exact, "_packed_product", lambda *args: needs.append(args[-1]) or packed(*args))
+        left, right, _, _ = _extremes(need, kind)
+        # x - 1 starts each row of left and y - 1 each column of right, so their gcds are 1;
+        # then each is scaled by its own 300-bit factor
+        left[0][0], left[0][7], right[0][0], right[0][1] = left[0][0] - 1, left[0][7] + 1, right[0][0] - 1, right[0][1] + 1
+        rng = random.Random(need)
+        lf, rf = [rng.getrandbits(300) | 1 for _ in range(2)], [rng.getrandbits(300) | 1 for _ in range(2)]
+        left = tuple(None if xs is None else [v * lf[k // 7] for k, v in enumerate(xs)] for xs in left)
+        right = tuple(None if xs is None else [v * rf[k % 2] for k, v in enumerate(xs)] for xs in right)
+        assert exact._flat_product(left, right, 7, 2) == flat_product(left, right, 7, 2)
+        assert needs == [need]
+
+    def test_wide_entries_lose_their_contents(self, monkeypatch):
+        needs = []
+        packed = exact._packed_product
+        monkeypatch.setattr(exact, "_packed_product", lambda *args: needs.append(args[-1]) or packed(*args))
         rng = random.Random(150)
         n = 16
         wide = ([rng.getrandbits(300) - (1 << 299) for _ in range(n * n)], None)
-        # each row a 300-bit factor times small entries: the primitive parts pack
+        # a 300-bit factor per row of a left factor, or per column of a right one, times small entries
         factors = [rng.getrandbits(300) | 1 for _ in range(n)]
-        tall = ([factors[k // n] * rng.randint(-9, 9) for k in range(n * n)], None)
-        for left, right, by_cell in ((wide, wide, True), (tall, tall, False), (tall, wide, False), (wide, tall, True)):
-            calls.clear()
+        rows = ([factors[k // n] * rng.randint(-9, 9) for k in range(n * n)], None)
+        cols = ([factors[k % n] * rng.randint(-9, 9) for k in range(n * n)], None)
+        # each product's slots need over 600 bits; what is left once the factors are out
+        for left, right, most in ((wide, wide, 605), (rows, cols, 16), (rows, wide, 310), (wide, cols, 310), (wide, rows, 610)):
+            needs.clear()
             assert exact._flat_product(left, right, n, n) == flat_product(left, right, n, n)
-            assert calls == ([n] * n if by_cell else [])
+            assert len(needs) == 1 and needs[0] <= most
 
 
 class TestRationalPolynomial:
