@@ -126,10 +126,11 @@ def _cmd_to_matrix(args) -> _Result:
 
 def _cmd_from_matrix(args) -> _Result:
     M = ExactMatrix.from_json(_load_json(args.operand))
-    if args.n is not None:
-        _check_cap(args.n, args.rank_cap)
+    # the rank of a square 2^n matrix is checked before it is converted
+    n = M.rows.bit_length() - 1 if args.n is None else args.n
+    if args.n is not None or M.rows == M.cols == 1 << n:
+        _check_cap(n, args.rank_cap)
     g = from_matrix(M, n=args.n)
-    _check_cap(g.n, args.rank_cap)
     return _Result(g.to_json(), [g])
 
 

@@ -8,11 +8,10 @@ in one Horner pass.
 
 Elimination and matrix products run fraction-free on integer numerators. Each
 row (and, for the right factor of a product, each column) is lifted to one
-common denominator.  One helper, ``_dots``, takes the integer dot products of
-a lifted row with lifted columns, for ``*`` and for the powers in
-``min_poly``.  ``rref`` is fraction-free Gauss-Jordan (E. H. Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian elimination",
-Math. Comp. 22, 1968), whose every division is exact.  ``inverse`` runs the
+common denominator.  Every integer matrix product goes through one helper,
+``_flat_product`` (below).  ``rref`` is fraction-free Gauss-Jordan (E. H.
+Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968), whose every division is exact.  ``inverse`` runs the
 same steps on [A | I] but stores only its n live columns: a pivot's column of
 A is known once it is eliminated, and its slot takes over the column of I that
 the pivot row starts to fill.  ``min_poly`` keeps one running fraction-free
@@ -32,10 +31,10 @@ elimination and ``*`` read the integers of the flat form directly, so a
 matrix that only passes between them never builds a scalar.  Elimination and
 ``min_poly`` first divide each row (or the whole matrix) down to its least
 common denominator, so they see the integers a lift of the cells would give.
-One helper, ``_flat_product``, multiplies two flat matrices; dense
-Multivector products use it too, and the product of two flat matrices is
-kept over its least common denominator, so chains of products stay narrow.
-It multiplies whole rows by Kronecker substitution (Kronecker 1882; D.
+``_flat_product`` multiplies two flat integer matrices.  Dense Multivector
+products use it too, and the product of two flat matrices is kept over its
+least common denominator, so chains of products stay narrow.  It
+multiplies whole rows by Kronecker substitution (Kronecker 1882; D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symb. Comput. 44, 2009): each row of the right factor is
 packed into one integer with a slot per entry, wide enough that no slot
@@ -45,7 +44,11 @@ in one struct call.  Complex rows hold their real slots low and
 their imaginary slots high, so a row costs two such sums instead of four
 dot products per entry.  Entries that would need wide slots are first
 divided by the gcd of their row (left factor) or column (right factor),
-which takes out most of a tall matrix's common denominator.  Two flat
+which takes out most of a tall matrix's common denominator.  ``*`` on cells
+packs each row of its left factor over its own denominator d_i and each
+column of its right one over its own e_j, and builds entry (i, j) over
+d_i*e_j.  ``min_poly`` computes B^(k+1) as B * B^k, so that the packed rows
+are the wide powers and B's narrow entries multiply them.  Two flat
 matrices are compared by cross-multiplying their numerators, without
 building cells.
 
@@ -323,17 +326,6 @@ def _over_pivot(row, pivot):
     return ([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)]), d * d + di * di
 
 
-def _dots(row, cols):
-    """The lifted row times each lifted column: integer dot products, (re, im) lists."""
-    ar, ai = row
-    if ai is None:
-        return [sum(map(mul, ar, br)) for br, _ in cols], None
-    return (
-        [sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in cols],
-        [sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in cols],
-    )
-
-
 # struct's little-endian signed integer codes by size in bytes: _packed_product
 # packs and reads slots of these sizes in one struct call.
 _SLOT_TYPES = {2: "h", 4: "i", 8: "q"}
@@ -351,13 +343,14 @@ def _bits(*lists) -> int:
 def _flat_product(left, right, inner: int, width: int):
     """The product of flat row-major integer matrices, left with inner columns and right with width columns.
 
-    Each side, and the product, is (re, im) with im None on the real path;
-    the product's im is None only when both sides' are.  The product runs
-    packed, by _packed_product.  When its slots would need more than
-    _CONTENT_BITS, left and right are first divided by their contents, the
-    gcd of each row of left and of each column of right, and entry (i, j) of
-    the product of those primitive parts is multiplied back by the contents
-    of row i and column j.  Lifted rows of a sparse matrix share most of
+    The one integer matrix product, for ``*``, min_poly and the bridge.  Each
+    side, and the product, is (re, im): both real, im None, or both complex;
+    a real side of a complex product takes zero imaginary numerators.  The
+    product runs packed, by _packed_product.  When its slots would need more
+    than _CONTENT_BITS, left and right are first divided by their contents,
+    the gcd of each row of left and of each column of right, and entry (i, j)
+    of the product of those primitive parts is multiplied back by the
+    contents of row i and column j.  Lifted rows of a sparse matrix share most of
     their common denominator, so this narrows them a lot: the 364-bit entries
     of a tall rank-5 spectral matrix become at most 136 bits wide.
     """
@@ -408,33 +401,26 @@ def _packed_product(lre, lim, rre, rim, inner: int, width: int, need: int):
     w is need rounded up to 16, 32, 64 or a whole byte, so every entry, real
     or imaginary, lies within +-2^(w-1): with 2^(w-1) added to each slot no
     slot carries into the next, and flipping each slot's top bit leaves the
-    entries as two's complement slots.  A complex row holds its real slots
-    low and its imaginary slots W = width*w bits higher: with
-    P_k = R_k + (I_k << W) and Q_k = (R_k << W) - I_k, it is
-    sum Re(left)*P + sum Im(left)*Q.
+    entries as two's complement slots.  Both sides are real or both complex;
+    a complex row holds its real slots low and its imaginary slots
+    W = width*w bits higher: with P_k = R_k + (I_k << W) and
+    Q_k = (R_k << W) - I_k, it is sum Re(left)*P + sum Im(left)*Q.
     """
     s = 2 if need <= 16 else 4 if need <= 32 else 8 if need <= 64 else (need + 7) // 8
     row_bytes = s * width
     w, W = 8 * s, 8 * row_bytes
     high = (((1 << W) - 1) // ((1 << w) - 1)) << (w - 1)  # the top bit of each slot of a row
     P = _packed_rows(rre, s, row_bytes, high)
-    if rim is not None:
-        I = _packed_rows(rim, s, row_bytes, high)
-        P, Q = [p + (q << W) for p, q in zip(P, I)], [(p << W) - q for p, q in zip(P, I)]
-    elif lim is not None:
-        Q = [p << W for p in P]
-    if lim is None and rim is None:
-        bias, out_bytes = high, row_bytes
-    else:
-        bias, out_bytes = high | high << W, 2 * row_bytes
     starts = range(0, len(lre), inner)
-    if lim is None:
+    if rim is None:
         sums = [sum(map(mul, lre[r : r + inner], P)) for r in starts]
-    else:
-        sums = [sum(map(mul, lre[r : r + inner], P)) + sum(map(mul, lim[r : r + inner], Q)) for r in starts]
-    rows = [((x + bias) ^ bias).to_bytes(out_bytes, "little") for x in sums]
-    if out_bytes == row_bytes:
+        rows = [((x + high) ^ high).to_bytes(row_bytes, "little") for x in sums]
         return _slots(b"".join(rows), s), None
+    I = _packed_rows(rim, s, row_bytes, high)
+    P, Q = [p + (q << W) for p, q in zip(P, I)], [(p << W) - q for p, q in zip(P, I)]
+    sums = [sum(map(mul, lre[r : r + inner], P)) + sum(map(mul, lim[r : r + inner], Q)) for r in starts]
+    bias = high | high << W
+    rows = [((x + bias) ^ bias).to_bytes(2 * row_bytes, "little") for x in sums]
     return _slots(b"".join([x[:row_bytes] for x in rows]), s), _slots(b"".join([x[row_bytes:] for x in rows]), s)
 
 
@@ -470,9 +456,10 @@ class ExactMatrix:
     """Dense matrix of GaussianRational entries.
 
     ``rref`` and ``*`` work fraction-free on integer numerators, each row over
-    one common denominator (Bareiss 1968); see the module docstring.  A matrix
-    holds its cells, or the flat integer form (den, re, im) of all its entries,
-    row-major; then ``cells`` is built on its first read and kept.
+    one common denominator (Bareiss 1968), and ``*`` packs them through
+    _flat_product; see the module docstring.  A matrix holds its cells, or
+    the flat integer form (den, re, im) of all its entries, row-major; then
+    ``cells`` is built on its first read and kept.
     """
 
     __slots__ = ("rows", "cols", "_cells", "_flat")
@@ -619,20 +606,27 @@ class ExactMatrix:
                 raise DimensionMismatch(
                     f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})"
                 )
-            if self._flat is not None and other._flat is not None:
-                (d, *left), (e, *right) = self._flat, other._flat
-                re, im = _flat_product(left, right, self.cols, other.cols)
-                return ExactMatrix._from_flat(self.rows, other.cols, *_reduced(d * e, re, im))
-            # rows of self over d, columns of other over e: C_ij = (row . col) / (d e)
             cplx = self._has_imag() or other._has_imag()
-            lifted = other._lines(cplx, columns=True)
-            dens = [e for e, _, _ in lifted]
-            cols = [(re, im) for _, re, im in lifted]
-            cells = []
-            for d, *ab in self._lines(cplx):
-                re, im = _dots(ab, cols)
-                cells.append(tuple(_scalar(a, b, d * e) for a, b, e in zip(re, im or [0] * len(re), dens)))
-            return ExactMatrix._wrap(tuple(cells))
+            if self._flat is not None and other._flat is not None:
+                (d, lre, lim), (e, rre, rim) = self._flat, other._flat
+                if cplx:  # a real side takes zero imaginary numerators
+                    lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
+                re, im = _flat_product((lre, lim), (rre, rim), self.cols, other.cols)
+                return ExactMatrix._from_flat(self.rows, other.cols, *_reduced(d * e, re, im))
+            # rows of self over d_i and columns of other over e_j, the columns
+            # laid out row-major: C_ij = (row_i . col_j) / (d_i e_j)
+            rows, cols = self._lines(cplx), other._lines(cplx, columns=True)
+            left = ([x for _, re, _ in rows for x in re], [x for _, _, im in rows for x in im] if cplx else None)
+            right = (
+                [x for xs in zip(*[re for _, re, _ in cols]) for x in xs],
+                [x for xs in zip(*[im for _, _, im in cols]) for x in xs] if cplx else None,
+            )
+            re, im = _flat_product(left, right, self.cols, other.cols)
+            im, w, dens = im or [0] * len(re), other.cols, [e for e, _, _ in cols]
+            return ExactMatrix._wrap(tuple(
+                tuple(_scalar(a, b, d * e) for a, b, e in zip(re[r : r + w], im[r : r + w], dens))
+                for r, (d, _, _) in zip(range(0, len(re), w), rows)
+            ))
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
@@ -1074,8 +1068,9 @@ def eval_poly(p: RationalPolynomial, A: ExactMatrix) -> ExactMatrix:
 def min_poly(A: ExactMatrix) -> RationalPolynomial:
     """Monic minimal polynomial from the first linear dependence among I, A, A^2, ...
 
-    A is lifted once to B = d*A over one common denominator, and each power
-    B^k is its rows times the columns of B.  Each flattened B^k, tagged with
+    A is lifted once to B = d*A over one common denominator, and each flat
+    power B^(k+1) is _flat_product(B, B^k): the wide power is packed, and
+    B's narrow entries multiply it.  Each flattened B^k, tagged with
     e_k, is reduced against the rows kept so far by the Bareiss steps that
     made them: a running fraction-free row echelon form, whose every division
     is exact.  The steps are lazy, as in ``rref``: a kept row whose pivot
@@ -1089,17 +1084,16 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = A.rows
     size = n * n
-    d, bre, bim = _reduced(*A._lifted())
-    cplx = bim is not None
-    cols = [(bre[j::n], None if bim is None else bim[j::n]) for j in range(n)]
-    power = [([int(i == j) for j in range(n)], [0] * n if cplx else None) for i in range(n)]
+    d, *B = _reduced(*A._lifted())
+    cplx = B[1] is not None
+    power = ([int(i == j) for i in range(n) for j in range(n)], [0] * size if cplx else None)
     kept = []  # (pivot column, pivot, row) in the order the rows were reduced
     prev = (1, 0)  # the last kept pivot
     k = 0
     while True:  # Cayley-Hamilton: at most n + 1 powers, so the tag has n + 1 slots
         tag = [0] * (n + 1)
         tag[k] = 1
-        w = ([x for re, _ in power for x in re] + tag, [x for _, im in power for x in im] + [0] * (n + 1) if cplx else None)
+        w = (power[0] + tag, power[1] + [0] * (n + 1) if cplx else None)
         div = (1, 0)  # the pivot w was last brought up to date with
         for c, p, row in kept:
             f = _entry(w, c)
@@ -1113,7 +1107,7 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
             w = _bareiss_step(prev, (0, 0), div, w, w)
         prev = _entry(w, c)
         kept.append((c, prev, w))
-        power = [_dots(row, cols) for row in power]
+        power = _flat_product(B, power, n, n) if k else B  # B^1 = B, with no product by I
         k += 1
     tag = (w[0][size:size + k + 1], None if w[1] is None else w[1][size:size + k + 1])
     (re, im), den = _over_pivot(tag, _entry(tag, k))

@@ -343,6 +343,25 @@ class TestExitCodes:
         code, _, _ = run(capsys, "spectral-table", "4", "--rank-cap", "4")
         assert code == 0
 
+    def test_from_matrix_checks_the_cap_before_converting(self, capsys, tmp_path, monkeypatch):
+        import wittmat.cli
+
+        converted = []
+        monkeypatch.setattr(wittmat.cli, "from_matrix", lambda *args, **kwargs: converted.append(args))
+        path = tmp_path / "zeros128.json"
+        path.write_text(json.dumps([[0] * 128] * 128))
+        for argv in (["from-matrix", str(path)], ["from-matrix", str(path), "--n", "7"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, converted) == (2, "", [])
+            assert err == "error: rank 7 exceeds the cap 6 (raise it with --rank-cap)\n"
+
+    @pytest.mark.parametrize("size,message", [(3, "matrix size 3 is not 2^1"), (200, "matrix size 200 is not 2^7")])
+    def test_from_matrix_reports_a_size_that_is_no_power_of_two(self, capsys, tmp_path, size, message):
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps([[0] * size] * size))
+        code, out, err = run(capsys, "from-matrix", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_rank_mismatch_in_mul(self, capsys, tmp_path, g1_path):
         other = write_mv(tmp_path, "g2.json", u(2, 1))
         code, _, err = run(capsys, "mul", g1_path, other)

@@ -196,6 +196,17 @@ class TestExactMatrix:
         assert (den, re, im) == (4, [1, 1, 0, 1], [0, 1, 0, 0])
         assert AB == oracle_mul(ExactMatrix(A.cells), ExactMatrix(B.cells))
 
+    def test_real_flat_times_gaussian_flat(self):
+        R = ExactMatrix._from_flat(2, 2, 3, [1, 2, 0, -3], None)
+        G = ExactMatrix._from_flat(2, 2, 2, [1, 0, 4, 1], [0, 2, 0, -1])
+        K = ExactMatrix._from_flat(2, 1, 1, [1, 0], None)  # kills the column of G with an imaginary part
+        E = ExactMatrix._from_flat(1, 2, 1, [0, 1], None)
+        for P, Q, imag in ((R, G, True), (G, R, True), (G, K, False), (E, G, True)):
+            PQ = P * Q
+            assert PQ._flat is not None and PQ._has_imag() is imag
+            assert _json(PQ) == _json(oracle_mul(ExactMatrix(P.cells), ExactMatrix(Q.cells)))
+        assert _json(R * G) == '[["3/2", "1/3"], ["-2", "-1/2+1/2i"]]'
+
     def test_singular_inverse_raises_under_optimize(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         code = (
@@ -412,6 +423,66 @@ class TestAgainstFractionOracle:
         assert [str(min_poly(M)) for M in mats] == [str(oracle_min_poly(M)) for M in mats]
 
 
+class TestOneProduct:
+    """``*`` on cell matrices and min_poly's powers, both run through exact._flat_product."""
+
+    @pytest.mark.parametrize("rows,inner,width", [(4, 1, 5), (1, 1, 1), (5, 4, 1), (1, 6, 1), (1, 3, 4)])
+    def test_cells_of_inner_size_or_width_one(self, rows, inner, width):
+        rng = random.Random(f"{rows}x{inner}x{width}")
+        for lk in ("real", "gauss", "tall"):
+            for rk in ("real", "gauss", "tall"):
+                A, B = _matrix(rng, rows, inner, lk), _matrix(rng, inner, width, rk)
+                assert _json(A * B) == _json(oracle_mul(A, B))
+
+    def test_real_cells_times_gaussian_cells(self):
+        rng = random.Random(160)
+        R, G = _matrix(rng, 5, 5, "real"), _matrix(rng, 5, 5, "gauss")
+        K = ExactMatrix([[1, "2i"], [3, "-i"], [0, 0], [0, 0], [0, 0]])  # a Gaussian column over a real one
+        for P, Q in ((R, G), (G, R), (R, K), (K.transpose(), R)):
+            PQ = P * Q
+            assert _json(PQ) == _json(oracle_mul(P, Q))
+            assert PQ._has_imag() == oracle_mul(P, Q)._has_imag()
+
+    @pytest.mark.parametrize("kind", ["real", "gauss"])
+    def test_wide_lines_lose_their_contents(self, kind, monkeypatch):
+        # per-line lifts past 512 bits: entries over distinct 300-bit denominators,
+        # and rows (left) or columns (right) sharing a 300-bit factor
+        needs = []
+        product = exact._flat_product
+        monkeypatch.setattr(
+            exact, "_flat_product",
+            lambda left, right, inner, width: needs.append(exact._bits(*left) + exact._bits(*right)) or product(left, right, inner, width),
+        )
+        rng = random.Random(f"wide-{kind}")
+        cplx = kind == "gauss"
+        wide = lambda: Fraction(rng.randint(-9, 9), rng.getrandbits(300) | 1)
+        entry = lambda f: GaussianRational(f(), f() if cplx else 0)
+        D = ExactMatrix([[entry(wide) for _ in range(4)] for _ in range(4)])
+        row_factors = [rng.getrandbits(300) | 1 for _ in range(4)]
+        F = ExactMatrix([[entry(lambda: rng.randint(-9, 9)) * g for _ in range(4)] for g in row_factors])
+        for P, Q in ((D, D), (F, F.transpose()), (D, F.transpose()), (F, D)):
+            needs.clear()
+            assert _json(P * Q) == _json(oracle_mul(P, Q))
+            assert len(needs) == 1 and needs[0] > exact._CONTENT_BITS
+
+    @pytest.mark.parametrize("cycles,m", [("(123456)", 6), ("(12)(345)", 5), ("(1234)(5678)", 8), ("(1)", 3)])
+    def test_min_poly_of_i_times_a_permutation(self, cycles, m):
+        # the powers (iP)^k = i^k P^k alternate between real and imaginary
+        P = perm_matrix(Permutation.from_cycles(cycles), m)
+        den, re, _ = P._lifted()
+        for M in (P.scale(GaussianRational.I), ExactMatrix._from_flat(m, m, den, [0] * len(re), re)):
+            assert str(min_poly(M)) == str(oracle_min_poly(M))
+
+    @pytest.mark.parametrize("kind", ["real", "gauss", "tall"])
+    def test_min_poly_with_one_300_bit_entry(self, kind):
+        rng = random.Random(f"300-{kind}")
+        for n in (2, 3, 4):
+            cells = [list(row) for row in _matrix(rng, n, n, kind).cells]
+            cells[rng.randrange(n)][rng.randrange(n)] = GaussianRational(Fraction(rng.getrandbits(300) | 1 << 299, rng.randint(1, 9)))
+            M = ExactMatrix(cells)
+            assert str(min_poly(M)) == str(oracle_min_poly(M))
+
+
 def _outcome(f):
     """The JSON of f()'s matrix, or the DomainError it raised."""
     try:
@@ -594,6 +665,8 @@ def _flat_operands(draw):
     zeros = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     left = _flat_side(rng, rows * inner, a_bits, lc, zeros)
     right = _flat_side(rng, inner * width, spare - a_bits, rc, zeros)
+    if lc or rc:  # a real side takes zero imaginary numerators, as ExactMatrix * gives it
+        left, right = (left[0], left[1] or [0] * len(left[0])), (right[0], right[1] or [0] * len(right[0]))
     if draw(st.booleans()):
         lf = [f for f in (rng.getrandbits(300) | 1 for _ in range(rows)) for _ in range(inner)]
         rf = [rng.getrandbits(300) | 1 for _ in range(width)] * inner
@@ -609,13 +682,14 @@ def _extremes(need: int, kind: str):
     """(left, right, x, y): the largest row times the largest column, two rows by inner = 7 by two columns.
 
     inner is 2^k - 1 at its bit length, and the entries are +-x and +-y,
-    x = 2^a - 1 and y = 2^b - 1 with a + b + k + 2 = need.
+    x = 2^a - 1 and y = 2^b - 1 with a + b + k + 2 = need.  The real side
+    of a mixed kind has zero imaginary numerators.
     """
     a = (need - 5) // 2
     x, y = (1 << a) - 1, (1 << (need - 5 - a)) - 1
     lc, rc = kind.startswith("complex"), kind.endswith("complex")
-    left = ([x] * 7 + [-x] * 7, [x] * 7 + [-x] * 7 if lc else None)
-    right = ([y, -y] * 7, [-y, -y] * 7 if rc else None)
+    left = ([x] * 7 + [-x] * 7, [x] * 7 + [-x] * 7 if lc else [0] * 14 if rc else None)
+    right = ([y, -y] * 7, [-y, -y] * 7 if rc else [0] * 14 if lc else None)
     return left, right, x, y
 
 
@@ -639,7 +713,7 @@ class TestFlatProduct:
         re, im = exact._flat_product(left, right, 7, 2)
         assert (re, im) == flat_product(left, right, 7, 2)
         peak = max(map(abs, re + (im or [])))
-        both = left[1] is not None and right[1] is not None
+        both = kind == "complex"
         assert peak == (2 if both else 1) * 7 * x * y
         assert peak >= 1 << need - (3 if both else 4)  # within a factor 2 of what need allows
 
