@@ -11,14 +11,15 @@ row (and, for the right factor of a product, each column) is lifted to one
 common denominator.  Every integer matrix product goes through one helper,
 ``_flat_product`` (below).  ``rref`` is fraction-free Gauss-Jordan (E. H.
 Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968), whose every division is exact.  ``inverse`` runs the
-same steps on [A | I] but stores only its n live columns: a pivot's column of
-A is known once it is eliminated, and its slot takes over the column of I that
-the pivot row starts to fill.  ``min_poly`` keeps one running fraction-free
-echelon form of the integer powers B^k of B = d*A, and stops at the first
-power that reduces to zero.  A matrix with no imaginary part runs on plain
-ints, any other on (re, im) pairs in Z[i].  Scalars are built again only for
-the result, so every output equals the plain Fraction computation.
+elimination", Math. Comp. 22, 1968), whose every division is exact.
+``inverse`` runs the same steps on [A | I] but stores only its n live
+columns: a pivot's column of A is known once it is eliminated, and its slot
+takes over the column of I that the pivot row starts to fill.  ``min_poly``
+keeps one running fraction-free echelon form of the integer powers B^k of
+B = d*A, and stops at the first power that reduces to zero.  A matrix with
+no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
+Scalars are built again only for the result, so every output equals the
+plain Fraction computation.
 
 An ExactMatrix holds its entries in one of two forms.  Matrices built from
 scalars hold their cells.  Producers that already hold integers, the
@@ -350,9 +351,9 @@ def _flat_product(left, right, inner: int, width: int):
     than _CONTENT_BITS, left and right are first divided by their contents,
     the gcd of each row of left and of each column of right, and entry (i, j)
     of the product of those primitive parts is multiplied back by the
-    contents of row i and column j.  Lifted rows of a sparse matrix share most of
-    their common denominator, so this narrows them a lot: the 364-bit entries
-    of a tall rank-5 spectral matrix become at most 136 bits wide.
+    contents of row i and column j.  Lifted rows of a sparse matrix share
+    most of their common denominator, so this narrows them a lot: the 364-bit
+    entries of a tall rank-5 spectral matrix become at most 136 bits wide.
     """
     (lre, lim), (rre, rim) = left, right
     need = _bits(lre, lim) + _bits(rre, rim) + inner.bit_length() + 2
