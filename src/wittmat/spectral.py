@@ -18,7 +18,9 @@ above j):
                      k = popcount(c), times (-1)^popcount(c & sp(r)).
 
 to_matrix writes each monomial's entries; from_matrix sums the units of the
-nonzero entries.  Both run on integer numerators over one common denominator
+nonzero entries, or, past three quarters of the entries nonzero, reads every
+entry back through the 2x2 picture in n passes, one per index.  Both run on
+integer numerators over one common denominator
 (on (re, im) lists only when some entry has an imaginary part), through
 witt._to_cells and witt._from_cells, the flat integer core that dense
 Multivector products share.  That flat form is also the one an ExactMatrix

@@ -67,7 +67,16 @@ _from_cells.  to_matrix and from_matrix in spectral.py are the same two
 helpers.  Both work on flat integer lists of 4^n entries, index
 row * 2^n + col for a matrix and a_mask * 2^n + b_mask for an element; a set
 s of indices that a monomial leaves free, or that a unit's row and column
-share, moves an entry by s * (2^n + 1).
+share, moves an entry by s * (2^n + 1).  Both directions are one sign per
+cell and a Kronecker product of one 4x4 map per index.  _to_cells, and
+_from_cells below three quarters of the cells nonzero, scatter only the
+nonzero entries over their subsets; a nearly full matrix, as a dense product
+is, is read back in n passes over all 4^n cells instead, each applying one
+index's map to four strided slices (_unit_passes).
+
+Reversal runs on integer numerators too: reverse and clifford_conj lift the
+element once, put the grade involution's signs and the conjugation of i on
+the numerators, and sum each reversed term into one integer per monomial.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -79,7 +88,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, or_
+from operator import add, mul, neg, or_, sub
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
@@ -107,7 +116,7 @@ class WittMonomial(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return bin(self.a_mask).count("1") + bin(self.b_mask).count("1")
+        return self.a_mask.bit_count() + self.b_mask.bit_count()
 
     def word(self) -> tuple[tuple[int, int], ...]:
         """Canonical word as (index, kind) tokens, kind 0 for a and 1 for b."""
@@ -141,7 +150,7 @@ class BladeMonomial(NamedTuple):
 
     @property
     def grade(self) -> int:
-        return bin(self.e_mask).count("1") + bin(self.f_mask).count("1")
+        return self.e_mask.bit_count() + self.f_mask.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +328,39 @@ def _lifted_terms(g: "Multivector", cplx: bool):
     return den, list(zip(g._terms, re, im or repeat(0)))
 
 
+def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
+    """The reverse of g; conj conjugates i, and graded first takes the grade involution's signs.
+
+    g is lifted once, and the signs and the conjugation fall on the
+    numerators.  Each reversed term adds +-x, or +-(x, y) when some
+    coefficient has an imaginary part, into one integer sum per monomial,
+    and each coefficient is built once, over the lifted denominator.
+    """
+    n = g.n
+    cplx = g._has_imag()
+    den, lifted = _lifted_terms(g, cplx)
+    acc = {}
+    get = acc.get
+    if not cplx:
+        for m, x, _ in lifted:
+            if graded and m.degree & 1:
+                x = -x
+            for key, s in _mono_reverse(m.a_mask, m.b_mask):
+                acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
+        terms = {WittMonomial(n, am, bm): _scalar(x, 0, den) for (am, bm), x in acc.items() if x}
+        return g._make(n, terms, g.complexified)
+    for m, x, y in lifted:
+        if conj:
+            y = -y
+        if graded and m.degree & 1:
+            x, y = -x, -y
+        for key, s in _mono_reverse(m.a_mask, m.b_mask):
+            re, im = get(key, (0, 0))
+            acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
+    terms = {WittMonomial(n, am, bm): _scalar(re, im, den) for (am, bm), (re, im) in acc.items() if re or im}
+    return g._make(n, terms, g.complexified)
+
+
 # A product whose live kernel terms exceed both _BRIDGE_PER_CELL * 4^n and
 # _BRIDGE_FLOOR runs through the spectral matrices.  The kernel takes one
 # Python step per live term.  The bridge's own cost follows its 4^n cells:
@@ -409,32 +451,88 @@ def _to_cells(n: int, lifted, cplx: bool):
     return re, (_scatter(size, spots, [y for _, _, y in lifted]) if cplx else None)
 
 
-def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
-    """The element whose spectral matrix holds (re[k] + im[k]*i) / den at flat index k = row * 2^n + col.
+def _unit_spots(n: int, cells) -> list:
+    """The _scatter spot of the unit E_{rc} at each flat index k = r * 2^n + c of cells.
 
-    im is None on the real path; only the nonzero cells are scattered.  The
-    unit E_{rc} is the monomial (full & ~r, full & ~c) with sign
+    E_{rc} is the monomial (full & ~r, full & ~c) with sign
     (-1)^(k(k-1)/2) for k = popcount(c), times (-1)^popcount(c & sp(r)),
-    times (1 - ab) at each index of r & c.
-    Each subset s of r & c moves its term from a_mask * 2^n + b_mask by
-    s * (2^n + 1), with sign (-1)^popcount(s).  Each coefficient is built
-    once, and zero sums are dropped.
+    times (1 - ab) at each index of r & c.  Each subset s of r & c moves its
+    term from a_mask * 2^n + b_mask by s * (2^n + 1), with sign
+    (-1)^popcount(s).
     """
     size = 1 << n
     full = size - 1
     sp = [_suffix_parity(r) for r in range(size)]
-    cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
     spots = []
     for k in cells:
         r, c = k >> n, k & full
         spots.append(((full ^ r) * size + (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & sp[r]).bit_count()))
-    out_re = _scatter(size, spots, [re[k] for k in cells])
+    return spots
+
+
+def _unit_passes(n: int, re, im):
+    """(re, im) summed over the units of every cell in n Kronecker passes; the flat lists _scatter gives.
+
+    Per index the cells E00, E01, E10, E11 (row bit, column bit) read back as
+    ab, a, b and 1 - ab, so 1 <- E11, b <- E10, a <- E01 and ab <- E00 - E11,
+    after one sign per cell, (-1)^popcount(c & sp(r ^ c)), which equals the
+    base sign of _unit_spots.  The cells are gathered into interleaved order,
+    r_j and c_j at bits 2j + 1 and 2j, where a pass maps the four strided
+    slices of the lowest index to four contiguous runs, so that index moves
+    to the top bits; after n passes every index is back in place, now as
+    (a_j, b_j), and the list is gathered to a_mask * 2^n + b_mask (Davio
+    1981; Pease 1968).  The gather orders and the signs are built by
+    doubling; im is None on the real path.
+    """
+    size = 1 << n
+    # flat[i] is the flat cell at interleaved place i, parity (-1)^popcount(c)
+    flat, signs, parity, order = [0], [1], [1], [0]
+    for j in range(n):
+        c_bit, r_bit = 1 << j, size << j
+        # index j goes on top: t = 2 r_j + c_j picks a run, and r_j != c_j
+        # flips the suffix parity of every lower index
+        flat = [*flat, *map(add, flat, repeat(c_bit)), *map(add, flat, repeat(r_bit)),
+                *map(add, flat, repeat(r_bit | c_bit))]
+        flipped = list(map(mul, signs, parity))
+        signs = [*signs, *flipped, *flipped, *signs]
+        negated = list(map(neg, parity))
+        parity = [*parity, *negated, *parity, *negated]
+        order = [*order, *map(add, order, repeat(1 << 2 * j))]
+    for j in range(n):  # order[k] is the interleaved place of flat index k
+        order = [*order, *map(add, order, repeat(2 << 2 * j))]
+
+    def passes(cells):
+        v = list(map(mul, map(cells.__getitem__, flat), signs))
+        for _ in range(n):
+            v0, v3 = v[0::4], v[3::4]
+            v = v3 + v[2::4] + v[1::4] + list(map(sub, v0, v3))
+        return list(map(v.__getitem__, order))
+
+    return passes(re), (None if im is None else passes(im))
+
+
+def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
+    """The element whose spectral matrix holds (re[k] + im[k]*i) / den at flat index k = row * 2^n + col.
+
+    im is None on the real path.  Past three quarters of the 4^n cells
+    nonzero, every cell goes through the n passes of _unit_passes; below
+    that only the nonzero cells are scattered, through _unit_spots.  Each
+    coefficient is built once, and zero sums are dropped.
+    """
+    size = 1 << n
+    full = size - 1
+    cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
+    if 4 * len(cells) > 3 * size * size:
+        out_re, out_im = _unit_passes(n, re, im)
+    else:
+        spots = _unit_spots(n, cells)
+        out_re = _scatter(size, spots, [re[k] for k in cells])
+        out_im = None if im is None else _scatter(size, spots, [im[k] for k in cells])
     if im is None:
         terms = {
             WittMonomial(n, k >> n, k & full): _scalar(out_re[k], 0, den) for k in compress(range(size * size), out_re)
         }
     else:
-        out_im = _scatter(size, spots, [im[k] for k in cells])
         terms = {
             WittMonomial(n, k >> n, k & full): _scalar(out_re[k], out_im[k], den)
             for k in compress(range(size * size), map(or_, out_re, out_im))
@@ -581,13 +679,7 @@ class Multivector:
     # odd n only, while the grade involution always conjugates it.
 
     def reverse(self) -> "Multivector":
-        conj = self.n % 2 == 1
-        terms = _collect(
-            pair
-            for m, c in self._terms.items()
-            for pair in _signed(self.n, c.conjugate() if conj else c, _mono_reverse(m.a_mask, m.b_mask))
-        )
-        return self._make(self.n, terms, self.complexified)
+        return _reversed(self, self.n % 2 == 1, False)
 
     def grade_involution(self) -> "Multivector":
         acc = {}
@@ -597,7 +689,8 @@ class Multivector:
         return self._make(self.n, acc, self.complexified)
 
     def clifford_conj(self) -> "Multivector":
-        return self.grade_involution().reverse()
+        # the grade involution, then reversal: i is conjugated once for even n
+        return _reversed(self, self.n % 2 == 0, True)
 
     # -- blade view ---------------------------------------------------------------
 

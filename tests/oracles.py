@@ -12,6 +12,11 @@ lifting: every pair of terms is visited and every term is a GaussianRational
 product, summed per key.  The lifted, grouped versions must match them byte
 for byte.
 
+reverse is Multivector.reverse as it was before it summed lifted integer
+numerators: each reversed term is a GaussianRational, conjugated at odd
+rank, and the terms are summed per monomial.  Applied to the grade
+involution it is clifford_conj as it was then.
+
 flat_product is the integer matrix product cell by cell, one plain sum of
 products per entry, as exact._flat_product computed it before it packed
 whole rows into single integers.
@@ -23,7 +28,7 @@ power of A, here run on the first two.
 """
 
 from wittmat import DimensionMismatch, DomainError, ExactMatrix, GaussianRational, Multivector, RationalPolynomial, WittMonomial
-from wittmat.witt import _sign, _subsets, _suffix_parity, _unit_terms
+from wittmat.witt import _collect, _mono_reverse, _sign, _signed, _subsets, _suffix_parity, _unit_terms
 
 
 def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
@@ -133,6 +138,16 @@ def from_matrix(M: ExactMatrix, n: int, complexified: bool | None = None) -> Mul
     if complexified is None:
         complexified = any(not x.is_real() for row in M.cells for x in row)
     return Multivector(n, terms, complexified=complexified)
+
+
+def reverse(g: Multivector) -> Multivector:
+    conj = g.n % 2 == 1
+    terms = _collect(
+        pair
+        for m, c in g._terms.items()
+        for pair in _signed(g.n, c.conjugate() if conj else c, _mono_reverse(m.a_mask, m.b_mask))
+    )
+    return Multivector._make(g.n, terms, g.complexified)
 
 
 def flat_product(left, right, inner: int, width: int):

@@ -12,7 +12,10 @@ benchmark times, and a pure-b element times a pure-a element branches at
 every index the two share.  Each product is also run down both of its paths,
 the kernel and the matrix bridge, by moving the bridge thresholds, at ranks
 1..6; a full-density rank-6 product must take the bridge within a bounded
-peak of traced memory.
+peak of traced memory.  reverse and clifford_conj are compared with the
+GaussianRational reversal of oracles.py at ranks 0..6, and the Kronecker
+passes that read a nearly full spectral matrix back with the per-cell
+scatter, on each side of the line between them.
 
 ExactMatrix.inverse and min_poly are compared byte for byte with the
 GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
@@ -38,6 +41,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import rand_matrix
 from wittmat import witt
 from wittmat import (
     DomainError,
@@ -207,6 +211,109 @@ class TestAgainstOracle:
                 oracles.from_matrix(M, n, complexified=False)
             return
         assert as_bytes(from_matrix(M, n, complexified)) == as_bytes(oracles.from_matrix(M, n, complexified))
+
+
+def check_involutions(g: Multivector):
+    """reverse and clifford_conj against the GaussianRational reversal of oracles.py."""
+    for got, want in ((g.reverse(), oracles.reverse(g)), (g.clifford_conj(), oracles.reverse(g.grade_involution()))):
+        assert as_bytes(got) == as_bytes(want)
+        assert got.complexified == want.complexified == g.complexified
+
+
+class TestInvolutionsAgainstOracle:
+    @settings(max_examples=150)
+    @given(tuples_at_one_rank(1, ranks=st.integers(0, 6), max_terms=40))
+    def test_sparse(self, gs):
+        (g,) = gs
+        check_involutions(g)
+
+    @settings(max_examples=30)
+    @given(dense_pairs(st.integers(0, 4), max_terms=256))
+    def test_dense(self, gh):
+        for g in gh:
+            check_involutions(g)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_zero_scalar_and_full_basis(self, n):
+        real = seeded(n, basis(n), 1100 + n, "real")
+        cases = [
+            zero(n),
+            zero(n).complexify(),
+            scalar_mv(n, Fraction(-5, 3)),
+            scalar_mv(n, GaussianRational(Fraction(1, 2), Fraction(-2, 7))),
+            real,
+            real.complexify(),  # complexified with real coefficients
+            seeded(n, basis(n), 1200 + n, "complex"),
+            seeded(n, basis(n)[: 4 ** min(n, 4)], 1300 + n, "tall"),
+        ]
+        for g in cases:
+            check_involutions(g)
+
+
+def cell_sets(n: int, rng: random.Random):
+    """(name, sorted flat cells) of a 2^n x 2^n matrix: full, one cell past the passes' line and
+    exactly on it, a permutation matrix and the zero matrix."""
+    size = 1 << n
+    line = 3 * size * size // 4  # _from_cells runs the passes past this many nonzero cells
+    perm = list(range(size))
+    rng.shuffle(perm)
+    return [
+        ("full", list(range(size * size))),
+        ("above", sorted(rng.sample(range(size * size), line + 1))),
+        ("below", sorted(rng.sample(range(size * size), line))),
+        ("permutation", sorted(r * size + c for r, c in enumerate(perm))),
+        ("zero", []),
+    ]
+
+
+def cell_values(cells, size: int, cplx: bool, rng: random.Random):
+    """Flat (re, im) integer lists, nonzero exactly at cells; some complex cells are purely imaginary."""
+    re, im = [0] * (size * size), ([0] * (size * size) if cplx else None)
+    for k in cells:
+        x = rng.choice((-1, 1)) * rng.randint(1, rng.choice((9, 2**70)))
+        if not cplx:
+            re[k] = x
+            continue
+        im[k] = rng.choice((0, x, -rng.randint(1, 99)))
+        re[k] = rng.choice((0, -x)) if im[k] else x
+    return re, im
+
+
+class TestUnitPasses:
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_passes_match_the_scatter(self, n, cplx):
+        rng = random.Random(1400 + 2 * n + cplx)
+        size = 1 << n
+        for name, cells in cell_sets(n, rng):
+            re, im = cell_values(cells, size, cplx, rng)
+            spots = witt._unit_spots(n, cells)
+            want = tuple(None if xs is None else witt._scatter(size, spots, [xs[k] for k in cells]) for xs in (re, im))
+            assert witt._unit_passes(n, re, im) == want, name
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_from_matrix_takes_the_passes_past_the_line(self, n, cplx, monkeypatch):
+        calls = []
+        passes = witt._unit_passes
+        monkeypatch.setattr(witt, "_unit_passes", lambda *args: calls.append(args[0]) or passes(*args))
+        rng = random.Random(1500 + 2 * n + cplx)
+        size = 1 << n
+        for name, cells in cell_sets(n, rng):
+            re, im = cell_values(cells, size, cplx, rng)
+            entries = [GaussianRational(Fraction(x, 7), Fraction(y, 5)) for x, y in zip(re, im or [0] * len(re))]
+            M = ExactMatrix([entries[r * size : (r + 1) * size] for r in range(size)])
+            calls.clear()
+            assert as_bytes(from_matrix(M, n)) == as_bytes(oracles.from_matrix(M, n)), name
+            assert calls == ([n] if 4 * len(cells) > 3 * size * size else []), name
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_full_random_gaussian_matrix(self, n):
+        size = 1 << n
+        M = rand_matrix(random.Random(1600 + n), size, size, complex_entries=True)
+        g = from_matrix(M, n)
+        assert as_bytes(g) == as_bytes(oracles.from_matrix(M, n))
+        assert to_matrix(g) == M
 
 
 @contextmanager
