@@ -18,8 +18,8 @@ takes over the column of I that the pivot row starts to fill.  ``min_poly``
 keeps one running fraction-free echelon form of the integer powers B^k of
 B = d*A, and stops at the first power that reduces to zero.  A matrix with
 no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
-Scalars are built again only for the result, so every output equals the
-plain Fraction computation.
+Scalars are built again only for the result, all of it in one batch by
+``_scalars``, each part the reduced Fraction the plain computation gives.
 
 An ExactMatrix holds its entries in one of two forms.  Matrices built from
 scalars hold their cells.  Producers that already hold integers, the
@@ -69,8 +69,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from itertools import repeat
-from operator import eq, floordiv, mul
+from itertools import compress, repeat
+from operator import eq, floordiv, mul, neg, or_
 from struct import pack, unpack
 from typing import Iterable, Sequence
 
@@ -266,8 +266,15 @@ def _as_scalar(x) -> GaussianRational:
 # ExactMatrix products and elimination lift rows and columns, or take them
 # from a matrix's flat form; Multivector products (witt._product_sum) and the
 # matrix bridge (witt._to_cells and witt._from_cells) lift coefficient lists.
+# Every result goes back to scalars through _scalars, one call per result:
+# Fraction.__new__ is Python code, about half of a scalar's cost when each is
+# built alone, so _scalars fills Fraction's slots (_numerator, _denominator)
+# directly, with the same reduced values.
 
 _FRACTION_ZERO = Fraction(0)
+_new = object.__new__
+_set_num, _set_den = Fraction._numerator.__set__, Fraction._denominator.__set__
+_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
 
 
 def _lift(entries, cplx: bool):
@@ -291,19 +298,50 @@ def _reduced(den: int, re, im):
     return den // g, list(map(floordiv, re, repeat(g))), None if im is None else list(map(floordiv, im, repeat(g)))
 
 
-def _scalar(re: int, im: int, den: int) -> GaussianRational:
-    if not (re or im):
-        return GaussianRational.ZERO
-    z = object.__new__(GaussianRational)
-    object.__setattr__(z, "re", Fraction(re, den))
-    object.__setattr__(z, "im", Fraction(im, den) if im else _FRACTION_ZERO)
-    return z
+def _scalars(re, im, dens) -> list[GaussianRational]:
+    """The GaussianRationals (re[k] + im[k]*i) / dens[k], each part exactly the reduced Fraction(x, dens[k]).
+
+    dens is one positive int for every entry or a list of positive ints, one
+    per entry; im is None on the real path.  A zero entry is the shared
+    GaussianRational.ZERO.  The others are built in whole batches, every step
+    a C-level map over the list, so no Python frame runs per entry: the gcds,
+    two floor divisions, object.__new__ and the slot stores of Fraction and
+    GaussianRational.  The stores return None, so any() runs each map through.
+    """
+    live = re if im is None else list(map(or_, re, im))  # nonzero exactly at the entries built
+    dens = repeat(dens) if isinstance(dens, int) else list(compress(dens, live))
+    zs = list(map(_new, repeat(GaussianRational, len(re) - live.count(0))))
+    for store, nums in (_set_re, re), (_set_im, im):
+        fs = repeat(_FRACTION_ZERO)
+        if nums is not None:
+            nums = list(compress(nums, live))
+            g = list(map(gcd, nums, dens))
+            fs = list(map(_new, repeat(Fraction, len(g))))
+            any(map(_set_num, fs, map(floordiv, nums, g)))
+            any(map(_set_den, fs, map(floordiv, dens, g)))
+        any(map(store, zs, fs))
+    if len(zs) == len(re):
+        return zs
+    out = [GaussianRational.ZERO] * len(re)
+    any(map(out.__setitem__, compress(range(len(re)), live), zs))
+    return out
 
 
 def _unlift(re, im, den: int) -> list[GaussianRational]:
-    if im is None:
-        return [_scalar(a, 0, den) for a in re]
-    return [_scalar(a, b, den) for a, b in zip(re, im)]
+    """The cells of a flat matrix, row-major: the one call that builds them."""
+    return _scalars(re, im, den)
+
+
+def _grid(flat: list, w: int) -> tuple:
+    """flat, row-major, as a tuple of row tuples of w entries."""
+    return tuple(tuple(flat[r : r + w]) for r in range(0, len(flat), w))
+
+
+def _over_pivots(m, div) -> list[GaussianRational]:
+    """Every lifted row of m over its pivot in div, row-major, built by one _scalars call."""
+    rows, dens = zip(*map(_over_pivot, m, div))
+    im = None if rows[0][1] is None else [x for _, xs in rows for x in xs]
+    return _scalars([x for xs, _ in rows for x in xs], im, [d for d, (xs, _) in zip(dens, rows) for _ in xs])
 
 
 def _entry(row, c: int) -> tuple[int, int]:
@@ -319,9 +357,11 @@ def _put(row, c: int, z) -> None:
 
 
 def _over_pivot(row, pivot):
-    """(row, den): the lifted row over the (re, im) pivot, with den an int."""
+    """(row, den): the lifted row over the (re, im) pivot, with den a positive int."""
     d, di = pivot
     if not di:
+        if d < 0:  # a Bareiss pivot may be negative
+            row, d = [None if xs is None else list(map(neg, xs)) for xs in row], -d
         return row, d
     # x / d = x * conj(d) / |d|^2
     return ([a * d + b * di for a, b in zip(*row)], [b * d - a * di for a, b in zip(*row)]), d * d + di * di
@@ -489,8 +529,7 @@ class ExactMatrix:
         cells = self._cells
         if cells is None:
             den, re, im = self._flat
-            flat, w = _unlift(re, im, den), self.cols
-            cells = tuple(tuple(flat[r : r + w]) for r in range(0, len(flat), w))
+            cells = _grid(_unlift(re, im, den), self.cols)
             object.__setattr__(self, "_cells", cells)
         return cells
 
@@ -623,11 +662,8 @@ class ExactMatrix:
                 [x for xs in zip(*[im for _, _, im in cols]) for x in xs] if cplx else None,
             )
             re, im = _flat_product(left, right, self.cols, other.cols)
-            im, w, dens = im or [0] * len(re), other.cols, [e for e, _, _ in cols]
-            return ExactMatrix._wrap(tuple(
-                tuple(_scalar(a, b, d * e) for a, b, e in zip(re[r : r + w], im[r : r + w], dens))
-                for r, (d, _, _) in zip(range(0, len(re), w), rows)
-            ))
+            dens = [d * e for d, _, _ in rows for e, _, _ in cols]
+            return ExactMatrix._wrap(_grid(_scalars(re, im, dens), other.cols))
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
@@ -751,11 +787,7 @@ class ExactMatrix:
             div[r] = prev = p
             pivots.append(c)
             r += 1
-        cells = []
-        for row, q in zip(m, div):
-            (re, im), d = _over_pivot(row, q)
-            cells.append(tuple(_unlift(re, im, d)))
-        return ExactMatrix._wrap(tuple(cells)), tuple(pivots)
+        return ExactMatrix._wrap(_grid(_over_pivots(m, div), self.cols)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -817,12 +849,8 @@ class ExactMatrix:
                         div[i] = p
             div[c] = prev = p
         slot = sorted(range(n), key=orig.__getitem__)  # slot[o]: the slot holding right-block column o
-        cells = []
-        for row, q in zip(m, div):
-            (re, im), d = _over_pivot(row, q)
-            row = _unlift(re, im, d)
-            cells.append(tuple(row[c] for c in slot))
-        return ExactMatrix._wrap(tuple(cells))
+        flat = _over_pivots(m, div)
+        return ExactMatrix._wrap(tuple(tuple(map(flat[r : r + n].__getitem__, slot)) for r in range(0, n * n, n)))
 
 
 class RationalPolynomial:
@@ -1112,4 +1140,4 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
         k += 1
     tag = (w[0][size:size + k + 1], None if w[1] is None else w[1][size:size + k + 1])
     (re, im), den = _over_pivot(tag, _entry(tag, k))
-    return RationalPolynomial([_scalar(a, 0 if im is None else im[j], den * d ** (k - j)) for j, a in enumerate(re)])
+    return RationalPolynomial(_scalars(re, im, [den * d ** (k - j) for j in range(k + 1)]))

@@ -49,8 +49,9 @@ ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
 an imaginary part.  The kernel adds each live pair's signed numerator
 product into one integer (or (re, im) pair) per key (first_a, last_b,
 sites); many pairs share a key, so after the loop each distinct key is
-expanded once into its 2^popcount(sites) monomials, and each coefficient is
-built once, over the product of the two denominators.
+expanded once into its 2^popcount(sites) monomials.  The nonzero sums become
+the coefficients, over the product of the two denominators, in one batch
+(exact._scalars), and their WittMonomial keys in C-level maps.
 
 A dense product runs through the matrix isomorphism instead.  The kernel
 takes one Python step per live term, the sum of |lterms| * |rterms| over
@@ -76,7 +77,8 @@ index's map to four strided slices (_unit_passes).
 
 Reversal runs on integer numerators too: reverse and clifford_conj lift the
 element once, put the grade involution's signs and the conjugation of i on
-the numerators, and sum each reversed term into one integer per monomial.
+the numerators, and sum each reversed term into one integer per monomial;
+its coefficients are built in one batch too.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -93,7 +95,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _as_scalar, _flat_product, _format_sum, _lift, _scalar
+from .exact import GaussianRational, _as_scalar, _flat_product, _format_sum, _lift, _scalars
 
 __all__ = _EXPORTS["witt"]
 
@@ -201,8 +203,8 @@ def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
     return terms
 
 
-def _product_sum(left, right, den: int, cplx: bool) -> dict:
-    """The product of left by right as {(a_mask, b_mask): scalar}, each scalar built once, over den.
+def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
+    """The rank-n product of left by right as {WittMonomial: scalar}, over den.
 
     Both factors are lists of (mono, re, im) with integer numerators, as from
     _lifted_terms; the real path (cplx false) never reads im.  A pair
@@ -215,7 +217,7 @@ def _product_sum(left, right, den: int, cplx: bool) -> dict:
     left meets a lone a on the right.  Its signed numerator is summed under
     (first_a, last_b, sites), or (first_a, last_b) when it has no sites.
     After the loop each distinct key with sites is expanded once, in place,
-    by _with_idempotents, and zero sums are dropped.
+    by _with_idempotents, and the nonzero sums go to _from_sums.
     """
     lgroups, rgroups = {}, {}
     for m, x, y in left:
@@ -247,7 +249,7 @@ def _product_sum(left, right, den: int, cplx: bool) -> dict:
             x = acc.pop(branched)
             for key, s in _with_idempotents(*branched, 1):
                 acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
-        return {key: _scalar(x, 0, den) for key, x in acc.items() if x}
+        return _from_sums(n, acc, den, False)
     for new_a, kept_b, lterms, rterms in live:
         for a1, lone_b1, flips, x1, y1 in lterms:
             first_a = a1 | new_a
@@ -264,7 +266,25 @@ def _product_sum(left, right, den: int, cplx: bool) -> dict:
         for key, s in _with_idempotents(*branched, 1):
             re, im = get(key, (0, 0))
             acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
-    return {key: _scalar(re, im, den) for key, (re, im) in acc.items() if re or im}
+    return _from_sums(n, acc, den, True)
+
+
+def _monomials(n: int, masks, re, im, den: int) -> dict:
+    """{WittMonomial(n, a, b): (re[k] + im[k]*i) / den} for the k-th (a, b) of masks, no entry zero.
+
+    im is None on the real path.  The keys are built by C-level maps and the
+    scalars by one exact._scalars call, with no Python frame per term.
+    """
+    return dict(zip(map(tuple.__new__, repeat(WittMonomial), map(add, repeat((n,)), masks)), _scalars(re, im, den)))
+
+
+def _from_sums(n: int, acc: dict, den: int, cplx: bool) -> dict:
+    """_monomials of the nonzero sums in acc, {(a_mask, b_mask): x}, x an int, or an (re, im) pair when cplx."""
+    if not cplx:
+        return _monomials(n, compress(acc, acc.values()), list(filter(None, acc.values())), None, den)
+    live = list(map(any, acc.values()))
+    sums = list(compress(acc.values(), live))
+    return _monomials(n, compress(acc, live), [x for x, _ in sums], [y for _, y in sums], den)
 
 
 def _mono_reverse(a_mask: int, b_mask: int):
@@ -347,8 +367,7 @@ def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
                 x = -x
             for key, s in _mono_reverse(m.a_mask, m.b_mask):
                 acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
-        terms = {WittMonomial(n, am, bm): _scalar(x, 0, den) for (am, bm), x in acc.items() if x}
-        return g._make(n, terms, g.complexified)
+        return g._make(n, _from_sums(n, acc, den, False), g.complexified)
     for m, x, y in lifted:
         if conj:
             y = -y
@@ -357,8 +376,7 @@ def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
         for key, s in _mono_reverse(m.a_mask, m.b_mask):
             re, im = get(key, (0, 0))
             acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
-    terms = {WittMonomial(n, am, bm): _scalar(re, im, den) for (am, bm), (re, im) in acc.items() if re or im}
-    return g._make(n, terms, g.complexified)
+    return g._make(n, _from_sums(n, acc, den, True), g.complexified)
 
 
 # A product whose live kernel terms exceed both _BRIDGE_PER_CELL * 4^n and
@@ -516,11 +534,10 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
 
     im is None on the real path.  Past three quarters of the 4^n cells
     nonzero, every cell goes through the n passes of _unit_passes; below
-    that only the nonzero cells are scattered, through _unit_spots.  Each
-    coefficient is built once, and zero sums are dropped.
+    that only the nonzero cells are scattered, through _unit_spots.  Zero
+    sums are dropped, and the rest go to _monomials in one batch.
     """
     size = 1 << n
-    full = size - 1
     cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
     if 4 * len(cells) > 3 * size * size:
         out_re, out_im = _unit_passes(n, re, im)
@@ -528,15 +545,10 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
         spots = _unit_spots(n, cells)
         out_re = _scatter(size, spots, [re[k] for k in cells])
         out_im = None if im is None else _scatter(size, spots, [im[k] for k in cells])
-    if im is None:
-        terms = {
-            WittMonomial(n, k >> n, k & full): _scalar(out_re[k], 0, den) for k in compress(range(size * size), out_re)
-        }
-    else:
-        terms = {
-            WittMonomial(n, k >> n, k & full): _scalar(out_re[k], out_im[k], den)
-            for k in compress(range(size * size), map(or_, out_re, out_im))
-        }
+    ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
+    out_im = None if im is None else list(map(out_im.__getitem__, ks))
+    # k = a_mask * 2^n + b_mask
+    terms = _monomials(n, map(divmod, ks, repeat(size)), list(map(out_re.__getitem__, ks)), out_im, den)
     return Multivector._make(n, terms, complexified)
 
 
@@ -652,8 +664,7 @@ class Multivector:
             size = 1 << n
             re, im = _flat_product(_to_cells(n, left, cplx), _to_cells(n, right, cplx), size, size)
             return _from_cells(n, re, im, d1 * d2, comp)
-        terms = _product_sum(left, right, d1 * d2, cplx)
-        return self._make(n, {WittMonomial(n, am, bm): c for (am, bm), c in terms.items()}, comp)
+        return self._make(n, _product_sum(n, left, right, d1 * d2, cplx), comp)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -17,6 +17,10 @@ numerators: each reversed term is a GaussianRational, conjugated at odd
 rank, and the terms are summed per monomial.  Applied to the grade
 involution it is clifford_conj as it was then.
 
+scalar is the one-coefficient builder the library used before it built
+result coefficients in batches (exact._scalars): GaussianRational.ZERO for a
+zero entry, otherwise Fraction(re, den) and Fraction(im, den).
+
 flat_product is the integer matrix product cell by cell, one plain sum of
 products per entry, as exact._flat_product computed it before it packed
 whole rows into single integers.
@@ -26,6 +30,8 @@ Gauss-Jordan, row-by-column products, and inverse and min_poly as they were
 before they ran on integers, an rref of [A | I] and one linear solve per
 power of A, here run on the first two.
 """
+
+from fractions import Fraction
 
 from wittmat import DimensionMismatch, DomainError, ExactMatrix, GaussianRational, Multivector, RationalPolynomial, WittMonomial
 from wittmat.witt import _collect, _mono_reverse, _sign, _signed, _subsets, _suffix_parity, _unit_terms
@@ -148,6 +154,16 @@ def reverse(g: Multivector) -> Multivector:
         for pair in _signed(g.n, c.conjugate() if conj else c, _mono_reverse(m.a_mask, m.b_mask))
     )
     return Multivector._make(g.n, terms, g.complexified)
+
+
+def scalar(re: int, im: int, den: int) -> GaussianRational:
+    """(re + im*i) / den through Fraction's own constructor, one coefficient at a time."""
+    if not (re or im):
+        return GaussianRational.ZERO
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "re", Fraction(re, den))
+    object.__setattr__(z, "im", Fraction(im, den))
+    return z
 
 
 def flat_product(left, right, inner: int, width: int):

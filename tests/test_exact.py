@@ -4,7 +4,9 @@ import copy
 from fractions import Fraction
 import hashlib
 import json
+from math import gcd
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -27,7 +29,7 @@ from wittmat import (
 )
 import wittmat.exact as exact
 from conftest import rand_gauss, rand_matrix, rand_perm, rand_real_gauss
-from oracles import flat_product, oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref
+from oracles import flat_product, oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref, scalar
 
 
 class TestGaussianRational:
@@ -265,6 +267,49 @@ class TestBareissStep:
         assert proc.stdout == "inexact division in Z[i]\n" * 2
 
 
+# numerators: zero, small of either sign, and up to 2,000 bits; denominators positive
+_NUMERATORS = st.one_of(st.just(0), st.integers(-10**6, 10**6), st.integers(-(2**2000), 2**2000))
+_DENOMINATORS = st.one_of(st.integers(1, 10**6), st.integers(1, 2**2000))
+
+
+@st.composite
+def _scalar_batches(draw):
+    """(re, im, dens) for exact._scalars: im None or a list with zeros, dens one int or one per entry."""
+    size = draw(st.integers(0, 12))
+    entries = st.lists(_NUMERATORS, min_size=size, max_size=size)
+    im = draw(st.none() | entries)
+    return draw(entries), im, draw(_DENOMINATORS | st.lists(_DENOMINATORS, min_size=size, max_size=size))
+
+
+class TestScalars:
+    """exact._scalars builds every coefficient as the one-at-a-time oracle (oracles.scalar) does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scalar_batches())
+    def test_matches_fraction_oracle(self, batch):
+        re, im, dens = batch
+        got = exact._scalars(re, im, dens)
+        assert len(got) == len(re)
+        for k, z in enumerate(got):
+            d = dens if isinstance(dens, int) else dens[k]
+            want = scalar(re[k], 0 if im is None else im[k], d)
+            if want is GaussianRational.ZERO:
+                assert z is GaussianRational.ZERO
+            assert type(z) is GaussianRational and type(z.re) is Fraction and type(z.im) is Fraction
+            for part, w in ((z.re, want.re), (z.im, want.im)):
+                assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1
+                assert (part.numerator, part.denominator) == (w.numerator, w.denominator)
+            assert z == want and hash(z) == hash(want) and str(z) == str(want)
+            for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+                assert twin == want and hash(twin) == hash(want) and str(twin) == str(want)
+
+    def test_zero_entries_stay_the_shared_zero(self):
+        got = exact._scalars([0, 3, 0, -4], [0, 0, 0, 2], [5, 6, 7, 8])
+        assert got[0] is GaussianRational.ZERO and got[2] is GaussianRational.ZERO
+        assert [str(z) for z in got] == ["0", "1/2", "0", "-1/2+1/4i"]
+        assert exact._scalars([0, 0], None, 9) == [GaussianRational.ZERO] * 2 and exact._scalars([], None, 1) == []
+
+
 class TestLazySteps:
     """Count Bareiss steps: rows with a zero in the pivot column take none."""
 
@@ -345,7 +390,19 @@ def _differential_cases():
     # zero leading entries: inverse and rref must swap rows at steps 0 and 1
     cases.append(("real-row-swaps", ExactMatrix([[0, 1, 2], [0, 0, 3], [5, 1, 1]])))
     cases.append(("gauss-row-swaps", ExactMatrix([[0, "i", 1], [0, 0, 2], ["1+i", 1, 0]])))
-    return cases + _sparse_cases(random.Random(122))
+    return cases + NEGATIVE_PIVOTS + _sparse_cases(random.Random(122))
+
+
+# the last Bareiss pivot, the div every row is divided by at the end, is a
+# negative real, in real and in Gaussian rows, or the Gaussian -i
+NEGATIVE_PIVOTS = [
+    ("real-pivot-minus-1", ExactMatrix([[-1, 2], [3, 4]])),
+    ("real-negative-pivots", ExactMatrix([[1, -1, 2], [-1, 3, 2], [3, 2, 2]])),
+    ("real-singular-minus-1", ExactMatrix([[-1, 2, 3, 1], [2, -4, -6, "1/2"], [0, 1, 1, 0]])),
+    ("gauss-negative-pivots", ExactMatrix([["-3-i", "3+i", "-3+i"], ["-3-i", "2-2i", "i"], ["3-2i", -3, "3+i"]])),
+    ("gauss-pivot-minus-i", ExactMatrix([["-i", 1, 2], ["-2i", 3, 7], ["i", 2, 8]])),
+    ("gauss-singular-minus-i", ExactMatrix([["-i", 1, 2], ["-2i", 2, 4], [1, 0, "i"]])),
+]
 
 
 def _sparse_cases(rng):
@@ -405,6 +462,15 @@ class TestAgainstFractionOracle:
         # the same nullspace code, run on the oracle elimination
         monkeypatch.setattr(ExactMatrix, "rref", oracle_rref)
         assert got_null == [_json(v) for v in M.nullspace()]
+
+    @pytest.mark.parametrize("label,M", NEGATIVE_PIVOTS, ids=[c[0] for c in NEGATIVE_PIVOTS])
+    def test_negative_divisors_are_reached(self, label, M, monkeypatch):
+        divs = []
+        over_pivot = exact._over_pivot
+        monkeypatch.setattr(exact, "_over_pivot", lambda row, q: divs.append(q) or over_pivot(row, q))
+        red, _ = M.rref()
+        assert any(q[1] == 0 and q[0] < 0 or q == (0, -1) for q in divs), divs
+        assert all(x.re.denominator > 0 and x.im.denominator > 0 for row in red.cells for x in row)
 
     @pytest.mark.parametrize("label,M", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
     def test_matmul(self, label, M):
@@ -516,6 +582,11 @@ PINNED = {
     "gauss-imaginary-column": ("155ff652a24f084c", "8c57c91c15989e02"),
     "real-row-swaps": ("ce74e1b0777f0995", "2d86a29bf5936414"),
     "gauss-row-swaps": ("0dcc669f6e6c6d85", "04c9d2ecde92faad"),
+    "real-pivot-minus-1": ("52f7c55734049a61", "58506f382092abf8"),
+    "real-negative-pivots": ("f40a7953798c9cbb", "40d88f44a97e296a"),
+    "gauss-negative-pivots": ("72b47789b1b9c28b", "f55d4046e17ccbd8"),
+    "gauss-pivot-minus-i": ("5790bba891b5b8d4", "27aae256d94e1ba3"),
+    "gauss-singular-minus-i": (None, "c48fcc7ee4f3ec4a"),
     "sparse-perm8": ("78946ef4e92d0833", "cda87dff8f9a195f"),
     "sparse-perm16": ("faf72c479f126a5d", "cda87dff8f9a195f"),
     "sparse-std8": ("6f9df874bc91cb91", "499b4de541073565"),

@@ -61,9 +61,9 @@ def word(n, a_mask, b_mask):
 
 def kernel_product(n, a1, b1, a2, b2):
     """(a1, b1) * (a2, b2) through the product kernel on one-term factors with numerator 1, over den 1."""
-    out = _product_sum([(WittMonomial(n, a1, b1), 1, 0)], [(WittMonomial(n, a2, b2), 1, 0)], 1, False)
+    out = _product_sum(n, [(WittMonomial(n, a1, b1), 1, 0)], [(WittMonomial(n, a2, b2), 1, 0)], 1, False)
     assert all(c in (1, -1) for c in out.values())
-    return {key: 1 if c == 1 else -1 for key, c in out.items()}
+    return {(m.a_mask, m.b_mask): 1 if c == 1 else -1 for m, c in out.items()}
 
 
 def blade_by_rewriting(e_mask, f_mask):
