@@ -27,7 +27,9 @@ Multivector products share.  That flat form is also the one an ExactMatrix
 can hold: to_matrix hands its integers to the matrix as they are, and
 from_matrix reads them back, so a round trip, or a product of spectral
 matrices read back, builds no matrix entry as a scalar.  Only a matrix that
-holds its cells is lifted, once, with exact._lift.  Nothing is cached.
+holds its cells is lifted, once, with exact._lift.  The only state kept is
+witt._tables(n): which entries a monomial or a unit fills and with which
+signs, filled on first use, at most 4^n keys per direction and rank.
 """
 
 from __future__ import annotations

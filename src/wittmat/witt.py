@@ -69,11 +69,16 @@ helpers.  Both work on flat integer lists of 4^n entries, index
 row * 2^n + col for a matrix and a_mask * 2^n + b_mask for an element; a set
 s of indices that a monomial leaves free, or that a unit's row and column
 share, moves an entry by s * (2^n + 1).  Both directions are one sign per
-cell and a Kronecker product of one 4x4 map per index.  _to_cells, and
-_from_cells below three quarters of the cells nonzero, scatter only the
-nonzero entries over their subsets; a nearly full matrix, as a dense product
-is, is read back in n passes over all 4^n cells instead, each applying one
-index's map to four strided slices (_unit_passes).
+cell and a Kronecker product of one 4x4 map per index, so which entries an
+entry fills, and with which signs, is a constant of n.  _tables(n) keeps
+them, one key expanded over its subsets on first use: a monomial index to
+the cells it fills, and a cell to the monomial indices its unit reads back
+to, each as the targets it is added to and those it is subtracted from.
+_to_cells, and _from_cells below three quarters of the cells nonzero,
+scatter only the nonzero entries through those targets; a nearly full
+matrix, as a dense product is, is read back in n passes over all 4^n cells
+instead, each applying one index's map to four strided slices
+(_unit_passes), with gather orders and signs from the same tables.
 
 Reversal runs on integer numerators too: reverse and clifford_conj lift the
 element once, put the grade involution's signs and the conjugation of i on
@@ -423,101 +428,172 @@ def _live_count(n: int, left, right) -> int:
     return sum(within[full ^ (m.a_mask & ~m.b_mask | m.b_mask << n)] for m, _, _ in left)
 
 
-def _scatter(size: int, spots, xs) -> list:
-    """Spread numerators over a flat list of size * size integers.
+def _mono_spot(n: int, k: int):
+    """(base, free, flips, odd) of monomial index k = a_mask * 2^n + b_mask, for _Targets.
 
-    Each spot (base, free, flips, odd), with its numerator x of xs, adds +-x
-    at base + s * (size + 1) for every submask s of free, negated when
-    odd + popcount(s & flips) is odd.
+    Monomial (A, B) has one entry for each subset s of the indices outside
+    A | B, at row (B & ~A) | s and column c = (A & ~B) | s, with sign
+    (-1)^popcount(c & sp(A ^ B)); s is disjoint from both masks, so each
+    entry sits s * (2^n + 1) past the one of s = 0.
     """
-    out = [0] * (size * size)
-    step = size + 1
-    for (base, free, flips, odd), x in zip(spots, xs):
-        if odd & 1:
-            x = -x
+    full = (1 << n) - 1
+    a_mask, b_mask = k >> n, k & full
+    col0, flips = a_mask & ~b_mask, _suffix_parity(a_mask ^ b_mask)
+    return (b_mask & ~a_mask) << n | col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count()
+
+
+def _unit_spot(n: int, k: int):
+    """(base, free, flips, odd) of the unit E_{rc} at flat cell k = r * 2^n + c, for _Targets.
+
+    E_{rc} is the monomial (full & ~r, full & ~c) with sign
+    (-1)^(p(p-1)/2) for p = popcount(c), times (-1)^popcount(c & sp(r)),
+    times (1 - ab) at each index of r & c.  Each subset s of r & c moves its
+    term from a_mask * 2^n + b_mask by s * (2^n + 1), with sign
+    (-1)^popcount(s).
+    """
+    full = (1 << n) - 1
+    r, c = k >> n, k & full
+    return (full ^ r) << n | (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & _suffix_parity(r)).bit_count()
+
+
+class _Targets(dict):
+    """{flat index k: (add, sub)}, the flat indices an entry at k adds itself to and subtracts itself from.
+
+    spot(n, k) is (base, free, flips, odd): the entry lands at
+    base + s * (2^n + 1) for every submask s of free, negated when
+    odd + popcount(s & flips) is odd.  A key is expanded on first use and
+    kept; keys and targets are the ints of one list per rank.
+    """
+
+    __slots__ = ("n", "ints", "spot")
+
+    def __init__(self, n: int, ints: list, spot):
+        super().__init__()
+        self.n, self.ints, self.spot = n, ints, spot
+
+    def __missing__(self, k: int):
+        base, free, flips, odd = self.spot(self.n, k)
+        step = (1 << self.n) + 1
+        plus, minus = [], []
         s = free
         while True:
-            if (s & flips).bit_count() & 1:
-                out[base + s * step] -= x
-            else:
-                out[base + s * step] += x
+            (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(self.ints[base + s * step])
             if not s:
                 break
             s = (s - 1) & free
-    return out
+        targets = self[self.ints[k]] = (tuple(plus), tuple(minus))
+        return targets
+
+
+class _RankTables:
+    """The matrix bridge's constants at rank n, each filled on first use and kept.
+
+    cells maps a monomial index a_mask * 2^n + b_mask to the flat cells
+    r * 2^n + c its spectral matrix fills (_to_cells), and units maps a flat
+    cell to the monomial indices its unit reads back to (_from_cells'
+    scatter); each direction holds at most 4^n keys.  gather() is
+    _unit_passes' orders and signs.
+    """
+
+    __slots__ = ("n", "ints", "cells", "units", "_gather")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ints = list(range(1 << 2 * n))
+        self.cells = _Targets(n, self.ints, _mono_spot)
+        self.units = _Targets(n, self.ints, _unit_spot)
+        self._gather = None
+
+    def gather(self):
+        """(flat, signs, order) of _unit_passes, built by doubling on the first call.
+
+        flat[i] is the flat cell at interleaved place i and signs[i] its sign;
+        order[k] is the interleaved place of flat index k.
+        """
+        if self._gather is None:
+            n, size = self.n, 1 << self.n
+            # parity[i] is (-1)^popcount(c) of the cell at place i
+            flat, signs, parity, order = [0], [1], [1], [0]
+            for j in range(n):
+                c_bit, r_bit = 1 << j, size << j
+                # index j goes on top: t = 2 r_j + c_j picks a run, and r_j != c_j
+                # flips the suffix parity of every lower index
+                flat = [*flat, *map(add, flat, repeat(c_bit)), *map(add, flat, repeat(r_bit)),
+                        *map(add, flat, repeat(r_bit | c_bit))]
+                flipped = list(map(mul, signs, parity))
+                signs = [*signs, *flipped, *flipped, *signs]
+                negated = list(map(neg, parity))
+                parity = [*parity, *negated, *parity, *negated]
+                order = [*order, *map(add, order, repeat(1 << 2 * j))]
+            for j in range(n):
+                order = [*order, *map(add, order, repeat(2 << 2 * j))]
+            self._gather = list(map(self.ints.__getitem__, flat)), signs, list(map(self.ints.__getitem__, order))
+        return self._gather
+
+
+# rank -> its _RankTables; bounded by the ranks in use, each by 4^n keys per direction
+_RANK_TABLES: dict = {}
+
+
+def _tables(n: int) -> _RankTables:
+    """The bridge's tables at rank n, made on first use."""
+    tables = _RANK_TABLES.get(n)
+    if tables is None:
+        tables = _RANK_TABLES[n] = _RankTables(n)
+    return tables
+
+
+def _scatter(size: int, targets: _Targets, keys, re, im):
+    """Spread numerators over flat (re, im) lists of size * size integers; im is None on the real path.
+
+    The k-th numerator of re (and of im) is added at every target of
+    targets[keys[k]]'s add and subtracted at every target of its sub.
+    """
+    out_re = [0] * (size * size)
+    if im is None:
+        for (plus, minus), x in zip(map(targets.__getitem__, keys), re):
+            for k in plus:
+                out_re[k] += x
+            for k in minus:
+                out_re[k] -= x
+        return out_re, None
+    out_im = [0] * (size * size)
+    for (plus, minus), x, y in zip(map(targets.__getitem__, keys), re, im):
+        for k in plus:
+            out_re[k] += x
+            out_im[k] += y
+        for k in minus:
+            out_re[k] -= x
+            out_im[k] -= y
+    return out_re, out_im
 
 
 def _to_cells(n: int, lifted, cplx: bool):
     """The spectral matrix of lifted terms as flat integer lists (re, im), cell (row, col) at row * 2^n + col.
 
     lifted is a list of (mono, re, im) as from _lifted_terms; on the real
-    path (cplx false) the returned im is None.  Monomial (A, B) has one
-    entry for each subset s of the indices outside A | B, at row
-    (B & ~A) | s and column c = (A & ~B) | s, with sign
-    (-1)^popcount(c & sp(A ^ B)); s is disjoint from both masks, so each
-    entry sits s * (2^n + 1) past the one of s = 0.
+    path (cplx false) the returned im is None.  Each monomial scatters
+    through its targets in _tables(n).cells (_mono_spot).
     """
-    size = 1 << n
-    full = size - 1
-    sp = [_suffix_parity(m) for m in range(size)]
-    spots = []
-    for m, _, _ in lifted:
-        a_mask, b_mask = m.a_mask, m.b_mask
-        col0, flips = a_mask & ~b_mask, sp[a_mask ^ b_mask]
-        spots.append(((b_mask & ~a_mask) * size + col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count()))
-    re = _scatter(size, spots, [x for _, x, _ in lifted])
-    return re, (_scatter(size, spots, [y for _, _, y in lifted]) if cplx else None)
-
-
-def _unit_spots(n: int, cells) -> list:
-    """The _scatter spot of the unit E_{rc} at each flat index k = r * 2^n + c of cells.
-
-    E_{rc} is the monomial (full & ~r, full & ~c) with sign
-    (-1)^(k(k-1)/2) for k = popcount(c), times (-1)^popcount(c & sp(r)),
-    times (1 - ab) at each index of r & c.  Each subset s of r & c moves its
-    term from a_mask * 2^n + b_mask by s * (2^n + 1), with sign
-    (-1)^popcount(s).
-    """
-    size = 1 << n
-    full = size - 1
-    sp = [_suffix_parity(r) for r in range(size)]
-    spots = []
-    for k in cells:
-        r, c = k >> n, k & full
-        spots.append(((full ^ r) * size + (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & sp[r]).bit_count()))
-    return spots
+    keys = [m.a_mask << n | m.b_mask for m, _, _ in lifted]
+    return _scatter(1 << n, _tables(n).cells, keys, [x for _, x, _ in lifted], [y for _, _, y in lifted] if cplx else None)
 
 
 def _unit_passes(n: int, re, im):
-    """(re, im) summed over the units of every cell in n Kronecker passes; the flat lists _scatter gives.
+    """(re, im) summed over the units of every cell in n Kronecker passes; the flat lists the scatter gives.
 
     Per index the cells E00, E01, E10, E11 (row bit, column bit) read back as
     ab, a, b and 1 - ab, so 1 <- E11, b <- E10, a <- E01 and ab <- E00 - E11,
     after one sign per cell, (-1)^popcount(c & sp(r ^ c)), which equals the
-    base sign of _unit_spots.  The cells are gathered into interleaved order,
+    base sign of _unit_spot.  The cells are gathered into interleaved order,
     r_j and c_j at bits 2j + 1 and 2j, where a pass maps the four strided
     slices of the lowest index to four contiguous runs, so that index moves
     to the top bits; after n passes every index is back in place, now as
     (a_j, b_j), and the list is gathered to a_mask * 2^n + b_mask (Davio
-    1981; Pease 1968).  The gather orders and the signs are built by
-    doubling; im is None on the real path.
+    1981; Pease 1968).  The gather orders and the signs are the rank's
+    _RankTables.gather(); im is None on the real path.
     """
-    size = 1 << n
-    # flat[i] is the flat cell at interleaved place i, parity (-1)^popcount(c)
-    flat, signs, parity, order = [0], [1], [1], [0]
-    for j in range(n):
-        c_bit, r_bit = 1 << j, size << j
-        # index j goes on top: t = 2 r_j + c_j picks a run, and r_j != c_j
-        # flips the suffix parity of every lower index
-        flat = [*flat, *map(add, flat, repeat(c_bit)), *map(add, flat, repeat(r_bit)),
-                *map(add, flat, repeat(r_bit | c_bit))]
-        flipped = list(map(mul, signs, parity))
-        signs = [*signs, *flipped, *flipped, *signs]
-        negated = list(map(neg, parity))
-        parity = [*parity, *negated, *parity, *negated]
-        order = [*order, *map(add, order, repeat(1 << 2 * j))]
-    for j in range(n):  # order[k] is the interleaved place of flat index k
-        order = [*order, *map(add, order, repeat(2 << 2 * j))]
+    flat, signs, order = _tables(n).gather()
 
     def passes(cells):
         v = list(map(mul, map(cells.__getitem__, flat), signs))
@@ -534,17 +610,17 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
 
     im is None on the real path.  Past three quarters of the 4^n cells
     nonzero, every cell goes through the n passes of _unit_passes; below
-    that only the nonzero cells are scattered, through _unit_spots.  Zero
-    sums are dropped, and the rest go to _monomials in one batch.
+    that only the nonzero cells are scattered, through _tables(n).units
+    (_unit_spot).  Zero sums are dropped, and the rest go to _monomials in
+    one batch.
     """
     size = 1 << n
     cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
     if 4 * len(cells) > 3 * size * size:
         out_re, out_im = _unit_passes(n, re, im)
     else:
-        spots = _unit_spots(n, cells)
-        out_re = _scatter(size, spots, [re[k] for k in cells])
-        out_im = None if im is None else _scatter(size, spots, [im[k] for k in cells])
+        out_re, out_im = _scatter(size, _tables(n).units, cells, list(map(re.__getitem__, cells)),
+                                  None if im is None else list(map(im.__getitem__, cells)))
     ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
     out_im = None if im is None else list(map(out_im.__getitem__, ks))
     # k = a_mask * 2^n + b_mask

@@ -21,6 +21,12 @@ scalar is the one-coefficient builder the library used before it built
 result coefficients in batches (exact._scalars): GaussianRational.ZERO for a
 zero entry, otherwise Fraction(re, den) and Fraction(im, den).
 
+scatter, mono_spots and unit_spots are the matrix bridge's flat-list
+scatter as it was before the bridge kept per-rank tables of signed targets
+(witt._tables): each spot's subsets are walked on every call.
+mono_spots are the spots of witt._to_cells, unit_spots those of
+witt._from_cells' scatter.
+
 flat_product is the integer matrix product cell by cell, one plain sum of
 products per entry, as exact._flat_product computed it before it packed
 whole rows into single integers.
@@ -164,6 +170,63 @@ def scalar(re: int, im: int, den: int) -> GaussianRational:
     object.__setattr__(z, "re", Fraction(re, den))
     object.__setattr__(z, "im", Fraction(im, den))
     return z
+
+
+def scatter(size: int, spots, xs) -> list:
+    """Spread numerators over a flat list of size * size integers.
+
+    Each spot (base, free, flips, odd), with its numerator x of xs, adds +-x
+    at base + s * (size + 1) for every submask s of free, negated when
+    odd + popcount(s & flips) is odd.
+    """
+    out = [0] * (size * size)
+    step = size + 1
+    for (base, free, flips, odd), x in zip(spots, xs):
+        if odd & 1:
+            x = -x
+        s = free
+        while True:
+            if (s & flips).bit_count() & 1:
+                out[base + s * step] -= x
+            else:
+                out[base + s * step] += x
+            if not s:
+                break
+            s = (s - 1) & free
+    return out
+
+
+def mono_spots(n: int, masks) -> list:
+    """The scatter spot of each (a_mask, b_mask) of masks in its spectral matrix.
+
+    Monomial (A, B) has one entry for each subset s of the indices outside
+    A | B, at row (B & ~A) | s and column c = (A & ~B) | s, with sign
+    (-1)^popcount(c & sp(A ^ B)).
+    """
+    size = 1 << n
+    full = size - 1
+    spots = []
+    for a_mask, b_mask in masks:
+        col0, flips = a_mask & ~b_mask, _suffix_parity(a_mask ^ b_mask)
+        spots.append(((b_mask & ~a_mask) * size + col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count()))
+    return spots
+
+
+def unit_spots(n: int, cells) -> list:
+    """The scatter spot of the unit E_{rc} at each flat index k = r * 2^n + c of cells.
+
+    E_{rc} is the monomial (full & ~r, full & ~c) with sign
+    (-1)^(k(k-1)/2) for k = popcount(c), times (-1)^popcount(c & sp(r)),
+    times (1 - ab) at each index of r & c, each subset s of r & c with sign
+    (-1)^popcount(s).
+    """
+    size = 1 << n
+    full = size - 1
+    spots = []
+    for k in cells:
+        r, c = k >> n, k & full
+        spots.append(((full ^ r) * size + (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & _suffix_parity(r)).bit_count()))
+    return spots
 
 
 def flat_product(left, right, inner: int, width: int):

@@ -15,7 +15,11 @@ the kernel and the matrix bridge, by moving the bridge thresholds, at ranks
 peak of traced memory.  reverse and clifford_conj are compared with the
 GaussianRational reversal of oracles.py at ranks 0..6, and the Kronecker
 passes that read a nearly full spectral matrix back with the per-cell
-scatter, on each side of the line between them.
+scatter of oracles.py, on each side of the line between them.  The bridge's
+per-rank tables of signed targets are compared with that scatter's subset
+loop at every monomial and every cell at ranks 0..5 and a sample at rank 6,
+cold and warm, and a full rank-6 fill must stay within a bounded amount of
+traced memory.
 
 ExactMatrix.inverse and min_poly are compared byte for byte with the
 GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
@@ -287,8 +291,8 @@ class TestUnitPasses:
         size = 1 << n
         for name, cells in cell_sets(n, rng):
             re, im = cell_values(cells, size, cplx, rng)
-            spots = witt._unit_spots(n, cells)
-            want = tuple(None if xs is None else witt._scatter(size, spots, [xs[k] for k in cells]) for xs in (re, im))
+            spots = oracles.unit_spots(n, cells)
+            want = tuple(None if xs is None else oracles.scatter(size, spots, [xs[k] for k in cells]) for xs in (re, im))
             assert witt._unit_passes(n, re, im) == want, name
 
     @pytest.mark.parametrize("n", range(7))
@@ -314,6 +318,62 @@ class TestUnitPasses:
         g = from_matrix(M, n)
         assert as_bytes(g) == as_bytes(oracles.from_matrix(M, n))
         assert to_matrix(g) == M
+
+
+def signed_targets(size: int, spot) -> tuple:
+    """The oracle's (add, sub) flat indices of one scatter spot, each sorted."""
+    out = oracles.scatter(size, [spot], [1])
+    return [k for k, x in enumerate(out) if x == 1], [k for k, x in enumerate(out) if x == -1]
+
+
+class TestBridgeTables:
+    """witt._tables against the subset loop of oracles.scatter, cold (cleared first) and then warm."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_targets_match_the_oracle(self, n):
+        size = 1 << n
+        keys = range(size * size) if n < 6 else random.Random(1700).sample(range(size * size), 300)
+        witt._RANK_TABLES.clear()
+        for state in ("cold", "warm"):
+            tables = witt._tables(n)
+            for k in keys:
+                (mono,) = oracles.mono_spots(n, [divmod(k, size)])
+                (unit,) = oracles.unit_spots(n, [k])
+                for got, spot in ((tables.cells[k], mono), (tables.units[k], unit)):
+                    assert [sorted(targets) for targets in got] == list(signed_targets(size, spot)), (state, k)
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_scatters_match_the_oracle(self, n, cplx):
+        rng = random.Random(1800 + 2 * n + cplx)
+        size = 1 << n
+        witt._RANK_TABLES.clear()
+        for state in ("cold", "warm"):
+            for name, cells in cell_sets(n, rng):
+                re, im = cell_values(cells, size, cplx, rng)
+                lifted = [(WittMonomial(n, *divmod(k, size)), re[k], im[k] if cplx else 0) for k in cells]
+                for (got_re, got_im), spots in (
+                    (witt._to_cells(n, lifted, cplx), oracles.mono_spots(n, [divmod(k, size) for k in cells])),
+                    (witt._scatter(size, witt._tables(n).units, cells, [re[k] for k in cells],
+                                   [im[k] for k in cells] if cplx else None), oracles.unit_spots(n, cells)),
+                ):
+                    assert got_re == oracles.scatter(size, spots, [re[k] for k in cells]), (state, name)
+                    assert got_im == (oracles.scatter(size, spots, [im[k] for k in cells]) if cplx else None), (state, name)
+
+    def test_full_rank_6_tables_stay_small(self):
+        n = 6
+        witt._RANK_TABLES.clear()
+        tracemalloc.start()
+        try:
+            tables = witt._tables(n)
+            for k in range(4**n):
+                tables.cells[k], tables.units[k]
+            tables.gather()
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tables.cells) == len(tables.units) == 4**n
+        assert grown <= 3 * 2**20, grown
 
 
 @contextmanager
