@@ -269,10 +269,12 @@ def _as_scalar(x) -> GaussianRational:
 # Every result goes back to scalars through _scalars, one call per result:
 # Fraction.__new__ is Python code, about half of a scalar's cost when each is
 # built alone, so _scalars fills Fraction's slots (_numerator, _denominator)
-# directly, with the same reduced values.
+# directly, with the same reduced values, and _lift reads them through their
+# C-level getters, not Fraction's Python-level properties.
 
 _FRACTION_ZERO = Fraction(0)
 _new = object.__new__
+_get_num, _get_den = Fraction._numerator.__get__, Fraction._denominator.__get__
 _set_num, _set_den = Fraction._numerator.__set__, Fraction._denominator.__set__
 _set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
 
@@ -280,13 +282,13 @@ _set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
 def _lift(entries, cplx: bool):
     """(den, re, im) with den * entries[k] == re[k] + im[k]*i and den the least common denominator."""
     if not cplx:
-        den = lcm(*(x.re.denominator for x in entries))
-        return den, [x.re.numerator * (den // x.re.denominator) for x in entries], None
-    den = lcm(*(x.re.denominator for x in entries), *(x.im.denominator for x in entries))
+        den = lcm(*[_get_den(x.re) for x in entries])
+        return den, [_get_num(x.re) * (den // _get_den(x.re)) for x in entries], None
+    den = lcm(*[_get_den(x.re) for x in entries], *[_get_den(x.im) for x in entries])
     return (
         den,
-        [x.re.numerator * (den // x.re.denominator) for x in entries],
-        [x.im.numerator * (den // x.im.denominator) for x in entries],
+        [_get_num(x.re) * (den // _get_den(x.re)) for x in entries],
+        [_get_num(x.im) * (den // _get_den(x.im)) for x in entries],
     )
 
 

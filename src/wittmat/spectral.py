@@ -27,9 +27,10 @@ Multivector products share.  That flat form is also the one an ExactMatrix
 can hold: to_matrix hands its integers to the matrix as they are, and
 from_matrix reads them back, so a round trip, or a product of spectral
 matrices read back, builds no matrix entry as a scalar.  Only a matrix that
-holds its cells is lifted, once, with exact._lift.  The only state kept is
-witt._tables(n): which entries a monomial or a unit fills and with which
-signs, filled on first use, at most 4^n keys per direction and rank.
+holds its cells is lifted, once, with exact._lift.  A monomial (A, B) and a
+cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c.  The only
+state kept is witt._tables(n) and witt._gather(n): the signed targets of
+each direction and the orders and signs of the passes, filled on first use.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import chain
 from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .witt import Multivector, WittMonomial, _collect, _from_cells, _lifted_terms, _signed, _to_cells, _unit_terms
+from .witt import Multivector, WittMonomial, _collect, _from_cells, _lifted_terms, _monomials, _to_cells, _unit_spot
 
 __all__ = _EXPORTS["spectral"]
 
@@ -55,7 +56,9 @@ def spectral_unit(n: int, row: int, col: int) -> Multivector:
     size = _size(n)
     if not (0 <= row < size and 0 <= col < size):
         raise InputError(f"row/col out of range for rank {n}")
-    return Multivector(n, dict(_signed(n, GaussianRational.ONE, _unit_terms(n, row, col))))
+    plus, minus = _unit_spot(n, range(1 << 2 * n), row << n | col)
+    coeffs = [GaussianRational.ONE] * len(plus) + [-GaussianRational.ONE] * len(minus)
+    return Multivector._make(n, _monomials(n, plus + minus, coeffs), False)
 
 
 def spectral_table(n: int) -> list[list[Multivector]]:
@@ -66,8 +69,8 @@ def spectral_table(n: int) -> list[list[Multivector]]:
 def to_matrix(g: Multivector) -> ExactMatrix:
     size = 1 << g.n
     cplx = g._has_imag()
-    den, lifted = _lifted_terms(g, cplx)
-    return ExactMatrix._from_flat(size, size, den, *_to_cells(g.n, lifted, cplx))
+    den, *lifted = _lifted_terms(g, cplx)
+    return ExactMatrix._from_flat(size, size, den, *_to_cells(g.n, *lifted))
 
 
 def from_matrix(M: ExactMatrix, n: int | None = None, complexified: bool | None = None) -> Multivector:

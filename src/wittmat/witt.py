@@ -7,7 +7,9 @@ Rank n means generators a_1..a_n, b_1..b_n subject to
 
 A canonical monomial visits indices in ascending order, emitting a_i before
 b_i when both occur; it is encoded by the bitmask pair (a_mask, b_mask), bit
-i-1 standing for index i.
+i-1 standing for index i.  The integer layers below key a term by one
+index k = a_mask * 2^n + b_mask, as a 2^n x 2^n matrix keys a cell by
+row * 2^n + col; WittMonomial keys are built only at read-back (_monomials).
 
 The kernel is closed form (Jordan-Wigner).  Per index the local words
 1, a, b, ab multiply as 2x2 matrix units (left factor down, right across):
@@ -39,19 +41,21 @@ A product of two elements never visits a vanishing pair of monomials.  A
 pair vanishes exactly when a lone a of the left factor meets an a of the
 right, or a b of the left meets a lone b of the right, so _product_sum
 groups both factors on those masks and skips a vanishing pair of groups
-whole.  A live pair's product is one monomial (first_a, last_b) with its
-parity sign, times b.a = 1 - ab at each index where a lone b of the left
+whole.  A live pair's product is one monomial first_a * 2^n + last_b with
+its parity sign, times b.a = 1 - ab at each index where a lone b of the left
 meets a lone a of the right; those indices are its b.a sites.
 
 Products run on integer numerators.  Each factor's coefficients are lifted
 once to numerators over one common denominator (exact._lift, the helper the
 ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
 an imaginary part.  The kernel adds each live pair's signed numerator
-product into one integer (or (re, im) pair) per key (first_a, last_b,
-sites); many pairs share a key, so after the loop each distinct key is
-expanded once into its 2^popcount(sites) monomials.  The nonzero sums become
-the coefficients, over the product of the two denominators, in one batch
-(exact._scalars), and their WittMonomial keys in C-level maps.
+product into one integer (or (re, im) pair) per key, the term's index with
+its sites above bit 2n; many pairs share a key, so after the loop each
+distinct key with sites is expanded once.  The nonzero sums become the
+coefficients, over the product of the two denominators, in one batch
+(exact._scalars).  Every signed expansion is one subset walk (_walk): a set
+s of indices joining both masks of a term, or the row and the column of a
+cell, moves its index by s * (2^n + 1), each sign a parity.
 
 A dense product runs through the matrix isomorphism instead.  The kernel
 takes one Python step per live term, the sum of |lterms| * |rterms| over
@@ -65,25 +69,23 @@ pairs, and past max(_BRIDGE_PER_CELL * 4^n, _BRIDGE_FLOOR) live terms
 __mul__ writes both lifted factors into spectral matrices with _to_cells,
 multiplies them with exact._flat_product and reads the product back with
 _from_cells.  to_matrix and from_matrix in spectral.py are the same two
-helpers.  Both work on flat integer lists of 4^n entries, index
-row * 2^n + col for a matrix and a_mask * 2^n + b_mask for an element; a set
-s of indices that a monomial leaves free, or that a unit's row and column
-share, moves an entry by s * (2^n + 1).  Both directions are one sign per
-cell and a Kronecker product of one 4x4 map per index, so which entries an
-entry fills, and with which signs, is a constant of n.  _tables(n) keeps
-them, one key expanded over its subsets on first use: a monomial index to
-the cells it fills, and a cell to the monomial indices its unit reads back
-to, each as the targets it is added to and those it is subtracted from.
-_to_cells, and _from_cells below three quarters of the cells nonzero,
-scatter only the nonzero entries through those targets; a nearly full
-matrix, as a dense product is, is read back in n passes over all 4^n cells
-instead, each applying one index's map to four strided slices
-(_unit_passes), with gather orders and signs from the same tables.
+helpers, on flat integer lists of 4^n entries.  Both directions are one
+sign per cell and a Kronecker product of one 4x4 map per index, so which
+entries an entry fills, and with which signs, is a constant of n, and so is
+a monomial's reversed word.  Three per-rank tables keep these signed
+targets, each key walked once on first use: _tables(n) holds cells (monomial
+to cells) and units (cell to the monomials of its unit), _reverse_table(n)
+the reversed words.  _to_cells, and _from_cells below
+three quarters of the cells nonzero, scatter only the nonzero entries
+through those targets; a nearly full matrix, as a dense product is, is read
+back in n passes over all 4^n cells instead, each applying one index's map
+to four strided slices (_unit_passes), with gather orders and signs from
+_gather(n).
 
 Reversal runs on integer numerators too: reverse and clifford_conj lift the
 element once, put the grade involution's signs and the conjugation of i on
-the numerators, and sum each reversed term into one integer per monomial;
-its coefficients are built in one batch too.
+the numerators, and spread each term through _reverse_table(n) into one
+integer per monomial; its coefficients are built in one batch too.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -94,8 +96,10 @@ conjugates it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, or_, sub
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
@@ -169,11 +173,6 @@ def _sign(x: int) -> int:
     return -1 if x.bit_count() & 1 else 1
 
 
-def _reversal_sign(k: int) -> int:
-    """(-1) ** (k(k-1)/2), the sign of reversing k anticommuting letters."""
-    return -1 if k & 2 else 1
-
-
 def _suffix_parity(m: int) -> int:
     """Bit j is the parity of the bits of m above bit j."""
     x = m >> 1
@@ -194,109 +193,117 @@ def _subsets(mask: int):
         s = (s - 1) & mask
 
 
-def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
-    """sign * (a_mask, b_mask) * prod over sites of (1 - a_i b_i), as ((a, b), +-1) terms.
+def _walk(n: int, ints: list, base: int, free: int, flips: int, odd: int) -> tuple:
+    """(add, sub): ints[base + s * (2^n + 1)] for every submask s of free, in sub when odd + popcount(s & flips) is odd.
 
-    The sites lie outside a_mask | b_mask, and a_i b_i is even, so it drops
-    into its slot of the canonical word without a sign.
+    ints[i] is i: a table's shared ints, so a kept target is a reference,
+    not a new int, or range(4^n) for a walk that keeps nothing.
     """
-    terms = [((a_mask, b_mask), sign)]
-    while sites:
-        site = sites & -sites
-        sites ^= site
-        terms += [((am | site, bm | site), -s) for (am, bm), s in terms]
-    return terms
+    step = (1 << n) + 1
+    plus, minus = [], []
+    s = free
+    while True:
+        (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(ints[base + s * step])
+        if not s:
+            return tuple(plus), tuple(minus)
+        s = (s - 1) & free
+
+
+def _spread(acc: dict, targets, sums, cplx: bool) -> None:
+    """Add each of sums into acc at the add targets of its (add, sub) pair of targets, and subtract it at the sub targets.
+
+    A sum is an int, or an (re, im) pair of ints when cplx.
+    """
+    get = acc.get
+    if not cplx:
+        for (plus, minus), x in zip(targets, sums):
+            for k in plus:
+                acc[k] = get(k, 0) + x
+            for k in minus:
+                acc[k] = get(k, 0) - x
+        return
+    for (plus, minus), (x, y) in zip(targets, sums):
+        for k in plus:
+            re, im = get(k, (0, 0))
+            acc[k] = (re + x, im + y)
+        for k in minus:
+            re, im = get(k, (0, 0))
+            acc[k] = (re - x, im - y)
 
 
 def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     """The rank-n product of left by right as {WittMonomial: scalar}, over den.
 
-    Both factors are lists of (mono, re, im) with integer numerators, as from
-    _lifted_terms; the real path (cplx false) never reads im.  A pair
-    vanishes when a lone a on the left meets an a on the right or a b on the
-    left meets a lone b on the right, so the left factor is grouped by
-    (lone a, b) and the right by (a, lone b), and a vanishing pair of groups
-    is skipped whole.  What a pair of groups or a left term shares is
-    computed once.  A live pair's product is the term (first_a, last_b)
-    with its parity sign, times (1 - ab) at each site where a lone b on the
-    left meets a lone a on the right.  Its signed numerator is summed under
-    (first_a, last_b, sites), or (first_a, last_b) when it has no sites.
-    After the loop each distinct key with sites is expanded once, in place,
-    by _with_idempotents, and the nonzero sums go to _from_sums.
+    Both factors are (keys, re, im) as from _lifted_terms; im is None on the
+    real path (cplx false).  The left factor is grouped by lone_a * 2^n + b
+    and the right by a * 2^n + lone_b, so a pair of groups whose keys share
+    a bit, where a.a or b.b meet, is skipped whole.  What a pair of groups
+    or a left term shares is computed once.  A live pair's signed numerator
+    product is summed under first_a * 2^n + last_b with its b.a sites above
+    bit 2n; after the loop each distinct key with sites is expanded once,
+    in place, by _walk, and the nonzero sums go to _from_sums.
     """
+    full = (1 << n) - 1
     lgroups, rgroups = {}, {}
-    for m, x, y in left:
-        a1, b1 = m.a_mask, m.b_mask
-        lgroups.setdefault((a1 & ~b1, b1), []).append((a1, b1 & ~a1, _suffix_parity(a1 ^ b1), x, y))
-    for m, x, y in right:
-        a2, b2 = m.a_mask, m.b_mask
-        rgroups.setdefault((a2, b2 & ~a2), []).append((b2, a2 & ~b2, a2 ^ b2, x, y))
-    live = [
-        (a2 & ~b1, b1 & ~a2, lterms, rterms)
-        for (lone_a1, b1), lterms in lgroups.items()
-        for (a2, lone_b2), rterms in rgroups.items()
-        if not (lone_a1 & a2 or b1 & lone_b2)  # a.a or b.b meet at some index
-    ]
+    keys, xs, ys = left
+    for k, x, y in zip(keys, xs, ys or repeat(0)):
+        a1, b1 = k >> n, k & full
+        lgroups.setdefault(k & ~(b1 << n), []).append((k - b1, (b1 & ~a1) << 2 * n, _suffix_parity(a1 ^ b1), x, y))
+    keys, xs, ys = right
+    for k, x, y in zip(keys, xs, ys or repeat(0)):
+        a2, b2 = k >> n, k & full
+        rgroups.setdefault(k & ~a2, []).append((b2, (a2 & ~b2) << 2 * n, a2 ^ b2, x, y))
+    live = []
+    for lkey, lterms in lgroups.items():
+        b1 = lkey & full
+        for rkey, rterms in rgroups.items():
+            if not lkey & rkey:
+                a2 = rkey >> n
+                live.append(((a2 & ~b1) << n | (b1 & ~a2), lterms, rterms))
     acc = {}
     get = acc.get
     if not cplx:
-        for new_a, kept_b, lterms, rterms in live:
+        for kept, lterms, rterms in live:
             for a1, lone_b1, flips, x1, _ in lterms:
-                first_a = a1 | new_a
+                first = a1 | kept
                 for b2, lone_a2, odd2, x2, _ in rterms:
-                    sites = lone_b1 & lone_a2
-                    key = (first_a, b2 | kept_b, sites) if sites else (first_a, b2 | kept_b)
+                    key = first | b2 | (lone_b1 & lone_a2)
                     if (odd2 & flips).bit_count() & 1:
                         acc[key] = get(key, 0) - x1 * x2
                     else:
                         acc[key] = get(key, 0) + x1 * x2
-        for branched in [key for key in acc if len(key) == 3]:
-            x = acc.pop(branched)
-            for key, s in _with_idempotents(*branched, 1):
-                acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
-        return _from_sums(n, acc, den, False)
-    for new_a, kept_b, lterms, rterms in live:
-        for a1, lone_b1, flips, x1, y1 in lterms:
-            first_a = a1 | new_a
-            for b2, lone_a2, odd2, x2, y2 in rterms:
-                sites = lone_b1 & lone_a2
-                key = (first_a, b2 | kept_b, sites) if sites else (first_a, b2 | kept_b)
-                re, im = get(key, (0, 0))
-                if (odd2 & flips).bit_count() & 1:
-                    acc[key] = (re - x1 * x2 + y1 * y2, im - x1 * y2 - y1 * x2)
-                else:
-                    acc[key] = (re + x1 * x2 - y1 * y2, im + x1 * y2 + y1 * x2)
-    for branched in [key for key in acc if len(key) == 3]:
-        x, y = acc.pop(branched)
-        for key, s in _with_idempotents(*branched, 1):
-            re, im = get(key, (0, 0))
-            acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
-    return _from_sums(n, acc, den, True)
+    else:
+        for kept, lterms, rterms in live:
+            for a1, lone_b1, flips, x1, y1 in lterms:
+                first = a1 | kept
+                for b2, lone_a2, odd2, x2, y2 in rterms:
+                    key = first | b2 | (lone_b1 & lone_a2)
+                    re, im = get(key, (0, 0))
+                    if (odd2 & flips).bit_count() & 1:
+                        acc[key] = (re - x1 * x2 + y1 * y2, im - x1 * y2 - y1 * x2)
+                    else:
+                        acc[key] = (re + x1 * x2 - y1 * y2, im + x1 * y2 + y1 * x2)
+    top = (1 << 2 * n) - 1
+    branched = list(filter(top.__lt__, acc))
+    if branched:
+        ints = range(top + 1)
+        _spread(acc, [_walk(n, ints, k & top, k >> 2 * n, full, 0) for k in branched], list(map(acc.pop, branched)), cplx)
+    return _from_sums(n, acc, den, cplx)
 
 
-def _monomials(n: int, masks, re, im, den: int) -> dict:
-    """{WittMonomial(n, a, b): (re[k] + im[k]*i) / den} for the k-th (a, b) of masks, no entry zero.
-
-    im is None on the real path.  The keys are built by C-level maps and the
-    scalars by one exact._scalars call, with no Python frame per term.
-    """
-    return dict(zip(map(tuple.__new__, repeat(WittMonomial), map(add, repeat((n,)), masks)), _scalars(re, im, den)))
+def _monomials(n: int, ks, coeffs) -> dict:
+    """{WittMonomial(n, k >> n, k & (2^n - 1)): c} for the k of ks and the c of coeffs."""
+    full, new = (1 << n) - 1, tuple.__new__
+    return dict(zip([new(WittMonomial, (n, k >> n, k & full)) for k in ks], coeffs))
 
 
 def _from_sums(n: int, acc: dict, den: int, cplx: bool) -> dict:
-    """_monomials of the nonzero sums in acc, {(a_mask, b_mask): x}, x an int, or an (re, im) pair when cplx."""
+    """_monomials of the nonzero sums in acc, {k: x} with x an int, or an (re, im) pair when cplx, over den."""
     if not cplx:
-        return _monomials(n, compress(acc, acc.values()), list(filter(None, acc.values())), None, den)
+        return _monomials(n, compress(acc, acc.values()), _scalars(list(filter(None, acc.values())), None, den))
     live = list(map(any, acc.values()))
     sums = list(compress(acc.values(), live))
-    return _monomials(n, compress(acc, live), [x for x, _ in sums], [y for _, y in sums], den)
-
-
-def _mono_reverse(a_mask: int, b_mask: int):
-    """The reversed word of (a_mask, b_mask) as ((a_mask, b_mask), +-1) terms."""
-    pairs = a_mask & b_mask  # each a_i b_i reverses to b_i a_i = 1 - a_i b_i
-    sign = _reversal_sign((a_mask ^ b_mask).bit_count())
-    return _with_idempotents(a_mask & ~pairs, b_mask & ~pairs, pairs, sign)
+    return _monomials(n, compress(acc, live), _scalars([x for x, _ in sums], [y for _, y in sums], den))
 
 
 def _mono_to_blades(a_mask: int, b_mask: int):
@@ -323,18 +330,6 @@ def _blade_to_monos(e_mask: int, f_mask: int):
     return out
 
 
-def _unit_terms(n: int, row: int, col: int):
-    """Spectral unit E_{row,col} as ((a_mask, b_mask), +-1) terms."""
-    full = (1 << n) - 1
-    sign = _reversal_sign(col.bit_count()) * _sign(col & _suffix_parity(row))
-    return _with_idempotents(full & ~row, full & ~col, row & col, sign)
-
-
-def _signed(n: int, c, terms):
-    """Pair each ((a_mask, b_mask), +-1) kernel term with the coefficient +-c."""
-    return ((WittMonomial(n, am, bm), c if s > 0 else -c) for (am, bm), s in terms)
-
-
 def _collect(pairs) -> dict:
     """Sum the coefficients of (key, coefficient) pairs by key, dropping zero sums."""
     acc = {}
@@ -345,43 +340,32 @@ def _collect(pairs) -> dict:
 
 
 def _lifted_terms(g: "Multivector", cplx: bool):
-    """(den, [(mono, re, im)]) with den * coefficient == re + im*i for every term of g.
+    """(den, keys, re, im): den * coefficient == re[j] + im[j]*i for the term at keys[j] = a_mask * 2^n + b_mask.
 
-    On the real path (cplx false) every im is 0.
+    im is None on the real path (cplx false).
     """
+    n = g.n
     den, re, im = _lift(g._terms.values(), cplx)
-    return den, list(zip(g._terms, re, im or repeat(0)))
+    return den, [m.a_mask << n | m.b_mask for m in g._terms], re, im
 
 
 def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
     """The reverse of g; conj conjugates i, and graded first takes the grade involution's signs.
 
-    g is lifted once, and the signs and the conjugation fall on the
-    numerators.  Each reversed term adds +-x, or +-(x, y) when some
-    coefficient has an imaginary part, into one integer sum per monomial,
-    and each coefficient is built once, over the lifted denominator.
+    g is lifted once, and each term's numerator, or (re, im) pair, spreads
+    through its targets in _reverse_table(n) into one sum per monomial; the
+    grade involution swaps the targets of a term of odd degree, and the
+    conjugation negates the imaginary numerators.
     """
     n = g.n
     cplx = g._has_imag()
-    den, lifted = _lifted_terms(g, cplx)
+    den, keys, re, im = _lifted_terms(g, cplx)
+    targets = map(_reverse_table(n).__getitem__, keys)
+    if graded:
+        targets = [(minus, plus) if k.bit_count() & 1 else (plus, minus) for k, (plus, minus) in zip(keys, targets)]
     acc = {}
-    get = acc.get
-    if not cplx:
-        for m, x, _ in lifted:
-            if graded and m.degree & 1:
-                x = -x
-            for key, s in _mono_reverse(m.a_mask, m.b_mask):
-                acc[key] = get(key, 0) + x if s > 0 else get(key, 0) - x
-        return g._make(n, _from_sums(n, acc, den, False), g.complexified)
-    for m, x, y in lifted:
-        if conj:
-            y = -y
-        if graded and m.degree & 1:
-            x, y = -x, -y
-        for key, s in _mono_reverse(m.a_mask, m.b_mask):
-            re, im = get(key, (0, 0))
-            acc[key] = (re + x, im + y) if s > 0 else (re - x, im - y)
-    return g._make(n, _from_sums(n, acc, den, True), g.complexified)
+    _spread(acc, targets, zip(re, map(neg, im) if conj else im) if cplx else re, cplx)
+    return g._make(n, _from_sums(n, acc, den, cplx), g.complexified)
 
 
 # A product whose live kernel terms exceed both _BRIDGE_PER_CELL * 4^n and
@@ -402,34 +386,35 @@ _BRIDGE_PER_CELL = 1.2
 _BRIDGE_FLOOR = 120
 
 
-def _live_count(n: int, left, right) -> int:
+def _live_count(n: int, lkeys, rkeys) -> int:
     """The live kernel terms of left * right, |lterms| * |rterms| summed over the live pairs of groups.
 
-    Both factors are lists of (mono, re, im).  The left group (lone a, b) and
-    the right group (a, lone b) are live together when the 2n-bit keys
-    lone_a | b << n and a | lone_b << n share no bit.  So a subset sum over
-    the right keys gives, at each mask, the right terms whose key lies
-    within it, and each left term reads it at the complement of its key.
+    lkeys and rkeys are the factors' term indices a_mask * 2^n + b_mask.
+    The left group lone_a * 2^n + b and the right group a * 2^n + lone_b are
+    live together when they share no bit.  So a subset sum over the right
+    groups gives, at each 2n-bit mask, the right terms whose group lies
+    within it, and each left term reads it at the complement of its group.
     """
+    full = (1 << n) - 1
     size = 1 << 2 * n
     within = [0] * size
-    for m, _, _ in right:
-        within[m.a_mask | (m.b_mask & ~m.a_mask) << n] += 1
+    for k in rkeys:
+        within[k & ~(k >> n)] += 1
     for j in range(2 * n):
         bit = 1 << j
         step = bit << 1
-        if j < n:  # a bit of a: bit strided slices
+        if j < n:  # a bit of b: bit strided slices
             for lo in range(bit):
                 within[lo + bit :: step] = map(add, within[lo + bit :: step], within[lo::step])
-        else:  # a bit of lone b: size // step runs of whole rows
+        else:  # a bit of a: size // step runs of whole rows
             for lo in range(0, size, step):
                 within[lo + bit : lo + step] = map(add, within[lo + bit : lo + step], within[lo : lo + bit])
-    full = size - 1
-    return sum(within[full ^ (m.a_mask & ~m.b_mask | m.b_mask << n)] for m, _, _ in left)
+    top = size - 1
+    return sum(within[top ^ (k & ~((k & full) << n))] for k in lkeys)
 
 
-def _mono_spot(n: int, k: int):
-    """(base, free, flips, odd) of monomial index k = a_mask * 2^n + b_mask, for _Targets.
+def _mono_spot(n: int, ints, k: int):
+    """The _walk of monomial index k = a_mask * 2^n + b_mask over the cells of its spectral matrix.
 
     Monomial (A, B) has one entry for each subset s of the indices outside
     A | B, at row (B & ~A) | s and column c = (A & ~B) | s, with sign
@@ -439,11 +424,11 @@ def _mono_spot(n: int, k: int):
     full = (1 << n) - 1
     a_mask, b_mask = k >> n, k & full
     col0, flips = a_mask & ~b_mask, _suffix_parity(a_mask ^ b_mask)
-    return (b_mask & ~a_mask) << n | col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count()
+    return _walk(n, ints, (b_mask & ~a_mask) << n | col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count())
 
 
-def _unit_spot(n: int, k: int):
-    """(base, free, flips, odd) of the unit E_{rc} at flat cell k = r * 2^n + c, for _Targets.
+def _unit_spot(n: int, ints, k: int):
+    """The _walk of the unit E_{rc} at flat cell k = r * 2^n + c over the monomial indices.
 
     E_{rc} is the monomial (full & ~r, full & ~c) with sign
     (-1)^(p(p-1)/2) for p = popcount(c), times (-1)^popcount(c & sp(r)),
@@ -453,94 +438,99 @@ def _unit_spot(n: int, k: int):
     """
     full = (1 << n) - 1
     r, c = k >> n, k & full
-    return (full ^ r) << n | (full ^ c), r & c, full, (c.bit_count() >> 1) + (c & _suffix_parity(r)).bit_count()
+    odd = (c.bit_count() >> 1) + (c & _suffix_parity(r)).bit_count()
+    return _walk(n, ints, (full ^ r) << n | (full ^ c), r & c, full, odd)
+
+
+def _reverse_spot(n: int, ints, k: int):
+    """The _walk of the reversed word of monomial index k = a_mask * 2^n + b_mask over the monomial indices.
+
+    Each a_i b_i of the word reverses to b_i a_i = 1 - a_i b_i, and its p
+    single letters reverse with sign (-1)^(p(p-1)/2).  a_i b_i is even, so
+    it drops into its slot of the canonical word without a sign: each
+    subset s of the pairs P = A & B gives the term (A ^ P) | s, (B ^ P) | s,
+    s * (2^n + 1) past the one of s = 0, with sign (-1)^popcount(s).
+    """
+    full = (1 << n) - 1
+    pairs = k >> n & k
+    return _walk(n, ints, k ^ pairs * (full + 2), pairs, full, ((k >> n ^ k) & full).bit_count() >> 1)
 
 
 class _Targets(dict):
-    """{flat index k: (add, sub)}, the flat indices an entry at k adds itself to and subtracts itself from.
+    """{index k: (add, sub)}, the indices an entry at k adds itself to and subtracts itself from.
 
-    spot(n, k) is (base, free, flips, odd): the entry lands at
-    base + s * (2^n + 1) for every submask s of free, negated when
-    odd + popcount(s & flips) is odd.  A key is expanded on first use and
-    kept; keys and targets are the ints of one list per rank.
+    spot(n, ints, k) walks them.  A key is expanded on first use and kept;
+    keys and targets are read from ints, as in _walk.
     """
 
     __slots__ = ("n", "ints", "spot")
 
-    def __init__(self, n: int, ints: list, spot):
+    def __init__(self, n: int, ints, spot):
         super().__init__()
         self.n, self.ints, self.spot = n, ints, spot
 
     def __missing__(self, k: int):
-        base, free, flips, odd = self.spot(self.n, k)
-        step = (1 << self.n) + 1
-        plus, minus = [], []
-        s = free
-        while True:
-            (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(self.ints[base + s * step])
-            if not s:
-                break
-            s = (s - 1) & free
-        targets = self[self.ints[k]] = (tuple(plus), tuple(minus))
+        targets = self[self.ints[k]] = self.spot(self.n, self.ints, k)
         return targets
 
 
-class _RankTables:
-    """The matrix bridge's constants at rank n, each filled on first use and kept.
+@cache
+def _tables(n: int) -> SimpleNamespace:
+    """The matrix bridge's signed-target tables at rank n, at most 4^n keys each, every key filled on first use and kept.
 
-    cells maps a monomial index a_mask * 2^n + b_mask to the flat cells
-    r * 2^n + c its spectral matrix fills (_to_cells), and units maps a flat
-    cell to the monomial indices its unit reads back to (_from_cells'
-    scatter); each direction holds at most 4^n keys.  gather() is
-    _unit_passes' orders and signs.
+    cells maps a monomial index to the cells its spectral matrix fills
+    (_to_cells) and units a cell to the monomial indices its unit reads back
+    to (_from_cells).  Both share the ints of ints, list(range(4^n)), as
+    large as the spectral matrices the bridge builds anyway.
     """
-
-    __slots__ = ("n", "ints", "cells", "units", "_gather")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ints = list(range(1 << 2 * n))
-        self.cells = _Targets(n, self.ints, _mono_spot)
-        self.units = _Targets(n, self.ints, _unit_spot)
-        self._gather = None
-
-    def gather(self):
-        """(flat, signs, order) of _unit_passes, built by doubling on the first call.
-
-        flat[i] is the flat cell at interleaved place i and signs[i] its sign;
-        order[k] is the interleaved place of flat index k.
-        """
-        if self._gather is None:
-            n, size = self.n, 1 << self.n
-            # parity[i] is (-1)^popcount(c) of the cell at place i
-            flat, signs, parity, order = [0], [1], [1], [0]
-            for j in range(n):
-                c_bit, r_bit = 1 << j, size << j
-                # index j goes on top: t = 2 r_j + c_j picks a run, and r_j != c_j
-                # flips the suffix parity of every lower index
-                flat = [*flat, *map(add, flat, repeat(c_bit)), *map(add, flat, repeat(r_bit)),
-                        *map(add, flat, repeat(r_bit | c_bit))]
-                flipped = list(map(mul, signs, parity))
-                signs = [*signs, *flipped, *flipped, *signs]
-                negated = list(map(neg, parity))
-                parity = [*parity, *negated, *parity, *negated]
-                order = [*order, *map(add, order, repeat(1 << 2 * j))]
-            for j in range(n):
-                order = [*order, *map(add, order, repeat(2 << 2 * j))]
-            self._gather = list(map(self.ints.__getitem__, flat)), signs, list(map(self.ints.__getitem__, order))
-        return self._gather
+    ints = list(range(1 << 2 * n))
+    return SimpleNamespace(ints=ints, cells=_Targets(n, ints, _mono_spot), units=_Targets(n, ints, _unit_spot))
 
 
-# rank -> its _RankTables; bounded by the ranks in use, each by 4^n keys per direction
-_RANK_TABLES: dict = {}
+class _Ints(dict):
+    """{i: i}, each int stored on first use: ints to share without a list of all 4^n."""
+
+    __slots__ = ()
+
+    def __missing__(self, i: int) -> int:
+        self[i] = i
+        return i
 
 
-def _tables(n: int) -> _RankTables:
-    """The bridge's tables at rank n, made on first use."""
-    tables = _RANK_TABLES.get(n)
-    if tables is None:
-        tables = _RANK_TABLES[n] = _RankTables(n)
-    return tables
+@cache
+def _reverse_table(n: int) -> _Targets:
+    """{monomial index: the (add, sub) monomial indices of its reversed word} at rank n, filled on first use.
+
+    Its ints are only those used, so a sparse reversal builds no 4^n list.
+    """
+    return _Targets(n, _Ints(), _reverse_spot)
+
+
+@cache
+def _gather(n: int):
+    """(flat, signs, order) of _unit_passes at rank n, built by doubling.
+
+    flat[i] is the flat cell at interleaved place i and signs[i] its sign;
+    order[k] is the interleaved place of flat index k.
+    """
+    size = 1 << n
+    # parity[i] is (-1)^popcount(c) of the cell at place i
+    flat, signs, parity, order = [0], [1], [1], [0]
+    for j in range(n):
+        c_bit, r_bit = 1 << j, size << j
+        # index j goes on top: t = 2 r_j + c_j picks a run, and r_j != c_j
+        # flips the suffix parity of every lower index
+        flat = [*flat, *map(add, flat, repeat(c_bit)), *map(add, flat, repeat(r_bit)),
+                *map(add, flat, repeat(r_bit | c_bit))]
+        flipped = list(map(mul, signs, parity))
+        signs = [*signs, *flipped, *flipped, *signs]
+        negated = list(map(neg, parity))
+        parity = [*parity, *negated, *parity, *negated]
+        order = [*order, *map(add, order, repeat(1 << 2 * j))]
+    for j in range(n):
+        order = [*order, *map(add, order, repeat(2 << 2 * j))]
+    ints = _tables(n).ints
+    return list(map(ints.__getitem__, flat)), signs, list(map(ints.__getitem__, order))
 
 
 def _scatter(size: int, targets: _Targets, keys, re, im):
@@ -568,15 +558,14 @@ def _scatter(size: int, targets: _Targets, keys, re, im):
     return out_re, out_im
 
 
-def _to_cells(n: int, lifted, cplx: bool):
-    """The spectral matrix of lifted terms as flat integer lists (re, im), cell (row, col) at row * 2^n + col.
+def _to_cells(n: int, keys, re, im):
+    """The spectral matrix of the terms at keys as flat integer lists (re, im), cell (row, col) at row * 2^n + col.
 
-    lifted is a list of (mono, re, im) as from _lifted_terms; on the real
-    path (cplx false) the returned im is None.  Each monomial scatters
-    through its targets in _tables(n).cells (_mono_spot).
+    keys, re and im are as from _lifted_terms; im is None on the real path,
+    and so is the returned one.  Each monomial scatters through its targets
+    in _tables(n).cells (_mono_spot).
     """
-    keys = [m.a_mask << n | m.b_mask for m, _, _ in lifted]
-    return _scatter(1 << n, _tables(n).cells, keys, [x for _, x, _ in lifted], [y for _, _, y in lifted] if cplx else None)
+    return _scatter(1 << n, _tables(n).cells, keys, re, im)
 
 
 def _unit_passes(n: int, re, im):
@@ -590,10 +579,10 @@ def _unit_passes(n: int, re, im):
     slices of the lowest index to four contiguous runs, so that index moves
     to the top bits; after n passes every index is back in place, now as
     (a_j, b_j), and the list is gathered to a_mask * 2^n + b_mask (Davio
-    1981; Pease 1968).  The gather orders and the signs are the rank's
-    _RankTables.gather(); im is None on the real path.
+    1981; Pease 1968).  The gather orders and the signs are _gather(n); im
+    is None on the real path.
     """
-    flat, signs, order = _tables(n).gather()
+    flat, signs, order = _gather(n)
 
     def passes(cells):
         v = list(map(mul, map(cells.__getitem__, flat), signs))
@@ -611,8 +600,9 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
     im is None on the real path.  Past three quarters of the 4^n cells
     nonzero, every cell goes through the n passes of _unit_passes; below
     that only the nonzero cells are scattered, through _tables(n).units
-    (_unit_spot).  Zero sums are dropped, and the rest go to _monomials in
-    one batch.
+    (_unit_spot).  Either way the sums land at the monomial indices
+    a_mask * 2^n + b_mask; zero sums are dropped, and the rest go to
+    _monomials in one batch.
     """
     size = 1 << n
     cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
@@ -623,8 +613,7 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
                                   None if im is None else list(map(im.__getitem__, cells)))
     ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
     out_im = None if im is None else list(map(out_im.__getitem__, ks))
-    # k = a_mask * 2^n + b_mask
-    terms = _monomials(n, map(divmod, ks, repeat(size)), list(map(out_re.__getitem__, ks)), out_im, den)
+    terms = _monomials(n, ks, _scalars(list(map(out_re.__getitem__, ks)), out_im, den))
     return Multivector._make(n, terms, complexified)
 
 
@@ -731,14 +720,14 @@ class Multivector:
         self._check_rank(other)
         n = self.n
         cplx = self._has_imag() or other._has_imag()
-        d1, left = _lifted_terms(self, cplx)
-        d2, right = _lifted_terms(other, cplx)
+        d1, *left = _lifted_terms(self, cplx)
+        d2, *right = _lifted_terms(other, cplx)
         comp = self.complexified or other.complexified
         bound = max(_BRIDGE_PER_CELL * 4**n, _BRIDGE_FLOOR)
         # no more terms are live than there are pairs, so the count is skipped below that
-        if len(left) * len(right) > bound and _live_count(n, left, right) > bound:
+        if len(self._terms) * len(other._terms) > bound and _live_count(n, left[0], right[0]) > bound:
             size = 1 << n
-            re, im = _flat_product(_to_cells(n, left, cplx), _to_cells(n, right, cplx), size, size)
+            re, im = _flat_product(_to_cells(n, *left), _to_cells(n, *right), size, size)
             return _from_cells(n, re, im, d1 * d2, comp)
         return self._make(n, _product_sum(n, left, right, d1 * d2, cplx), comp)
 
@@ -928,15 +917,16 @@ def wedge_ab(n: int, i: int) -> Multivector:
     return u(n, i) - scalar_mv(n, Fraction(1, 2))
 
 
-_TOKEN_KINDS = {"a": 0, "b": 1}
+_TOKEN_KINDS = {"a": 0, "b": 1, 0: 0, 1: 1}
 
 
 def _parse_token(tok):
     if isinstance(tok, tuple) and len(tok) == 2:
         idx, kind = tok
-        if kind in _TOKEN_KINDS:
-            kind = _TOKEN_KINDS[kind]
-        return int(idx), int(kind), 1
+        # True and 1.0 equal 1, so the types are checked before the values
+        if type(idx) is int and type(kind) in (int, str) and kind in _TOKEN_KINDS:
+            return idx, _TOKEN_KINDS[kind], 1
+        raise InputError(f"bad generator token {tok!r}: a pair is an int index and a kind 0, 1, \"a\" or \"b\"")
     if isinstance(tok, str):
         s = tok.strip()
         sign = 1
@@ -945,7 +935,7 @@ def _parse_token(tok):
             s = s[1:]
         elif s.startswith("+"):
             s = s[1:]
-        if len(s) >= 2 and s[0] in _TOKEN_KINDS and s[1:].isdigit():
+        if len(s) >= 2 and s[0] in _TOKEN_KINDS and s[1:].isascii() and s[1:].isdigit():
             return int(s[1:]), _TOKEN_KINDS[s[0]], sign
     raise InputError(f"bad generator token {tok!r}")
 

@@ -15,7 +15,10 @@ for byte.
 reverse is Multivector.reverse as it was before it summed lifted integer
 numerators: each reversed term is a GaussianRational, conjugated at odd
 rank, and the terms are summed per monomial.  Applied to the grade
-involution it is clifford_conj as it was then.
+involution it is clifford_conj as it was then.  Its words come from
+_mono_reverse, and spectral_unit's from _unit_terms: the word expansions
+the library used before it kept per-rank tables of signed targets, kept
+here with their own helpers so that no oracle runs the code it checks.
 
 scalar is the one-coefficient builder the library used before it built
 result coefficients in batches (exact._scalars): GaussianRational.ZERO for a
@@ -40,7 +43,36 @@ power of A, here run on the first two.
 from fractions import Fraction
 
 from wittmat import DimensionMismatch, DomainError, ExactMatrix, GaussianRational, Multivector, RationalPolynomial, WittMonomial
-from wittmat.witt import _collect, _mono_reverse, _sign, _signed, _subsets, _suffix_parity, _unit_terms
+
+
+def _sign(x: int) -> int:
+    """(-1) ** popcount(x)."""
+    return -1 if x.bit_count() & 1 else 1
+
+
+def _suffix_parity(m: int) -> int:
+    """Bit j is the parity of the bits of m above bit j, one bit at a time."""
+    out, parity = 0, 0
+    for j in reversed(range(m.bit_length())):
+        if parity:
+            out |= 1 << j
+        parity ^= m >> j & 1
+    return out
+
+
+def _subsets(mask: int):
+    """Every submask of mask, from mask itself down to 0."""
+    s = mask
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & mask
+
+
+def _reversal_sign(k: int) -> int:
+    """(-1) ** (k(k-1)/2), the sign of reversing k anticommuting letters."""
+    return -1 if k & 2 else 1
 
 
 def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
@@ -90,6 +122,20 @@ def reduce_tokens(tokens: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], 
 def _with_idempotents(a_mask: int, b_mask: int, sites: int, sign: int):
     """sign * (a_mask, b_mask) * prod over sites of (1 - a_i b_i), as ((a, b), +-1) terms."""
     return [((a_mask | s, b_mask | s), -sign if s.bit_count() & 1 else sign) for s in _subsets(sites)]
+
+
+def _mono_reverse(a_mask: int, b_mask: int):
+    """The reversed word of (a_mask, b_mask) as ((a_mask, b_mask), +-1) terms."""
+    pairs = a_mask & b_mask  # each a_i b_i reverses to b_i a_i = 1 - a_i b_i
+    sign = _reversal_sign((a_mask ^ b_mask).bit_count())
+    return _with_idempotents(a_mask & ~pairs, b_mask & ~pairs, pairs, sign)
+
+
+def _unit_terms(n: int, row: int, col: int):
+    """Spectral unit E_{row,col} as ((a_mask, b_mask), +-1) terms."""
+    full = (1 << n) - 1
+    sign = _reversal_sign(col.bit_count()) * _sign(col & _suffix_parity(row))
+    return _with_idempotents(full & ~row, full & ~col, row & col, sign)
 
 
 def mono_mul(a1: int, b1: int, a2: int, b2: int):
@@ -154,12 +200,17 @@ def from_matrix(M: ExactMatrix, n: int, complexified: bool | None = None) -> Mul
 
 def reverse(g: Multivector) -> Multivector:
     conj = g.n % 2 == 1
-    terms = _collect(
-        pair
+    terms = _sum_signed(
+        (WittMonomial(g.n, *key), c.conjugate() if conj else c, s)
         for m, c in g._terms.items()
-        for pair in _signed(g.n, c.conjugate() if conj else c, _mono_reverse(m.a_mask, m.b_mask))
+        for key, s in _mono_reverse(m.a_mask, m.b_mask)
     )
     return Multivector._make(g.n, terms, g.complexified)
+
+
+def spectral_unit(n: int, row: int, col: int) -> Multivector:
+    """E_{row,col} from the unit's terms, each coefficient +-1."""
+    return Multivector(n, {WittMonomial(n, *key): s for key, s in _unit_terms(n, row, col)})
 
 
 def scalar(re: int, im: int, den: int) -> GaussianRational:

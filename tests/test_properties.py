@@ -15,11 +15,13 @@ the kernel and the matrix bridge, by moving the bridge thresholds, at ranks
 peak of traced memory.  reverse and clifford_conj are compared with the
 GaussianRational reversal of oracles.py at ranks 0..6, and the Kronecker
 passes that read a nearly full spectral matrix back with the per-cell
-scatter of oracles.py, on each side of the line between them.  The bridge's
-per-rank tables of signed targets are compared with that scatter's subset
-loop at every monomial and every cell at ranks 0..5 and a sample at rank 6,
-cold and warm, and a full rank-6 fill must stay within a bounded amount of
-traced memory.
+scatter of oracles.py, on each side of the line between them.  The per-rank
+tables of signed targets are compared with that scatter's subset loop, and
+the reversal table with the oracle's reversed words, at every monomial and
+every cell at ranks 0..5 and a sample at rank 6, cold and warm, and a full
+rank-6 fill of all three tables and the passes' gather must stay within a
+bounded amount of traced memory.  Kernel products whose b.a sites include
+index n, the top bit of the kernel's sums, are checked at ranks 1..6.
 
 ExactMatrix.inverse and min_poly are compared byte for byte with the
 GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
@@ -61,6 +63,7 @@ from wittmat import (
     min_poly,
     one,
     scalar_mv,
+    spectral_unit,
     to_matrix,
     u,
     u_dag,
@@ -326,54 +329,87 @@ def signed_targets(size: int, spot) -> tuple:
     return [k for k, x in enumerate(out) if x == 1], [k for k, x in enumerate(out) if x == -1]
 
 
+def reverse_spot_targets(n: int, k: int) -> list:
+    """The oracle's reversed word of monomial index k as sorted (add, sub) monomial indices."""
+    terms = oracles._mono_reverse(*divmod(k, 1 << n))
+    return [sorted(am << n | bm for (am, bm), s in terms if s == sign) for sign in (1, -1)]
+
+
+def clear_tables():
+    witt._tables.cache_clear()
+    witt._reverse_table.cache_clear()
+    witt._gather.cache_clear()
+
+
 class TestBridgeTables:
-    """witt._tables against the subset loop of oracles.scatter, cold (cleared first) and then warm."""
+    """witt._tables against the subset loop of oracles.scatter and witt._reverse_table against the oracle's reversal,
+    cold (cleared first) and then warm."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_targets_match_the_oracle(self, n):
         size = 1 << n
         keys = range(size * size) if n < 6 else random.Random(1700).sample(range(size * size), 300)
-        witt._RANK_TABLES.clear()
+        clear_tables()
         for state in ("cold", "warm"):
-            tables = witt._tables(n)
+            tables, reverse = witt._tables(n), witt._reverse_table(n)
             for k in keys:
                 (mono,) = oracles.mono_spots(n, [divmod(k, size)])
                 (unit,) = oracles.unit_spots(n, [k])
-                for got, spot in ((tables.cells[k], mono), (tables.units[k], unit)):
-                    assert [sorted(targets) for targets in got] == list(signed_targets(size, spot)), (state, k)
+                for got, want in (
+                    (tables.cells[k], signed_targets(size, mono)),
+                    (tables.units[k], signed_targets(size, unit)),
+                    (reverse[k], reverse_spot_targets(n, k)),
+                ):
+                    assert [sorted(targets) for targets in got] == list(want), (state, k)
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("cplx", [False, True])
     def test_scatters_match_the_oracle(self, n, cplx):
         rng = random.Random(1800 + 2 * n + cplx)
         size = 1 << n
-        witt._RANK_TABLES.clear()
+        clear_tables()
         for state in ("cold", "warm"):
             for name, cells in cell_sets(n, rng):
                 re, im = cell_values(cells, size, cplx, rng)
-                lifted = [(WittMonomial(n, *divmod(k, size)), re[k], im[k] if cplx else 0) for k in cells]
+                nums = ([re[k] for k in cells], [im[k] for k in cells] if cplx else None)
                 for (got_re, got_im), spots in (
-                    (witt._to_cells(n, lifted, cplx), oracles.mono_spots(n, [divmod(k, size) for k in cells])),
-                    (witt._scatter(size, witt._tables(n).units, cells, [re[k] for k in cells],
-                                   [im[k] for k in cells] if cplx else None), oracles.unit_spots(n, cells)),
+                    (witt._to_cells(n, cells, *nums), oracles.mono_spots(n, [divmod(k, size) for k in cells])),
+                    (witt._scatter(size, witt._tables(n).units, cells, *nums), oracles.unit_spots(n, cells)),
                 ):
-                    assert got_re == oracles.scatter(size, spots, [re[k] for k in cells]), (state, name)
-                    assert got_im == (oracles.scatter(size, spots, [im[k] for k in cells]) if cplx else None), (state, name)
+                    assert got_re == oracles.scatter(size, spots, nums[0]), (state, name)
+                    assert got_im == (oracles.scatter(size, spots, nums[1]) if cplx else None), (state, name)
 
     def test_full_rank_6_tables_stay_small(self):
         n = 6
-        witt._RANK_TABLES.clear()
+        clear_tables()
         tracemalloc.start()
         try:
-            tables = witt._tables(n)
+            tables, reverse = witt._tables(n), witt._reverse_table(n)
             for k in range(4**n):
-                tables.cells[k], tables.units[k]
-            tables.gather()
+                tables.cells[k], tables.units[k], reverse[k]
+            witt._gather(n)
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(tables.cells) == len(tables.units) == 4**n
+        assert len(tables.cells) == len(tables.units) == len(reverse) == 4**n
         assert grown <= 3 * 2**20, grown
+
+    def test_sparse_work_at_rank_9_builds_no_rank_table(self):
+        """A kernel product with b.a sites, reversal and a spectral unit stay sparse: no list of all 4^9 indices."""
+        n = 9
+        top = 1 << (n - 1)
+        g = Multivector(n, {WittMonomial(n, 0b101, top | 0b11): Fraction(3, 2), WittMonomial(n, 0b1, 0b1): -2})
+        h = Multivector(n, {WittMonomial(n, top | 0b10, 0b100): Fraction(-1, 3), WittMonomial(n, 0, 0b110): 5})
+        clear_tables()
+        tracemalloc.start()
+        try:
+            got = g * h, g.reverse(), g.clifford_conj(), spectral_unit(n, 300, 77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        want = oracles.mul(g, h), oracles.reverse(g), oracles.reverse(g.grade_involution()), oracles.spectral_unit(n, 300, 77)
+        assert [as_bytes(x) for x in got] == [as_bytes(x) for x in want]
 
 
 @contextmanager
@@ -450,12 +486,27 @@ class TestProductPaths:
             assert (u(n, 1) * u_dag(n, 1)).is_zero()
             assert (g.complexify() * g).complexified and (g * zero(n).complexify()).complexified
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["real", "tall", "complex"])
+    def test_kernel_sites_at_index_n(self, n, kind):
+        """A lone b_n on the left meets a lone a_n on the right: every live pair has a b.a site at the top index."""
+        rng = random.Random(2000 + n)
+        top = 1 << (n - 1)
+        rest = [(am, bm) for am in range(top) for bm in range(top)]
+        k = min(12, len(rest))
+        g = seeded(n, [WittMonomial(n, am, bm | top) for am, bm in rng.sample(rest, k)], 2100 + n, kind)
+        h = seeded(n, [WittMonomial(n, am | top, bm) for am, bm in rng.sample(rest, k)], 2200 + n, kind)
+        assert witt._live_count(n, witt._lifted_terms(g, False)[1], witt._lifted_terms(h, False)[1]) > 0
+        with product_path("kernel"):
+            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
     @given(tuples_at_one_rank(2, ranks=st.integers(0, 6), max_terms=40))
     def test_live_count(self, gh):
         g, h = gh
         cplx = g._has_imag() or h._has_imag()
         left, right = witt._lifted_terms(g, cplx)[1], witt._lifted_terms(h, cplx)[1]
-        pairs = [(m1, m2) for m1, _, _ in left for m2, _, _ in right]
+        assert left == [m.a_mask << g.n | m.b_mask for m in g._terms]
+        pairs = [(m1, m2) for m1 in g._terms for m2 in h._terms]
         live = sum(1 for m1, m2 in pairs if oracles.mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask))
         assert witt._live_count(g.n, left, right) == live
 

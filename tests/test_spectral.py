@@ -34,6 +34,7 @@ from wittmat import (
 )
 from wittmat import reduce_word
 from conftest import rand_matrix, rand_mv, rand_perm
+import oracles
 from oracles import reduce_tokens
 
 
@@ -87,6 +88,15 @@ class TestSpectralUnits:
             for r in range(1 << n):
                 for c in range(1 << n):
                     assert spectral_unit(n, r, c) == reduce_word(n, unit_word(n, r, c)), (n, r, c)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_units_match_the_oracle(self, n):
+        size = 1 << n
+        cells = range(size * size) if n < 6 else random.Random(143).sample(range(size * size), 200)
+        for r, c in map(divmod, cells, [size] * len(cells)):
+            got = spectral_unit(n, r, c)
+            assert got.to_json() == oracles.spectral_unit(n, r, c).to_json(), (n, r, c)
+            assert not got.complexified
 
     def test_monomial_entries_match_rewriting(self):
         # m = sum of [m]_{rc} E_{rc}, with each E_{rc} reduced from its word

@@ -27,7 +27,7 @@ from wittmat import (
     zero,
 )
 from wittmat import GaussianRational
-from wittmat.witt import _blade_to_monos, _mono_reverse, _mono_to_blades, _product_sum
+from wittmat.witt import _blade_to_monos, _mono_to_blades, _product_sum, _reverse_table
 from conftest import rand_mv
 from oracles import reduce_tokens
 
@@ -61,7 +61,7 @@ def word(n, a_mask, b_mask):
 
 def kernel_product(n, a1, b1, a2, b2):
     """(a1, b1) * (a2, b2) through the product kernel on one-term factors with numerator 1, over den 1."""
-    out = _product_sum(n, [(WittMonomial(n, a1, b1), 1, 0)], [(WittMonomial(n, a2, b2), 1, 0)], 1, False)
+    out = _product_sum(n, ([a1 << n | b1], [1], None), ([a2 << n | b2], [1], None), 1, False)
     assert all(c in (1, -1) for c in out.values())
     return {(m.a_mask, m.b_mask): 1 if c == 1 else -1 for m, c in out.items()}
 
@@ -152,6 +152,7 @@ class TestReduceWord:
         n = 2
         assert reduce_word(n, ["-a1", "b2"]) == -(a(n, 1) * b(n, 2))
         assert reduce_word(n, [(1, "a"), (2, "b")]) == a(n, 1) * b(n, 2)
+        assert reduce_word(n, [(1, 0), (2, 1)]) == a(n, 1) * b(n, 2)
 
     def test_matches_explicit_products(self):
         rng = random.Random(120)
@@ -170,6 +171,15 @@ class TestReduceWord:
         with pytest.raises(InputError):
             reduce_word(2, ["a5"])
 
+    @pytest.mark.parametrize(
+        "tok",
+        [(1, 5), (1, -1), (1, "x"), (1, True), (1, 1.0), (1, None), (1, [0]), (1.7, 0), (1.0, 0), (True, 0),
+         ("1", "a"), (None, "b"), "a\u00b2", "b\u0661"],
+    )
+    def test_bad_token_forms(self, tok):
+        with pytest.raises(InputError):
+            reduce_word(2, [tok])
+
 
 class TestClosedFormKernel:
     """The closed forms against their definitions through the rewriting engine."""
@@ -182,8 +192,12 @@ class TestClosedFormKernel:
 
     def test_reverse_matches_rewriting(self):
         for n, samples in KERNEL_RANKS:
+            reverse = _reverse_table(n)
             for am, bm in monomials(n, samples):
-                assert dict(_mono_reverse(am, bm)) == reduce_tokens(word(n, am, bm)[::-1]), (n, am, bm)
+                plus, minus = reverse[am << n | bm]
+                got = {**{divmod(k, 1 << n): 1 for k in plus}, **{divmod(k, 1 << n): -1 for k in minus}}
+                assert len(got) == len(plus) + len(minus), (n, am, bm)
+                assert got == reduce_tokens(word(n, am, bm)[::-1]), (n, am, bm)
 
     def test_blade_conversions_match_rewriting(self):
         # a rank-5 blade expands into up to 2^10 words, so it gets a smaller sample
