@@ -70,7 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from itertools import compress, repeat
-from operator import eq, floordiv, mul, neg, or_
+from operator import attrgetter, eq, floordiv, mul, neg, or_
 from struct import pack, unpack
 from typing import Iterable, Sequence
 
@@ -269,26 +269,39 @@ def _as_scalar(x) -> GaussianRational:
 # Every result goes back to scalars through _scalars, one call per result:
 # Fraction.__new__ is Python code, about half of a scalar's cost when each is
 # built alone, so _scalars fills Fraction's slots (_numerator, _denominator)
-# directly, with the same reduced values, and _lift reads them through their
-# C-level getters, not Fraction's Python-level properties.
+# directly, with the same reduced values.  _lift and _any_imag map
+# attrgetters of those slots over the scalars, so no Python code runs per
+# scalar: Fraction's numerator, denominator and __bool__ are Python code, and
+# a slot's own __get__, called per scalar, costs about as much again.
 
 _FRACTION_ZERO = Fraction(0)
 _new = object.__new__
-_get_num, _get_den = Fraction._numerator.__get__, Fraction._denominator.__get__
 _set_num, _set_den = Fraction._numerator.__set__, Fraction._denominator.__set__
 _set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
+_re_num, _re_den, _im_num, _im_den = map(
+    attrgetter, ("re._numerator", "re._denominator", "im._numerator", "im._denominator"))
+
+
+def _any_imag(scalars) -> bool:
+    """Whether some GaussianRational of scalars has a nonzero imaginary part."""
+    return any(map(_im_num, scalars))
 
 
 def _lift(entries, cplx: bool):
-    """(den, re, im) with den * entries[k] == re[k] + im[k]*i and den the least common denominator."""
+    """(den, re, im) with den * entries[k] == re[k] + im[k]*i and den the least common denominator.
+
+    entries is read once per part, so it must be a collection, not an iterator.
+    """
+    re_dens = list(map(_re_den, entries))
     if not cplx:
-        den = lcm(*[_get_den(x.re) for x in entries])
-        return den, [_get_num(x.re) * (den // _get_den(x.re)) for x in entries], None
-    den = lcm(*[_get_den(x.re) for x in entries], *[_get_den(x.im) for x in entries])
+        den = lcm(*re_dens)
+        return den, list(map(mul, map(_re_num, entries), map(floordiv, repeat(den), re_dens))), None
+    im_dens = list(map(_im_den, entries))
+    den = lcm(*re_dens, *im_dens)
     return (
         den,
-        [_get_num(x.re) * (den // _get_den(x.re)) for x in entries],
-        [_get_num(x.im) * (den // _get_den(x.im)) for x in entries],
+        list(map(mul, map(_re_num, entries), map(floordiv, repeat(den), re_dens))),
+        list(map(mul, map(_im_num, entries), map(floordiv, repeat(den), im_dens))),
     )
 
 
@@ -680,7 +693,7 @@ class ExactMatrix:
     def _has_imag(self) -> bool:
         if self._flat is not None:
             return self._flat[2] is not None
-        return any(x.im for row in self.cells for x in row)
+        return any(map(_any_imag, self.cells))
 
     def _lifted(self):
         """(den, re, im): every entry, row-major, over one denominator, im None when no entry has an imaginary part.

@@ -29,8 +29,9 @@ from_matrix reads them back, so a round trip, or a product of spectral
 matrices read back, builds no matrix entry as a scalar.  Only a matrix that
 holds its cells is lifted, once, with exact._lift.  A monomial (A, B) and a
 cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c.  The only
-state kept is witt._tables(n) and witt._gather(n): the signed targets of
-each direction and the orders and signs of the passes, filled on first use.
+state kept is witt._tables(n), witt._gather(n) and witt._keys(n): the signed
+targets of each direction, the orders and signs of the passes and the
+monomial keys read back, each filled on first use.
 """
 
 from __future__ import annotations

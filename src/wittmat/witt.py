@@ -9,7 +9,9 @@ A canonical monomial visits indices in ascending order, emitting a_i before
 b_i when both occur; it is encoded by the bitmask pair (a_mask, b_mask), bit
 i-1 standing for index i.  The integer layers below key a term by one
 index k = a_mask * 2^n + b_mask, as a 2^n x 2^n matrix keys a cell by
-row * 2^n + col; WittMonomial keys are built only at read-back (_monomials).
+row * 2^n + col.  Results are read back to WittMonomial keys (_monomials)
+through _keys(n), which builds each rank-n key once, on first use, and hands
+the same object to every later result.
 
 The kernel is closed form (Jordan-Wigner).  Per index the local words
 1, a, b, ab multiply as 2x2 matrix units (left factor down, right across):
@@ -48,14 +50,15 @@ meets a lone a of the right; those indices are its b.a sites.
 Products run on integer numerators.  Each factor's coefficients are lifted
 once to numerators over one common denominator (exact._lift, the helper the
 ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
-an imaginary part.  The kernel adds each live pair's signed numerator
-product into one integer (or (re, im) pair) per key, the term's index with
-its sites above bit 2n; many pairs share a key, so after the loop each
-distinct key with sites is expanded once.  The nonzero sums become the
-coefficients, over the product of the two denominators, in one batch
-(exact._scalars).  Every signed expansion is one subset walk (_walk): a set
-s of indices joining both masks of a term, or the row and the column of a
-cell, moves its index by s * (2^n + 1), each sign a parity.
+an imaginary part (exact._any_imag); both helpers read the coefficients by
+C-level maps, with no Python step per term.  The kernel adds each live
+pair's signed numerator product into one integer (or (re, im) pair) per key,
+the term's index with its sites above bit 2n; many pairs share a key, so
+after the loop each distinct key with sites is expanded once.  The nonzero
+sums become the coefficients, over the product of the two denominators, in
+one batch (exact._scalars).  Every signed expansion is one subset walk
+(_walk): a set s of indices joining both masks of a term, or the row and
+the column of a cell, moves its index by s * (2^n + 1), each sign a parity.
 
 A dense product runs through the matrix isomorphism instead.  The kernel
 takes one Python step per live term, the sum of |lterms| * |rterms| over
@@ -64,15 +67,16 @@ cells of a spectral matrix: exact._flat_product, the integer product of
 flat ExactMatrix forms, packs each row of the right factor into one integer
 and takes a row of the product as one sum of 2^n integer products, so its
 8^n multiply-adds run inside CPython's bignum loop.  _live_count finds the
-kernel's count by a subset sum over the groups' keys, without listing the
-pairs, and past max(_BRIDGE_PER_CELL * 4^n, _BRIDGE_FLOOR) live terms
-__mul__ writes both lifted factors into spectral matrices with _to_cells,
-multiplies them with exact._flat_product and reads the product back with
-_from_cells.  to_matrix and from_matrix in spectral.py are the same two
-helpers, on flat integer lists of 4^n entries.  Both directions are one
-sign per cell and a Kronecker product of one 4x4 map per index, so which
-entries an entry fills, and with which signs, is a constant of n, and so is
-a monomial's reversed word.  Three per-rank tables keep these signed
+kernel's count without listing the pairs, from two tables of 2^n bitsets
+over the right factor's terms, one indexed by a_mask and one by lone_b,
+each OR-summed over subsets.  Past max(_BRIDGE_PER_CELL * 4^n,
+_BRIDGE_FLOOR) live terms __mul__ writes both lifted factors into spectral
+matrices with _to_cells, multiplies them with exact._flat_product and reads
+the product back with _from_cells.  to_matrix and from_matrix in spectral.py
+are the same two helpers, on flat integer lists of 4^n entries.  Both
+directions are one sign per cell and a Kronecker product of one 4x4 map per
+index, so which entries an entry fills, and with which signs, is a constant
+of n, and so is a monomial's reversed word.  Three per-rank tables keep these signed
 targets, each key walked once on first use: _tables(n) holds cells (monomial
 to cells) and units (cell to the monomials of its unit), _reverse_table(n)
 the reversed words.  _to_cells, and _from_cells below
@@ -104,7 +108,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _as_scalar, _flat_product, _format_sum, _lift, _scalars
+from .exact import GaussianRational, _any_imag, _as_scalar, _flat_product, _format_sum, _lift, _scalars
 
 __all__ = _EXPORTS["witt"]
 
@@ -292,9 +296,8 @@ def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
 
 
 def _monomials(n: int, ks, coeffs) -> dict:
-    """{WittMonomial(n, k >> n, k & (2^n - 1)): c} for the k of ks and the c of coeffs."""
-    full, new = (1 << n) - 1, tuple.__new__
-    return dict(zip([new(WittMonomial, (n, k >> n, k & full)) for k in ks], coeffs))
+    """{WittMonomial(n, k >> n, k & (2^n - 1)): c} for the k of ks and the c of coeffs, each key the one _keys(n) keeps."""
+    return dict(zip(map(_keys(n).__getitem__, ks), coeffs))
 
 
 def _from_sums(n: int, acc: dict, den: int, cplx: bool) -> dict:
@@ -389,28 +392,37 @@ _BRIDGE_FLOOR = 120
 def _live_count(n: int, lkeys, rkeys) -> int:
     """The live kernel terms of left * right, |lterms| * |rterms| summed over the live pairs of groups.
 
-    lkeys and rkeys are the factors' term indices a_mask * 2^n + b_mask.
-    The left group lone_a * 2^n + b and the right group a * 2^n + lone_b are
-    live together when they share no bit.  So a subset sum over the right
-    groups gives, at each 2n-bit mask, the right terms whose group lies
-    within it, and each left term reads it at the complement of its group.
+    lkeys and rkeys are the factors' term indices a_mask * 2^n + b_mask.  A
+    left term (lone_a, b) and a right term (a, lone_b) are live together
+    when lone_a & a == 0 and b & lone_b == 0.  So two tables of 2^n bitsets
+    over the right terms, bit j for the j-th, hold at x the right terms whose
+    a lies within x and at 2^n + y those whose lone_b lies within y: each
+    right term sets its bit at its own masks, and n passes OR every entry
+    into the entries of its supersets, both tables at once.  A left term's
+    count is the popcount of its two entries' AND, at the complements of its
+    lone_a and of its b.  Nothing is kept; the tables take 2^(n+1) entries of
+    |rkeys| bits, not a 4^n list.
     """
     full = (1 << n) - 1
-    size = 1 << 2 * n
+    size = 2 << n  # the a table, then the lone_b table from 2^n
     within = [0] * size
+    bit = 1
     for k in rkeys:
-        within[k & ~(k >> n)] += 1
-    for j in range(2 * n):
+        a = k >> n
+        within[a] |= bit
+        within[full + 1 | k & full & ~a] |= bit
+        bit <<= 1
+    for j in range(n):
         bit = 1 << j
         step = bit << 1
-        if j < n:  # a bit of b: bit strided slices
+        if bit * step <= size:  # bit strided slices, or below size // step runs: the fewer
             for lo in range(bit):
-                within[lo + bit :: step] = map(add, within[lo + bit :: step], within[lo::step])
-        else:  # a bit of a: size // step runs of whole rows
+                within[lo + bit :: step] = map(or_, within[lo + bit :: step], within[lo::step])
+        else:
             for lo in range(0, size, step):
-                within[lo + bit : lo + step] = map(add, within[lo + bit : lo + step], within[lo : lo + bit])
+                within[lo + bit : lo + step] = map(or_, within[lo + bit : lo + step], within[lo : lo + bit])
     top = size - 1
-    return sum(within[top ^ (k & ~((k & full) << n))] for k in lkeys)
+    return sum([(within[full ^ (k >> n & ~k)] & within[top ^ k & full]).bit_count() for k in lkeys])
 
 
 def _mono_spot(n: int, ints, k: int):
@@ -504,6 +516,31 @@ def _reverse_table(n: int) -> _Targets:
     Its ints are only those used, so a sparse reversal builds no 4^n list.
     """
     return _Targets(n, _Ints(), _reverse_spot)
+
+
+class _Keys(dict):
+    """{monomial index k: WittMonomial(n, k >> n, k & (2^n - 1))}, each key built on first use and kept."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, k: int) -> WittMonomial:
+        n = self.n
+        mono = self[k] = WittMonomial(n, k >> n, k & ((1 << n) - 1))
+        return mono
+
+
+@cache
+def _keys(n: int) -> _Keys:
+    """The rank-n WittMonomial keys by monomial index, shared by every result.
+
+    Only the keys read back are built, so a sparse result at a high rank
+    builds no 4^n list.
+    """
+    return _Keys(n)
 
 
 @cache
@@ -745,7 +782,7 @@ class Multivector:
         return mv
 
     def _has_imag(self) -> bool:
-        return any(c.im for c in self._terms.values())
+        return _any_imag(self._terms.values())
 
     def complexify(self) -> "Multivector":
         return self._make(self.n, dict(self._terms), True)

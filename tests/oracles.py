@@ -30,6 +30,10 @@ scatter as it was before the bridge kept per-rank tables of signed targets
 mono_spots are the spots of witt._to_cells, unit_spots those of
 witt._from_cells' scatter.
 
+live_count is witt._live_count as it was before it counted with bitsets:
+a subset sum over the 4^n masks of the right factor's groups, read by each
+left term at the complement of its group.
+
 flat_product is the integer matrix product cell by cell, one plain sum of
 products per entry, as exact._flat_product computed it before it packed
 whole rows into single integers.
@@ -41,6 +45,7 @@ power of A, here run on the first two.
 """
 
 from fractions import Fraction
+from operator import add
 
 from wittmat import DimensionMismatch, DomainError, ExactMatrix, GaussianRational, Multivector, RationalPolynomial, WittMonomial
 
@@ -146,6 +151,31 @@ def mono_mul(a1: int, b1: int, a2: int, b2: int):
     last_b = b2 | (b1 & ~a2)
     branch = b1 & ~a1 & a2 & ~b2  # b meets a: b.a = 1 - ab
     return _with_idempotents(first_a, last_b, branch, _sign((a2 ^ b2) & _suffix_parity(a1 ^ b1)))
+
+
+def live_count(n: int, lkeys, rkeys) -> int:
+    """The live monomial pairs of left * right, by a subset sum over a list of 4^n counts.
+
+    The left group lone_a * 2^n + b and the right group a * 2^n + lone_b are
+    live together when they share no bit, so the sum gives, at each 2n-bit
+    mask, the right terms whose group lies within it.
+    """
+    full = (1 << n) - 1
+    size = 1 << 2 * n
+    within = [0] * size
+    for k in rkeys:
+        within[k & ~(k >> n)] += 1
+    for j in range(2 * n):
+        bit = 1 << j
+        step = bit << 1
+        if j < n:  # a bit of b: bit strided slices
+            for lo in range(bit):
+                within[lo + bit :: step] = map(add, within[lo + bit :: step], within[lo::step])
+        else:  # a bit of a: size // step runs of whole rows
+            for lo in range(0, size, step):
+                within[lo + bit : lo + step] = map(add, within[lo + bit : lo + step], within[lo : lo + bit])
+    top = size - 1
+    return sum(within[top ^ (k & ~((k & full) << n))] for k in lkeys)
 
 
 def _mono_matrix_entries(n: int, a_mask: int, b_mask: int):

@@ -21,7 +21,14 @@ the reversal table with the oracle's reversed words, at every monomial and
 every cell at ranks 0..5 and a sample at rank 6, cold and warm, and a full
 rank-6 fill of all three tables and the passes' gather must stay within a
 bounded amount of traced memory.  Kernel products whose b.a sites include
-index n, the top bit of the kernel's sums, are checked at ranks 1..6.
+index n, the top bit of the kernel's sums, are checked at ranks 1..6.  The
+kernel's live count, which picks the path, is compared with the subset sum of
+oracles.py at ranks 0..7 and must stay within a bounded peak at rank 9.  The
+monomial keys results share (witt._keys) are checked against their masks
+and for identity at every index at ranks 0..5 and a sample at rank 6, and a
+full rank-6 fill must stay within a bounded amount of traced memory.
+Parametrized property tests call a module-level @given check with their
+parameter, so they also run without Hypothesis' pytest plugin.
 
 ExactMatrix.inverse and min_poly are compared byte for byte with the
 GaussianRational oracles on square matrices of sizes 1..8 and on the shapes
@@ -339,6 +346,7 @@ def clear_tables():
     witt._tables.cache_clear()
     witt._reverse_table.cache_clear()
     witt._gather.cache_clear()
+    witt._keys.cache_clear()
 
 
 class TestBridgeTables:
@@ -412,6 +420,57 @@ class TestBridgeTables:
         assert [as_bytes(x) for x in got] == [as_bytes(x) for x in want]
 
 
+class TestKeys:
+    """witt._keys, the monomial keys every result shares, against WittMonomial built from the masks."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_keys_match_their_masks(self, n):
+        size = 1 << n
+        ks = range(size * size) if n < 6 else random.Random(2400).sample(range(size * size), 300)
+        clear_tables()
+        first, again = (witt._monomials(n, ks, range(len(ks))) for _ in range(2))
+        assert list(first.values()) == list(again.values()) == list(range(len(ks)))
+        for k, mono, twin in zip(ks, first, again):
+            assert type(mono) is WittMonomial and mono == WittMonomial(n, k >> n, k & (size - 1)), k
+            assert twin is mono, k
+
+    @pytest.mark.parametrize("path", ["kernel", "bridge"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_products_survive_pickle_and_deepcopy(self, path, kind):
+        rng = random.Random(2500)
+        g, h = (seeded(4, rng.sample(basis(4), 85), 2501 + i, kind) for i in range(2))
+        with product_path(path):
+            gh = g * h
+        keys = witt._keys(4)
+        assert all(m is keys[m.a_mask << 4 | m.b_mask] for m in gh._terms)
+        for twin in (pickle.loads(pickle.dumps(gh)), copy.deepcopy(gh)):
+            assert twin == gh and as_bytes(twin) == as_bytes(gh) and twin.complexified == gh.complexified
+            assert all(type(m) is WittMonomial for m in twin._terms)
+        assert as_bytes(gh) == as_bytes(oracles.mul(g, h))
+
+    def test_clear_tables_clears_every_table(self):
+        g = seeded(3, basis(3), 2600, "complex")
+        from_matrix(to_matrix(g * g.reverse()), 3)
+        tables = [table for table in vars(witt).values() if hasattr(table, "cache_clear")]
+        assert witt._keys in tables and any(table.cache_info().currsize for table in tables)
+        clear_tables()
+        assert [table.cache_info().currsize for table in tables] == [0] * len(tables)
+
+    def test_full_rank_6_keys_stay_small(self):
+        # a full fill grows the traced memory by about 0.54 MB on CPython 3.11
+        clear_tables()
+        tracemalloc.start()
+        try:
+            keys = witt._keys(6)
+            for k in range(4**6):
+                keys[k]
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == 4**6
+        assert grown <= 3 * 2**18, grown
+
+
 @contextmanager
 def product_path(path: str):
     """Send every Multivector product through one path, the kernel or the matrix bridge.
@@ -439,29 +498,47 @@ def basis(n: int) -> list:
     return [WittMonomial(n, am, bm) for am in range(size) for bm in range(size)]
 
 
+# The @given checks below take the parameter of their parametrized test as
+# their first argument.  A parametrized test method that is itself @given
+# runs on one instance of its class per parameter, which Hypothesis reports
+# as a differing_executors health check unless its pytest plugin is loaded.
+
+
+@given(tuples_at_one_rank(2, ranks=st.integers(1, 5), max_terms=16))
+def product_on_path(path, gh):
+    g, h = gh
+    with product_path(path):
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+
+@settings(max_examples=25)
+@given(dense_pairs(st.integers(1, 4), max_terms=96))
+def dense_product_on_path(path, gh):
+    g, h = gh
+    with product_path(path):
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+
+@settings(max_examples=4)
+@given(tuples_at_one_rank(2, ranks=st.just(6), max_terms=64))
+def rank_6_product_on_path(path, gh):
+    g, h = gh
+    with product_path(path):
+        assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+
+
 class TestProductPaths:
     @PATHS
-    @given(tuples_at_one_rank(2, ranks=st.integers(1, 5), max_terms=16))
-    def test_product(self, path, gh):
-        g, h = gh
-        with product_path(path):
-            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+    def test_product(self, path):
+        product_on_path(path)
 
     @PATHS
-    @settings(max_examples=25)
-    @given(dense_pairs(st.integers(1, 4), max_terms=96))
-    def test_dense_product(self, path, gh):
-        g, h = gh
-        with product_path(path):
-            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+    def test_dense_product(self, path):
+        dense_product_on_path(path)
 
     @PATHS
-    @settings(max_examples=4)
-    @given(tuples_at_one_rank(2, ranks=st.just(6), max_terms=64))
-    def test_product_rank_6(self, path, gh):
-        g, h = gh
-        with product_path(path):
-            assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
+    def test_product_rank_6(self, path):
+        rank_6_product_on_path(path)
 
     @PATHS
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -565,6 +642,56 @@ class TestProductPaths:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
         assert to_matrix(gh) == to_matrix(g) * to_matrix(h)
+
+
+@st.composite
+def live_count_sides(draw):
+    """(n, lkeys, rkeys) at rank n in 0..7; each side is empty, one term, every index (ranks <= 4), up to 40 or up to
+    600 distinct indices, so that pairs of sides are also lopsided."""
+    n = draw(st.integers(0, 7))
+    size = 4**n
+
+    def side():
+        shape = draw(st.sampled_from(["empty", "single", "full", "some", "many"]))
+        if shape == "empty":
+            return []
+        if shape == "single":
+            return [draw(st.integers(0, size - 1))]
+        if shape == "full" and n <= 4:
+            return draw(st.permutations(range(size)))
+        k = draw(st.integers(0, min(40 if shape == "some" else 600, size // 2)))
+        return draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k, unique=True))
+
+    return n, side(), side()
+
+
+class TestLiveCount:
+    """witt._live_count's bitset tables against the subset sum of oracles.live_count."""
+
+    @given(live_count_sides())
+    def test_against_the_subset_sum(self, sides):
+        n, lkeys, rkeys = sides
+        assert witt._live_count(n, lkeys, rkeys) == oracles.live_count(n, lkeys, rkeys)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_full_density(self, n):
+        full = random.Random(2800 + n).sample(range(4**n), 4**n)
+        for lkeys, rkeys in ((full, full), (full, full[:1]), (full[-1:], full), (full, []), ([], full)):
+            assert witt._live_count(n, lkeys, rkeys) == oracles.live_count(n, lkeys, rkeys)
+
+    def test_rank_9_stays_small(self):
+        # peaks near 0.14 MB on CPython 3.11; the subset sum's list of 4^9 counts takes 2 MB
+        n = 9
+        rng = random.Random(2700)
+        lkeys, rkeys = (rng.sample(range(4**n), 600) for _ in range(2))
+        tracemalloc.start()
+        try:
+            live = witt._live_count(n, lkeys, rkeys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18, peak
+        assert live == oracles.live_count(n, lkeys, rkeys)
 
 
 class TestLaws:
@@ -700,18 +827,22 @@ def min_poly_cases(draw, kind: str):
     return draw(st.sampled_from([ExactMatrix(square(draw, 1, imag)), ExactMatrix.zeros(n), ExactMatrix.identity(n)]))
 
 
+@settings(max_examples=30)
+@given(st.data())
+def min_poly_of_kind(kind, data):
+    M = data.draw(min_poly_cases(kind))
+    assert str(min_poly(M)) == str(oracles.oracle_min_poly(M))
+
+
 class TestEliminationAgainstOracle:
     @settings(max_examples=150)
     @given(inverse_cases())
     def test_inverse(self, M):
         assert outcome(M.inverse) == outcome(lambda: oracles.oracle_inverse(M))
 
-    @settings(max_examples=30)
     @pytest.mark.parametrize("kind", ["random", "gauss", "low-rank", "jordan", "permutation", "diagonal", "tiny"])
-    @given(data=st.data())
-    def test_min_poly(self, kind, data):
-        M = data.draw(min_poly_cases(kind))
-        assert str(min_poly(M)) == str(oracles.oracle_min_poly(M))
+    def test_min_poly(self, kind):
+        min_poly_of_kind(kind)
 
 
 # -- ExactMatrix in its flat form ---------------------------------------------
