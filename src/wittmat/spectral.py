@@ -29,9 +29,10 @@ from_matrix reads them back, so a round trip, or a product of spectral
 matrices read back, builds no matrix entry as a scalar.  Only a matrix that
 holds its cells is lifted, once, with exact._lift.  A monomial (A, B) and a
 cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c.  The only
-state kept is witt._tables(n), witt._gather(n) and witt._keys(n): the signed
-targets of each direction, the orders and signs of the passes and the
-monomial keys read back, each filled on first use.
+state kept is witt._rank(n), one table of lazy maps from that index (the
+signed targets of each direction and the monomial keys read back, over one
+pool of ints), each entry filled on first use, and witt._gather(n), the
+orders and signs of the passes.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def spectral_unit(n: int, row: int, col: int) -> Multivector:
     size = _size(n)
     if not (0 <= row < size and 0 <= col < size):
         raise InputError(f"row/col out of range for rank {n}")
-    plus, minus = _unit_spot(n, range(1 << 2 * n), row << n | col)
+    plus, minus = _unit_spot(n, row << n | col)
     coeffs = [GaussianRational.ONE] * len(plus) + [-GaussianRational.ONE] * len(minus)
     return Multivector._make(n, _monomials(n, plus + minus, coeffs), False)
 

@@ -10,8 +10,8 @@ b_i when both occur; it is encoded by the bitmask pair (a_mask, b_mask), bit
 i-1 standing for index i.  The integer layers below key a term by one
 index k = a_mask * 2^n + b_mask, as a 2^n x 2^n matrix keys a cell by
 row * 2^n + col.  Results are read back to WittMonomial keys (_monomials)
-through _keys(n), which builds each rank-n key once, on first use, and hands
-the same object to every later result.
+through _rank(n).keys, which builds each rank-n key once, on first use, and
+hands the same object to every later result.
 
 The kernel is closed form (Jordan-Wigner).  Per index the local words
 1, a, b, ab multiply as 2x2 matrix units (left factor down, right across):
@@ -76,19 +76,21 @@ the product back with _from_cells.  to_matrix and from_matrix in spectral.py
 are the same two helpers, on flat integer lists of 4^n entries.  Both
 directions are one sign per cell and a Kronecker product of one 4x4 map per
 index, so which entries an entry fills, and with which signs, is a constant
-of n, and so is a monomial's reversed word.  Three per-rank tables keep these signed
-targets, each key walked once on first use: _tables(n) holds cells (monomial
-to cells) and units (cell to the monomials of its unit), _reverse_table(n)
-the reversed words.  _to_cells, and _from_cells below
-three quarters of the cells nonzero, scatter only the nonzero entries
-through those targets; a nearly full matrix, as a dense product is, is read
-back in n passes over all 4^n cells instead, each applying one index's map
-to four strided slices (_unit_passes), with gather orders and signs from
-_gather(n).
+of n, and so is a monomial's reversed word.  Everything kept per rank is
+one table, _rank(n), of lazy maps from the 2n-bit index, each key filled on
+first use and kept: cells (monomial to cells) and units (cell to the
+monomials of its unit), reverse (the reversed words) and keys (the
+WittMonomials), over one int pool, ints, that holds each kept index once.
+_to_cells, and _from_cells below three quarters of the cells nonzero,
+scatter only the nonzero entries through those targets; a nearly full
+matrix, as a dense product is, is read back in n passes over all 4^n cells
+instead, each applying one index's map to four strided slices
+(_unit_passes), with gather orders and signs from _gather(n), whose indices
+are the pool's ints too.
 
 Reversal runs on integer numerators too: reverse and clifford_conj lift the
 element once, put the grade involution's signs and the conjugation of i on
-the numerators, and spread each term through _reverse_table(n) into one
+the numerators, and spread each term through _rank(n).reverse into one
 integer per monomial; its coefficients are built in one batch too.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
@@ -100,7 +102,7 @@ conjugates it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, or_, sub
 from types import SimpleNamespace
@@ -197,17 +199,18 @@ def _subsets(mask: int):
         s = (s - 1) & mask
 
 
-def _walk(n: int, ints: list, base: int, free: int, flips: int, odd: int) -> tuple:
-    """(add, sub): ints[base + s * (2^n + 1)] for every submask s of free, in sub when odd + popcount(s & flips) is odd.
+def _walk(n: int, base: int, free: int, flips: int, odd: int) -> tuple:
+    """(add, sub): base + s * (2^n + 1) for every submask s of free, in sub when odd + popcount(s & flips) is odd.
 
-    ints[i] is i: a table's shared ints, so a kept target is a reference,
-    not a new int, or range(4^n) for a walk that keeps nothing.
+    Each index is the int _rank(n).pool returns for it, the one its int pool
+    keeps, so a target kept in a _rank(n) map is a reference, not a new int.
     """
     step = (1 << n) + 1
+    pool = _rank(n).pool
     plus, minus = [], []
     s = free
     while True:
-        (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(ints[base + s * step])
+        (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(pool(k := base + s * step, k))
         if not s:
             return tuple(plus), tuple(minus)
         s = (s - 1) & free
@@ -290,14 +293,13 @@ def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     top = (1 << 2 * n) - 1
     branched = list(filter(top.__lt__, acc))
     if branched:
-        ints = range(top + 1)
-        _spread(acc, [_walk(n, ints, k & top, k >> 2 * n, full, 0) for k in branched], list(map(acc.pop, branched)), cplx)
+        _spread(acc, [_walk(n, k & top, k >> 2 * n, full, 0) for k in branched], list(map(acc.pop, branched)), cplx)
     return _from_sums(n, acc, den, cplx)
 
 
 def _monomials(n: int, ks, coeffs) -> dict:
-    """{WittMonomial(n, k >> n, k & (2^n - 1)): c} for the k of ks and the c of coeffs, each key the one _keys(n) keeps."""
-    return dict(zip(map(_keys(n).__getitem__, ks), coeffs))
+    """{WittMonomial(n, k >> n, k & (2^n - 1)): c} for the k of ks and the c of coeffs, each key the one _rank(n).keys keeps."""
+    return dict(zip(map(_rank(n).keys.__getitem__, ks), coeffs))
 
 
 def _from_sums(n: int, acc: dict, den: int, cplx: bool) -> dict:
@@ -356,14 +358,14 @@ def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
     """The reverse of g; conj conjugates i, and graded first takes the grade involution's signs.
 
     g is lifted once, and each term's numerator, or (re, im) pair, spreads
-    through its targets in _reverse_table(n) into one sum per monomial; the
+    through its targets in _rank(n).reverse into one sum per monomial; the
     grade involution swaps the targets of a term of odd degree, and the
     conjugation negates the imaginary numerators.
     """
     n = g.n
     cplx = g._has_imag()
     den, keys, re, im = _lifted_terms(g, cplx)
-    targets = map(_reverse_table(n).__getitem__, keys)
+    targets = map(_rank(n).reverse.__getitem__, keys)
     if graded:
         targets = [(minus, plus) if k.bit_count() & 1 else (plus, minus) for k, (plus, minus) in zip(keys, targets)]
     acc = {}
@@ -425,36 +427,36 @@ def _live_count(n: int, lkeys, rkeys) -> int:
     return sum([(within[full ^ (k >> n & ~k)] & within[top ^ k & full]).bit_count() for k in lkeys])
 
 
-def _mono_spot(n: int, ints, k: int):
+def _mono_spot(n: int, k: int):
     """The _walk of monomial index k = a_mask * 2^n + b_mask over the cells of its spectral matrix.
 
     Monomial (A, B) has one entry for each subset s of the indices outside
     A | B, at row (B & ~A) | s and column c = (A & ~B) | s, with sign
     (-1)^popcount(c & sp(A ^ B)); s is disjoint from both masks, so each
-    entry sits s * (2^n + 1) past the one of s = 0.
+    entry sits s * (2^n + 1) past the one of s = 0.  _rank(n).cells keeps it.
     """
     full = (1 << n) - 1
     a_mask, b_mask = k >> n, k & full
     col0, flips = a_mask & ~b_mask, _suffix_parity(a_mask ^ b_mask)
-    return _walk(n, ints, (b_mask & ~a_mask) << n | col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count())
+    return _walk(n, (b_mask & ~a_mask) << n | col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count())
 
 
-def _unit_spot(n: int, ints, k: int):
+def _unit_spot(n: int, k: int):
     """The _walk of the unit E_{rc} at flat cell k = r * 2^n + c over the monomial indices.
 
     E_{rc} is the monomial (full & ~r, full & ~c) with sign
     (-1)^(p(p-1)/2) for p = popcount(c), times (-1)^popcount(c & sp(r)),
     times (1 - ab) at each index of r & c.  Each subset s of r & c moves its
     term from a_mask * 2^n + b_mask by s * (2^n + 1), with sign
-    (-1)^popcount(s).
+    (-1)^popcount(s).  _rank(n).units keeps it.
     """
     full = (1 << n) - 1
     r, c = k >> n, k & full
     odd = (c.bit_count() >> 1) + (c & _suffix_parity(r)).bit_count()
-    return _walk(n, ints, (full ^ r) << n | (full ^ c), r & c, full, odd)
+    return _walk(n, (full ^ r) << n | (full ^ c), r & c, full, odd)
 
 
-def _reverse_spot(n: int, ints, k: int):
+def _reverse_spot(n: int, k: int):
     """The _walk of the reversed word of monomial index k = a_mask * 2^n + b_mask over the monomial indices.
 
     Each a_i b_i of the word reverses to b_i a_i = 1 - a_i b_i, and its p
@@ -462,85 +464,50 @@ def _reverse_spot(n: int, ints, k: int):
     it drops into its slot of the canonical word without a sign: each
     subset s of the pairs P = A & B gives the term (A ^ P) | s, (B ^ P) | s,
     s * (2^n + 1) past the one of s = 0, with sign (-1)^popcount(s).
+    _rank(n).reverse keeps it.
     """
     full = (1 << n) - 1
     pairs = k >> n & k
-    return _walk(n, ints, k ^ pairs * (full + 2), pairs, full, ((k >> n ^ k) & full).bit_count() >> 1)
+    return _walk(n, k ^ pairs * (full + 2), pairs, full, ((k >> n ^ k) & full).bit_count() >> 1)
 
 
-class _Targets(dict):
-    """{index k: (add, sub)}, the indices an entry at k adds itself to and subtracts itself from.
+class _Lazy(dict):
+    """{index k: fill(k)}, each value built on first use and kept under the int the pool keeps for k."""
 
-    spot(n, ints, k) walks them.  A key is expanded on first use and kept;
-    keys and targets are read from ints, as in _walk.
-    """
+    __slots__ = ("pool", "fill")
 
-    __slots__ = ("n", "ints", "spot")
-
-    def __init__(self, n: int, ints, spot):
+    def __init__(self, pool, fill):
         super().__init__()
-        self.n, self.ints, self.spot = n, ints, spot
+        self.pool, self.fill = pool, fill
 
     def __missing__(self, k: int):
-        targets = self[self.ints[k]] = self.spot(self.n, self.ints, k)
-        return targets
+        value = self[self.pool(k, k)] = self.fill(k)
+        return value
 
 
 @cache
-def _tables(n: int) -> SimpleNamespace:
-    """The matrix bridge's signed-target tables at rank n, at most 4^n keys each, every key filled on first use and kept.
+def _rank(n: int) -> SimpleNamespace:
+    """Everything kept per rank n, as functions of the 2n-bit index k, each entry filled on first use and kept.
 
-    cells maps a monomial index to the cells its spectral matrix fills
-    (_to_cells) and units a cell to the monomial indices its unit reads back
-    to (_from_cells).  Both share the ints of ints, list(range(4^n)), as
-    large as the spectral matrices the bridge builds anyway.
+    ints is the int pool, {k: k}, and pool(k, k), its setdefault, returns the
+    one int it keeps for k, adding k on first use: every kept index is that
+    int.  cells maps a monomial index to the (add, sub) cells its spectral
+    matrix fills (_to_cells), units a cell to the monomial indices its unit
+    reads back to (_from_cells), reverse a monomial index to those of its
+    reversed word (_reversed), and keys a monomial index to its WittMonomial
+    (_monomials).  Only the indices used are kept, so sparse work at a high
+    rank builds no 4^n list.
     """
-    ints = list(range(1 << 2 * n))
-    return SimpleNamespace(ints=ints, cells=_Targets(n, ints, _mono_spot), units=_Targets(n, ints, _unit_spot))
-
-
-class _Ints(dict):
-    """{i: i}, each int stored on first use: ints to share without a list of all 4^n."""
-
-    __slots__ = ()
-
-    def __missing__(self, i: int) -> int:
-        self[i] = i
-        return i
-
-
-@cache
-def _reverse_table(n: int) -> _Targets:
-    """{monomial index: the (add, sub) monomial indices of its reversed word} at rank n, filled on first use.
-
-    Its ints are only those used, so a sparse reversal builds no 4^n list.
-    """
-    return _Targets(n, _Ints(), _reverse_spot)
-
-
-class _Keys(dict):
-    """{monomial index k: WittMonomial(n, k >> n, k & (2^n - 1))}, each key built on first use and kept."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, k: int) -> WittMonomial:
-        n = self.n
-        mono = self[k] = WittMonomial(n, k >> n, k & ((1 << n) - 1))
-        return mono
-
-
-@cache
-def _keys(n: int) -> _Keys:
-    """The rank-n WittMonomial keys by monomial index, shared by every result.
-
-    Only the keys read back are built, so a sparse result at a high rank
-    builds no 4^n list.
-    """
-    return _Keys(n)
+    ints, full = {}, (1 << n) - 1
+    pool = ints.setdefault
+    return SimpleNamespace(
+        ints=ints,
+        pool=pool,
+        cells=_Lazy(pool, partial(_mono_spot, n)),
+        units=_Lazy(pool, partial(_unit_spot, n)),
+        reverse=_Lazy(pool, partial(_reverse_spot, n)),
+        keys=_Lazy(pool, lambda k: WittMonomial(n, k >> n, k & full)),
+    )
 
 
 @cache
@@ -566,11 +533,11 @@ def _gather(n: int):
         order = [*order, *map(add, order, repeat(1 << 2 * j))]
     for j in range(n):
         order = [*order, *map(add, order, repeat(2 << 2 * j))]
-    ints = _tables(n).ints
-    return list(map(ints.__getitem__, flat)), signs, list(map(ints.__getitem__, order))
+    pool = _rank(n).pool
+    return list(map(pool, flat, flat)), signs, list(map(pool, order, order))
 
 
-def _scatter(size: int, targets: _Targets, keys, re, im):
+def _scatter(size: int, targets: _Lazy, keys, re, im):
     """Spread numerators over flat (re, im) lists of size * size integers; im is None on the real path.
 
     The k-th numerator of re (and of im) is added at every target of
@@ -600,9 +567,9 @@ def _to_cells(n: int, keys, re, im):
 
     keys, re and im are as from _lifted_terms; im is None on the real path,
     and so is the returned one.  Each monomial scatters through its targets
-    in _tables(n).cells (_mono_spot).
+    in _rank(n).cells (_mono_spot).
     """
-    return _scatter(1 << n, _tables(n).cells, keys, re, im)
+    return _scatter(1 << n, _rank(n).cells, keys, re, im)
 
 
 def _unit_passes(n: int, re, im):
@@ -636,7 +603,7 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
 
     im is None on the real path.  Past three quarters of the 4^n cells
     nonzero, every cell goes through the n passes of _unit_passes; below
-    that only the nonzero cells are scattered, through _tables(n).units
+    that only the nonzero cells are scattered, through _rank(n).units
     (_unit_spot).  Either way the sums land at the monomial indices
     a_mask * 2^n + b_mask; zero sums are dropped, and the rest go to
     _monomials in one batch.
@@ -646,7 +613,7 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
     if 4 * len(cells) > 3 * size * size:
         out_re, out_im = _unit_passes(n, re, im)
     else:
-        out_re, out_im = _scatter(size, _tables(n).units, cells, list(map(re.__getitem__, cells)),
+        out_re, out_im = _scatter(size, _rank(n).units, cells, list(map(re.__getitem__, cells)),
                                   None if im is None else list(map(im.__getitem__, cells)))
     ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
     out_im = None if im is None else list(map(out_im.__getitem__, ks))

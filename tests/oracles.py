@@ -25,8 +25,9 @@ result coefficients in batches (exact._scalars): GaussianRational.ZERO for a
 zero entry, otherwise Fraction(re, den) and Fraction(im, den).
 
 scatter, mono_spots and unit_spots are the matrix bridge's flat-list
-scatter as it was before the bridge kept per-rank tables of signed targets
-(witt._tables): each spot's subsets are walked on every call.
+scatter as it was before the bridge kept its signed targets in the per-rank
+table (witt._rank(n).cells and .units): each spot's subsets are walked on
+every call.
 mono_spots are the spots of witt._to_cells, unit_spots those of
 witt._from_cells' scatter.
 

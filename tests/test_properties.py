@@ -15,18 +15,22 @@ the kernel and the matrix bridge, by moving the bridge thresholds, at ranks
 peak of traced memory.  reverse and clifford_conj are compared with the
 GaussianRational reversal of oracles.py at ranks 0..6, and the Kronecker
 passes that read a nearly full spectral matrix back with the per-cell
-scatter of oracles.py, on each side of the line between them.  The per-rank
-tables of signed targets are compared with that scatter's subset loop, and
-the reversal table with the oracle's reversed words, at every monomial and
-every cell at ranks 0..5 and a sample at rank 6, cold and warm, and a full
-rank-6 fill of all three tables and the passes' gather must stay within a
-bounded amount of traced memory.  Kernel products whose b.a sites include
-index n, the top bit of the kernel's sums, are checked at ranks 1..6.  The
-kernel's live count, which picks the path, is compared with the subset sum of
-oracles.py at ranks 0..7 and must stay within a bounded peak at rank 9.  The
-monomial keys results share (witt._keys) are checked against their masks
-and for identity at every index at ranks 0..5 and a sample at rank 6, and a
-full rank-6 fill must stay within a bounded amount of traced memory.
+scatter of oracles.py, on each side of the line between them.  Everything
+kept per rank is one table, witt._rank(n), of lazy maps over one int pool.
+Its signed targets (cells, units) are compared with that scatter's subset
+loop, and its reversed words (reverse) with the oracle's, at every monomial
+and every cell at ranks 0..5 and a sample at rank 6, cold and warm; a full
+rank-6 fill of the three and the passes' gather must stay within a bounded
+amount of traced memory, and after a full rank-5 fill every kept index must
+be the pool's own int.  A round trip at ranks 8 and 9, and a kernel product
+at rank 9, must leave little traced memory kept.  Kernel products whose b.a
+sites include index n, the top bit of the kernel's sums, are checked at
+ranks 1..6.  The kernel's live count, which picks the path, is compared with
+the subset sum of oracles.py at ranks 0..7 and must stay within a bounded
+peak at rank 9.  The monomial keys results share (witt._rank(n).keys) are
+checked against their masks and for identity at every index at ranks 0..5
+and a sample at rank 6, and a full rank-6 fill must stay within a bounded
+amount of traced memory.
 Parametrized property tests call a module-level @given check with their
 parameter, so they also run without Hypothesis' pytest plugin.
 
@@ -43,6 +47,7 @@ from_matrix and products in each mix of the two forms.
 """
 
 import copy
+import gc
 import json
 import pickle
 import random
@@ -343,15 +348,13 @@ def reverse_spot_targets(n: int, k: int) -> list:
 
 
 def clear_tables():
-    witt._tables.cache_clear()
-    witt._reverse_table.cache_clear()
+    witt._rank.cache_clear()
     witt._gather.cache_clear()
-    witt._keys.cache_clear()
 
 
 class TestBridgeTables:
-    """witt._tables against the subset loop of oracles.scatter and witt._reverse_table against the oracle's reversal,
-    cold (cleared first) and then warm."""
+    """witt._rank's cells and units against the subset loop of oracles.scatter and its reverse against the oracle's
+    reversal, cold (cleared first) and then warm; the int pool they share, and what high-rank work leaves kept."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_targets_match_the_oracle(self, n):
@@ -359,14 +362,14 @@ class TestBridgeTables:
         keys = range(size * size) if n < 6 else random.Random(1700).sample(range(size * size), 300)
         clear_tables()
         for state in ("cold", "warm"):
-            tables, reverse = witt._tables(n), witt._reverse_table(n)
+            rank = witt._rank(n)
             for k in keys:
                 (mono,) = oracles.mono_spots(n, [divmod(k, size)])
                 (unit,) = oracles.unit_spots(n, [k])
                 for got, want in (
-                    (tables.cells[k], signed_targets(size, mono)),
-                    (tables.units[k], signed_targets(size, unit)),
-                    (reverse[k], reverse_spot_targets(n, k)),
+                    (rank.cells[k], signed_targets(size, mono)),
+                    (rank.units[k], signed_targets(size, unit)),
+                    (rank.reverse[k], reverse_spot_targets(n, k)),
                 ):
                     assert [sorted(targets) for targets in got] == list(want), (state, k)
 
@@ -382,7 +385,7 @@ class TestBridgeTables:
                 nums = ([re[k] for k in cells], [im[k] for k in cells] if cplx else None)
                 for (got_re, got_im), spots in (
                     (witt._to_cells(n, cells, *nums), oracles.mono_spots(n, [divmod(k, size) for k in cells])),
-                    (witt._scatter(size, witt._tables(n).units, cells, *nums), oracles.unit_spots(n, cells)),
+                    (witt._scatter(size, witt._rank(n).units, cells, *nums), oracles.unit_spots(n, cells)),
                 ):
                     assert got_re == oracles.scatter(size, spots, nums[0]), (state, name)
                     assert got_im == (oracles.scatter(size, spots, nums[1]) if cplx else None), (state, name)
@@ -392,14 +395,14 @@ class TestBridgeTables:
         clear_tables()
         tracemalloc.start()
         try:
-            tables, reverse = witt._tables(n), witt._reverse_table(n)
+            rank = witt._rank(n)
             for k in range(4**n):
-                tables.cells[k], tables.units[k], reverse[k]
+                rank.cells[k], rank.units[k], rank.reverse[k]
             witt._gather(n)
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(tables.cells) == len(tables.units) == len(reverse) == 4**n
+        assert len(rank.cells) == len(rank.units) == len(rank.reverse) == 4**n
         assert grown <= 3 * 2**20, grown
 
     def test_sparse_work_at_rank_9_builds_no_rank_table(self):
@@ -419,9 +422,46 @@ class TestBridgeTables:
         want = oracles.mul(g, h), oracles.reverse(g), oracles.reverse(g.grade_involution()), oracles.spectral_unit(n, 300, 77)
         assert [as_bytes(x) for x in got] == [as_bytes(x) for x in want]
 
+    def test_every_kept_index_is_the_pools_own_int(self):
+        n = 5
+        clear_tables()
+        rank = witt._rank(n)
+        maps = rank.cells, rank.units, rank.reverse, rank.keys
+        for k in range(4**n):
+            for lazy in maps:
+                lazy[k]
+        flat, _, order = witt._gather(n)
+        ints = rank.ints
+        assert len(ints) <= 4**n
+        kept = [k for lazy in maps for k in lazy]
+        kept += [k for lazy in maps[:3] for targets in lazy.values() for side in targets for k in side]
+        for k in kept + flat + order:
+            assert ints[k] is k, k
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_high_rank_work_keeps_little(self, n):
+        """A 3-term round trip, and at rank 9 a kernel product with b.a sites after it, keep under 64 KiB once done."""
+        full, top = (1 << n) - 1, 1 << (n - 1)
+        g = Multivector(n, {WittMonomial(n, full, full ^ 1): Fraction(3, 2), WittMonomial(n, full ^ 2, full): -2,
+                            WittMonomial(n, top | 0b101, full ^ 0b101): 5})
+        # b2 and b9 of the first left term meet a2 and a9 of the first right term: two b.a sites
+        p = Multivector(n, {WittMonomial(n, 0b101, top | 0b11): Fraction(3, 2), WittMonomial(n, 0b1, 0b1): -2})
+        q = Multivector(n, {WittMonomial(n, top | 0b10, 0b100): Fraction(-1, 3), WittMonomial(n, 0, 0b110): 5})
+        clear_tables()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = [as_bytes(from_matrix(to_matrix(g), n))] + ([as_bytes(p * q)] if n == 9 else [])
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**16, kept
+        assert got == [as_bytes(g), as_bytes(oracles.mul(p, q))][: len(got)]
+
 
 class TestKeys:
-    """witt._keys, the monomial keys every result shares, against WittMonomial built from the masks."""
+    """witt._rank(n).keys, the monomial keys every result shares, against WittMonomial built from the masks."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_keys_match_their_masks(self, n):
@@ -441,7 +481,7 @@ class TestKeys:
         g, h = (seeded(4, rng.sample(basis(4), 85), 2501 + i, kind) for i in range(2))
         with product_path(path):
             gh = g * h
-        keys = witt._keys(4)
+        keys = witt._rank(4).keys
         assert all(m is keys[m.a_mask << 4 | m.b_mask] for m in gh._terms)
         for twin in (pickle.loads(pickle.dumps(gh)), copy.deepcopy(gh)):
             assert twin == gh and as_bytes(twin) == as_bytes(gh) and twin.complexified == gh.complexified
@@ -452,7 +492,7 @@ class TestKeys:
         g = seeded(3, basis(3), 2600, "complex")
         from_matrix(to_matrix(g * g.reverse()), 3)
         tables = [table for table in vars(witt).values() if hasattr(table, "cache_clear")]
-        assert witt._keys in tables and any(table.cache_info().currsize for table in tables)
+        assert witt._rank in tables and witt._gather in tables and any(table.cache_info().currsize for table in tables)
         clear_tables()
         assert [table.cache_info().currsize for table in tables] == [0] * len(tables)
 
@@ -461,7 +501,7 @@ class TestKeys:
         clear_tables()
         tracemalloc.start()
         try:
-            keys = witt._keys(6)
+            keys = witt._rank(6).keys
             for k in range(4**6):
                 keys[k]
             grown = tracemalloc.get_traced_memory()[0]

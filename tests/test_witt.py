@@ -27,7 +27,7 @@ from wittmat import (
     zero,
 )
 from wittmat import GaussianRational
-from wittmat.witt import _blade_to_monos, _mono_to_blades, _product_sum, _reverse_table
+from wittmat.witt import _blade_to_monos, _mono_to_blades, _product_sum, _rank
 from conftest import rand_mv
 from oracles import reduce_tokens
 
@@ -192,7 +192,7 @@ class TestClosedFormKernel:
 
     def test_reverse_matches_rewriting(self):
         for n, samples in KERNEL_RANKS:
-            reverse = _reverse_table(n)
+            reverse = _rank(n).reverse
             for am, bm in monomials(n, samples):
                 plus, minus = reverse[am << n | bm]
                 got = {**{divmod(k, 1 << n): 1 for k in plus}, **{divmod(k, 1 << n): -1 for k in minus}}
