@@ -28,11 +28,11 @@ can hold: to_matrix hands its integers to the matrix as they are, and
 from_matrix reads them back, so a round trip, or a product of spectral
 matrices read back, builds no matrix entry as a scalar.  Only a matrix that
 holds its cells is lifted, once, with exact._lift.  A monomial (A, B) and a
-cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c.  The only
-state kept is witt._rank(n), one table of lazy maps from that index (the
-signed targets of each direction and the monomial keys read back, over one
-pool of ints), each entry filled on first use, and witt._gather(n), the
-orders and signs of the passes.
+cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c, and a
+Multivector keys its terms by that index.  The only state kept is
+witt._rank(n), one table of lazy maps from that index (the signed targets of
+each direction, over one pool of ints), each entry filled on first use, and
+witt._gather(n), the orders and signs of the passes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import chain
 from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .witt import Multivector, WittMonomial, _collect, _from_cells, _lifted_terms, _monomials, _to_cells, _unit_spot
+from .witt import Multivector, _collect, _from_cells, _lifted_terms, _to_cells, _unit_spot
 
 __all__ = _EXPORTS["spectral"]
 
@@ -59,8 +59,8 @@ def spectral_unit(n: int, row: int, col: int) -> Multivector:
     if not (0 <= row < size and 0 <= col < size):
         raise InputError(f"row/col out of range for rank {n}")
     plus, minus = _unit_spot(n, row << n | col)
-    coeffs = [GaussianRational.ONE] * len(plus) + [-GaussianRational.ONE] * len(minus)
-    return Multivector._make(n, _monomials(n, plus + minus, coeffs), False)
+    terms = dict.fromkeys(plus, GaussianRational.ONE) | dict.fromkeys(minus, -GaussianRational.ONE)
+    return Multivector._make(n, terms, False)
 
 
 def spectral_table(n: int) -> list[list[Multivector]]:
@@ -97,10 +97,11 @@ def mv_trace(g: Multivector) -> GaussianRational:
     a-set equal to b-set S is the idempotent product u_S with scalar part
     2^-|S|, and every other monomial projects to 0.
     """
+    n, full = g.n, (1 << g.n) - 1
     total = GaussianRational.ZERO
-    for mono, coeff in g.terms():
-        if mono.a_mask == mono.b_mask:
-            total = total + coeff * (1 << (g.n - mono.a_mask.bit_count()))
+    for k, coeff in g._terms.items():
+        if k >> n == k & full:
+            total = total + coeff * (1 << (n - (k & full).bit_count()))
     return total
 
 
@@ -118,19 +119,20 @@ def block_split(g: Multivector):
     """
     if g.n == 0:
         raise DomainError("rank must be at least 1 to take blocks")
-    n1 = g.n - 1
+    n, n1 = g.n, g.n - 1
     # index-1 letters of a term -> the blocks it feeds; a term free of index 1
     # is u1 w + u1^dag w, so it feeds both h1 and h4
     blocks = {(1, 1): (0,), (1, 0): (1,), (0, 1): (2,), (0, 0): (0, 3)}
     parts = ([], [], [], [])
-    for m, c in g.terms():
-        w = WittMonomial(n1, m.a_mask >> 1, m.b_mask >> 1)
-        letters = (m.a_mask & 1, m.b_mask & 1)
-        if letters[0] != letters[1] and w.degree % 2:
+    for k, c in g._terms.items():
+        a_mask, b_mask = divmod(k, 1 << n)
+        w = a_mask >> 1 << n1 | b_mask >> 1
+        letters = (a_mask & 1, b_mask & 1)
+        if letters[0] != letters[1] and w.bit_count() & 1:
             c = -c
-        for k in blocks[letters]:
-            parts[k].append((w, c))
-    return tuple(Multivector(n1, _collect(p), complexified=g.complexified) for p in parts)
+        for j in blocks[letters]:
+            parts[j].append((w, c))
+    return tuple(Multivector._make(n1, _collect(p), g.complexified) for p in parts)
 
 
 def block_assemble(h1: Multivector, h2: Multivector, h3: Multivector, h4: Multivector) -> Multivector:
@@ -140,17 +142,18 @@ def block_assemble(h1: Multivector, h2: Multivector, h3: Multivector, h4: Multiv
     n = ranks.pop() + 1
 
     def lift(w, a_bit, b_bit, c):
-        return WittMonomial(n, w.a_mask << 1 | a_bit, w.b_mask << 1 | b_bit), c
+        a_mask, b_mask = divmod(w, 1 << n - 1)
+        return (a_mask << 1 | a_bit) << n | b_mask << 1 | b_bit, c
 
     terms = _collect(chain(
-        (lift(w, 1, 1, c) for w, c in h1.terms()),  # u1 h1
-        (lift(w, 1, 0, -c if w.degree % 2 else c) for w, c in h2.terms()),  # a1 h2^-
-        (lift(w, 0, 1, -c if w.degree % 2 else c) for w, c in h3.terms()),  # b1 h3^-
-        (lift(w, 0, 0, c) for w, c in h4.terms()),  # u1^dag h4 = (1 - u1) h4
-        (lift(w, 1, 1, -c) for w, c in h4.terms()),
+        (lift(w, 1, 1, c) for w, c in h1._terms.items()),  # u1 h1
+        (lift(w, 1, 0, -c if w.bit_count() & 1 else c) for w, c in h2._terms.items()),  # a1 h2^-
+        (lift(w, 0, 1, -c if w.bit_count() & 1 else c) for w, c in h3._terms.items()),  # b1 h3^-
+        (lift(w, 0, 0, c) for w, c in h4._terms.items()),  # u1^dag h4 = (1 - u1) h4
+        (lift(w, 1, 1, -c) for w, c in h4._terms.items()),
     ))
     comp = any(h.complexified for h in (h1, h2, h3, h4))
-    return Multivector(n, terms, complexified=comp)
+    return Multivector._make(n, terms, comp)
 
 
 def det2(g: Multivector) -> GaussianRational:

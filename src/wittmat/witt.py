@@ -7,11 +7,10 @@ Rank n means generators a_1..a_n, b_1..b_n subject to
 
 A canonical monomial visits indices in ascending order, emitting a_i before
 b_i when both occur; it is encoded by the bitmask pair (a_mask, b_mask), bit
-i-1 standing for index i.  The integer layers below key a term by one
-index k = a_mask * 2^n + b_mask, as a 2^n x 2^n matrix keys a cell by
-row * 2^n + col.  Results are read back to WittMonomial keys (_monomials)
-through _rank(n).keys, which builds each rank-n key once, on first use, and
-hands the same object to every later result.
+i-1 standing for index i.  A Multivector keys each term by one index
+k = a_mask * 2^n + b_mask, as a 2^n x 2^n matrix keys a cell by
+row * 2^n + col; WittMonomial is only the public view of an index, built
+where a caller passes or asks for one (the constructor, terms(), coeff()).
 
 The kernel is closed form (Jordan-Wigner).  Per index the local words
 1, a, b, ab multiply as 2x2 matrix units (left factor down, right across):
@@ -79,8 +78,8 @@ index, so which entries an entry fills, and with which signs, is a constant
 of n, and so is a monomial's reversed word.  Everything kept per rank is
 one table, _rank(n), of lazy maps from the 2n-bit index, each key filled on
 first use and kept: cells (monomial to cells) and units (cell to the
-monomials of its unit), reverse (the reversed words) and keys (the
-WittMonomials), over one int pool, ints, that holds each kept index once.
+monomials of its unit) and reverse (the reversed words), over one int pool,
+ints, that holds each kept index once.
 _to_cells, and _from_cells below three quarters of the cells nonzero,
 scatter only the nonzero entries through those targets; a nearly full
 matrix, as a dense product is, is read back in n passes over all 4^n cells
@@ -239,7 +238,7 @@ def _spread(acc: dict, targets, sums, cplx: bool) -> None:
 
 
 def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
-    """The rank-n product of left by right as {WittMonomial: scalar}, over den.
+    """The rank-n product of left by right as {index: scalar}, over den.
 
     Both factors are (keys, re, im) as from _lifted_terms; im is None on the
     real path (cplx false).  The left factor is grouped by lone_a * 2^n + b
@@ -294,21 +293,16 @@ def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     branched = list(filter(top.__lt__, acc))
     if branched:
         _spread(acc, [_walk(n, k & top, k >> 2 * n, full, 0) for k in branched], list(map(acc.pop, branched)), cplx)
-    return _from_sums(n, acc, den, cplx)
+    return _from_sums(acc, den, cplx)
 
 
-def _monomials(n: int, ks, coeffs) -> dict:
-    """{WittMonomial(n, k >> n, k & (2^n - 1)): c} for the k of ks and the c of coeffs, each key the one _rank(n).keys keeps."""
-    return dict(zip(map(_rank(n).keys.__getitem__, ks), coeffs))
-
-
-def _from_sums(n: int, acc: dict, den: int, cplx: bool) -> dict:
-    """_monomials of the nonzero sums in acc, {k: x} with x an int, or an (re, im) pair when cplx, over den."""
+def _from_sums(acc: dict, den: int, cplx: bool) -> dict:
+    """{k: scalar} of the nonzero sums in acc, {k: x} with x an int, or an (re, im) pair when cplx, over den."""
     if not cplx:
-        return _monomials(n, compress(acc, acc.values()), _scalars(list(filter(None, acc.values())), None, den))
+        return dict(zip(compress(acc, acc.values()), _scalars(list(filter(None, acc.values())), None, den)))
     live = list(map(any, acc.values()))
     sums = list(compress(acc.values(), live))
-    return _monomials(n, compress(acc, live), _scalars([x for x, _ in sums], [y for _, y in sums], den))
+    return dict(zip(compress(acc, live), _scalars([x for x, _ in sums], [y for _, y in sums], den)))
 
 
 def _mono_to_blades(a_mask: int, b_mask: int):
@@ -345,13 +339,12 @@ def _collect(pairs) -> dict:
 
 
 def _lifted_terms(g: "Multivector", cplx: bool):
-    """(den, keys, re, im): den * coefficient == re[j] + im[j]*i for the term at keys[j] = a_mask * 2^n + b_mask.
+    """(den, keys, re, im): den * coefficient == re[j] + im[j]*i for the term at g's index keys[j] = a_mask * 2^n + b_mask.
 
     im is None on the real path (cplx false).
     """
-    n = g.n
     den, re, im = _lift(g._terms.values(), cplx)
-    return den, [m.a_mask << n | m.b_mask for m in g._terms], re, im
+    return den, list(g._terms), re, im
 
 
 def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
@@ -370,7 +363,7 @@ def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
         targets = [(minus, plus) if k.bit_count() & 1 else (plus, minus) for k, (plus, minus) in zip(keys, targets)]
     acc = {}
     _spread(acc, targets, zip(re, map(neg, im) if conj else im) if cplx else re, cplx)
-    return g._make(n, _from_sums(n, acc, den, cplx), g.complexified)
+    return g._make(n, _from_sums(acc, den, cplx), g.complexified)
 
 
 # A product whose live kernel terms exceed both _BRIDGE_PER_CELL * 4^n and
@@ -493,12 +486,11 @@ def _rank(n: int) -> SimpleNamespace:
     one int it keeps for k, adding k on first use: every kept index is that
     int.  cells maps a monomial index to the (add, sub) cells its spectral
     matrix fills (_to_cells), units a cell to the monomial indices its unit
-    reads back to (_from_cells), reverse a monomial index to those of its
-    reversed word (_reversed), and keys a monomial index to its WittMonomial
-    (_monomials).  Only the indices used are kept, so sparse work at a high
-    rank builds no 4^n list.
+    reads back to (_from_cells), and reverse a monomial index to those of its
+    reversed word (_reversed).  Only the indices used are kept, so sparse
+    work at a high rank builds no 4^n list.
     """
-    ints, full = {}, (1 << n) - 1
+    ints = {}
     pool = ints.setdefault
     return SimpleNamespace(
         ints=ints,
@@ -506,7 +498,6 @@ def _rank(n: int) -> SimpleNamespace:
         cells=_Lazy(pool, partial(_mono_spot, n)),
         units=_Lazy(pool, partial(_unit_spot, n)),
         reverse=_Lazy(pool, partial(_reverse_spot, n)),
-        keys=_Lazy(pool, lambda k: WittMonomial(n, k >> n, k & full)),
     )
 
 
@@ -605,8 +596,8 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
     nonzero, every cell goes through the n passes of _unit_passes; below
     that only the nonzero cells are scattered, through _rank(n).units
     (_unit_spot).  Either way the sums land at the monomial indices
-    a_mask * 2^n + b_mask; zero sums are dropped, and the rest go to
-    _monomials in one batch.
+    a_mask * 2^n + b_mask; zero sums are dropped, and the rest become the
+    coefficients in one batch.
     """
     size = 1 << n
     cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
@@ -617,19 +608,19 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
                                   None if im is None else list(map(im.__getitem__, cells)))
     ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
     out_im = None if im is None else list(map(out_im.__getitem__, ks))
-    terms = _monomials(n, ks, _scalars(list(map(out_re.__getitem__, ks)), out_im, den))
+    terms = dict(zip(ks, _scalars(list(map(out_re.__getitem__, ks)), out_im, den)))
     return Multivector._make(n, terms, complexified)
 
 
 class Multivector:
-    """Finite GaussianRational combination of canonical monomials at a fixed rank."""
+    """Finite GaussianRational combination of canonical monomials at a fixed rank, {a_mask * 2^n + b_mask: c} in _terms."""
 
     __slots__ = ("n", "complexified", "_terms")
 
     def __init__(self, n: int, terms=None, complexified: bool = False):
         if n < 0:
             raise InputError("rank must be nonnegative")
-        clean: dict[WittMonomial, GaussianRational] = {}
+        clean: dict[int, GaussianRational] = {}
         for mono, coeff in (terms or {}).items():
             if not isinstance(mono, WittMonomial):
                 mono = WittMonomial(*mono)
@@ -642,7 +633,7 @@ class Multivector:
                 continue
             if not complexified and not c.is_real():
                 raise InputError("imaginary coefficient in a non-complexified element")
-            clean[mono] = c
+            clean[mono.a_mask << n | mono.b_mask] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "complexified", bool(complexified))
         object.__setattr__(self, "_terms", clean)
@@ -651,25 +642,28 @@ class Multivector:
         raise AttributeError("Multivector is immutable")
 
     def __reduce__(self):
-        return Multivector, (self.n, self._terms, self.complexified)
+        return Multivector, (self.n, dict(self.terms()), self.complexified)
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self):
-        """Term pairs sorted by (a_mask, b_mask)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        """(WittMonomial, coefficient) pairs sorted by (a_mask, b_mask)."""
+        n, full = self.n, (1 << self.n) - 1
+        return [(WittMonomial(n, k >> n, k & full), c) for k, c in sorted(self._terms.items())]
 
     def coeff(self, mono: WittMonomial) -> GaussianRational:
-        return self._terms.get(mono, GaussianRational.ZERO)
+        n, a_mask, b_mask = mono
+        fits = n == self.n and not (a_mask >> n or b_mask >> n)  # a mask of 2^n or more would alias another index
+        return self._terms.get(a_mask << n | b_mask, GaussianRational.ZERO) if fits else GaussianRational.ZERO
 
     def scalar_part(self) -> GaussianRational:
-        return self.coeff(WittMonomial(self.n, 0, 0))
+        return self._terms.get(0, GaussianRational.ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_scalar(self) -> bool:
-        return all(m.a_mask == 0 and m.b_mask == 0 for m in self._terms)
+        return not any(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -763,9 +757,9 @@ class Multivector:
 
     def grade_involution(self) -> "Multivector":
         acc = {}
-        for m, c in self._terms.items():
+        for k, c in self._terms.items():
             c = c.conjugate()
-            acc[m] = -c if m.degree % 2 else c
+            acc[k] = -c if k.bit_count() & 1 else c
         return self._make(self.n, acc, self.complexified)
 
     def clifford_conj(self) -> "Multivector":
@@ -777,8 +771,8 @@ class Multivector:
     def to_blades(self) -> dict[BladeMonomial, GaussianRational]:
         return _collect(
             (BladeMonomial(self.n, em, fm), c * w)
-            for m, c in self._terms.items()
-            for (em, fm), w in _mono_to_blades(m.a_mask, m.b_mask)
+            for k, c in self._terms.items()
+            for (em, fm), w in _mono_to_blades(*divmod(k, 1 << self.n))
         )
 
     def grade_project(self, k: int) -> "Multivector":
@@ -797,16 +791,17 @@ class Multivector:
         return f"Multivector[{self.n}]({self.pretty()})"
 
     def to_json(self):
+        n, full = self.n, (1 << self.n) - 1
         return {
-            "n": self.n,
+            "n": n,
             "complex": self.complexified,
             "terms": [
                 {
-                    "a": list(_mask_indices(m.a_mask)),
-                    "b": list(_mask_indices(m.b_mask)),
+                    "a": list(_mask_indices(k >> n)),
+                    "b": list(_mask_indices(k & full)),
                     "coeff": str(c),
                 }
-                for m, c in self.terms()
+                for k, c in sorted(self._terms.items())
             ],
         }
 
@@ -824,15 +819,17 @@ class Multivector:
             raise InputError(f"multivector JSON flag \"complex\" must be true or false, not {complexified!r}")
         if not isinstance(raw, list):
             raise InputError("multivector JSON \"terms\" must be an array")
-        terms: dict[WittMonomial, GaussianRational] = {}
+        terms: dict[int, GaussianRational] = {}
         for entry in raw:
             try:
                 coeff = GaussianRational.parse(entry["coeff"])
-                key = WittMonomial(n, _json_mask(n, entry.get("a", [])), _json_mask(n, entry.get("b", [])))
+                key = _json_mask(n, entry.get("a", [])) << n | _json_mask(n, entry.get("b", []))
             except (TypeError, KeyError, AttributeError) as exc:
                 raise InputError(f"bad term entry {entry!r}") from exc
             terms[key] = terms.get(key, GaussianRational.ZERO) + coeff
-        return cls(n, terms, complexified=complexified)
+        if not complexified and not all(c.is_real() for c in terms.values()):
+            raise InputError("imaginary coefficient in a non-complexified element")
+        return cls._make(n, {k: c for k, c in terms.items() if not c.is_zero()}, complexified)
 
 
 def _json_mask(n: int, indices) -> int:

@@ -233,10 +233,10 @@ def reverse(g: Multivector) -> Multivector:
     conj = g.n % 2 == 1
     terms = _sum_signed(
         (WittMonomial(g.n, *key), c.conjugate() if conj else c, s)
-        for m, c in g._terms.items()
+        for m, c in g.terms()
         for key, s in _mono_reverse(m.a_mask, m.b_mask)
     )
-    return Multivector._make(g.n, terms, g.complexified)
+    return Multivector(g.n, terms, complexified=g.complexified)
 
 
 def spectral_unit(n: int, row: int, col: int) -> Multivector:

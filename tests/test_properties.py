@@ -27,10 +27,14 @@ at rank 9, must leave little traced memory kept.  Kernel products whose b.a
 sites include index n, the top bit of the kernel's sums, are checked at
 ranks 1..6.  The kernel's live count, which picks the path, is compared with
 the subset sum of oracles.py at ranks 0..7 and must stay within a bounded
-peak at rank 9.  The monomial keys results share (witt._rank(n).keys) are
-checked against their masks and for identity at every index at ranks 0..5
-and a sample at rank 6, and a full rank-6 fill must stay within a bounded
-amount of traced memory.
+peak at rank 9.  A Multivector keys its terms by the index
+a_mask * 2^n + b_mask: every key an element holds, after every constructor
+and operation, must be an int index below 4^n with a nonzero coefficient;
+terms() and coeff() must read every index at ranks 0..5, and a sample at
+rank 6, as the WittMonomial of its masks; and terms(), coeff() (foreign
+keys included), scalar_part, is_scalar, to_json and hash must match a
+WittMonomial-keyed oracle.  A pickle made when the terms were keyed by
+WittMonomial must load equal.
 Parametrized property tests call a module-level @given check with their
 parameter, so they also run without Hypothesis' pytest plugin.
 
@@ -62,6 +66,7 @@ import oracles
 from conftest import rand_matrix
 from wittmat import witt
 from wittmat import (
+    BladeMonomial,
     DomainError,
     ExactMatrix,
     GaussianRational,
@@ -69,8 +74,10 @@ from wittmat import (
     Multivector,
     RationalPolynomial,
     WittMonomial,
+    a,
     block_assemble,
     block_split,
+    from_blade_basis,
     from_matrix,
     min_poly,
     one,
@@ -426,7 +433,7 @@ class TestBridgeTables:
         n = 5
         clear_tables()
         rank = witt._rank(n)
-        maps = rank.cells, rank.units, rank.reverse, rank.keys
+        maps = rank.cells, rank.units, rank.reverse
         for k in range(4**n):
             for lazy in maps:
                 lazy[k]
@@ -434,7 +441,7 @@ class TestBridgeTables:
         ints = rank.ints
         assert len(ints) <= 4**n
         kept = [k for lazy in maps for k in lazy]
-        kept += [k for lazy in maps[:3] for targets in lazy.values() for side in targets for k in side]
+        kept += [k for lazy in maps for targets in lazy.values() for side in targets for k in side]
         for k in kept + flat + order:
             assert ints[k] is k, k
 
@@ -460,19 +467,48 @@ class TestBridgeTables:
         assert got == [as_bytes(g), as_bytes(oracles.mul(p, q))][: len(got)]
 
 
+def assert_index_keyed(g: Multivector):
+    """Every key of g._terms is an int index below 4^n, and every coefficient a nonzero GaussianRational."""
+    assert all(type(k) is int and 0 <= k < 4**g.n for k in g._terms), list(g._terms)
+    assert all(type(c) is GaussianRational and not c.is_zero() for c in g._terms.values())
+
+
+def oracle_json(n: int, oracle: dict, complexified: bool) -> dict:
+    """Multivector.to_json of the element whose terms are oracle, {WittMonomial: nonzero coefficient}."""
+    def indices(mask):
+        return [i + 1 for i in range(n) if mask >> i & 1]
+
+    terms = [{"a": indices(m.a_mask), "b": indices(m.b_mask), "coeff": str(c)} for m, c in sorted(oracle.items())]
+    return {"n": n, "complex": complexified, "terms": terms}
+
+
+# pickle.dumps(Multivector(2, {WittMonomial(2, 1, 2): GaussianRational(Fraction(3, 2), Fraction(-1, 5)),
+# WittMonomial(2, 0, 0): 7, WittMonomial(2, 3, 3): GaussianRational(0, 1)}, complexified=True), protocol=4),
+# made while Multivector._terms was keyed by WittMonomial
+KEYED_BY_MONOMIAL_PICKLE = bytes.fromhex(
+    "800495eb000000000000008c0c776974746d61742e77697474948c0b4d756c7469766563746f729493944b027d942868008c"
+    "0c576974744d6f6e6f6d69616c9493944b024b014b02879481948c0d776974746d61742e6578616374948c10476175737369"
+    "616e526174696f6e616c9493948c096672616374696f6e73948c084672616374696f6e9493944b034b0286945294680d4aff"
+    "ffffff4b05869452948694529468054b024b004b0087948194680a680d4b074b0186945294680d4b004b0186945294869452"
+    "9468054b024b034b0387948194680a680d4b004b0186945294680d4b014b0186945294869452947588879452942e"
+)
+
+
 class TestKeys:
-    """witt._rank(n).keys, the monomial keys every result shares, against WittMonomial built from the masks."""
+    """Multivector._terms, keyed by the index a_mask * 2^n + b_mask, and WittMonomial, its public view."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_keys_match_their_masks(self, n):
+        """terms(), coeff() and the constructor map every index k to WittMonomial(n, k >> n, k & (2^n - 1)) and back."""
         size = 1 << n
         ks = range(size * size) if n < 6 else random.Random(2400).sample(range(size * size), 300)
-        clear_tables()
-        first, again = (witt._monomials(n, ks, range(len(ks))) for _ in range(2))
-        assert list(first.values()) == list(again.values()) == list(range(len(ks)))
-        for k, mono, twin in zip(ks, first, again):
-            assert type(mono) is WittMonomial and mono == WittMonomial(n, k >> n, k & (size - 1)), k
-            assert twin is mono, k
+        monos = [WittMonomial(n, k >> n, k & (size - 1)) for k in ks]
+        coeffs = [GaussianRational(Fraction(j + 1, 3)) for j in range(len(ks))]
+        g = Multivector(n, dict(zip(monos, coeffs)))
+        assert list(g._terms.items()) == list(zip(ks, coeffs))
+        assert g.terms() == sorted(zip(monos, coeffs))
+        assert all(type(m) is WittMonomial for m, _ in g.terms())
+        assert [g.coeff(m) for m in monos] == coeffs
 
     @pytest.mark.parametrize("path", ["kernel", "bridge"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -481,11 +517,9 @@ class TestKeys:
         g, h = (seeded(4, rng.sample(basis(4), 85), 2501 + i, kind) for i in range(2))
         with product_path(path):
             gh = g * h
-        keys = witt._rank(4).keys
-        assert all(m is keys[m.a_mask << 4 | m.b_mask] for m in gh._terms)
         for twin in (pickle.loads(pickle.dumps(gh)), copy.deepcopy(gh)):
             assert twin == gh and as_bytes(twin) == as_bytes(gh) and twin.complexified == gh.complexified
-            assert all(type(m) is WittMonomial for m in twin._terms)
+            assert_index_keyed(twin)
         assert as_bytes(gh) == as_bytes(oracles.mul(g, h))
 
     def test_clear_tables_clears_every_table(self):
@@ -496,19 +530,66 @@ class TestKeys:
         clear_tables()
         assert [table.cache_info().currsize for table in tables] == [0] * len(tables)
 
-    def test_full_rank_6_keys_stay_small(self):
-        # a full fill grows the traced memory by about 0.54 MB on CPython 3.11
-        clear_tables()
-        tracemalloc.start()
-        try:
-            keys = witt._rank(6).keys
-            for k in range(4**6):
-                keys[k]
-            grown = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(keys) == 4**6
-        assert grown <= 3 * 2**18, grown
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["real", "tall", "complex"])
+    def test_every_result_is_index_keyed(self, n, kind):
+        """The output of every constructor and operation holds int index keys below 4^n with nonzero coefficients."""
+        rng = random.Random(2900 + n)
+        g, h = (seeded(n, rng.sample(basis(n), min(4**n // 2, 40)), 2910 + n + i, kind) for i in range(2))
+        G, H = to_matrix(g), to_matrix(h)
+        out = [g, h, g + h, g - h, -g, g + 1, g.scale(Fraction(-2, 3)), g.scale(GaussianRational.I), g.complexify(),
+               g.reverse(), g.clifford_conj(), g.grade_involution(), g.grade_project(1), *block_split(g),
+               block_assemble(*block_split(g)[:2], *block_split(h)[2:]), from_matrix(G, n), from_matrix(G * H, n),
+               Multivector.from_json(g.to_json()), from_blade_basis(n, g.to_blades()), spectral_unit(n, 1, 0),
+               pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g), zero(n), one(n), scalar_mv(n, 3),
+               u(n, n), u_dag(n, 1), a(n, n), Multivector(n, {(n, 1, 0): 2})]
+        for path in ("kernel", "bridge"):
+            with product_path(path):
+                out += [g * h, h * g, g * g.reverse()]
+        for x in out:
+            assert_index_keyed(x)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_reads_match_a_monomial_keyed_oracle(self, n):
+        """terms(), coeff(), scalar_part, is_scalar, to_json and hash against the {WittMonomial: c} the element was built from."""
+        rng = random.Random(3300 + n)
+        size = 1 << n
+        zero_c = GaussianRational.ZERO
+        for trial in range(12):
+            complexified = trial % 2 == 1
+            picks = rng.sample(basis(n), min(4**n, rng.randint(0, 8))) + [WittMonomial(n, 0, 0)] * (trial % 3 == 0)
+            given = {m: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                         Fraction(rng.randint(-2, 2), 3) if complexified else 0) for m in picks}
+            if trial == 4:
+                given = {WittMonomial(n, 0, 0): GaussianRational(Fraction(5, 7))}  # a scalar element
+            oracle = {m: c for m, c in given.items() if not c.is_zero()}
+            g = Multivector(n, given, complexified=complexified)
+            assert g.terms() == sorted(oracle.items())
+            foreign = [WittMonomial(n + 1, 0, 0), WittMonomial(n + 1, 1, 1), WittMonomial(n, size, 0),
+                       WittMonomial(n, 0, size), WittMonomial(n, size | 1, 1), BladeMonomial(n, 0, 0)]
+            for m in [*oracle, *basis(n), *foreign]:
+                want = oracle.get(m, zero_c)
+                assert g.coeff(m) == want and g.coeff(tuple(m)) == want, m
+                assert g.coeff(BladeMonomial(*m)) == want, m  # a 3-tuple, read as (n, a_mask, b_mask)
+            assert g.scalar_part() == oracle.get(WittMonomial(n, 0, 0), zero_c)
+            assert g.is_scalar() == all(m.a_mask == 0 == m.b_mask for m in oracle)
+            assert g.to_json() == oracle_json(n, oracle, complexified)
+            twin = Multivector(n, dict(reversed(list(oracle.items()))), complexified=True)
+            assert twin == g and hash(twin) == hash(g)
+            if g.is_scalar():
+                assert hash(g) == hash(oracle.get(WittMonomial(n, 0, 0), zero_c))
+
+    def test_a_pickle_keyed_by_monomial_loads_equal(self):
+        c = GaussianRational(Fraction(3, 2), Fraction(-1, 5))
+        want = Multivector(2, {WittMonomial(2, 1, 2): c, WittMonomial(2, 0, 0): 7, WittMonomial(2, 3, 3): GaussianRational.I},
+                           complexified=True)
+        got = pickle.loads(KEYED_BY_MONOMIAL_PICKLE)
+        assert got == want and as_bytes(got) == as_bytes(want) and got.complexified
+        assert_index_keyed(got)
+        # and the pickles made now hand the constructor WittMonomial keys, which that code reads too
+        cls, (n, terms, complexified) = want.__reduce__()
+        assert cls is Multivector and n == 2 and complexified
+        assert all(type(m) is WittMonomial for m in terms) and terms == dict(want.terms())
 
 
 @contextmanager
@@ -622,8 +703,8 @@ class TestProductPaths:
         g, h = gh
         cplx = g._has_imag() or h._has_imag()
         left, right = witt._lifted_terms(g, cplx)[1], witt._lifted_terms(h, cplx)[1]
-        assert left == [m.a_mask << g.n | m.b_mask for m in g._terms]
-        pairs = [(m1, m2) for m1 in g._terms for m2 in h._terms]
+        assert sorted(left) == [m.a_mask << g.n | m.b_mask for m, _ in g.terms()]
+        pairs = [(m1, m2) for m1, _ in g.terms() for m2, _ in h.terms()]
         live = sum(1 for m1, m2 in pairs if oracles.mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask))
         assert witt._live_count(g.n, left, right) == live
 

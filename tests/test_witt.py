@@ -1,6 +1,8 @@
-"""Null-vector generators, word reduction, involutions, blade conversion."""
+"""Null-vector generators, word reduction, involutions, blade conversion, and pinned outputs of the Multivector layer."""
 
 from fractions import Fraction
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,12 +15,16 @@ from wittmat import (
     WittMonomial,
     a,
     b,
+    block_assemble,
+    block_split,
     e,
     f,
     from_blade_basis,
+    from_matrix,
     one,
     reduce_word,
     scalar_mv,
+    to_matrix,
     u,
     u_all,
     u_all_dag,
@@ -26,7 +32,7 @@ from wittmat import (
     wedge_ab,
     zero,
 )
-from wittmat import GaussianRational
+from wittmat import GaussianRational, witt
 from wittmat.witt import _blade_to_monos, _mono_to_blades, _product_sum, _rank
 from conftest import rand_mv
 from oracles import reduce_tokens
@@ -63,7 +69,7 @@ def kernel_product(n, a1, b1, a2, b2):
     """(a1, b1) * (a2, b2) through the product kernel on one-term factors with numerator 1, over den 1."""
     out = _product_sum(n, ([a1 << n | b1], [1], None), ([a2 << n | b2], [1], None), 1, False)
     assert all(c in (1, -1) for c in out.values())
-    return {(m.a_mask, m.b_mask): 1 if c == 1 else -1 for m, c in out.items()}
+    return {divmod(k, 1 << n): 1 if c == 1 else -1 for k, c in out.items()}
 
 
 def blade_by_rewriting(e_mask, f_mask):
@@ -385,3 +391,95 @@ class TestSerialization:
         ]
         for g, text in cases:
             assert g.pretty() == text
+
+
+def pinned_operand(n, kind, seed):
+    """min(4^n // 2, 160) seeded terms at rank n: small real, tall real (12-digit numerators) or small complex."""
+    rng = random.Random(seed)
+    top, den = (10**12 - 1, 10**6) if kind == "tall" else (9, 7)
+
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, den))
+
+    full, cplx = (1 << n) - 1, kind == "complex"
+    ks = rng.sample(range(4**n), min(4**n // 2, 160))
+    terms = {WittMonomial(n, k >> n, k & full): GaussianRational(part(), part() if cplx else 0) for k in ks}
+    return Multivector(n, terms, complexified=cplx)
+
+
+def _digest(*xs):
+    """sha256[:16] of the JSON of xs, Multivectors or ExactMatrices."""
+    return hashlib.sha256(json.dumps([x.to_json() for x in xs]).encode()).hexdigest()[:16]
+
+
+PINNED_CASES = [(n, kind) for n in range(2, 7) for kind in ("real", "complex", "tall")]
+PINNED_OPS = ("operands", "product", "reverse", "clifford_conj", "grade_involution", "block_split", "block_assemble",
+              "to_matrix")
+# sha256[:16] of the JSON of each op in PINNED_OPS, per rank and kind
+PINNED = {
+    "real-2": ("e43826f19798452a", "433fadfe58c0f542", "b84fe0d234f2245b", "fff55f681d884d11",
+               "087ade1d57cd1a45", "d5a4c49ef810043b", "ff1614a80260718c", "ad218167e8e1d686"),
+    "complex-2": ("7fb18d126c7d6170", "9a2a5c82d590893d", "891bad7751c62efb", "babaa809723b0513",
+                  "2956c1178cfd3f69", "6705d28c6939093c", "d0ce5465c337183f", "d40ec02343da322f"),
+    "tall-2": ("dac383dd3778227f", "bc63c5e689f1feb3", "fd5fa11c1bf07ad2", "a62b8c7ce3988baa",
+               "d5a5759d2bbaf771", "2cfc261850317d35", "5a7b5e2d67e94322", "a1fd85d901ecaced"),
+    "real-3": ("a537a68860700491", "1a51430f477e4a47", "3eb5d248d99ea1a8", "202428b9052e9800",
+               "0b7b565ff7404545", "b459cac9c4fc0185", "a635c5252240aa9e", "5667cf2a214c5d40"),
+    "complex-3": ("dca627f237b4220b", "1ca34721f7d2927e", "0432ac25a87c03cd", "c40fd862398ffeef",
+                  "eb33b0f012d93cb3", "29bf22082eee59d8", "975e87bf06f1a2aa", "07f5be9de06992b4"),
+    "tall-3": ("71adff8e2f7edca0", "379e0d0c771485f5", "68667c4cf1e3c91e", "0cc55a1cc88a991a",
+               "05142a14a9ded576", "5fefffc1b36e186e", "7a69278855a0524d", "15f57b73ec246d04"),
+    "real-4": ("41fc19044635ff4c", "b73993b811e892c4", "83380f367982f017", "002b94f5d60f8be8",
+               "209ed0d366392bb8", "1920a501839744a7", "8f461005911fc22d", "c3588e2a7d32644c"),
+    "complex-4": ("aa09a5d10f462880", "99500fdb15319176", "f1b4fa21db01542d", "837f819e9a9fe44a",
+                  "527c7425f782ac5a", "ae95ed33808db56f", "782bf385364df999", "cf8f8792327070fb"),
+    "tall-4": ("53ee2658203fbfa5", "77138078cdec9582", "2196063147d3df66", "b731f5a64150e6b9",
+               "f82feb6758be2819", "7e3aef2e5c29e0e7", "6c8bc5fd9247b0de", "6b60baa5bd83a545"),
+    "real-5": ("f1b16f57b4f36eaf", "33cf25e6ab12f0e3", "0b8b9cb64d15ac6c", "bd0efb0a6c514978",
+               "5089131629e03ff0", "0d71eb5f7f0c64f0", "c27727830d394af4", "4236938bb7080a81"),
+    "complex-5": ("b83edec4553a1444", "2ac77c5cf0889bc1", "d30bf974e2dc2c29", "d533addfd2404fd1",
+                  "cc646c2dba42ec91", "6d64fd4f060fb0f3", "ed0e3157c8be04da", "78623170c688fb09"),
+    "tall-5": ("b6fe549e0c966599", "8ad7461d191122bd", "6f3c417a7762c434", "1dd2316d2d582893",
+               "23c1affab370c307", "e793be23e98102dc", "054e644be3632be4", "08f55493cf005033"),
+    "real-6": ("f7d4a045acfaa6ed", "aa3433285febcc97", "59166e1f77aef457", "ec3625d263174845",
+               "f7938c9a73ea97d1", "266c252c81630b00", "ad3e1ad1de8516a8", "d75f6e8cad29ba84"),
+    "complex-6": ("e7aeb6b4b532e49b", "c655056a545a53d9", "1911205d16b35113", "8156aedc2a35e610",
+                  "a966a341409c372a", "4b8fcd0ae4e5c106", "2dc4dc0e451b2e0f", "87c1290200109a75"),
+    "tall-6": ("44cda4e04bec7fc9", "d672d58dcdc1ded9", "92c3cc3b9b6732da", "c19d44a38e76069b",
+               "7f4b8c2ecea0cd25", "7e63fd9df5bac523", "e77ce0b245961c11", "e75607056e66a2ef"),
+}
+
+
+class TestPinnedOutputs:
+    """The Multivector layer's outputs on seeded operands at ranks 2..6, real, complex and tall, byte for byte.
+
+    The product is pinned on both paths, the kernel and the matrix bridge,
+    and so is the detour through the matrices, from_matrix(to_matrix(g) *
+    to_matrix(h)); a round trip from_matrix(to_matrix(g)) gives g back.
+    """
+
+    @pytest.mark.parametrize("n,kind", PINNED_CASES, ids=[f"{kind}-{n}" for n, kind in PINNED_CASES])
+    def test_outputs(self, n, kind, monkeypatch):
+        g, h = pinned_operand(n, kind, 3000 + n), pinned_operand(n, kind, 3100 + n)
+        products = []
+        for bound in (float("inf"), -1):  # the kernel, then the bridge
+            monkeypatch.setattr(witt, "_BRIDGE_PER_CELL", bound)
+            monkeypatch.setattr(witt, "_BRIDGE_FLOOR", bound)
+            products.append(_digest(g * h))
+        G, H = to_matrix(g), to_matrix(h)
+        assert _digest(from_matrix(G, n)) == _digest(g)
+        got = {
+            "operands": _digest(g, h),
+            "product": products[0],
+            "reverse": _digest(g.reverse()),
+            "clifford_conj": _digest(g.clifford_conj()),
+            "grade_involution": _digest(g.grade_involution()),
+            "block_split": _digest(*block_split(g)),
+            "block_assemble": _digest(block_assemble(*block_split(g)[:2], *block_split(h)[2:])),
+            "to_matrix": _digest(G, H),
+        }
+        assert dict(zip(PINNED_OPS, PINNED[f"{kind}-{n}"])) == got
+        assert products[1] == _digest(from_matrix(G * H, n)) == got["product"]
+
+    def test_every_case_pinned(self):
+        assert sorted(PINNED) == sorted(f"{kind}-{n}" for n, kind in PINNED_CASES)
