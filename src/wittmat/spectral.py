@@ -30,9 +30,12 @@ matrices read back, builds no matrix entry as a scalar.  Only a matrix that
 holds its cells is lifted, once, with exact._lift.  A monomial (A, B) and a
 cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c, and a
 Multivector keys its terms by that index.  The only state kept is
-witt._rank(n), one table of lazy maps from that index (the signed targets of
-each direction, over one pool of ints), each entry filled on first use, and
-witt._gather(n), the orders and signs of the passes.
+witt._rank(n), one table of maps from that index, each entry one signed
+subset walk filled on first use over one pool of ints: the signed targets
+of each direction (cells, units; spectral_unit reads units), the reversed
+words and the kernel's b.a expansions; and witt._gather(n), the orders and
+signs of the passes.  Both are kept for ranks up to 6 and, above that, for
+the most recent rank only.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from itertools import chain
 from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .witt import Multivector, _collect, _from_cells, _lifted_terms, _to_cells, _unit_spot
+from .witt import Multivector, _collect, _from_cells, _lifted_terms, _rank, _to_cells
 
 __all__ = _EXPORTS["spectral"]
 
@@ -58,7 +61,7 @@ def spectral_unit(n: int, row: int, col: int) -> Multivector:
     size = _size(n)
     if not (0 <= row < size and 0 <= col < size):
         raise InputError(f"row/col out of range for rank {n}")
-    plus, minus = _unit_spot(n, row << n | col)
+    plus, minus = _rank(n).units[row << n | col]
     terms = dict.fromkeys(plus, GaussianRational.ONE) | dict.fromkeys(minus, -GaussianRational.ONE)
     return Multivector._make(n, terms, False)
 

@@ -53,11 +53,12 @@ an imaginary part (exact._any_imag); both helpers read the coefficients by
 C-level maps, with no Python step per term.  The kernel adds each live
 pair's signed numerator product into one integer (or (re, im) pair) per key,
 the term's index with its sites above bit 2n; many pairs share a key, so
-after the loop each distinct key with sites is expanded once.  The nonzero
-sums become the coefficients, over the product of the two denominators, in
-one batch (exact._scalars).  Every signed expansion is one subset walk
-(_walk): a set s of indices joining both masks of a term, or the row and
-the column of a cell, moves its index by s * (2^n + 1), each sign a parity.
+after the loop each distinct key with sites is expanded once, through
+_rank(n).sites.  The nonzero sums become the coefficients, over the product
+of the two denominators, in one batch (exact._scalars).  Every signed
+expansion is one subset walk: a set s of indices joining both masks of a
+term, or the row and the column of a cell, moves its index by s * (2^n + 1),
+each sign a parity.
 
 A dense product runs through the matrix isomorphism instead.  The kernel
 takes one Python step per live term, the sum of |lterms| * |rterms| over
@@ -75,11 +76,15 @@ the product back with _from_cells.  to_matrix and from_matrix in spectral.py
 are the same two helpers, on flat integer lists of 4^n entries.  Both
 directions are one sign per cell and a Kronecker product of one 4x4 map per
 index, so which entries an entry fills, and with which signs, is a constant
-of n, and so is a monomial's reversed word.  Everything kept per rank is
-one table, _rank(n), of lazy maps from the 2n-bit index, each key filled on
-first use and kept: cells (monomial to cells) and units (cell to the
-monomials of its unit) and reverse (the reversed words), over one int pool,
-ints, that holds each kept index once.
+of n, and so are a monomial's reversed word and a kernel key's b.a
+expansion.  Everything kept per rank is one table, _rank(n), of maps filled
+on first use and kept: four _Lazy maps of signed targets, cells (monomial
+to cells), units (cell to the monomials of its unit), reverse (the reversed
+words) and sites (kernel key to its b.a expansion), each entry one walk run
+in one frame, _Lazy.__missing__; parity, the suffix parities sp(m) the walks
+and the kernel's grouping read; and one int pool, ints, that holds each kept
+index once.  Ranks up to 6 keep their table; above it only the most recent
+rank's is kept (_per_rank).
 _to_cells, and _from_cells below three quarters of the cells nonzero,
 scatter only the nonzero entries through those targets; a nearly full
 matrix, as a dense product is, is read back in n passes over all 4^n cells
@@ -101,7 +106,7 @@ conjugates it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import update_wrapper
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, or_, sub
 from types import SimpleNamespace
@@ -198,23 +203,6 @@ def _subsets(mask: int):
         s = (s - 1) & mask
 
 
-def _walk(n: int, base: int, free: int, flips: int, odd: int) -> tuple:
-    """(add, sub): base + s * (2^n + 1) for every submask s of free, in sub when odd + popcount(s & flips) is odd.
-
-    Each index is the int _rank(n).pool returns for it, the one its int pool
-    keeps, so a target kept in a _rank(n) map is a reference, not a new int.
-    """
-    step = (1 << n) + 1
-    pool = _rank(n).pool
-    plus, minus = [], []
-    s = free
-    while True:
-        (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(pool(k := base + s * step, k))
-        if not s:
-            return tuple(plus), tuple(minus)
-        s = (s - 1) & free
-
-
 def _spread(acc: dict, targets, sums, cplx: bool) -> None:
     """Add each of sums into acc at the add targets of its (add, sub) pair of targets, and subtract it at the sub targets.
 
@@ -247,14 +235,16 @@ def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     or a left term shares is computed once.  A live pair's signed numerator
     product is summed under first_a * 2^n + last_b with its b.a sites above
     bit 2n; after the loop each distinct key with sites is expanded once,
-    in place, by _walk, and the nonzero sums go to _from_sums.
+    in place, through _rank(n).sites, and the nonzero sums go to _from_sums.
     """
     full = (1 << n) - 1
+    rank = _rank(n)
+    parity = rank.parity
     lgroups, rgroups = {}, {}
     keys, xs, ys = left
     for k, x, y in zip(keys, xs, ys or repeat(0)):
         a1, b1 = k >> n, k & full
-        lgroups.setdefault(k & ~(b1 << n), []).append((k - b1, (b1 & ~a1) << 2 * n, _suffix_parity(a1 ^ b1), x, y))
+        lgroups.setdefault(k & ~(b1 << n), []).append((k - b1, (b1 & ~a1) << 2 * n, parity[a1 ^ b1], x, y))
     keys, xs, ys = right
     for k, x, y in zip(keys, xs, ys or repeat(0)):
         a2, b2 = k >> n, k & full
@@ -292,7 +282,7 @@ def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     top = (1 << 2 * n) - 1
     branched = list(filter(top.__lt__, acc))
     if branched:
-        _spread(acc, [_walk(n, k & top, k >> 2 * n, full, 0) for k in branched], list(map(acc.pop, branched)), cplx)
+        _spread(acc, list(map(rank.sites.__getitem__, branched)), list(map(acc.pop, branched)), cplx)
     return _from_sums(acc, den, cplx)
 
 
@@ -420,88 +410,150 @@ def _live_count(n: int, lkeys, rkeys) -> int:
     return sum([(within[full ^ (k >> n & ~k)] & within[top ^ k & full]).bit_count() for k in lkeys])
 
 
-def _mono_spot(n: int, k: int):
-    """The _walk of monomial index k = a_mask * 2^n + b_mask over the cells of its spectral matrix.
-
-    Monomial (A, B) has one entry for each subset s of the indices outside
-    A | B, at row (B & ~A) | s and column c = (A & ~B) | s, with sign
-    (-1)^popcount(c & sp(A ^ B)); s is disjoint from both masks, so each
-    entry sits s * (2^n + 1) past the one of s = 0.  _rank(n).cells keeps it.
-    """
-    full = (1 << n) - 1
-    a_mask, b_mask = k >> n, k & full
-    col0, flips = a_mask & ~b_mask, _suffix_parity(a_mask ^ b_mask)
-    return _walk(n, (b_mask & ~a_mask) << n | col0, full & ~(a_mask | b_mask), flips, (col0 & flips).bit_count())
-
-
-def _unit_spot(n: int, k: int):
-    """The _walk of the unit E_{rc} at flat cell k = r * 2^n + c over the monomial indices.
-
-    E_{rc} is the monomial (full & ~r, full & ~c) with sign
-    (-1)^(p(p-1)/2) for p = popcount(c), times (-1)^popcount(c & sp(r)),
-    times (1 - ab) at each index of r & c.  Each subset s of r & c moves its
-    term from a_mask * 2^n + b_mask by s * (2^n + 1), with sign
-    (-1)^popcount(s).  _rank(n).units keeps it.
-    """
-    full = (1 << n) - 1
-    r, c = k >> n, k & full
-    odd = (c.bit_count() >> 1) + (c & _suffix_parity(r)).bit_count()
-    return _walk(n, (full ^ r) << n | (full ^ c), r & c, full, odd)
-
-
-def _reverse_spot(n: int, k: int):
-    """The _walk of the reversed word of monomial index k = a_mask * 2^n + b_mask over the monomial indices.
-
-    Each a_i b_i of the word reverses to b_i a_i = 1 - a_i b_i, and its p
-    single letters reverse with sign (-1)^(p(p-1)/2).  a_i b_i is even, so
-    it drops into its slot of the canonical word without a sign: each
-    subset s of the pairs P = A & B gives the term (A ^ P) | s, (B ^ P) | s,
-    s * (2^n + 1) past the one of s = 0, with sign (-1)^popcount(s).
-    _rank(n).reverse keeps it.
-    """
-    full = (1 << n) - 1
-    pairs = k >> n & k
-    return _walk(n, k ^ pairs * (full + 2), pairs, full, ((k >> n ^ k) & full).bit_count() >> 1)
+# The kinds of target a rank keeps, one _Lazy map each (see _Lazy).
+_CELLS, _UNITS, _REVERSE, _SITES = range(4)
 
 
 class _Lazy(dict):
-    """{index k: fill(k)}, each value built on first use and kept under the int the pool keeps for k."""
+    """{k: (add, sub)}, the signed subset walk of key k for one kind of target, built on first use and kept.
 
-    __slots__ = ("pool", "fill")
+    Each kind reads (base, free, flips, odd) off k, and the walk holds
+    base + s * (2^n + 1) for every submask s of free, in sub when
+    odd + popcount(s & flips) is odd.  s adds its indices to both masks of a
+    monomial, or to the row and the column of a cell.  With
+    k = hi * 2^n + lo:
 
-    def __init__(self, pool, fill):
+    cells    monomial (A, B) = (hi, lo) to the cells of its spectral matrix
+             (_to_cells): one for each set s of the indices outside A | B,
+             at row (B & ~A) | s and column c = (A & ~B) | s, with sign
+             (-1)^popcount(c & sp(A ^ B)).
+    units    cell (r, c) = (hi, lo) to the monomials its unit E_{rc} reads
+             back to (_from_cells, spectral.spectral_unit): the monomial
+             (full & ~r, full & ~c) with sign (-1)^(p(p-1)/2) for
+             p = popcount(c), times (-1)^popcount(c & sp(r)), times (1 - ab)
+             at each index of r & c, so each s of r & c costs
+             (-1)^popcount(s).
+    reverse  monomial (A, B) to its reversed word (_reversed): each a_i b_i
+             reverses to b_i a_i = 1 - a_i b_i and, being even, drops into
+             its slot without a sign, so each s of the pairs A & B costs
+             (-1)^popcount(s); the p single letters reverse with sign
+             (-1)^(p(p-1)/2).
+    sites    a kernel key (_product_sum), a monomial index with its b.a
+             sites above bit 2n, to that monomial times (1 - ab) at each
+             site, each s of the sites costing (-1)^popcount(s).
+
+    sp(m) is read from parity, the rank's map of suffix parities.  The walk
+    runs inline, so filling an entry takes this one Python frame.  Every
+    target, and every key below 4^n, is the int pool(k, k) keeps for it, so
+    a target or a key kept in two maps is one int; a sites key lies above
+    4^n and is kept in this map only.
+    """
+
+    __slots__ = ("n", "kind", "pool", "parity")
+
+    def __init__(self, n: int, kind: int, pool, parity):
         super().__init__()
-        self.pool, self.fill = pool, fill
+        self.n, self.kind, self.pool, self.parity = n, kind, pool, parity
 
     def __missing__(self, k: int):
-        value = self[self.pool(k, k)] = self.fill(k)
+        n, kind, pool = self.n, self.kind, self.pool
+        full = (1 << n) - 1
+        step = full + 2  # 2^n + 1
+        flips = full
+        if kind == _SITES:
+            base, free, odd = k & full * step, k >> 2 * n, 0
+        else:
+            hi, lo = k >> n, k & full
+            if kind == _CELLS:
+                col0, flips = hi & ~lo, self.parity[hi ^ lo]
+                base, free, odd = (lo & ~hi) << n | col0, full & ~(hi | lo), (col0 & flips).bit_count()
+            elif kind == _UNITS:
+                base, free, odd = k ^ full * step, hi & lo, (lo.bit_count() >> 1) + (lo & self.parity[hi]).bit_count()
+            else:
+                free = hi & lo
+                base, odd = k ^ free * step, (hi ^ lo).bit_count() >> 1
+            k = pool(k, k)
+        plus, minus = [], []
+        s = free
+        while s:
+            (minus if (odd + (s & flips).bit_count()) & 1 else plus).append(pool(t := base + s * step, t))
+            s = (s - 1) & free
+        (minus if odd & 1 else plus).append(pool(base, base))  # s = 0
+        value = self[k] = tuple(plus), tuple(minus)
         return value
 
 
-@cache
-def _rank(n: int) -> SimpleNamespace:
-    """Everything kept per rank n, as functions of the 2n-bit index k, each entry filled on first use and kept.
+class _Parity(dict):
+    """{m: sp(m)}, each suffix parity (_suffix_parity) computed on first use and kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, m: int) -> int:
+        value = self[m] = _suffix_parity(m)
+        return value
+
+
+# Ranks up to the CLI's cap keep their tables for the life of the process;
+# above it only the most recent rank's are kept, since a full fill grows 16x
+# per rank.
+_WARM_RANK = 6
+
+
+def _per_rank(build):
+    """build, with build(n) kept for every rank n up to _WARM_RANK and, above it, for the most recent rank only.
+
+    Like a functools.cache'd function, the result has cache_clear() and
+    cache_info().currsize.
+    """
+    kept = {}
+
+    def table(n: int):
+        got = kept.get(n)
+        if got is None:
+            if n > _WARM_RANK:
+                for old in [m for m in kept if m > _WARM_RANK]:
+                    del kept[old]
+            got = kept[n] = build(n)
+        return got
+
+    table.cache_clear = kept.clear
+    table.cache_info = lambda: SimpleNamespace(currsize=len(kept))
+    return update_wrapper(table, build)
+
+
+class _Tables(SimpleNamespace):
+    """One rank's tables, as _rank(n) returns them; unlike a SimpleNamespace it can be weakly referenced."""
+
+
+@_per_rank
+def _rank(n: int) -> _Tables:
+    """Everything kept per rank n, as maps from an index k, each entry filled on first use and kept.
 
     ints is the int pool, {k: k}, and pool(k, k), its setdefault, returns the
     one int it keeps for k, adding k on first use: every kept index is that
-    int.  cells maps a monomial index to the (add, sub) cells its spectral
-    matrix fills (_to_cells), units a cell to the monomial indices its unit
-    reads back to (_from_cells), and reverse a monomial index to those of its
-    reversed word (_reversed).  Only the indices used are kept, so sparse
-    work at a high rank builds no 4^n list.
+    int.  parity maps a mask m below 2^n to sp(m).  The four _Lazy maps give
+    the signed targets of an index: cells a monomial's spectral matrix cells
+    (_to_cells), units a cell's unit as monomials (_from_cells), reverse a
+    monomial's reversed word (_reversed), and sites a kernel key's b.a
+    expansion (_product_sum).  Only the indices used are kept, so sparse work
+    at a high rank builds no 4^n list, and above rank _WARM_RANK only the
+    most recent rank's table is kept (_per_rank).
     """
     ints = {}
     pool = ints.setdefault
-    return SimpleNamespace(
+    parity = _Parity()
+    return _Tables(
         ints=ints,
         pool=pool,
-        cells=_Lazy(pool, partial(_mono_spot, n)),
-        units=_Lazy(pool, partial(_unit_spot, n)),
-        reverse=_Lazy(pool, partial(_reverse_spot, n)),
+        parity=parity,
+        cells=_Lazy(n, _CELLS, pool, parity),
+        units=_Lazy(n, _UNITS, pool, parity),
+        reverse=_Lazy(n, _REVERSE, pool, parity),
+        sites=_Lazy(n, _SITES, pool, parity),
     )
 
 
-@cache
+@_per_rank
 def _gather(n: int):
     """(flat, signs, order) of _unit_passes at rank n, built by doubling.
 
@@ -558,7 +610,7 @@ def _to_cells(n: int, keys, re, im):
 
     keys, re and im are as from _lifted_terms; im is None on the real path,
     and so is the returned one.  Each monomial scatters through its targets
-    in _rank(n).cells (_mono_spot).
+    in _rank(n).cells.
     """
     return _scatter(1 << n, _rank(n).cells, keys, re, im)
 
@@ -569,13 +621,13 @@ def _unit_passes(n: int, re, im):
     Per index the cells E00, E01, E10, E11 (row bit, column bit) read back as
     ab, a, b and 1 - ab, so 1 <- E11, b <- E10, a <- E01 and ab <- E00 - E11,
     after one sign per cell, (-1)^popcount(c & sp(r ^ c)), which equals the
-    base sign of _unit_spot.  The cells are gathered into interleaved order,
-    r_j and c_j at bits 2j + 1 and 2j, where a pass maps the four strided
-    slices of the lowest index to four contiguous runs, so that index moves
-    to the top bits; after n passes every index is back in place, now as
-    (a_j, b_j), and the list is gathered to a_mask * 2^n + b_mask (Davio
-    1981; Pease 1968).  The gather orders and the signs are _gather(n); im
-    is None on the real path.
+    base sign of a units entry (_Lazy).  The cells are gathered into
+    interleaved order, r_j and c_j at bits 2j + 1 and 2j, where a pass maps
+    the four strided slices of the lowest index to four contiguous runs, so
+    that index moves to the top bits; after n passes every index is back in
+    place, now as (a_j, b_j), and the list is gathered to
+    a_mask * 2^n + b_mask (Davio 1981; Pease 1968).  The gather orders and
+    the signs are _gather(n); im is None on the real path.
     """
     flat, signs, order = _gather(n)
 
@@ -594,10 +646,10 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
 
     im is None on the real path.  Past three quarters of the 4^n cells
     nonzero, every cell goes through the n passes of _unit_passes; below
-    that only the nonzero cells are scattered, through _rank(n).units
-    (_unit_spot).  Either way the sums land at the monomial indices
-    a_mask * 2^n + b_mask; zero sums are dropped, and the rest become the
-    coefficients in one batch.
+    that only the nonzero cells are scattered, through _rank(n).units.
+    Either way the sums land at the monomial indices a_mask * 2^n + b_mask;
+    zero sums are dropped, and the rest become the coefficients in one
+    batch.
     """
     size = 1 << n
     cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
@@ -970,6 +1022,9 @@ def from_blade_basis(n: int, blade_terms, complexified: bool = False) -> Multive
             bl = BladeMonomial(*bl)
         if bl.n != n:
             raise DimensionMismatch(f"blade rank {bl.n} inside rank-{n} element")
+        # checked before the expansion, whose subset walk never ends on a negative mask
+        if not (0 <= bl.e_mask < 1 << n and 0 <= bl.f_mask < 1 << n):
+            raise InputError(f"blade mask out of range for rank {n}")
         blades.append((bl, _as_scalar(c)))
     terms = _collect(
         (WittMonomial(n, am, bm), c * w)

@@ -18,14 +18,17 @@ passes that read a nearly full spectral matrix back with the per-cell
 scatter of oracles.py, on each side of the line between them.  Everything
 kept per rank is one table, witt._rank(n), of lazy maps over one int pool.
 Its signed targets (cells, units) are compared with that scatter's subset
-loop, and its reversed words (reverse) with the oracle's, at every monomial
-and every cell at ranks 0..5 and a sample at rank 6, cold and warm; a full
-rank-6 fill of the three and the passes' gather must stay within a bounded
-amount of traced memory, and after a full rank-5 fill every kept index must
-be the pool's own int.  A round trip at ranks 8 and 9, and a kernel product
-at rank 9, must leave little traced memory kept.  Kernel products whose b.a
-sites include index n, the top bit of the kernel's sums, are checked at
-ranks 1..6.  The kernel's live count, which picks the path, is compared with
+loop, its reversed words (reverse) with the oracle's, and its b.a
+expansions of kernel keys (sites) with the oracle's, at every monomial and
+every cell at ranks 0..5 and a sample at rank 6, cold, warm, and cold again
+with the four maps filled in a shuffled order; a full rank-6 fill of the
+first three and the passes' gather, and one of sites, must each stay within
+a bounded amount of traced memory, and after a full rank-5 fill every kept
+index must be the pool's own int.  A round trip at ranks 8 and 9, and a
+kernel product at rank 9, must leave little traced memory kept, and work at
+rank 8 must let rank 7's table go while ranks 0..6 keep theirs.  Kernel
+products whose b.a sites include index n, the top bit of the kernel's sums,
+are checked at ranks 1..6.  The kernel's live count, which picks the path, is compared with
 the subset sum of oracles.py at ranks 0..7 and must stay within a bounded
 peak at rank 9.  A Multivector keys its terms by the index
 a_mask * 2^n + b_mask: every key an element holds, after every constructor
@@ -56,6 +59,7 @@ import json
 import pickle
 import random
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -354,31 +358,67 @@ def reverse_spot_targets(n: int, k: int) -> list:
     return [sorted(am << n | bm for (am, bm), s in terms if s == sign) for sign in (1, -1)]
 
 
+def sites_targets(n: int, key: int) -> list:
+    """The oracle's expansion of a kernel key, a monomial index with its b.a sites above bit 2n, as sorted (add, sub) monomial indices."""
+    a_mask, b_mask = divmod(key & ((1 << 2 * n) - 1), 1 << n)
+    terms = oracles._with_idempotents(a_mask, b_mask, key >> 2 * n, 1)
+    return [sorted(am << n | bm for (am, bm), s in terms if s == sign) for sign in (1, -1)]
+
+
+def site_keys(n: int, keys=None, rng=None):
+    """Kernel keys at rank n: every monomial index of keys (all 4^n by default) with b.a sites above bit 2n.
+
+    Sites lie outside both masks of the index.  Without rng every nonempty
+    set of such sites is taken; with it, one drawn set per index.
+    """
+    full = (1 << n) - 1
+    for k in range(4**n) if keys is None else keys:
+        free = full & ~(k >> n | k)
+        if rng is not None:
+            if free:
+                yield k | (free & rng.getrandbits(n) or free) << 2 * n
+            continue
+        s = free
+        while s:
+            yield k | s << 2 * n
+            s = (s - 1) & free
+
+
 def clear_tables():
     witt._rank.cache_clear()
     witt._gather.cache_clear()
 
 
 class TestBridgeTables:
-    """witt._rank's cells and units against the subset loop of oracles.scatter and its reverse against the oracle's
-    reversal, cold (cleared first) and then warm; the int pool they share, and what high-rank work leaves kept."""
+    """witt._rank's cells and units against the subset loop of oracles.scatter, its reverse against the oracle's
+    reversal and its sites against the oracle's b.a expansion: cold (cleared first), warm, and cold again with the
+    four maps filled in a shuffled order; the int pool they share, and what high-rank work leaves kept."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_targets_match_the_oracle(self, n):
         size = 1 << n
-        keys = range(size * size) if n < 6 else random.Random(1700).sample(range(size * size), 300)
+        rng = random.Random(1700)
+        keys = range(size * size) if n < 6 else rng.sample(range(size * size), 300)
+        sites = list(site_keys(n, keys, None if n < 5 else rng))
+        want = {}
+        for k in keys:
+            (mono,) = oracles.mono_spots(n, [divmod(k, size)])
+            (unit,) = oracles.unit_spots(n, [k])
+            want["cells", k] = signed_targets(size, mono)
+            want["units", k] = signed_targets(size, unit)
+            want["reverse", k] = reverse_spot_targets(n, k)
+        for k in sites:
+            want["sites", k] = sites_targets(n, k)
         clear_tables()
-        for state in ("cold", "warm"):
+        for state in ("cold", "warm", "shuffled"):
+            if state == "shuffled":
+                clear_tables()
+                rank = witt._rank(n)
+                for name, k in rng.sample(list(want), len(want)):
+                    getattr(rank, name)[k]
             rank = witt._rank(n)
-            for k in keys:
-                (mono,) = oracles.mono_spots(n, [divmod(k, size)])
-                (unit,) = oracles.unit_spots(n, [k])
-                for got, want in (
-                    (rank.cells[k], signed_targets(size, mono)),
-                    (rank.units[k], signed_targets(size, unit)),
-                    (rank.reverse[k], reverse_spot_targets(n, k)),
-                ):
-                    assert [sorted(targets) for targets in got] == list(want), (state, k)
+            for (name, k), targets in want.items():
+                assert [sorted(side) for side in getattr(rank, name)[k]] == list(targets), (state, name, k)
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("cplx", [False, True])
@@ -412,6 +452,21 @@ class TestBridgeTables:
         assert len(rank.cells) == len(rank.units) == len(rank.reverse) == 4**n
         assert grown <= 3 * 2**20, grown
 
+    def test_full_rank_6_sites_stay_small(self):
+        """Every kernel key at rank 6, 5^6 - 4^6 of them, expanded and kept, keys included."""
+        n = 6
+        clear_tables()
+        tracemalloc.start()
+        try:
+            sites = witt._rank(n).sites
+            for k in site_keys(n):
+                sites[k]
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sites) == 5**n - 4**n
+        assert grown <= 3.5 * 2**20, grown
+
     def test_sparse_work_at_rank_9_builds_no_rank_table(self):
         """A kernel product with b.a sites, reversal and a spectral unit stay sparse: no list of all 4^9 indices."""
         n = 9
@@ -437,11 +492,15 @@ class TestBridgeTables:
         for k in range(4**n):
             for lazy in maps:
                 lazy[k]
+        for k in site_keys(n):
+            rank.sites[k]
         flat, _, order = witt._gather(n)
         ints = rank.ints
         assert len(ints) <= 4**n
+        # a sites key lies above 4^n and is kept in its map only
+        assert len(rank.sites) == 5**n - 4**n and all(k >= 4**n and k not in ints for k in rank.sites)
         kept = [k for lazy in maps for k in lazy]
-        kept += [k for lazy in maps for targets in lazy.values() for side in targets for k in side]
+        kept += [k for lazy in (*maps, rank.sites) for targets in lazy.values() for side in targets for k in side]
         for k in kept + flat + order:
             assert ints[k] is k, k
 
@@ -465,6 +524,29 @@ class TestBridgeTables:
             tracemalloc.stop()
         assert kept < 2**16, kept
         assert got == [as_bytes(g), as_bytes(oracles.mul(p, q))][: len(got)]
+
+    def test_only_the_latest_high_rank_stays(self):
+        """Ranks up to 6 keep their tables; of the ranks above, work at rank 8 lets rank 7's go."""
+        clear_tables()
+        warm = [witt._rank(n) for n in range(7)]
+        gathers = [witt._gather(n) for n in range(7)]
+        for n in (7, 8):
+            full, top = (1 << n) - 1, 1 << (n - 1)
+            g = Multivector(n, {WittMonomial(n, full, full ^ 1): Fraction(3, 2), WittMonomial(n, top | 0b101, 0b10): 5})
+            p = Multivector(n, {WittMonomial(n, 0b101, top | 0b11): Fraction(3, 2)})
+            q = Multivector(n, {WittMonomial(n, top | 0b10, 0b100): Fraction(-1, 3)})
+            # a round trip, a product with b.a sites, a reversal and the passes' gather
+            got = from_matrix(to_matrix(g), n), p * q, g.reverse()
+            assert [as_bytes(x) for x in got] == [as_bytes(g), as_bytes(oracles.mul(p, q)), as_bytes(oracles.reverse(g))]
+            witt._gather(n)
+            if n == 7:
+                rank_7 = weakref.ref(witt._rank(7))
+                assert len(witt._rank(7).sites) == 1
+        gc.collect()
+        assert rank_7() is None
+        assert all(witt._rank(n) is table for n, table in enumerate(warm))
+        assert all(witt._gather(n) is gather for n, gather in enumerate(gathers))
+        assert witt._rank.cache_info().currsize == witt._gather.cache_info().currsize == 8
 
 
 def assert_index_keyed(g: Multivector):

@@ -3,7 +3,10 @@
 from fractions import Fraction
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -333,6 +336,32 @@ class TestBladeBasis:
                 blades = g.to_blades()
                 back = from_blade_basis(n, blades, complexified=True)
                 assert back == g
+
+    def test_out_of_range_masks_raise(self):
+        """A blade mask below 0 or of 2^n or more raises InputError before the expansion.
+
+        A mask of -1 once sent the expansion's subset walk counting down
+        without end, appending a term at each step, so the calls run in a
+        child process with a timeout and 1 GiB of address space: a regression
+        fails here instead of hanging or filling memory.
+        """
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from wittmat import InputError, from_blade_basis\n"
+            "for blade in ((2, -1, 0), (2, 0, -1), (2, 4, 0), (2, 0, 4), (2, -1, 4)):\n"
+            "    try:\n"
+            "        from_blade_basis(2, {blade: 1})\n"
+            "    except InputError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "blade mask out of range for rank 2\n" * 5
+        # the widest masks in range are still taken: e1 e2 f1 f2
+        assert from_blade_basis(2, {(2, 3, 3): 1}) == e(2, 1) * e(2, 2) * f(2, 1) * f(2, 2)
 
     def test_grades(self):
         n = 2
