@@ -1,7 +1,8 @@
 """Exact scalar, matrix, and polynomial arithmetic over the Gaussian rationals.
 
-Everything here is dense, deterministic, and float-free: scalars are pairs of
-``fractions.Fraction``, matrices are tuples of tuples of scalars, and the only
+Everything here is dense, deterministic, and float-free: a scalar is a
+Gaussian rational held as reduced integers (a + b*i) / d, matrices are tuples
+of tuples of scalars, and the only
 polynomial factorisation offered is rational-root splitting: candidate roots
 are Hensel-lifted roots mod a small prime, and each is tested and divided out
 in one Horner pass.
@@ -19,7 +20,7 @@ keeps one running fraction-free echelon form of the integer powers B^k of
 B = d*A, and stops at the first power that reduces to zero.  A matrix with
 no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
 Scalars are built again only for the result, all of it in one batch by
-``_scalars``, each part the reduced Fraction the plain computation gives.
+``_scalars``, each entry the reduced triple the plain computation gives.
 
 An ExactMatrix holds its entries in one of two forms.  Matrices built from
 scalars hold their cells.  Producers that already hold integers, the
@@ -94,25 +95,43 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussianRational:
-    """A complex number re + im*i with exact rational parts."""
+    """A complex number re + im*i with exact rational parts, held as (a + b*i) / d.
 
-    __slots__ = ("re", "im")
+    a, b and d are ints with d > 0 and gcd(a, b, d) == 1, so every value has
+    one form: an integer vector over one denominator, the usual way to hold a
+    number-field element (H. Cohen, A Course in Computational Algebraic Number
+    Theory, 4.2).  Every operation runs on ints and reduces its result by one
+    gcd.  ``re`` and ``im`` are the parts as Fractions, built when read.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
             if im != 0:
                 raise DomainError("GaussianRational(z, im) takes no im when z is a GaussianRational")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
-            return
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+            a, b, d = re._a, re._b, re._d
+        else:
+            re, im = _as_fraction(re), _as_fraction(im)
+            d = lcm(re.denominator, im.denominator)  # over parts in lowest terms, gcd(a, b, d) == 1
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
         return GaussianRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- field operations -------------------------------------------------
 
@@ -128,7 +147,8 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        return _scalar(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
@@ -136,7 +156,8 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        return _scalar(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -148,44 +169,49 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _scalar(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        # d / (a + b*i) = d * (a - b*i) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if norm == 0:
             raise DomainError("division by zero")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _scalar(a * d, -b * d, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        # (a + b*i) / d over (c + e*i) / f is f * (a + b*i) * (c - e*i) / (d * (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, o._a, o._b, o._d
+        norm = c * c + e * e
+        if norm == 0:
+            raise DomainError("division by zero")
+        return _scalar(f * (a * c + b * e), f * (b * c - a * e), self._d * norm)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _scalar(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _scalar(self._a, -self._b, self._d)
 
     # -- predicates, hashing ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self):
         return not self.is_zero()
@@ -194,25 +220,26 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        if self.im == 0:
+        # the hash of a real value is that of its Fraction, so it equals the int's or Fraction's it equals
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     # -- text form ---------------------------------------------------------
     # Canonical literals: "p/q" for rationals, "p/q+r/si" for complex values,
-    # with zero parts omitted and "0" for zero.
+    # with zero parts omitted and "0" for zero.  Each part is printed as
+    # str(Fraction) prints it, from its numerator over d.
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{self.im}i"
-        if self.re == 0:
-            return imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _part(a, d)
+        if not a:
+            return f"{_part(b, d)}i"
+        return f"{_part(a, d)}{'+' if b > 0 else '-'}{_part(abs(b), d)}i"
 
     def __repr__(self):
         return f"GaussianRational({self})"
@@ -244,6 +271,28 @@ class GaussianRational:
         return cls(_as_fraction(re_part), im)
 
 
+_new = object.__new__
+_set_a, _set_b, _set_d = (slot.__set__ for slot in (GaussianRational._a, GaussianRational._b, GaussianRational._d))
+
+
+def _scalar(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i) / d, for ints a, b and d > 0, reduced by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _part(x: int, d: int) -> str:
+    """x / d, for d > 0, as str(Fraction(x, d)) prints it."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 GaussianRational.ZERO = GaussianRational(0)
 GaussianRational.ONE = GaussianRational(1)
 GaussianRational.I = GaussianRational(0, 1)
@@ -266,42 +315,34 @@ def _as_scalar(x) -> GaussianRational:
 # ExactMatrix products and elimination lift rows and columns, or take them
 # from a matrix's flat form; Multivector products (witt._product_sum) and the
 # matrix bridge (witt._to_cells and witt._from_cells) lift coefficient lists.
-# Every result goes back to scalars through _scalars, one call per result:
-# Fraction.__new__ is Python code, about half of a scalar's cost when each is
-# built alone, so _scalars fills Fraction's slots (_numerator, _denominator)
-# directly, with the same reduced values.  _lift and _any_imag map
-# attrgetters of those slots over the scalars, so no Python code runs per
-# scalar: Fraction's numerator, denominator and __bool__ are Python code, and
-# a slot's own __get__, called per scalar, costs about as much again.
+# A scalar already is such a vector of length one, (a + b*i) / d, so lifting
+# reads one denominator per scalar.  Every result goes back to scalars through
+# _scalars, one call per result, which reduces each entry by one gcd and stores
+# its three slots.  _lift, _any_imag and _scalars map attrgetters and slot
+# setters over whole lists, so no Python frame runs per scalar.
 
-_FRACTION_ZERO = Fraction(0)
-_new = object.__new__
-_set_num, _set_den = Fraction._numerator.__set__, Fraction._denominator.__set__
-_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
-_re_num, _re_den, _im_num, _im_den = map(
-    attrgetter, ("re._numerator", "re._denominator", "im._numerator", "im._denominator"))
+_get_a, _get_b, _get_d = map(attrgetter, ("_a", "_b", "_d"))
 
 
 def _any_imag(scalars) -> bool:
-    """Whether some GaussianRational of scalars has a nonzero imaginary part."""
-    return any(map(_im_num, scalars))
+    """Whether some GaussianRational of scalars has a nonzero imaginary part, b != 0."""
+    return any(map(_get_b, scalars))
 
 
 def _lift(entries, cplx: bool):
     """(den, re, im) with den * entries[k] == re[k] + im[k]*i and den the least common denominator.
 
-    entries is read once per part, so it must be a collection, not an iterator.
+    den is the lcm of the entries' own denominators d, and each entry's a and
+    b are scaled by den // d; im is None unless cplx.  entries is read once
+    per part, so it must be a collection, not an iterator.
     """
-    re_dens = list(map(_re_den, entries))
-    if not cplx:
-        den = lcm(*re_dens)
-        return den, list(map(mul, map(_re_num, entries), map(floordiv, repeat(den), re_dens))), None
-    im_dens = list(map(_im_den, entries))
-    den = lcm(*re_dens, *im_dens)
+    dens = list(map(_get_d, entries))
+    den = lcm(*dens)
+    scale = list(map(floordiv, repeat(den), dens))
     return (
         den,
-        list(map(mul, map(_re_num, entries), map(floordiv, repeat(den), re_dens))),
-        list(map(mul, map(_im_num, entries), map(floordiv, repeat(den), im_dens))),
+        list(map(mul, map(_get_a, entries), scale)),
+        list(map(mul, map(_get_b, entries), scale)) if cplx else None,
     )
 
 
@@ -314,27 +355,24 @@ def _reduced(den: int, re, im):
 
 
 def _scalars(re, im, dens) -> list[GaussianRational]:
-    """The GaussianRationals (re[k] + im[k]*i) / dens[k], each part exactly the reduced Fraction(x, dens[k]).
+    """The GaussianRationals (re[k] + im[k]*i) / dens[k], each reduced by gcd(re[k], im[k], dens[k]).
 
     dens is one positive int for every entry or a list of positive ints, one
     per entry; im is None on the real path.  A zero entry is the shared
-    GaussianRational.ZERO.  The others are built in whole batches, every step
-    a C-level map over the list, so no Python frame runs per entry: the gcds,
-    two floor divisions, object.__new__ and the slot stores of Fraction and
-    GaussianRational.  The stores return None, so any() runs each map through.
+    GaussianRational.ZERO.  The others are built in one batch, every step a
+    C-level map over the list, so no Python frame runs per entry: one gcd,
+    three floor divisions, object.__new__ and the three slot stores.  The
+    stores return None, so any() runs each map through.
     """
     live = re if im is None else list(map(or_, re, im))  # nonzero exactly at the entries built
     dens = repeat(dens) if isinstance(dens, int) else list(compress(dens, live))
-    zs = list(map(_new, repeat(GaussianRational, len(re) - live.count(0))))
-    for store, nums in (_set_re, re), (_set_im, im):
-        fs = repeat(_FRACTION_ZERO)
-        if nums is not None:
-            nums = list(compress(nums, live))
-            g = list(map(gcd, nums, dens))
-            fs = list(map(_new, repeat(Fraction, len(g))))
-            any(map(_set_num, fs, map(floordiv, nums, g)))
-            any(map(_set_den, fs, map(floordiv, dens, g)))
-        any(map(store, zs, fs))
+    nums = list(compress(re, live))
+    ims = repeat(0) if im is None else list(compress(im, live))
+    g = list(map(gcd, nums, ims, dens))
+    zs = list(map(_new, repeat(GaussianRational, len(g))))
+    any(map(_set_a, zs, map(floordiv, nums, g)))
+    any(map(_set_b, zs, map(floordiv, ims, g)))
+    any(map(_set_d, zs, map(floordiv, dens, g)))
     if len(zs) == len(re):
         return zs
     out = [GaussianRational.ZERO] * len(re)

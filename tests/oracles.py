@@ -248,10 +248,7 @@ def scalar(re: int, im: int, den: int) -> GaussianRational:
     """(re + im*i) / den through Fraction's own constructor, one coefficient at a time."""
     if not (re or im):
         return GaussianRational.ZERO
-    z = object.__new__(GaussianRational)
-    object.__setattr__(z, "re", Fraction(re, den))
-    object.__setattr__(z, "im", Fraction(im, den))
-    return z
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def scatter(size: int, spots, xs) -> list:

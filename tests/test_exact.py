@@ -281,6 +281,13 @@ def _scalar_batches(draw):
     return draw(entries), im, draw(_DENOMINATORS | st.lists(_DENOMINATORS, min_size=size, max_size=size))
 
 
+def _assert_normal(z):
+    """z holds ints (a + b*i) / d in the one normal form: d > 0 and gcd(a, b, d) == 1."""
+    a, b, d = z._a, z._b, z._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+
+
 class TestScalars:
     """exact._scalars builds every coefficient as the one-at-a-time oracle (oracles.scalar) does."""
 
@@ -296,6 +303,7 @@ class TestScalars:
             if want is GaussianRational.ZERO:
                 assert z is GaussianRational.ZERO
             assert type(z) is GaussianRational and type(z.re) is Fraction and type(z.im) is Fraction
+            _assert_normal(z)
             for part, w in ((z.re, want.re), (z.im, want.im)):
                 assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1
                 assert (part.numerator, part.denominator) == (w.numerator, w.denominator)
@@ -308,6 +316,129 @@ class TestScalars:
         assert got[0] is GaussianRational.ZERO and got[2] is GaussianRational.ZERO
         assert [str(z) for z in got] == ["0", "1/2", "0", "-1/2+1/4i"]
         assert exact._scalars([0, 0], None, 9) == [GaussianRational.ZERO] * 2 and exact._scalars([], None, 1) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_NUMERATORS, _NUMERATORS, _DENOMINATORS), min_size=1, max_size=8), st.booleans())
+    def test_normal_form_with_zeros_between_live_entries(self, entries, cplx):
+        re, im, dens = [], [], []
+        for x, y, d in entries:  # a zero entry after each drawn one, with a denominator of its own
+            re += [x, 0]
+            im += [y, 0]
+            dens += [d, d + 1]
+        im = im if cplx else None
+        for got in exact._scalars(re, im, dens), exact._scalars(re, im, dens[0]):
+            assert got[1::2] == [GaussianRational.ZERO] * len(entries)
+            for z in got:
+                _assert_normal(z)
+        for k, z in enumerate(exact._scalars(re, im, dens)):
+            assert z == scalar(re[k], 0 if im is None else im[k], dens[k])
+
+
+# parts of an oracle pair: zero, integers, small fractions and fractions of up to 200 bits
+_PART = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-50, 50).map(Fraction),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+)
+# (re, im) pairs: zero, integer and real values, pure-imaginary values, and any
+_PAIR = st.one_of(
+    st.just((Fraction(0), Fraction(0))),
+    st.tuples(st.integers(-50, 50).map(Fraction), st.just(Fraction(0))),
+    st.tuples(_PART, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), _PART),
+    st.tuples(_PART, _PART),
+)
+
+
+def _oracle_str(re: Fraction, im: Fraction) -> str:
+    """The text form built from the two Fractions."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def _oracle_hash(re: Fraction, im: Fraction) -> int:
+    return hash(re) if im == 0 else hash((re, im))
+
+
+def _oracle_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return x[0] / norm, -x[1] / norm
+
+
+def _oracle_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+class TestScalarAgainstFractionPairs:
+    """GaussianRational against an oracle that holds each value as a pair of Fractions (re, im)."""
+
+    @staticmethod
+    def _check(z, want):
+        _assert_normal(z)
+        assert (z.re, z.im) == want and type(z.re) is Fraction and type(z.im) is Fraction
+        assert hash(z) == _oracle_hash(*want) and str(z) == _oracle_str(*want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PAIR, _PAIR)
+    def test_binary_operations(self, x, y):
+        zx, zy = GaussianRational(*x), GaussianRational(*y)
+        _assert_normal(zx)
+        self._check(zx + zy, (x[0] + y[0], x[1] + y[1]))
+        self._check(zx - zy, (x[0] - y[0], x[1] - y[1]))
+        self._check(zx * zy, _oracle_mul(x, y))
+        assert (zx == zy) == (x == y) and (zx != zy) == (x != y)
+        if y == (0, 0):
+            with pytest.raises(DomainError, match="division by zero"):
+                zx / zy
+        else:
+            self._check(zx / zy, _oracle_mul(x, _oracle_inverse(y)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PAIR)
+    def test_unary_operations_text_and_pickle(self, x):
+        z = GaussianRational(*x)
+        self._check(z, x)
+        self._check(-z, (-x[0], -x[1]))
+        self._check(z.conjugate(), (x[0], -x[1]))
+        if x == (0, 0):
+            with pytest.raises(DomainError, match="division by zero"):
+                z.inverse()
+        else:
+            self._check(z.inverse(), _oracle_inverse(x))
+        assert z.is_zero() == (x == (0, 0)) and z.is_real() == (x[1] == 0)
+        self._check(GaussianRational.parse(str(z)), x)
+        assert z.__reduce__() == (GaussianRational, x)
+        self._check(pickle.loads(pickle.dumps(z)), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(), st.integers(-(2**200), 2**200), st.fractions()), _PAIR)
+    def test_ints_and_fractions_hash_and_compare_as_themselves(self, x, y):
+        z = GaussianRational(x)
+        assert hash(z) == hash(x) and z == x and x == z and not z != x and not x != z
+        self._check(z, (Fraction(x), Fraction(0)))
+        # a real operand of an operation counts as the pair (x, 0)
+        zy = GaussianRational(*y)
+        self._check(zy + x, (y[0] + x, y[1]))
+        self._check(x - zy, (x - y[0], -y[1]))
+        self._check(x * zy, (x * y[0], x * y[1]))
+        assert (zy == x) == (x == zy) == (y == (x, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_PAIR, max_size=10))
+    def test_lift_then_scalars_gives_back_the_entries(self, pairs):
+        zs = [GaussianRational(*x) for x in pairs]
+        cplx = exact._any_imag(zs)
+        assert cplx == any(im for _, im in pairs)
+        den, re, im = exact._lift(zs, cplx)
+        assert den > 0 and gcd(den, *re, *(im or ())) == 1  # the least common denominator
+        got = exact._scalars(re, im, den)
+        assert got == zs and [str(z) for z in got] == [str(z) for z in zs]
+        for z in got:
+            _assert_normal(z)
 
 
 class TestLazySteps:
