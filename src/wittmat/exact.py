@@ -19,8 +19,8 @@ takes over the column of I that the pivot row starts to fill.  ``min_poly``
 keeps one running fraction-free echelon form of the integer powers B^k of
 B = d*A, and stops at the first power that reduces to zero.  A matrix with
 no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
-Scalars are built again only for the result, all of it in one batch by
-``_scalars``, each entry the reduced triple the plain computation gives.
+Scalars are built again only for the result, each entry by ``_scalar`` as
+the reduced triple the plain computation gives.
 
 An ExactMatrix holds its entries in one of two forms.  Matrices built from
 scalars hold their cells.  Producers that already hold integers, the
@@ -70,8 +70,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from itertools import compress, repeat
-from operator import attrgetter, eq, floordiv, mul, neg, or_
+from itertools import repeat
+from operator import attrgetter, eq, floordiv, mul, neg
 from struct import pack, unpack
 from typing import Iterable, Sequence
 
@@ -316,10 +316,10 @@ def _as_scalar(x) -> GaussianRational:
 # from a matrix's flat form; Multivector products (witt._product_sum) and the
 # matrix bridge (witt._to_cells and witt._from_cells) lift coefficient lists.
 # A scalar already is such a vector of length one, (a + b*i) / d, so lifting
-# reads one denominator per scalar.  Every result goes back to scalars through
-# _scalars, one call per result, which reduces each entry by one gcd and stores
-# its three slots.  _lift, _any_imag and _scalars map attrgetters and slot
-# setters over whole lists, so no Python frame runs per scalar.
+# reads one denominator per scalar; _lift and _any_imag map attrgetters over
+# whole lists, so no Python frame runs per scalar.  Every result entry goes
+# back to a scalar through _scalar, which reduces it by one gcd; _scalars
+# does that over parallel lists.
 
 _get_a, _get_b, _get_d = map(attrgetter, ("_a", "_b", "_d"))
 
@@ -355,34 +355,15 @@ def _reduced(den: int, re, im):
 
 
 def _scalars(re, im, dens) -> list[GaussianRational]:
-    """The GaussianRationals (re[k] + im[k]*i) / dens[k], each reduced by gcd(re[k], im[k], dens[k]).
+    """The GaussianRationals (re[k] + im[k]*i) / dens[k], each built by _scalar.
 
     dens is one positive int for every entry or a list of positive ints, one
     per entry; im is None on the real path.  A zero entry is the shared
-    GaussianRational.ZERO.  The others are built in one batch, every step a
-    C-level map over the list, so no Python frame runs per entry: one gcd,
-    three floor divisions, object.__new__ and the three slot stores.  The
-    stores return None, so any() runs each map through.
+    GaussianRational.ZERO.
     """
-    live = re if im is None else list(map(or_, re, im))  # nonzero exactly at the entries built
-    dens = repeat(dens) if isinstance(dens, int) else list(compress(dens, live))
-    nums = list(compress(re, live))
-    ims = repeat(0) if im is None else list(compress(im, live))
-    g = list(map(gcd, nums, ims, dens))
-    zs = list(map(_new, repeat(GaussianRational, len(g))))
-    any(map(_set_a, zs, map(floordiv, nums, g)))
-    any(map(_set_b, zs, map(floordiv, ims, g)))
-    any(map(_set_d, zs, map(floordiv, dens, g)))
-    if len(zs) == len(re):
-        return zs
-    out = [GaussianRational.ZERO] * len(re)
-    any(map(out.__setitem__, compress(range(len(re)), live), zs))
-    return out
-
-
-def _unlift(re, im, den: int) -> list[GaussianRational]:
-    """The cells of a flat matrix, row-major: the one call that builds them."""
-    return _scalars(re, im, den)
+    zero = GaussianRational.ZERO
+    dens = repeat(dens) if isinstance(dens, int) else dens
+    return [_scalar(a, b, d) if a or b else zero for a, b, d in zip(re, repeat(0) if im is None else im, dens)]
 
 
 def _grid(flat: list, w: int) -> tuple:
@@ -391,10 +372,8 @@ def _grid(flat: list, w: int) -> tuple:
 
 
 def _over_pivots(m, div) -> list[GaussianRational]:
-    """Every lifted row of m over its pivot in div, row-major, built by one _scalars call."""
-    rows, dens = zip(*map(_over_pivot, m, div))
-    im = None if rows[0][1] is None else [x for _, xs in rows for x in xs]
-    return _scalars([x for xs, _ in rows for x in xs], im, [d for d, (xs, _) in zip(dens, rows) for _ in xs])
+    """Every lifted row of m over its pivot in div, row-major, each row built over its own denominator."""
+    return [z for (re, im), den in map(_over_pivot, m, div) for z in _scalars(re, im, den)]
 
 
 def _entry(row, c: int) -> tuple[int, int]:
@@ -582,7 +561,7 @@ class ExactMatrix:
         cells = self._cells
         if cells is None:
             den, re, im = self._flat
-            cells = _grid(_unlift(re, im, den), self.cols)
+            cells = _grid(_scalars(re, im, den), self.cols)
             object.__setattr__(self, "_cells", cells)
         return cells
 

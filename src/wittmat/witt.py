@@ -55,10 +55,10 @@ pair's signed numerator product into one integer (or (re, im) pair) per key,
 the term's index with its sites above bit 2n; many pairs share a key, so
 after the loop each distinct key with sites is expanded once, through
 _rank(n).sites.  The nonzero sums become the coefficients, over the product
-of the two denominators, in one batch (exact._scalars).  Every signed
-expansion is one subset walk: a set s of indices joining both masks of a
-term, or the row and the column of a cell, moves its index by s * (2^n + 1),
-each sign a parity.
+of the two denominators, each built by exact._scalar (_from_sums).  Every
+signed expansion is one subset walk: a set s of indices joining both masks
+of a term, or the row and the column of a cell, moves its index by
+s * (2^n + 1), each sign a parity.
 
 A dense product runs through the matrix isomorphism instead.  The kernel
 takes one Python step per live term, the sum of |lterms| * |rterms| over
@@ -95,7 +95,7 @@ are the pool's ints too.
 Reversal runs on integer numerators too: reverse and clifford_conj lift the
 element once, put the grade involution's signs and the conjugation of i on
 the numerators, and spread each term through _rank(n).reverse into one
-integer per monomial; its coefficients are built in one batch too.
+integer per monomial, whose nonzero sums _from_sums builds too.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
 unit behaves as a formal central scalar of odd grade 2n+1: reversal fixes it
@@ -114,7 +114,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _any_imag, _as_scalar, _flat_product, _format_sum, _lift, _scalars
+from .exact import GaussianRational, _any_imag, _as_scalar, _flat_product, _format_sum, _lift, _scalar
 
 __all__ = _EXPORTS["witt"]
 
@@ -283,16 +283,14 @@ def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     branched = list(filter(top.__lt__, acc))
     if branched:
         _spread(acc, list(map(rank.sites.__getitem__, branched)), list(map(acc.pop, branched)), cplx)
-    return _from_sums(acc, den, cplx)
+    return _from_sums(acc.items(), den, cplx)
 
 
-def _from_sums(acc: dict, den: int, cplx: bool) -> dict:
-    """{k: scalar} of the nonzero sums in acc, {k: x} with x an int, or an (re, im) pair when cplx, over den."""
+def _from_sums(pairs, den: int, cplx: bool) -> dict:
+    """{k: scalar} of the nonzero sums in pairs, (k, x) with x an int, or an (re, im) pair when cplx, over den."""
     if not cplx:
-        return dict(zip(compress(acc, acc.values()), _scalars(list(filter(None, acc.values())), None, den)))
-    live = list(map(any, acc.values()))
-    sums = list(compress(acc.values(), live))
-    return dict(zip(compress(acc, live), _scalars([x for x, _ in sums], [y for _, y in sums], den)))
+        return {k: _scalar(x, 0, den) for k, x in pairs if x}
+    return {k: _scalar(x, y, den) for k, (x, y) in pairs if x or y}
 
 
 def _mono_to_blades(a_mask: int, b_mask: int):
@@ -353,7 +351,7 @@ def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
         targets = [(minus, plus) if k.bit_count() & 1 else (plus, minus) for k, (plus, minus) in zip(keys, targets)]
     acc = {}
     _spread(acc, targets, zip(re, map(neg, im) if conj else im) if cplx else re, cplx)
-    return g._make(n, _from_sums(acc, den, cplx), g.complexified)
+    return g._make(n, _from_sums(acc.items(), den, cplx), g.complexified)
 
 
 # A product whose live kernel terms exceed both _BRIDGE_PER_CELL * 4^n and
@@ -647,9 +645,8 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
     im is None on the real path.  Past three quarters of the 4^n cells
     nonzero, every cell goes through the n passes of _unit_passes; below
     that only the nonzero cells are scattered, through _rank(n).units.
-    Either way the sums land at the monomial indices a_mask * 2^n + b_mask;
-    zero sums are dropped, and the rest become the coefficients in one
-    batch.
+    Either way the sums land at the monomial indices a_mask * 2^n + b_mask,
+    and _from_sums builds the nonzero ones in ascending index order.
     """
     size = 1 << n
     cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
@@ -659,9 +656,10 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
         out_re, out_im = _scatter(size, _rank(n).units, cells, list(map(re.__getitem__, cells)),
                                   None if im is None else list(map(im.__getitem__, cells)))
     ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
-    out_im = None if im is None else list(map(out_im.__getitem__, ks))
-    terms = dict(zip(ks, _scalars(list(map(out_re.__getitem__, ks)), out_im, den)))
-    return Multivector._make(n, terms, complexified)
+    sums = map(out_re.__getitem__, ks)
+    if im is not None:
+        sums = zip(sums, map(out_im.__getitem__, ks))
+    return Multivector._make(n, _from_sums(zip(ks, sums), den, im is not None), complexified)
 
 
 class Multivector:

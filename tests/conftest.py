@@ -1,7 +1,8 @@
 """Shared builders for randomized test data, and the Hypothesis profile.
 
 Every randomized test seeds its own random.Random so failures reproduce;
-helpers here only turn an rng into exact scalars, matrices, and multivectors.
+helpers here only turn an rng into exact scalars, matrices, and multivectors,
+and assert_normal checks the one normal form of a scalar.
 Hypothesis runs derandomized with no example database, so every run draws the
 same examples.  Its home directory, where it still caches the literal
 constants it collects from the source, is one fixed directory under the
@@ -9,6 +10,7 @@ system temporary directory, so nothing is written into the checkout.
 """
 
 from fractions import Fraction
+from math import gcd
 import os
 import random
 import tempfile
@@ -21,6 +23,13 @@ from wittmat import ExactMatrix, GaussianRational, Multivector, Permutation, Wit
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "wittmat-hypothesis"))
 settings.register_profile("wittmat", derandomize=True, deadline=None, database=None)
 settings.load_profile("wittmat")
+
+
+def assert_normal(z: GaussianRational):
+    """z holds ints (a + b*i) / d in the one normal form: d > 0 and gcd(a, b, d) == 1."""
+    a, b, d = z._a, z._b, z._d
+    assert type(a) is int and type(b) is int and type(d) is int, repr(z)
+    assert d > 0 and gcd(a, b, d) == 1, (a, b, d)
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 7) -> Fraction:

@@ -20,9 +20,11 @@ _mono_reverse, and spectral_unit's from _unit_terms: the word expansions
 the library used before it kept per-rank tables of signed targets, kept
 here with their own helpers so that no oracle runs the code it checks.
 
-scalar is the one-coefficient builder the library used before it built
-result coefficients in batches (exact._scalars): GaussianRational.ZERO for a
-zero entry, otherwise Fraction(re, den) and Fraction(im, den).
+scalar builds one coefficient through Fraction's own constructor, as the
+library did before a scalar was one reduced integer triple:
+GaussianRational.ZERO for a zero entry, otherwise Fraction(re, den) and
+Fraction(im, den).  It checks exact._scalar, the one builder of result
+coefficients, and exact._scalars, the same over parallel lists.
 
 scatter, mono_spots and unit_spots are the matrix bridge's flat-list
 scatter as it was before the bridge kept its signed targets in the per-rank

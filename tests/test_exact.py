@@ -28,7 +28,7 @@ from wittmat import (
     std_rep_matrix,
 )
 import wittmat.exact as exact
-from conftest import rand_gauss, rand_matrix, rand_perm, rand_real_gauss
+from conftest import assert_normal, rand_gauss, rand_matrix, rand_perm, rand_real_gauss
 from oracles import flat_product, oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref, scalar
 
 
@@ -281,13 +281,6 @@ def _scalar_batches(draw):
     return draw(entries), im, draw(_DENOMINATORS | st.lists(_DENOMINATORS, min_size=size, max_size=size))
 
 
-def _assert_normal(z):
-    """z holds ints (a + b*i) / d in the one normal form: d > 0 and gcd(a, b, d) == 1."""
-    a, b, d = z._a, z._b, z._d
-    assert type(a) is int and type(b) is int and type(d) is int
-    assert d > 0 and gcd(a, b, d) == 1
-
-
 class TestScalars:
     """exact._scalars builds every coefficient as the one-at-a-time oracle (oracles.scalar) does."""
 
@@ -303,7 +296,7 @@ class TestScalars:
             if want is GaussianRational.ZERO:
                 assert z is GaussianRational.ZERO
             assert type(z) is GaussianRational and type(z.re) is Fraction and type(z.im) is Fraction
-            _assert_normal(z)
+            assert_normal(z)
             for part, w in ((z.re, want.re), (z.im, want.im)):
                 assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1
                 assert (part.numerator, part.denominator) == (w.numerator, w.denominator)
@@ -329,7 +322,7 @@ class TestScalars:
         for got in exact._scalars(re, im, dens), exact._scalars(re, im, dens[0]):
             assert got[1::2] == [GaussianRational.ZERO] * len(entries)
             for z in got:
-                _assert_normal(z)
+                assert_normal(z)
         for k, z in enumerate(exact._scalars(re, im, dens)):
             assert z == scalar(re[k], 0 if im is None else im[k], dens[k])
 
@@ -378,7 +371,7 @@ class TestScalarAgainstFractionPairs:
 
     @staticmethod
     def _check(z, want):
-        _assert_normal(z)
+        assert_normal(z)
         assert (z.re, z.im) == want and type(z.re) is Fraction and type(z.im) is Fraction
         assert hash(z) == _oracle_hash(*want) and str(z) == _oracle_str(*want)
 
@@ -386,7 +379,7 @@ class TestScalarAgainstFractionPairs:
     @given(_PAIR, _PAIR)
     def test_binary_operations(self, x, y):
         zx, zy = GaussianRational(*x), GaussianRational(*y)
-        _assert_normal(zx)
+        assert_normal(zx)
         self._check(zx + zy, (x[0] + y[0], x[1] + y[1]))
         self._check(zx - zy, (x[0] - y[0], x[1] - y[1]))
         self._check(zx * zy, _oracle_mul(x, y))
@@ -438,7 +431,7 @@ class TestScalarAgainstFractionPairs:
         got = exact._scalars(re, im, den)
         assert got == zs and [str(z) for z in got] == [str(z) for z in zs]
         for z in got:
-            _assert_normal(z)
+            assert_normal(z)
 
 
 class TestLazySteps:

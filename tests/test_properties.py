@@ -32,7 +32,8 @@ are checked at ranks 1..6.  The kernel's live count, which picks the path, is co
 the subset sum of oracles.py at ranks 0..7 and must stay within a bounded
 peak at rank 9.  A Multivector keys its terms by the index
 a_mask * 2^n + b_mask: every key an element holds, after every constructor
-and operation, must be an int index below 4^n with a nonzero coefficient;
+and operation, must be an int index below 4^n with a nonzero coefficient
+held in normal form, ints (a + b*i) / d with d > 0 and gcd(a, b, d) == 1;
 terms() and coeff() must read every index at ranks 0..5, and a sample at
 rank 6, as the WittMonomial of its masks; and terms(), coeff() (foreign
 keys included), scalar_part, is_scalar, to_json and hash must match a
@@ -67,7 +68,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import rand_matrix
+from conftest import assert_normal, rand_matrix
 from wittmat import witt
 from wittmat import (
     BladeMonomial,
@@ -550,9 +551,15 @@ class TestBridgeTables:
 
 
 def assert_index_keyed(g: Multivector):
-    """Every key of g._terms is an int index below 4^n, and every coefficient a nonzero GaussianRational."""
+    """Every key of g._terms is an int index below 4^n, and every coefficient a nonzero GaussianRational.
+
+    Each coefficient also holds ints (a + b*i) / d in the one normal form,
+    d > 0 and gcd(a, b, d) == 1 (conftest.assert_normal).
+    """
     assert all(type(k) is int and 0 <= k < 4**g.n for k in g._terms), list(g._terms)
     assert all(type(c) is GaussianRational and not c.is_zero() for c in g._terms.values())
+    for c in g._terms.values():
+        assert_normal(c)
 
 
 def oracle_json(n: int, oracle: dict, complexified: bool) -> dict:

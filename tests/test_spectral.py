@@ -283,17 +283,17 @@ class TestNoHiddenCells:
     """Matrices passed from to_matrix to from_matrix, or multiplied between, build no scalar entries."""
 
     @staticmethod
-    def _unlifts(monkeypatch, f):
-        """The sizes of the exact._unlift calls f makes: each call builds one matrix's cells."""
+    def _scalar_builds(monkeypatch, f):
+        """The sizes of the exact._scalars calls f makes: only ExactMatrix code builds its cells through it."""
         calls = []
-        unlift = exact._unlift
+        scalars = exact._scalars
 
-        def counting(re, im, den):
+        def counting(re, im, dens):
             calls.append(len(re))
-            return unlift(re, im, den)
+            return scalars(re, im, dens)
 
         with monkeypatch.context() as patched:
-            patched.setattr(exact, "_unlift", counting)
+            patched.setattr(exact, "_scalars", counting)
             f()
         return calls
 
@@ -309,7 +309,7 @@ class TestNoHiddenCells:
                 lambda: geom_perm(p, n, rep="standard"),
                 lambda: standard_irrep(p, n),
             ):
-                assert self._unlifts(monkeypatch, f) == []
+                assert self._scalar_builds(monkeypatch, f) == []
 
     def test_dense_bridge_product_builds_no_cells(self, monkeypatch):
         size = 1 << 4
@@ -317,7 +317,7 @@ class TestNoHiddenCells:
         bridged = []
         flat_product = witt._flat_product
         monkeypatch.setattr(witt, "_flat_product", lambda *args: bridged.append(args[2]) or flat_product(*args))
-        assert self._unlifts(monkeypatch, lambda: g * g) == []
+        assert self._scalar_builds(monkeypatch, lambda: g * g) == []
         assert bridged == [size]
 
     def test_flat_equality_builds_no_cells(self, monkeypatch):
@@ -329,11 +329,11 @@ class TestNoHiddenCells:
             (to_matrix(g), to_matrix(g * one(4))),
             (to_matrix(g), to_matrix(g + one(4))),
         ]
-        assert self._unlifts(monkeypatch, lambda: [M == N for M, N in pairs]) == []
+        assert self._scalar_builds(monkeypatch, lambda: [M == N for M, N in pairs]) == []
         assert [M == N for M, N in pairs] == [True, True, False]
 
     def test_cells_are_built_once(self, monkeypatch):
         M = to_matrix(rand_mv(random.Random(141), 3, True, 8))
         reads = []
-        assert self._unlifts(monkeypatch, lambda: reads.extend((M.cells, M.cells))) == [64]
+        assert self._scalar_builds(monkeypatch, lambda: reads.extend((M.cells, M.cells))) == [64]
         assert reads[0] is reads[1] is M.cells
