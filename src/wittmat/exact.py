@@ -7,12 +7,12 @@ polynomial factorisation offered is rational-root splitting: candidate roots
 are Hensel-lifted roots mod a small prime, and each is tested and divided out
 in one Horner pass.
 
-Elimination and matrix products run fraction-free on integer numerators. Each
-row (and, for the right factor of a product, each column) is lifted to one
-common denominator.  Every integer matrix product goes through one helper,
-``_flat_product`` (below).  ``rref`` is fraction-free Gauss-Jordan (E. H.
-Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968), whose every division is exact.
+Elimination and matrix products run fraction-free on integer numerators.
+Elimination reads each row over its own least common denominator, and every
+integer matrix product goes through one helper, ``_flat_product`` (below).
+``rref`` is fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968), whose every division is exact.
 ``inverse`` runs the same steps on [A | I] but stores only its n live
 columns: a pivot's column of A is known once it is eliminated, and its slot
 takes over the column of I that the pivot row starts to fill.  ``min_poly``
@@ -22,37 +22,34 @@ no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
 Scalars are built again only for the result, each entry by ``_scalar`` as
 the reduced triple the plain computation gives.
 
-An ExactMatrix holds its entries in one of two forms.  Matrices built from
-scalars hold their cells.  Producers that already hold integers, the
-spectral matrices of spectral.to_matrix, the symgroup matrices and the
-product of two such matrices, hand over the flat form instead: every entry,
-row-major, as integer numerators over one denominator (den, re, im), im None
-exactly when no entry has an imaginary part.  The cells of a flat matrix are
-built on their first read and then kept.  ``from_matrix``, ``min_poly``,
-elimination and ``*`` read the integers of the flat form directly, so a
-matrix that only passes between them never builds a scalar.  Elimination and
-``min_poly`` first divide each row (or the whole matrix) down to its least
-common denominator, so they see the integers a lift of the cells would give.
-``_flat_product`` multiplies two flat integer matrices.  Dense Multivector
-products use it too, and the product of two flat matrices is kept over its
-least common denominator, so chains of products stay narrow.  It
-multiplies whole rows by Kronecker substitution (Kronecker 1882; D.
-Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symb. Comput. 44, 2009): each row of the right factor is
-packed into one integer with a slot per entry, wide enough that no slot
-carries into the next, so a row of the product is one sum of products of
-integers, done by CPython's bignum loop, and its slots are read back
-in one struct call.  Complex rows hold their real slots low and
-their imaginary slots high, so a row costs two such sums instead of four
-dot products per entry.  Entries that would need wide slots are first
+Every kernel of an ExactMatrix reads one integer form, the flat form: every
+entry, row-major, as integer numerators over one denominator (den, re, im),
+im None exactly when no entry has an imaginary part.  A matrix built from
+scalars lifts its cells to it on first use and keeps the lift.  Producers
+that already hold integers, the spectral matrices of spectral.to_matrix,
+the symgroup matrices and every product, hand over the flat form instead,
+and their cells are built on their first read and then kept.  So each form
+is built once, when first needed, and a matrix that only passes between
+``from_matrix``, ``min_poly``, elimination, ``*`` and ``==`` never builds a
+scalar.  Elimination and ``min_poly`` first divide each row (or the whole
+matrix) down to its least common denominator, so they see the integers a
+lift of the cells would give.  ``_flat_product`` multiplies two flat
+integer matrices.  Dense Multivector products use it too, and a product of
+two matrices is kept over its least common denominator, so chains of
+products stay narrow.  It multiplies whole rows by Kronecker substitution
+(Kronecker 1882; D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symb. Comput. 44, 2009): each row of
+the right factor is packed into one integer with a slot per entry, wide
+enough that no slot carries into the next, so a row of the product is one
+sum of products of integers, done by CPython's bignum loop, and its slots
+are read back in one struct call.  Complex rows hold their real slots low
+and their imaginary slots high, so a row costs two such sums instead of
+four dot products per entry.  Entries that would need wide slots are first
 divided by the gcd of their row (left factor) or column (right factor),
-which takes out most of a tall matrix's common denominator.  ``*`` on cells
-packs each row of its left factor over its own denominator d_i and each
-column of its right one over its own e_j, and builds entry (i, j) over
-d_i*e_j.  ``min_poly`` computes B^(k+1) as B * B^k, so that the packed rows
-are the wide powers and B's narrow entries multiply them.  Two flat
-matrices are compared by cross-multiplying their numerators, without
-building cells.
+which takes out most of a tall matrix's common denominator.  ``min_poly``
+computes B^(k+1) as B * B^k, so that the packed rows are the wide powers
+and B's narrow entries multiply them.  Two matrices are compared by
+cross-multiplying the numerators of their flat forms.
 
 The Bareiss steps are lazy, so sparse matrices skip most of them.  A step
 with pivot p after pivot q only scales a row whose entry in the pivot column
@@ -312,9 +309,9 @@ def _as_scalar(x) -> GaussianRational:
 # A vector of GaussianRationals is carried as integer numerators over one
 # common denominator: parallel lists of real and imaginary numerators, the
 # imaginary list None on the real path (no entry has an imaginary part).
-# ExactMatrix products and elimination lift rows and columns, or take them
-# from a matrix's flat form; Multivector products (witt._product_sum) and the
-# matrix bridge (witt._to_cells and witt._from_cells) lift coefficient lists.
+# An ExactMatrix keeps the lift of all its cells as its flat form;
+# Multivector products (witt._product_sum) and the matrix bridge
+# (witt._to_cells and witt._from_cells) lift coefficient lists.
 # A scalar already is such a vector of length one, (a + b*i) / d, so lifting
 # reads one denominator per scalar; _lift and _any_imag map attrgetters over
 # whole lists, so no Python frame runs per scalar.  Every result entry goes
@@ -528,11 +525,12 @@ _EMPTY_MATRIX = "matrix needs at least one row and column"
 class ExactMatrix:
     """Dense matrix of GaussianRational entries.
 
-    ``rref`` and ``*`` work fraction-free on integer numerators, each row over
-    one common denominator (Bareiss 1968), and ``*`` packs them through
-    _flat_product; see the module docstring.  A matrix holds its cells, or
-    the flat integer form (den, re, im) of all its entries, row-major; then
-    ``cells`` is built on its first read and kept.
+    Every kernel reads the flat integer form (den, re, im) of all its
+    entries, row-major, from ``_lifted``: ``*`` packs it through
+    _flat_product, and ``rref`` and ``inverse`` work fraction-free on its
+    rows, each over its own least common denominator (Bareiss 1968); see
+    the module docstring.  A matrix is built from its cells or from that
+    form, and the other is built on first use and kept.
     """
 
     __slots__ = ("rows", "cols", "_cells", "_flat")
@@ -544,10 +542,13 @@ class ExactMatrix:
         width = len(cells[0])
         if any(len(r) != width for r in cells):
             raise InputError("ragged matrix rows")
-        object.__setattr__(self, "rows", len(cells))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_flat", None)
+        self._fill(len(cells), width, cells, None)
+
+    def _fill(self, rows: int, cols: int, cells, flat) -> "ExactMatrix":
+        """Set the four slots of a new matrix, cells or flat None, and return it."""
+        for name, value in zip(ExactMatrix.__slots__, (rows, cols, cells, flat)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -570,12 +571,7 @@ class ExactMatrix:
     @classmethod
     def _wrap(cls, cells: tuple) -> "ExactMatrix":
         """The matrix over cells, a non-empty tuple of equal-length tuples of GaussianRationals, taken as is."""
-        M = object.__new__(cls)
-        object.__setattr__(M, "rows", len(cells))
-        object.__setattr__(M, "cols", len(cells[0]))
-        object.__setattr__(M, "_cells", cells)
-        object.__setattr__(M, "_flat", None)
-        return M
+        return object.__new__(cls)._fill(len(cells), len(cells[0]), cells, None)
 
     @classmethod
     def _from_flat(cls, rows: int, cols: int, den: int, re: list, im) -> "ExactMatrix":
@@ -585,12 +581,7 @@ class ExactMatrix:
         """
         if rows < 1 or cols < 1:
             raise InputError(_EMPTY_MATRIX)
-        M = object.__new__(cls)
-        object.__setattr__(M, "rows", rows)
-        object.__setattr__(M, "cols", cols)
-        object.__setattr__(M, "_cells", None)
-        object.__setattr__(M, "_flat", (den, re, im if im is not None and any(im) else None))
-        return M
+        return object.__new__(cls)._fill(rows, cols, None, (den, re, im if im is not None and any(im) else None))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -678,24 +669,11 @@ class ExactMatrix:
                 raise DimensionMismatch(
                     f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})"
                 )
-            cplx = self._has_imag() or other._has_imag()
-            if self._flat is not None and other._flat is not None:
-                (d, lre, lim), (e, rre, rim) = self._flat, other._flat
-                if cplx:  # a real side takes zero imaginary numerators
-                    lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
-                re, im = _flat_product((lre, lim), (rre, rim), self.cols, other.cols)
-                return ExactMatrix._from_flat(self.rows, other.cols, *_reduced(d * e, re, im))
-            # rows of self over d_i and columns of other over e_j, the columns
-            # laid out row-major: C_ij = (row_i . col_j) / (d_i e_j)
-            rows, cols = self._lines(cplx), other._lines(cplx, columns=True)
-            left = ([x for _, re, _ in rows for x in re], [x for _, _, im in rows for x in im] if cplx else None)
-            right = (
-                [x for xs in zip(*[re for _, re, _ in cols]) for x in xs],
-                [x for xs in zip(*[im for _, _, im in cols]) for x in xs] if cplx else None,
-            )
-            re, im = _flat_product(left, right, self.cols, other.cols)
-            dens = [d * e for d, _, _ in rows for e, _, _ in cols]
-            return ExactMatrix._wrap(_grid(_scalars(re, im, dens), other.cols))
+            (d, lre, lim), (e, rre, rim) = self._lifted(), other._lifted()
+            if lim is not None or rim is not None:  # a real side takes zero imaginary numerators
+                lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
+            re, im = _flat_product((lre, lim), (rre, rim), self.cols, other.cols)
+            return ExactMatrix._from_flat(self.rows, other.cols, *_reduced(d * e, re, im))
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
@@ -708,39 +686,35 @@ class ExactMatrix:
     __matmul__ = __mul__
 
     def _has_imag(self) -> bool:
-        if self._flat is not None:
-            return self._flat[2] is not None
-        return any(map(_any_imag, self.cells))
+        return self._lifted()[2] is not None
 
     def _lifted(self):
         """(den, re, im): every entry, row-major, over one denominator, im None when no entry has an imaginary part.
 
-        A flat matrix returns its own lists, which callers only read, and its
-        denominator, which need not be the least: a spectral matrix's is that
-        of its element's coefficients, whose sums may cancel.
+        The one integer form that ``*``, ``==``, elimination, min_poly and
+        from_matrix read.  A matrix built from cells lifts them with _lift on
+        the first call, over their least common denominator, and keeps the
+        lift.  A flat matrix's denominator need not be the least: a spectral
+        matrix's is that of its element's coefficients, whose sums may
+        cancel.  Either way the lists are shared, and callers only read them.
         """
-        if self._flat is not None:
-            return self._flat
-        return _lift([x for row in self.cells for x in row], self._has_imag())
+        flat = self._flat
+        if flat is None:
+            entries = [x for row in self.cells for x in row]
+            flat = _lift(entries, _any_imag(entries))
+            object.__setattr__(self, "_flat", flat)
+        return flat
 
-    def _lines(self, cplx: bool, columns: bool = False) -> list:
-        """(den, re, im) for each row, or each column, of self, over its least common denominator.
+    def _lines(self) -> list:
+        """(den, re, im) for each row of the lift, over the row's least common denominator, in fresh lists.
 
-        im is a list exactly when cplx.  A line of a flat matrix is reduced
-        from the matrix's denominator, a line of cells is lifted.  Each call
-        returns fresh lists.
+        A row's least common denominator is den / gcd(den, its numerators),
+        so _reduced gives each row the integers its own _lift would.  im is a
+        list exactly when the matrix has an imaginary part.
         """
-        if self._flat is None:
-            return [_lift(line, cplx) for line in (zip(*self.cells) if columns else self.cells)]
-        den, re, im = self._flat
-        if cplx and im is None:
-            im = [0] * len(re)
+        den, re, im = self._lifted()
         w = self.cols
-        if columns:
-            lines = [slice(c, None, w) for c in range(w)]
-        else:
-            lines = [slice(r, r + w) for r in range(0, len(re), w)]
-        return [_reduced(den, re[s], None if im is None else im[s]) for s in lines]
+        return [_reduced(den, re[r : r + w], None if im is None else im[r : r + w]) for r in range(0, len(re), w)]
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.cells)))
@@ -753,10 +727,8 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self._flat is None or other._flat is None:
-            return self.cells == other.cells
-        # two flat forms: x1 / d1 == x2 / d2 exactly when x1 * d2 == x2 * d1
-        (d1, re1, im1), (d2, re2, im2) = self._flat, other._flat
+        # x1 / d1 == x2 / d2 exactly when x1 * d2 == x2 * d1
+        (d1, re1, im1), (d2, re2, im2) = self._lifted(), other._lifted()
         return (
             (self.rows, self.cols, im1 is None) == (other.rows, other.cols, im2 is None)
             and all(map(eq, map(mul, re1, repeat(d2)), map(mul, re2, repeat(d1))))
@@ -793,7 +765,7 @@ class ExactMatrix:
         factors, so the pivots are those of plain Gauss-Jordan.  The RREF is
         each integer row over its own ``div``.
         """
-        m = [(re, im) for _, re, im in self._lines(self._has_imag())]
+        m = [(re, im) for _, re, im in self._lines()]
         div = [(1, 0)] * self.rows  # the pivot each row was last brought up to date with
         pivots = []
         prev = (1, 0)
@@ -854,7 +826,7 @@ class ExactMatrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        lifted = self._lines(self._has_imag())
+        lifted = self._lines()
         dens = [den for den, _, _ in lifted]
         m = [(re, im) for _, re, im in lifted]
         orig = list(range(n))  # original index of the row at each position

@@ -209,10 +209,10 @@ def _check_rank3_table():
 
 @_golden("rank1-null-matrices")
 def _check_rank1_null_matrices():
-    _check(to_matrix(a(1, 1)) == ExactMatrix([[0, 1], [0, 0]]), "[a1]")
-    _check(to_matrix(b(1, 1)) == ExactMatrix([[0, 0], [1, 0]]), "[b1]")
-    _check(to_matrix(u(1, 1)) == ExactMatrix([[1, 0], [0, 0]]), "[a1 b1]")
-    _check(to_matrix(u_dag(1, 1)) == ExactMatrix([[0, 0], [0, 1]]), "[b1 a1]")
+    _check_matrix(to_matrix(a(1, 1)), [[0, 1], [0, 0]], "[a1]")
+    _check_matrix(to_matrix(b(1, 1)), [[0, 0], [1, 0]], "[b1]")
+    _check_matrix(to_matrix(u(1, 1)), [[1, 0], [0, 0]], "[a1 b1]")
+    _check_matrix(to_matrix(u_dag(1, 1)), [[0, 0], [0, 1]], "[b1 a1]")
     return ""
 
 
@@ -226,7 +226,7 @@ def _check_rank2_null_matrices():
     }
     gens = {"a1": a(2, 1), "a2": a(2, 2), "b1": b(2, 1), "b2": b(2, 2)}
     for name, g in gens.items():
-        _check(to_matrix(g) == ExactMatrix(want[name]), f"[{name}]")
+        _check_matrix(to_matrix(g), want[name], f"[{name}]")
     return "4 matrices"
 
 
@@ -263,9 +263,9 @@ def _check_involution_rank1():
         CC = to_matrix(g.clifford_conj())
         g11, g12 = M[(0, 0)], M[(0, 1)]
         g21, g22 = M[(1, 0)], M[(1, 1)]
-        _check(R == ExactMatrix([[g22.conjugate(), g12.conjugate()], [g21.conjugate(), g11.conjugate()]]), "reverse")
-        _check(GI == ExactMatrix([[g11.conjugate(), -g12.conjugate()], [-g21.conjugate(), g22.conjugate()]]), "grade involution")
-        _check(CC == ExactMatrix([[g22, -g12], [-g21, g11]]), "conjugation")
+        _check_matrix(R, [[g22.conjugate(), g12.conjugate()], [g21.conjugate(), g11.conjugate()]], "reverse")
+        _check_matrix(GI, [[g11.conjugate(), -g12.conjugate()], [-g21.conjugate(), g22.conjugate()]], "grade involution")
+        _check_matrix(CC, [[g22, -g12], [-g21, g11]], "conjugation")
         det = det2(g)
         _check(det == g11 * g22 - g12 * g21, "determinant")
         _check((g * g.clifford_conj()) == scalar_mv(1, det, complexified=True), "g g* is scalar")
@@ -335,9 +335,9 @@ def _check_perm_rep_small():
     t12 = Permutation.from_cycles("(12)")
     t13 = Permutation.from_cycles("(13)")
     _check(geom_perm(t12, 1) == a(1, 1) + b(1, 1), "(12) at rank 1")
-    _check(perm_matrix(t12, 2) == ExactMatrix([[0, 1], [1, 0]]), "[ (12) ]")
-    _check(perm_matrix(t12, 3) == ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), "(12) on 3 letters")
-    _check(perm_matrix(t13, 3) == ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), "(13) on 3 letters")
+    _check_matrix(perm_matrix(t12, 2), [[0, 1], [1, 0]], "[ (12) ]")
+    _check_matrix(perm_matrix(t12, 3), [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "(12) on 3 letters")
+    _check_matrix(perm_matrix(t13, 3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]], "(13) on 3 letters")
     t23 = t12 * t13 * t12
     _check(t23 == Permutation.from_cycles("(23)"), "(23) = (12)(13)(12)")
     return ""
@@ -431,7 +431,7 @@ def _check_allones_casimir():
         _check(C == A - one(m), "C = A - 1")
         _check(C * C == C.scale(size - 2) + scalar_mv(m, size - 1), "C^2 = (2^n-2)C + (2^n-1)")
     J3 = ExactMatrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    _check(J3 - ExactMatrix.identity(3) == ExactMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "3x3 Casimir display")
+    _check_matrix(J3 - ExactMatrix.identity(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "3x3 Casimir display")
     return "ranks 1..3"
 
 
@@ -491,7 +491,7 @@ def _check_standard_irrep():
             _check(printed == geom_perm(p, n, rep="standard"), f"{cyc} matrix")
             _check(standard_irrep(p, n) == surgery_gc_inverse(n) * printed * surgery_gc(n), f"{cyc} in the g_c basis")
         else:
-            _check(to_matrix(standard_irrep(p, n)) == ExactMatrix(rows), f"{cyc} matrix")
+            _check_matrix(to_matrix(standard_irrep(p, n)), rows, f"{cyc} matrix")
     two = scalar_mv(n, 2)
     closed14 = one(n) - (two + b(n, 1) + b(n, 2)) * u_all(n)
     closed15 = one(n) - (two + b(n, 1) + b(n, 2) + b(n, 1) * b(n, 2)) * u_all(n)

@@ -614,7 +614,7 @@ class TestAgainstFractionOracle:
 
 
 class TestOneProduct:
-    """``*`` on cell matrices and min_poly's powers, both run through exact._flat_product."""
+    """``*`` and min_poly's powers, on cells or flat matrices, read each one's lift through exact._flat_product."""
 
     @pytest.mark.parametrize("rows,inner,width", [(4, 1, 5), (1, 1, 1), (5, 4, 1), (1, 6, 1), (1, 3, 4)])
     def test_cells_of_inner_size_or_width_one(self, rows, inner, width):
@@ -635,8 +635,8 @@ class TestOneProduct:
 
     @pytest.mark.parametrize("kind", ["real", "gauss"])
     def test_wide_lines_lose_their_contents(self, kind, monkeypatch):
-        # per-line lifts past 512 bits: entries over distinct 300-bit denominators,
-        # and rows (left) or columns (right) sharing a 300-bit factor
+        # lifts past 512 bits: entries over distinct 300-bit denominators, and rows (left) or
+        # columns (right) sharing a 300-bit factor; a whole-matrix lift only widens them
         needs = []
         product = exact._flat_product
         monkeypatch.setattr(
@@ -671,6 +671,33 @@ class TestOneProduct:
             cells[rng.randrange(n)][rng.randrange(n)] = GaussianRational(Fraction(rng.getrandbits(300) | 1 << 299, rng.randint(1, 9)))
             M = ExactMatrix(cells)
             assert str(min_poly(M)) == str(oracle_min_poly(M))
+
+
+class TestOneForm:
+    """A matrix built from cells lifts them once, and elimination reads its rows from that lift."""
+
+    @pytest.mark.parametrize("rows,cols", [(1, 5), (5, 1), (4, 4), (3, 6)])
+    @pytest.mark.parametrize("kind", ["real", "gauss", "tall"])
+    def test_lines_are_each_rows_own_lift(self, rows, cols, kind):
+        rng = random.Random(f"lines-{kind}-{rows}x{cols}")
+        cells = [list(row) for row in _matrix(rng, rows, cols, kind).cells]
+        if rows > 1:
+            cells[rng.randrange(rows)] = [0] * cols
+        M = ExactMatrix(cells)
+        cplx = M._has_imag()
+        assert cplx == (kind == "gauss")
+        assert M._lines() == [exact._lift(row, cplx) for row in M.cells]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("kind", ["real", "gauss", "tall"])
+    def test_lift_is_kept_and_elimination_leaves_it(self, n, kind):
+        M = _matrix(random.Random(f"kept-{kind}-{n}"), n, n, kind)
+        assert M._lifted() is M._lifted()
+        inv, red = M.inverse(), M.rref()
+        assert (_json(M.inverse()), M.rref()) == (_json(inv), red)
+        # inverse writes into the rows _lines hands it, which must not be the kept lift's
+        fresh = ExactMatrix(M.cells)
+        assert M._lifted() == fresh._lifted() and M == fresh
 
 
 def _outcome(f):

@@ -12,7 +12,8 @@ from wittmat.goldens import _check_matrix, _entry
 
 # the checks whose matrix clauses compare whole matrices through _check_matrix
 MATRIX_CHECKS = {
-    "rank1-block-embeddings", "involution-rank2", "nine-cycle", "allones-casimir", "surgery-diagonalization",
+    "rank1-null-matrices", "rank2-null-matrices", "rank1-block-embeddings", "involution-rank1", "involution-rank2",
+    "perm-rep-small", "nine-cycle", "allones-casimir", "surgery-diagonalization", "standard-irrep-matrices",
     "commutant-full-s4", "commutant-klein", "surgery-band-cut", "column-extraction", "regrep-matrix",
     "regrep-block-decomposition",
 }
@@ -109,8 +110,8 @@ def test_matrix_checks_go_through_check_matrix(monkeypatch):
 
 
 def test_matrix_checks_fail_on_one_wrong_entry(monkeypatch):
-    # every matrix that these checks compare comes from one of these four sources
-    real = {name: getattr(goldens, name) for name in ("to_matrix", "std_rep_matrix", "regrep_decompose", "commutant")}
+    # every matrix that these checks compare comes from one of these five sources
+    real = {name: getattr(goldens, name) for name in ("to_matrix", "std_rep_matrix", "perm_matrix", "regrep_decompose", "commutant")}
 
     def regrep_decompose(X):
         P, D = real["regrep_decompose"](X)
@@ -120,8 +121,15 @@ def test_matrix_checks_fail_on_one_wrong_entry(monkeypatch):
         c = real["commutant"](gens)
         return c._replace(basis=tuple(map(_bump, c.basis)))
 
+    def perm_matrix(p, m):
+        # the commutant checks take perm_matrix(p, 4) as generators, which they do not compare;
+        # a bumped generator would change the commutant's dimension before any matrix is compared
+        P = real["perm_matrix"](p, m)
+        return _bump(P) if m < 4 else P
+
     monkeypatch.setattr(goldens, "to_matrix", lambda g: _bump(real["to_matrix"](g)))
     monkeypatch.setattr(goldens, "std_rep_matrix", lambda p, m: _bump(real["std_rep_matrix"](p, m)))
+    monkeypatch.setattr(goldens, "perm_matrix", perm_matrix)
     monkeypatch.setattr(goldens, "regrep_decompose", regrep_decompose)
     monkeypatch.setattr(goldens, "commutant", commutant)
     results = {r.name: r for r in run_all()}

@@ -332,6 +332,22 @@ class TestNoHiddenCells:
         assert self._scalar_builds(monkeypatch, lambda: [M == N for M, N in pairs]) == []
         assert [M == N for M, N in pairs] == [True, True, False]
 
+    def test_cells_and_flat_products_and_equality_build_no_scalar(self, monkeypatch):
+        rng = random.Random(143)
+        g, h = rand_mv(rng, 3, True, 12), rand_mv(rng, 3, False, 12)
+        # each matrix held as cells, its scalars built here, and as the flat form of to_matrix
+        G, H = ((ExactMatrix(to_matrix(x).cells), to_matrix(x)) for x in (g, h))
+        products, equal, unequal = [], [], []
+
+        def run():
+            products.extend(P * Q for P in G for Q in H)
+            equal.extend(P == Q for P in G for Q in G)
+            unequal.extend(P == Q for P in G for Q in H)
+
+        assert self._scalar_builds(monkeypatch, run) == []
+        assert all(equal) and not any(unequal)
+        assert all(P == to_matrix(g * h) for P in products)
+
     def test_cells_are_built_once(self, monkeypatch):
         M = to_matrix(rand_mv(random.Random(141), 3, True, 8))
         reads = []
