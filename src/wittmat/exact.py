@@ -99,6 +99,10 @@ class GaussianRational:
     number-field element (H. Cohen, A Course in Computational Algebraic Number
     Theory, 4.2).  Every operation runs on ints and reduces its result by one
     gcd.  ``re`` and ``im`` are the parts as Fractions, built when read.
+
+    A scalar is immutable the way ``fractions.Fraction`` is: ``re`` and ``im``
+    are read-only properties over the private slots ``_a``, ``_b`` and
+    ``_d``, and only ``__init__`` and ``_scalar`` write those slots.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -112,12 +116,7 @@ class GaussianRational:
             re, im = _as_fraction(re), _as_fraction(im)
             d = lcm(re.denominator, im.denominator)  # over parts in lowest terms, gcd(a, b, d) == 1
             a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("GaussianRational is immutable")
+        self._a, self._b, self._d = a, b, d
 
     def __reduce__(self):
         return GaussianRational, (self.re, self.im)
@@ -269,7 +268,6 @@ class GaussianRational:
 
 
 _new = object.__new__
-_set_a, _set_b, _set_d = (slot.__set__ for slot in (GaussianRational._a, GaussianRational._b, GaussianRational._d))
 
 
 def _scalar(a: int, b: int, d: int) -> GaussianRational:
@@ -278,9 +276,7 @@ def _scalar(a: int, b: int, d: int) -> GaussianRational:
     if g != 1:
         a, b, d = a // g, b // g, d // g
     z = _new(GaussianRational)
-    _set_a(z, a)
-    _set_b(z, b)
-    _set_d(z, d)
+    z._a, z._b, z._d = a, b, d
     return z
 
 
@@ -531,9 +527,15 @@ class ExactMatrix:
     rows, each over its own least common denominator (Bareiss 1968); see
     the module docstring.  A matrix is built from its cells or from that
     form, and the other is built on first use and kept.
+
+    A matrix is immutable the way ``fractions.Fraction`` is: ``rows``,
+    ``cols`` and ``cells`` are read-only properties over private slots, and
+    only the constructors and the two lazy fills above write those slots.
     """
 
-    __slots__ = ("rows", "cols", "_cells", "_flat")
+    __slots__ = ("_rows", "_cols", "_cells", "_flat")
+    rows = property(attrgetter("_rows"))
+    cols = property(attrgetter("_cols"))
 
     def __init__(self, rows_of_entries: Iterable[Sequence]):
         cells = tuple(tuple(_as_scalar(x) for x in row) for row in rows_of_entries)
@@ -546,12 +548,8 @@ class ExactMatrix:
 
     def _fill(self, rows: int, cols: int, cells, flat) -> "ExactMatrix":
         """Set the four slots of a new matrix, cells or flat None, and return it."""
-        for name, value in zip(ExactMatrix.__slots__, (rows, cols, cells, flat)):
-            object.__setattr__(self, name, value)
+        self._rows, self._cols, self._cells, self._flat = rows, cols, cells, flat
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
         return ExactMatrix, (self.cells,)
@@ -562,8 +560,7 @@ class ExactMatrix:
         cells = self._cells
         if cells is None:
             den, re, im = self._flat
-            cells = _grid(_scalars(re, im, den), self.cols)
-            object.__setattr__(self, "_cells", cells)
+            cells = self._cells = _grid(_scalars(re, im, den), self._cols)
         return cells
 
     # -- constructors ------------------------------------------------------
@@ -701,8 +698,7 @@ class ExactMatrix:
         flat = self._flat
         if flat is None:
             entries = [x for row in self.cells for x in row]
-            flat = _lift(entries, _any_imag(entries))
-            object.__setattr__(self, "_flat", flat)
+            flat = self._flat = _lift(entries, _any_imag(entries))
         return flat
 
     def _lines(self) -> list:
@@ -858,18 +854,16 @@ class ExactMatrix:
 
 
 class RationalPolynomial:
-    """Polynomial with GaussianRational coefficients, stored lowest degree first."""
+    """Polynomial with GaussianRational coefficients, stored lowest degree first in the read-only ``coeffs``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
+    coeffs = property(attrgetter("_coeffs"))
 
     def __init__(self, coeffs: Sequence):
         cs = [_as_scalar(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPolynomial is immutable")
+        self._coeffs = tuple(cs)
 
     def __reduce__(self):
         return RationalPolynomial, (self.coeffs,)

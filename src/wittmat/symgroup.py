@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from . import _EXPORTS
 from .errors import DomainError, InputError
@@ -37,10 +38,12 @@ class Permutation:
 
     Trailing fixed points are trimmed so equal permutations of different
     nominal degrees compare equal.  Multiplication composes right to left:
-    (p * q)(x) = p(q(x)).
+    (p * q)(x) = p(q(x)).  ``images`` is a read-only property over a
+    private slot, as in ``fractions.Fraction``.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("_images",)
+    images = property(attrgetter("_images"))
 
     def __init__(self, images):
         images = tuple(int(x) for x in images)
@@ -49,10 +52,7 @@ class Permutation:
             raise InputError(f"not a permutation of 1..{m}: {images}")
         while m > 0 and images[m - 1] == m:
             m -= 1
-        object.__setattr__(self, "images", images[:m])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        self._images = images[:m]
 
     def __reduce__(self):
         return Permutation, (self.images,)
@@ -110,7 +110,7 @@ class Permutation:
     def __call__(self, letter: int) -> int:
         if letter < 1:
             raise InputError("letters start at 1")
-        return self.images[letter - 1] if letter <= len(self.images) else letter
+        return self._images[letter - 1] if letter <= len(self._images) else letter
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):

@@ -108,7 +108,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import update_wrapper
 from itertools import chain, compress, repeat
-from operator import add, mul, neg, or_, sub
+from operator import add, attrgetter, mul, neg, or_, sub
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -663,9 +663,16 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
 
 
 class Multivector:
-    """Finite GaussianRational combination of canonical monomials at a fixed rank, {a_mask * 2^n + b_mask: c} in _terms."""
+    """Finite GaussianRational combination of canonical monomials at a fixed rank, {a_mask * 2^n + b_mask: c} in _terms.
 
-    __slots__ = ("n", "complexified", "_terms")
+    An element is immutable the way ``fractions.Fraction`` is: ``n`` and
+    ``complexified`` are read-only properties over private slots, which only
+    ``__init__`` and ``_make`` write.
+    """
+
+    __slots__ = ("_n", "_complexified", "_terms")
+    n = property(attrgetter("_n"))
+    complexified = property(attrgetter("_complexified"))
 
     def __init__(self, n: int, terms=None, complexified: bool = False):
         if n < 0:
@@ -684,12 +691,7 @@ class Multivector:
             if not complexified and not c.is_real():
                 raise InputError("imaginary coefficient in a non-complexified element")
             clean[mono.a_mask << n | mono.b_mask] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "complexified", bool(complexified))
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
+        self._n, self._complexified, self._terms = n, bool(complexified), clean
 
     def __reduce__(self):
         return Multivector, (self.n, dict(self.terms()), self.complexified)
@@ -787,9 +789,7 @@ class Multivector:
     @classmethod
     def _make(cls, n, terms, complexified) -> "Multivector":
         mv = object.__new__(cls)
-        object.__setattr__(mv, "n", n)
-        object.__setattr__(mv, "complexified", complexified)
-        object.__setattr__(mv, "_terms", terms)
+        mv._n, mv._complexified, mv._terms = n, complexified, terms
         return mv
 
     def _has_imag(self) -> bool:
@@ -869,17 +869,17 @@ class Multivector:
             raise InputError(f"multivector JSON flag \"complex\" must be true or false, not {complexified!r}")
         if not isinstance(raw, list):
             raise InputError("multivector JSON \"terms\" must be an array")
-        terms: dict[int, GaussianRational] = {}
+        pairs = []
         for entry in raw:
             try:
                 coeff = GaussianRational.parse(entry["coeff"])
-                key = _json_mask(n, entry.get("a", [])) << n | _json_mask(n, entry.get("b", []))
+                pairs.append((_json_mask(n, entry.get("a", [])) << n | _json_mask(n, entry.get("b", [])), coeff))
             except (TypeError, KeyError, AttributeError) as exc:
                 raise InputError(f"bad term entry {entry!r}") from exc
-            terms[key] = terms.get(key, GaussianRational.ZERO) + coeff
-        if not complexified and not all(c.is_real() for c in terms.values()):
+        terms = _collect(pairs)
+        if not complexified and _any_imag(terms.values()):
             raise InputError("imaginary coefficient in a non-complexified element")
-        return cls._make(n, {k: c for k, c in terms.items() if not c.is_zero()}, complexified)
+        return cls._make(n, terms, complexified)
 
 
 def _json_mask(n: int, indices) -> int:
@@ -1014,6 +1014,8 @@ def reduce_word(n: int, word: Iterable) -> Multivector:
 
 
 def from_blade_basis(n: int, blade_terms, complexified: bool = False) -> Multivector:
+    if n < 0:
+        raise InputError("rank must be nonnegative")
     blades = []
     for bl, c in blade_terms.items():
         if not isinstance(bl, BladeMonomial):
@@ -1025,9 +1027,8 @@ def from_blade_basis(n: int, blade_terms, complexified: bool = False) -> Multive
             raise InputError(f"blade mask out of range for rank {n}")
         blades.append((bl, _as_scalar(c)))
     terms = _collect(
-        (WittMonomial(n, am, bm), c * w)
+        (am << n | bm, c * w)
         for bl, c in blades
         for (am, bm), w in _blade_to_monos(bl.e_mask, bl.f_mask)
     )
-    any_imag = any(not c.is_real() for _, c in blades)
-    return Multivector(n, terms, complexified=complexified or any_imag)
+    return Multivector._make(n, terms, bool(complexified) or any(not c.is_real() for _, c in blades))

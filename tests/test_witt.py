@@ -362,6 +362,8 @@ class TestBladeBasis:
         assert proc.stdout == "blade mask out of range for rank 2\n" * 5
         # the widest masks in range are still taken: e1 e2 f1 f2
         assert from_blade_basis(2, {(2, 3, 3): 1}) == e(2, 1) * e(2, 2) * f(2, 1) * f(2, 2)
+        with pytest.raises(InputError, match="rank must be nonnegative"):
+            from_blade_basis(-1, {})
 
     def test_grades(self):
         n = 2
@@ -397,6 +399,22 @@ class TestSerialization:
     def test_json_rejects_booleans_string_flags_and_repeated_indices(self, data):
         with pytest.raises(InputError):
             Multivector.from_json(data)
+
+    def test_json_sums_repeated_terms_in_first_occurrence_order(self):
+        n = 2
+        terms = [
+            {"b": [2], "coeff": "1/2"},
+            {"a": [1], "coeff": "3"},
+            {"coeff": "1+1i"},
+            {"b": [2], "coeff": "1/3"},  # repeated: the sum 5/6 stays at the first b2's place
+            {"a": [1], "coeff": "-3"},  # cancels: a1 drops
+            {"coeff": "-1i"},  # the imaginary parts cancel, so a real element takes the sum
+        ]
+        g = Multivector.from_json({"n": n, "terms": terms})
+        assert g == b(n, 2).scale(Fraction(5, 6)) + one(n) and not g.complexified
+        assert list(g._terms) == [0b0010, 0]  # b2, then the scalar; a1 at 0b0100 is gone
+        with pytest.raises(InputError):
+            Multivector.from_json({"n": n, "terms": terms[:3]})
 
     def test_pretty_merges_runs(self):
         n = 2
