@@ -305,9 +305,10 @@ def _as_scalar(x) -> GaussianRational:
 # A vector of GaussianRationals is carried as integer numerators over one
 # common denominator: parallel lists of real and imaginary numerators, the
 # imaginary list None on the real path (no entry has an imaginary part).
-# An ExactMatrix keeps the lift of all its cells as its flat form;
-# Multivector products (witt._product_sum) and the matrix bridge
-# (witt._to_cells and witt._from_cells) lift coefficient lists.
+# An ExactMatrix keeps the lift of all its cells as its flat form, and a
+# Multivector the lift of its coefficients (Multivector._lifted), each
+# lifted once, on first use; Multivector products (witt._product_sum) and
+# the matrix bridge (witt._to_cells and witt._from_cells) read those lifts.
 # A scalar already is such a vector of length one, (a + b*i) / d, so lifting
 # reads one denominator per scalar; _lift and _any_imag map attrgetters over
 # whole lists, so no Python frame runs per scalar.  Every result entry goes

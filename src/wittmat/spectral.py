@@ -23,13 +23,16 @@ entry back through the 2x2 picture in n passes, one per index.  Both run on
 integer numerators over one common denominator
 (on (re, im) lists only when some entry has an imaginary part), through
 witt._to_cells and witt._from_cells, the flat integer core that dense
-Multivector products share.  That flat form is also the one an ExactMatrix
-can hold: to_matrix hands its integers to the matrix as they are, and
-from_matrix reads them back, so a round trip, or a product of spectral
-matrices read back, builds no matrix entry as a scalar.  Only a matrix that
-holds its cells is lifted, once, with exact._lift.  A monomial (A, B) and a
-cell (r, c) are both one 2n-bit index, A * 2^n + B or r * 2^n + c, and a
-Multivector keys its terms by that index.  The only state kept is
+Multivector products share.  to_matrix reads the element's integer form,
+lifted once, on first use, and kept (Multivector._lifted).  That flat form
+is also the one an ExactMatrix can hold: to_matrix hands its integers to the
+matrix as they are, and from_matrix reads them back, so a round trip, or a
+product of spectral matrices read back, builds no matrix entry as a scalar.
+A matrix that holds its cells is lifted once, on first use, and kept
+(ExactMatrix._lifted); both lifts go through exact._lift.  A monomial
+(A, B) and a cell (r, c) are both one 2n-bit index, A * 2^n + B or
+r * 2^n + c, and a Multivector keys its terms by that index.  Apart from
+those lifts, which their elements and matrices own, the only state kept is
 witt._rank(n), one table of maps from that index, each entry one signed
 subset walk filled on first use over one pool of ints: the signed targets
 of each direction (cells, units; spectral_unit reads units), the reversed
@@ -45,7 +48,7 @@ from itertools import chain
 from . import _EXPORTS
 from .errors import DimensionMismatch, DomainError, InputError
 from .exact import ExactMatrix, GaussianRational
-from .witt import Multivector, _collect, _from_cells, _lifted_terms, _rank, _to_cells
+from .witt import Multivector, _collect, _from_cells, _rank, _to_cells
 
 __all__ = _EXPORTS["spectral"]
 
@@ -73,8 +76,7 @@ def spectral_table(n: int) -> list[list[Multivector]]:
 
 def to_matrix(g: Multivector) -> ExactMatrix:
     size = 1 << g.n
-    cplx = g._has_imag()
-    den, *lifted = _lifted_terms(g, cplx)
+    den, *lifted = g._lifted()
     return ExactMatrix._from_flat(size, size, den, *_to_cells(g.n, *lifted))
 
 

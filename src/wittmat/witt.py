@@ -46,15 +46,18 @@ whole.  A live pair's product is one monomial first_a * 2^n + last_b with
 its parity sign, times b.a = 1 - ab at each index where a lone b of the left
 meets a lone a of the right; those indices are its b.a sites.
 
-Products run on integer numerators.  Each factor's coefficients are lifted
-once to numerators over one common denominator (exact._lift, the helper the
-ExactMatrix kernels use), on (re, im) pairs only when some coefficient has
-an imaginary part (exact._any_imag); both helpers read the coefficients by
-C-level maps, with no Python step per term.  The kernel adds each live
-pair's signed numerator product into one integer (or (re, im) pair) per key,
-the term's index with its sites above bit 2n; many pairs share a key, so
-after the loop each distinct key with sites is expanded once, through
-_rank(n).sites.  The nonzero sums become the coefficients, over the product
+Products run on integer numerators.  Each element's coefficients are lifted
+once, on first use, and kept (Multivector._lifted), as an ExactMatrix keeps
+its flat form: numerators over one common denominator (exact._lift, the
+helper ExactMatrix._lifted uses), on (re, im) pairs only when some
+coefficient has an imaginary part (exact._any_imag); both helpers read the
+coefficients by C-level maps, with no Python step per term.  A factor read
+again, by another product, an involution or to_matrix, reads the kept lift;
+a real factor of a complex product keeps im None, which the kernel reads as
+zeros.  The kernel adds each live pair's signed numerator product into one
+integer (or (re, im) pair) per key, the term's index with its sites above
+bit 2n; many pairs share a key, so after the loop each distinct key with
+sites is expanded once, through _rank(n).sites.  The nonzero sums become the coefficients, over the product
 of the two denominators, each built by exact._scalar (_from_sums).  Every
 signed expansion is one subset walk: a set s of indices joining both masks
 of a term, or the row and the column of a cell, moves its index by
@@ -71,7 +74,8 @@ kernel's count without listing the pairs, from two tables of 2^n bitsets
 over the right factor's terms, one indexed by a_mask and one by lone_b,
 each OR-summed over subsets.  Past max(_BRIDGE_PER_CELL * 4^n,
 _BRIDGE_FLOOR) live terms __mul__ writes both lifted factors into spectral
-matrices with _to_cells, multiplies them with exact._flat_product and reads
+matrices with _to_cells, multiplies them with exact._flat_product (a real
+side of a complex product taking zero imaginary numerators there) and reads
 the product back with _from_cells.  to_matrix and from_matrix in spectral.py
 are the same two helpers, on flat integer lists of 4^n entries.  Both
 directions are one sign per cell and a Kronecker product of one 4x4 map per
@@ -92,9 +96,9 @@ instead, each applying one index's map to four strided slices
 (_unit_passes), with gather orders and signs from _gather(n), whose indices
 are the pool's ints too.
 
-Reversal runs on integer numerators too: reverse and clifford_conj lift the
-element once, put the grade involution's signs and the conjugation of i on
-the numerators, and spread each term through _rank(n).reverse into one
+Reversal runs on integer numerators too: reverse and clifford_conj read the
+element's kept lift, put the grade involution's signs and the conjugation of
+i on the numerators, and spread each term through _rank(n).reverse into one
 integer per monomial, whose nonzero sums _from_sums builds too.
 
 Complexified elements carry GaussianRational coefficients whose imaginary
@@ -228,10 +232,11 @@ def _spread(acc: dict, targets, sums, cplx: bool) -> None:
 def _product_sum(n: int, left, right, den: int, cplx: bool) -> dict:
     """The rank-n product of left by right as {index: scalar}, over den.
 
-    Both factors are (keys, re, im) as from _lifted_terms; im is None on the
-    real path (cplx false).  The left factor is grouped by lone_a * 2^n + b
-    and the right by a * 2^n + lone_b, so a pair of groups whose keys share
-    a bit, where a.a or b.b meet, is skipped whole.  What a pair of groups
+    Both factors are (keys, re, im) as from Multivector._lifted; the im of a
+    real factor is None, and cplx says whether either factor has one.  The
+    left factor is grouped by lone_a * 2^n + b and the right by
+    a * 2^n + lone_b, so a pair of groups whose keys share a bit, where a.a
+    or b.b meet, is skipped whole.  What a pair of groups
     or a left term shares is computed once.  A live pair's signed numerator
     product is summed under first_a * 2^n + last_b with its b.a sites above
     bit 2n; after the loop each distinct key with sites is expanded once,
@@ -326,26 +331,17 @@ def _collect(pairs) -> dict:
     return {key: c for key, c in acc.items() if not c.is_zero()}
 
 
-def _lifted_terms(g: "Multivector", cplx: bool):
-    """(den, keys, re, im): den * coefficient == re[j] + im[j]*i for the term at g's index keys[j] = a_mask * 2^n + b_mask.
-
-    im is None on the real path (cplx false).
-    """
-    den, re, im = _lift(g._terms.values(), cplx)
-    return den, list(g._terms), re, im
-
-
 def _reversed(g: "Multivector", conj: bool, graded: bool) -> "Multivector":
     """The reverse of g; conj conjugates i, and graded first takes the grade involution's signs.
 
-    g is lifted once, and each term's numerator, or (re, im) pair, spreads
-    through its targets in _rank(n).reverse into one sum per monomial; the
-    grade involution swaps the targets of a term of odd degree, and the
-    conjugation negates the imaginary numerators.
+    Each term's numerator in g's kept lift (Multivector._lifted), or its
+    (re, im) pair, spreads through its targets in _rank(n).reverse into one
+    sum per monomial; the grade involution swaps the targets of a term of
+    odd degree, and the conjugation negates the imaginary numerators.
     """
     n = g.n
-    cplx = g._has_imag()
-    den, keys, re, im = _lifted_terms(g, cplx)
+    den, keys, re, im = g._lifted()
+    cplx = im is not None
     targets = map(_rank(n).reverse.__getitem__, keys)
     if graded:
         targets = [(minus, plus) if k.bit_count() & 1 else (plus, minus) for k, (plus, minus) in zip(keys, targets)]
@@ -606,9 +602,9 @@ def _scatter(size: int, targets: _Lazy, keys, re, im):
 def _to_cells(n: int, keys, re, im):
     """The spectral matrix of the terms at keys as flat integer lists (re, im), cell (row, col) at row * 2^n + col.
 
-    keys, re and im are as from _lifted_terms; im is None on the real path,
-    and so is the returned one.  Each monomial scatters through its targets
-    in _rank(n).cells.
+    keys, re and im are as from Multivector._lifted; im is None on the real
+    path, and so is the returned one.  Each monomial scatters through its
+    targets in _rank(n).cells.
     """
     return _scatter(1 << n, _rank(n).cells, keys, re, im)
 
@@ -667,10 +663,13 @@ class Multivector:
 
     An element is immutable the way ``fractions.Fraction`` is: ``n`` and
     ``complexified`` are read-only properties over private slots, which only
-    ``__init__`` and ``_make`` write.
+    ``__init__`` and ``_make`` write.  The one other slot, ``_lift``, holds
+    the integer form of the coefficients, which ``_lifted`` lifts once, on
+    first use, and keeps, as ``ExactMatrix._lifted`` fills ``_flat``; it
+    takes no part in equality, hashing, copies or pickles.
     """
 
-    __slots__ = ("_n", "_complexified", "_terms")
+    __slots__ = ("_n", "_complexified", "_terms", "_lift")
     n = property(attrgetter("_n"))
     complexified = property(attrgetter("_complexified"))
 
@@ -691,7 +690,7 @@ class Multivector:
             if not complexified and not c.is_real():
                 raise InputError("imaginary coefficient in a non-complexified element")
             clean[mono.a_mask << n | mono.b_mask] = c
-        self._n, self._complexified, self._terms = n, bool(complexified), clean
+        self._n, self._complexified, self._terms, self._lift = n, bool(complexified), clean, None
 
     def __reduce__(self):
         return Multivector, (self.n, dict(self.terms()), self.complexified)
@@ -769,15 +768,17 @@ class Multivector:
             return NotImplemented
         self._check_rank(other)
         n = self.n
-        cplx = self._has_imag() or other._has_imag()
-        d1, *left = _lifted_terms(self, cplx)
-        d2, *right = _lifted_terms(other, cplx)
+        (d1, *left), (d2, *right) = self._lifted(), other._lifted()
+        cplx = left[2] is not None or right[2] is not None
         comp = self.complexified or other.complexified
         bound = max(_BRIDGE_PER_CELL * 4**n, _BRIDGE_FLOOR)
         # no more terms are live than there are pairs, so the count is skipped below that
         if len(self._terms) * len(other._terms) > bound and _live_count(n, left[0], right[0]) > bound:
             size = 1 << n
-            re, im = _flat_product(_to_cells(n, *left), _to_cells(n, *right), size, size)
+            (lre, lim), (rre, rim) = _to_cells(n, *left), _to_cells(n, *right)
+            if cplx:  # a real side takes zero imaginary numerators
+                lim, rim = lim or [0] * len(lre), rim or [0] * len(rre)
+            re, im = _flat_product((lre, lim), (rre, rim), size, size)
             return _from_cells(n, re, im, d1 * d2, comp)
         return self._make(n, _product_sum(n, left, right, d1 * d2, cplx), comp)
 
@@ -789,11 +790,27 @@ class Multivector:
     @classmethod
     def _make(cls, n, terms, complexified) -> "Multivector":
         mv = object.__new__(cls)
-        mv._n, mv._complexified, mv._terms = n, complexified, terms
+        mv._n, mv._complexified, mv._terms, mv._lift = n, complexified, terms, None
         return mv
 
     def _has_imag(self) -> bool:
-        return _any_imag(self._terms.values())
+        return self._lifted()[3] is not None
+
+    def _lifted(self):
+        """(den, keys, re, im): den * coefficient == re[j] + im[j]*i for the term at index keys[j] = a_mask * 2^n + b_mask.
+
+        The one integer form that ``*``, reverse, clifford_conj and to_matrix
+        read: the coefficients in _terms order over their least common
+        denominator, im None when no coefficient has an imaginary part.  It
+        is lifted once, on first use, with exact._lift, and kept.  The lists
+        are shared, and callers only read them.
+        """
+        lift = self._lift
+        if lift is None:
+            values = self._terms.values()
+            den, re, im = _lift(values, _any_imag(values))
+            lift = self._lift = den, list(self._terms), re, im
+        return lift
 
     def complexify(self) -> "Multivector":
         return self._make(self.n, dict(self._terms), True)

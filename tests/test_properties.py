@@ -25,8 +25,15 @@ with the four maps filled in a shuffled order; a full rank-6 fill of the
 first three and the passes' gather, and one of sites, must each stay within
 a bounded amount of traced memory, and after a full rank-5 fill every kept
 index must be the pool's own int.  A round trip at ranks 8 and 9, and a
-kernel product at rank 9, must leave little traced memory kept, and work at
-rank 8 must let rank 7's table go while ranks 0..6 keep theirs.  Kernel
+kernel product at rank 9, must leave little traced memory kept, and so must
+a full complex rank-6 element once lifted and dropped; work at rank 8 must
+let rank 7's table go while ranks 0..6 keep theirs.  An element's integer
+lift, kept after its first use, must be invisible: every reader (either
+factor of a product with a real and a complex partner, reverse,
+clifford_conj, to_matrix), called in a drawn order at ranks 0..6 on each
+side of the bridge bound, must give what it gives on fresh pickled copies,
+the kept lift must equal exact._lift over the coefficients and stay so, an
+element must lift once, and results and copies carry no lift.  Kernel
 products whose b.a sites include index n, the top bit of the kernel's sums,
 are checked at ranks 1..6.  The kernel's live count, which picks the path, is compared with
 the subset sum of oracles.py at ranks 0..7 and must stay within a bounded
@@ -69,7 +76,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import assert_normal, rand_matrix
-from wittmat import witt
+from wittmat import exact, witt
 from wittmat import (
     BladeMonomial,
     DomainError,
@@ -507,7 +514,12 @@ class TestBridgeTables:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_high_rank_work_keeps_little(self, n):
-        """A 3-term round trip, and at rank 9 a kernel product with b.a sites after it, keep under 64 KiB once done."""
+        """A 3-term round trip, and at rank 9 a kernel product with b.a sites after it, keep under 64 KiB once done.
+
+        At rank 8 a full complex rank-6 element, lifted by *, reverse and
+        to_matrix on warm tables and then dropped, must keep under 64 KiB
+        too: no state outside the element holds its lift.
+        """
         full, top = (1 << n) - 1, 1 << (n - 1)
         g = Multivector(n, {WittMonomial(n, full, full ^ 1): Fraction(3, 2), WittMonomial(n, full ^ 2, full): -2,
                             WittMonomial(n, top | 0b101, full ^ 0b101): 5})
@@ -525,6 +537,22 @@ class TestBridgeTables:
             tracemalloc.stop()
         assert kept < 2**16, kept
         assert got == [as_bytes(g), as_bytes(oracles.mul(p, q))][: len(got)]
+        if n == 8:
+            full, h = seeded(6, basis(6), 3500, "complex"), a(6, 1)
+            warm = pickle.loads(pickle.dumps(full))
+            want = [as_bytes(warm * h), as_bytes(warm.reverse()), to_matrix(warm).to_json()]
+            del warm
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert [as_bytes(full * h), as_bytes(full.reverse()), to_matrix(full).to_json()] == want
+                assert full._lift is not None
+                del full
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept < 2**16, kept
 
     def test_only_the_latest_high_rank_stays(self):
         """Ranks up to 6 keep their tables; of the ranks above, work at rank 8 lets rank 7's go."""
@@ -783,15 +811,14 @@ class TestProductPaths:
         k = min(12, len(rest))
         g = seeded(n, [WittMonomial(n, am, bm | top) for am, bm in rng.sample(rest, k)], 2100 + n, kind)
         h = seeded(n, [WittMonomial(n, am | top, bm) for am, bm in rng.sample(rest, k)], 2200 + n, kind)
-        assert witt._live_count(n, witt._lifted_terms(g, False)[1], witt._lifted_terms(h, False)[1]) > 0
+        assert witt._live_count(n, g._lifted()[1], h._lifted()[1]) > 0
         with product_path("kernel"):
             assert as_bytes(g * h) == as_bytes(oracles.mul(g, h))
 
     @given(tuples_at_one_rank(2, ranks=st.integers(0, 6), max_terms=40))
     def test_live_count(self, gh):
         g, h = gh
-        cplx = g._has_imag() or h._has_imag()
-        left, right = witt._lifted_terms(g, cplx)[1], witt._lifted_terms(h, cplx)[1]
+        left, right = g._lifted()[1], h._lifted()[1]
         assert sorted(left) == [m.a_mask << g.n | m.b_mask for m, _ in g.terms()]
         pairs = [(m1, m2) for m1, _ in g.terms() for m2, _ in h.terms()]
         live = sum(1 for m1, m2 in pairs if oracles.mono_mul(m1.a_mask, m1.b_mask, m2.a_mask, m2.b_mask))
@@ -814,7 +841,7 @@ class TestProductPaths:
         for seed, k, live, bridged in ((920, 100, 2447, True), (910, 70, 1234, True), (910, 68, 1156, False)):
             rng = random.Random(seed)
             g, h = (seeded(5, rng.sample(basis(5), k), seed + i, "real") for i in (1, 2))
-            assert witt._live_count(5, witt._lifted_terms(g, False)[1], witt._lifted_terms(h, False)[1]) == live
+            assert witt._live_count(5, g._lifted()[1], h._lifted()[1]) == live
             assert (live > bound) == bridged
             assert k == 100 or abs(live - bound) < 0.1 * bound
             calls.clear()
@@ -902,6 +929,103 @@ class TestLiveCount:
             tracemalloc.stop()
         assert peak < 2**18, peak
         assert live == oracles.live_count(n, lkeys, rkeys)
+
+
+# Term counts whose products with each other cross the bridge bound at ranks 2..6; few terms stay on the kernel.
+MANY_TERMS = (1, 4, 16, 30, 85, 100, 200)
+LIFT_KINDS = ("real", "tall", "complex", "complexified", "empty", "scalar")
+
+
+@st.composite
+def lift_elements(draw, n: int, kinds=LIFT_KINDS):
+    """A real, tall, complex, complexified-but-real, empty or scalar element at rank n, with few terms or MANY_TERMS[n]."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        return zero(n).complexify() if draw(st.booleans()) else zero(n)
+    if kind == "scalar":
+        return scalar_mv(n, draw(scalars(draw(st.booleans()))))
+    k = MANY_TERMS[n] if draw(st.booleans()) else draw(st.integers(1, min(6, 4**n)))
+    seed = draw(st.integers(0, 2**16))
+    g = seeded(n, random.Random(seed).sample(basis(n), k), seed, "real" if kind == "complexified" else kind)
+    return g.complexify() if kind == "complexified" else g
+
+
+# Every reader of an element's kept integer lift, called on (element, real partner, complex partner).
+LIFT_READERS = {
+    "left by real": lambda g, r, c: g * r,
+    "right by real": lambda g, r, c: r * g,
+    "left by complex": lambda g, r, c: g * c,
+    "right by complex": lambda g, r, c: c * g,
+    "reverse": lambda g, r, c: g.reverse(),
+    "clifford_conj": lambda g, r, c: g.clifford_conj(),
+    "to_matrix": lambda g, r, c: to_matrix(g),
+}
+
+
+@st.composite
+def lift_cases(draw):
+    """(g, real partner, complex partner, reader order) at one rank in 0..6."""
+    n = draw(st.integers(0, 6))
+    g = draw(lift_elements(n))
+    real = draw(lift_elements(n, ("real", "tall")))
+    cplx = draw(lift_elements(n, ("complex",)))
+    return g, real, cplx, draw(st.permutations(sorted(LIFT_READERS)))
+
+
+def lift_oracle(g: Multivector):
+    """(den, keys, re, im) of g, from exact._lift over fresh lists, im None exactly when every coefficient is real."""
+    values = list(g._terms.values())
+    den, re, im = exact._lift(values, any(not c.is_real() for c in values))
+    return den, list(g._terms), re, im
+
+
+class TestKeptLift:
+    """Multivector._lifted fills once, on first use, and keeps (den, keys, re, im); no reader may tell it is kept.
+
+    Each reader's result is compared with the same call on fresh pickled
+    copies, which hold no lift; every kept lift must equal exact._lift over
+    the coefficients in _terms order, and stay equal as the other readers
+    run; results and copies are born without one.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(lift_cases())
+    def test_the_kept_lift_is_invisible(self, case):
+        *elements, order = case
+        want = [lift_oracle(x) for x in elements]
+        kept = None
+        for name in order:
+            got = LIFT_READERS[name](*elements)
+            fresh = LIFT_READERS[name](*(pickle.loads(pickle.dumps(x)) for x in elements))
+            assert got == fresh and got.to_json() == fresh.to_json(), name
+            assert not isinstance(got, Multivector) or got._lift is None, name
+            for x, lift in zip(elements, want):
+                assert x._lift is None or x._lift == lift, name
+            kept = kept or elements[0]._lift
+            assert kept is not None and elements[0]._lift is kept, name
+        for x, lift in zip(elements, want):
+            assert x._lifted() == lift and x._lifted() is x._lifted()
+            assert x._has_imag() == (lift[3] is not None)
+            for clone in (copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))):
+                twin = clone(x)
+                assert twin._lift is None and twin == x and twin.complexified == x.complexified
+
+    @PATHS
+    def test_each_element_lifts_once(self, path, monkeypatch):
+        """An element read by * as either factor, reverse, clifford_conj and to_matrix is lifted once, on first use."""
+        lifted = []
+        lift = witt._lift
+        monkeypatch.setattr(witt, "_lift", lambda entries, cplx: lifted.append(len(entries)) or lift(entries, cplx))
+        rng = random.Random(3400)
+        g, h = seeded(4, rng.sample(basis(4), 85), 3401, "complex"), seeded(4, rng.sample(basis(4), 84), 3402, "real")
+        assert lifted == []
+        with product_path(path):
+            got = [g * h, h * g, g * g]
+        got += [g.reverse(), g.clifford_conj(), h.reverse(), from_matrix(to_matrix(g), 4), g._has_imag()]
+        assert lifted == [85, 84]
+        assert [as_bytes(x) for x in got[:5]] == [as_bytes(x) for x in (
+            oracles.mul(g, h), oracles.mul(h, g), oracles.mul(g, g), oracles.reverse(g), oracles.reverse(g.grade_involution()))]
+        assert got[5:] == [oracles.reverse(h), g, True]
 
 
 class TestLaws:
