@@ -12,10 +12,11 @@ Elimination reads each row over its own least common denominator, and every
 integer matrix product goes through one helper, ``_flat_product`` (below).
 ``rref`` is fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968), whose every division is exact.
-``inverse`` runs the same steps on [A | I] but stores only its n live
-columns: a pivot's column of A is known once it is eliminated, and its slot
-takes over the column of I that the pivot row starts to fill.  ``min_poly``
+1968), whose every division is exact, and it clears two pivot columns per
+step, Bareiss's two-step method.  ``inverse`` runs the same steps on [A | I]
+but stores only its n live columns: a pivot's column of A is known once it
+is eliminated, and its slot takes over the column of I that the pivot row
+starts to fill.  Both run one helper, ``_eliminate``.  ``min_poly``
 keeps one running fraction-free echelon form of the integer powers B^k of
 B = d*A, and stops at the first power that reduces to zero.  A matrix with
 no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
@@ -52,22 +53,38 @@ and B's narrow entries multiply them.  Two matrices are compared by
 cross-multiplying the numerators of their flat forms.
 
 The Bareiss steps are lazy, so sparse matrices skip most of them.  A step
-with pivot p after pivot q only scales a row whose entry in the pivot column
-is zero, to p*row / q.  So each row keeps ``div``, the pivot it was last
-brought up to date with, and stands for the eager row row*q/div, q being the
-latest pivot.  A row with a zero entry is left alone.  A row with entry f is
-set to (p*row - f*pivot_row) / div, which is the eager row after the step, and
-its ``div`` becomes p.  A row about to pivot is first caught up once, to
-q*row / div.  Every row stored is an eager Bareiss row, whose entries are
-integer minors, so every division stays exact.  At the end each row is divided
-by its own ``div``.  A permutation matrix takes no step at all.
+with pivot p after pivot q only scales a row whose entries in the pivot
+columns are zero, to p*row / q.  So each row keeps ``div``, the pivot it was
+last brought up to date with, and stands for the eager row row*q/div, q
+being the latest pivot.  A row with zeros in the pivot columns is left
+alone, and a row about to pivot is first caught up once, to q*row / div.
+
+One step clears two pivot columns.  Its pivot rows y and z, up to date
+with q, hold the block [[a, b], [c, d]] there, and p = (a*d - b*c) / q is
+the second pivot.  Another up-to-date row with entries (e, f) becomes
+(p*row - u*y - v*z) / q, with u = (e*d - f*c) / q and v = (a*f - b*e) / q:
+one exact division and three products per entry, where two one-steps take
+two divisions and four products.  Every division is exact by Sylvester's
+identity: the eager rows' entries are minors of the matrix bordered by the
+pivot rows so far, a 2x2 determinant of them is q times such a minor, so p,
+u and v are minors, and the 3x3 determinant of the rows y, z and row, which
+is q*(p*row - u*y - v*z), is q^2 times one.  A row stored lazily, or a lazy
+z, is combined over the product of their ``div``s instead, with the
+undivided multipliers.  A row whose entry e is zero takes only the second
+of the two one-steps, and a row whose f and b are zero only the first, so
+every row stored is the row two one-steps store.  The second pivot column
+is the one a one-step at the first would pivot on next: the first later
+column k with a nonzero 2x2 minor a*row[k] - row[c]*y[k] in a row below y,
+the first such row being z.  A pivot with no such partner takes a one-step,
+and elimination ends there.  At the end each row is divided by its own
+``div``.  A permutation matrix takes no step at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, eq, floordiv, mul, neg
 from struct import pack, unpack
 from typing import Iterable, Sequence
@@ -491,6 +508,10 @@ def _packed_product(lre, lim, rre, rim, inner: int, width: int, need: int):
     return _slots(b"".join([x[:row_bytes] for x in rows]), s), _slots(b"".join([x[row_bytes:] for x in rows]), s)
 
 
+_INEXACT = "inexact division in Z[i]: fraction-free elimination invariant broken"
+_ZERO, _ONE = (0, 0), (1, 0)
+
+
 def _bareiss_step(p, f, q, x, y):
     """The row (p*x - f*y) / q, for (re, im) scalars p, f, q and lifted rows x, y.
 
@@ -510,10 +531,173 @@ def _bareiss_step(p, f, q, x, y):
         sr, rr = divmod(ur * a - ui * b - vr * c + vi * d, norm)
         si, ri = divmod(ur * b + ui * a - vr * d - vi * c, norm)
         if rr or ri:
-            raise DomainError("inexact division in Z[i]: fraction-free elimination invariant broken")
+            raise DomainError(_INEXACT)
         outr.append(sr)
         outi.append(si)
     return outr, outi
+
+
+def _bareiss_pair(x, s, e, f, blk, y, z):
+    """(row, div): row x after a pair step, the pivot it is then up to date with beside it.
+
+    x was last brought up to date with s and has entries e != 0 and f in
+    the two pivot columns.  blk is (a, b, c, d, p, q, t): pivot row y,
+    up to date with q, has a and b there, pivot row z, up to date with t, has
+    c and d, and p = (a*d - b*c) / t is the second pivot; on real rows blk
+    holds ints, on Z[i] rows (re, im) pairs, as e, f and s always do.  When
+    a*f - b*e is zero, a one-step at the first column already clears the
+    second, so x takes only that step, (a*x - e*y) / s, and is up to date
+    with a.  Otherwise x becomes (P*x - u*y - v*z) / D, up to date with p:
+    for s == q == t, Sylvester's identity makes u = (e*d - f*c) / q,
+    v = (a*f - b*e) / q and the row over D = q exact, with P = p; else
+    (P, u, v, D) = (a*d - b*c, e*d - f*c, a*f - b*e, s*t) over the lazy rows,
+    which gives the same row.  Over Z[i] each division is checked.
+    """
+    a, b, c, d, p, q, t = blk
+    (xr, xi), (yr, yi), (zr, zi) = x, y, z
+    if xi is None:
+        v = a * f[0] - b * e[0]
+        if not v:
+            return _bareiss_step((a, 0), e, s, x, y), (a, 0)
+        e, f, s = e[0], f[0], s[0]
+        if s == q == t:
+            u, v, P, D = (e * d - f * c) // q, v // q, p, q
+        else:
+            u, P, D = e * d - f * c, a * d - b * c, s * t
+        return ([(P * g - u * h - v * k) // D for g, h, k in zip(xr, yr, zr)], None), (p, 0)
+    v = _minor(a, b, e, f)
+    if v == _ZERO:
+        return _bareiss_step(a, e, s, x, y), a
+    if s == q == t:
+        (ur, ui), (vr, vi), (pr, pi), (qr, qi) = _quotient(_minor(e, f, c, d), q), _quotient(v, q), p, q
+    else:  # over the lazy rows: P = a*d - b*c and D = s*t
+        (ur, ui), (vr, vi), (pr, pi), (qr, qi) = _minor(e, f, c, d), v, _minor(a, b, c, d), _minor(s, _ZERO, _ZERO, t)
+    # the multipliers times conj(D), each entry then over |D|^2
+    norm = qr * qr + qi * qi
+    pr, pi = pr * qr + pi * qi, pi * qr - pr * qi
+    ur, ui = ur * qr + ui * qi, ui * qr - ur * qi
+    vr, vi = vr * qr + vi * qi, vi * qr - vr * qi
+    outr, outi = [], []
+    for a, b, c, d, e, f in zip(xr, xi, yr, yi, zr, zi):
+        sr, rr = divmod(pr * a - pi * b - ur * c + ui * d - vr * e + vi * f, norm)
+        si, ri = divmod(pr * b + pi * a - ur * d - ui * c - vr * f - vi * e, norm)
+        if rr or ri:
+            raise DomainError(_INEXACT)
+        outr.append(sr)
+        outi.append(si)
+    return (outr, outi), p
+
+
+def _minor(a, b, c, d):
+    """a*d - b*c, for (re, im) scalars."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
+    return ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr
+
+
+def _quotient(x, q):
+    """x / q, for (re, im) scalars whose quotient lies in Z[i]; the remainder is checked."""
+    (xr, xi), (qr, qi) = x, q
+    norm = qr * qr + qi * qi
+    sr, rr = divmod(xr * qr + xi * qi, norm)
+    si, ri = divmod(xi * qr - xr * qi, norm)
+    if rr or ri:
+        raise DomainError(_INEXACT)
+    return sr, si
+
+
+def _eliminate(m: list, cols: int, dens=None):
+    """Lazy fraction-free Gauss-Jordan on the lifted rows m, in place: (pivots, div, orig).
+
+    The one elimination of ``rref`` and ``inverse``, two pivot columns per
+    step (see the module docstring).  It picks the pivot rows that one-step
+    Gauss-Jordan with leftmost-pivot selection picks, and stores the rows
+    two one-steps store; only a pivot with no partner takes a one-step.
+    div[i] is the pivot row i was last brought up to date with, and orig[i]
+    the original index of the row now at i.  With dens, the rows'
+    denominators, the rows hold the live columns of [A | I]: each pivot
+    column's slot takes over the identity column of its pivot row's original
+    index, d_o times the row's ``div`` there and 0 in every other row.
+    """
+    rows = len(m)
+    div = [_ONE] * rows
+    orig = list(range(rows))
+    pivots = []
+    q = _ONE  # the last pivot
+    r = c = 0
+    while r < rows:
+        # the first column at or after c with a nonzero entry at or below row r, and that row
+        c, i = next(((k, i) for k in range(c, cols) for i in range(r, rows) if m[i][0][k] or m[i][1] and m[i][1][k]),
+                    (None, 0))
+        if c is None:
+            break
+        if i != r:
+            for xs in (m, div, orig):
+                xs[r], xs[i] = xs[i], xs[r]
+        if div[r] != q:
+            m[r] = _bareiss_step(q, _ZERO, div[r], m[r], m[r])
+        y = m[r]
+        a = _entry(y, c)
+        pivots.append(c)
+        # its partner: the pivot column and row that a one-step at c leaves next,
+        # the first column k > c and row i > r with a*m[i][k] - m[i][c]*y[k] nonzero
+        c2, i = next(((k, i) for k in range(c + 1, cols) for i in range(r + 1, rows)
+                      if m[i][0][k] or m[i][1] and m[i][1][k]
+                      or (m[i][0][c] or m[i][1] and m[i][1][c]) and (y[0][k] or y[1] and y[1][k])
+                      if _minor(a, _entry(y, k), _entry(m[i], c), _entry(m[i], k)) != _ZERO), (None, 0))
+        if c2 is None:
+            # no partner: a one-step at c, after which no row below r has a nonzero entry past c
+            if dens is not None:
+                _put(y, c, (dens[orig[r]] * q[0], dens[orig[r]] * q[1]))
+            for i in chain(range(r), range(r + 1, rows)):
+                e = _entry(m[i], c)
+                if e != _ZERO:
+                    if dens is not None:
+                        _put(m[i], c, _ZERO)
+                    m[i], div[i] = _bareiss_step(a, e, div[i], m[i], y), a
+            div[r] = a
+            break
+        if i != r + 1:
+            for xs in (m, div, orig):
+                xs[r + 1], xs[i] = xs[i], xs[r + 1]
+        z, t = m[r + 1], div[r + 1]
+        b, cc, dd = _entry(y, c2), _entry(z, c), _entry(z, c2)
+        if y[1] is None:
+            blk = a[0], b[0], cc[0], dd[0], (a[0] * dd[0] - b[0] * cc[0]) // t[0], q[0], t[0]
+            p = blk[4], 0
+        else:
+            p = _quotient(_minor(a, b, cc, dd), t)
+            blk = a, b, cc, dd, p, q, t
+        if dens is not None:
+            _put(y, c, (dens[orig[r]] * q[0], dens[orig[r]] * q[1]))
+            _put(y, c2, _ZERO)
+            _put(z, c, _ZERO)
+            _put(z, c2, (dens[orig[r + 1]] * t[0], dens[orig[r + 1]] * t[1]))
+        # row r + 1 after a one-step at c: its update, or its catch-up to a
+        w = z if cc == _ZERO and t == a else _bareiss_step(a, cc, t, z, y)
+        for i in chain(range(r), range(r + 2, rows)):
+            x = xr, xi = m[i]
+            if xr[c] or xr[c2] or xi and (xi[c] or xi[c2]):
+                e, f = _entry(x, c), _entry(x, c2)
+                if dens is not None:  # the identity columns of rows r and r + 1 are 0 here
+                    for xs in x:
+                        if xs is not None:
+                            xs[c] = xs[c2] = 0
+                if e == _ZERO:  # a one-step at c leaves the row alone, and the one at c2 updates it
+                    m[i], div[i] = _bareiss_step(p, f, div[i], x, w), p
+                elif f == b == _ZERO:  # the one-step at c keeps column c2 zero, and the one at c2 leaves it
+                    m[i], div[i] = _bareiss_step(a, e, div[i], x, y), a
+                else:
+                    m[i], div[i] = _bareiss_pair(x, div[i], e, f, blk, y, z)
+        if b != _ZERO:
+            m[r], div[r] = _bareiss_step(p, b, a, y, w), p
+        else:
+            div[r] = a
+        m[r + 1], div[r + 1] = w, p
+        pivots.append(c2)
+        q = p
+        r += 2
+        c = c2 + 1
+    return pivots, div, orig
 
 
 _EMPTY_MATRIX = "matrix needs at least one row and column"
@@ -754,40 +938,19 @@ class ExactMatrix:
 
         Returns the reduced matrix and the pivot column indices.  Runs
         fraction-free Gauss-Jordan (Bareiss 1968) on each row's integer
-        numerators: with pivot p in row r and previous pivot q, every other
-        row becomes (p*row - row[c]*row_r) / q, an exact division.  The steps
-        are lazy (see the module docstring): a row with a zero in column c is
-        left alone and stands for itself times p over its ``div``, and a row
-        is caught up to q before it pivots.  Rows only ever change by nonzero
-        factors, so the pivots are those of plain Gauss-Jordan.  The RREF is
-        each integer row over its own ``div``.
+        numerators, two pivot columns per step (``_eliminate``): with pivot
+        rows y and z holding [[a, b], [c, d]] there and previous pivot q,
+        every other row becomes (p*row - u*y - v*z) / q, with second pivot
+        p = (a*d - b*c) / q, u = (e*d - f*c) / q and v = (a*f - b*e) / q for
+        its entries (e, f).  Sylvester's identity makes each of these a minor
+        of the matrix, so every division is exact.  The steps are lazy (see
+        the module docstring): a row with zeros in both pivot columns is
+        left alone, and a row is caught up to q before it pivots.  Rows only
+        ever change by nonzero factors, so the pivots are those of plain
+        Gauss-Jordan.  The RREF is each integer row over its own ``div``.
         """
         m = [(re, im) for _, re, im in self._lines()]
-        div = [(1, 0)] * self.rows  # the pivot each row was last brought up to date with
-        pivots = []
-        prev = (1, 0)
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            # first row at or below r with a nonzero entry in column c
-            pr = next((i for i in range(r, self.rows) if _entry(m[i], c) != (0, 0)), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            div[r], div[pr] = div[pr], div[r]
-            if div[r] != prev:
-                m[r] = _bareiss_step(prev, (0, 0), div[r], m[r], m[r])
-            p = _entry(m[r], c)
-            for i in range(self.rows):
-                if i != r:
-                    f = _entry(m[i], c)
-                    if f != (0, 0):
-                        m[i] = _bareiss_step(p, f, div[i], m[i], m[r])
-                        div[i] = p
-            div[r] = prev = p
-            pivots.append(c)
-            r += 1
+        pivots, div, _ = _eliminate(m, self.cols)
         return ExactMatrix._wrap(_grid(_over_pivots(m, div), self.cols)), tuple(pivots)
 
     def rank(self) -> int:
@@ -814,41 +977,22 @@ class ExactMatrix:
         Row i of A is lifted once to (d_i, row_i).  Once column c holds its
         pivot p, the left-block column c is p in the pivot row and 0 elsewhere,
         so its slot takes over the right-block column of the pivot row's
-        original index o, which until then is d_o times the previous pivot q
-        in that row and 0 elsewhere.  Other rows then take the lazy Bareiss
-        step of ``rref``: a row with a zero in column c keeps its zero slot
-        and its ``div``.  At the end slot c of row i, over the row's ``div``,
-        is inverse[i][o_c].  A missing pivot means a singular matrix.
+        original index o, which until then is d_o times the row's ``div`` in
+        that row and 0 elsewhere.  The steps are those of ``rref``, two pivot
+        columns at a time, each division exact by Sylvester's identity: the
+        two slots take over their right-block columns before the step, and a
+        row with zeros in both columns keeps its zero slots and its ``div``.
+        At the end slot c of row i, over the row's ``div``, is
+        inverse[i][o_c].  A missing pivot means a singular matrix.
         """
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
         lifted = self._lines()
-        dens = [den for den, _, _ in lifted]
         m = [(re, im) for _, re, im in lifted]
-        orig = list(range(n))  # original index of the row at each position
-        div = [(1, 0)] * n  # the pivot each row was last brought up to date with
-        prev = (1, 0)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if _entry(m[i], c) != (0, 0)), None)
-            if pr is None:
-                raise DomainError("matrix is singular")
-            m[c], m[pr] = m[pr], m[c]
-            orig[c], orig[pr] = orig[pr], orig[c]
-            div[c], div[pr] = div[pr], div[c]
-            if div[c] != prev:
-                m[c] = _bareiss_step(prev, (0, 0), div[c], m[c], m[c])
-            p = _entry(m[c], c)
-            d = dens[orig[c]]
-            _put(m[c], c, (d * prev[0], d * prev[1]))
-            for i in range(n):
-                if i != c:
-                    f = _entry(m[i], c)
-                    if f != (0, 0):
-                        _put(m[i], c, (0, 0))
-                        m[i] = _bareiss_step(p, f, div[i], m[i], m[c])
-                        div[i] = p
-            div[c] = prev = p
+        pivots, div, orig = _eliminate(m, n, [den for den, _, _ in lifted])
+        if len(pivots) < n:
+            raise DomainError("matrix is singular")
         slot = sorted(range(n), key=orig.__getitem__)  # slot[o]: the slot holding right-block column o
         flat = _over_pivots(m, div)
         return ExactMatrix._wrap(tuple(tuple(map(flat[r : r + n].__getitem__, slot)) for r in range(0, n * n, n)))
@@ -1101,7 +1245,8 @@ def min_poly(A: ExactMatrix) -> RationalPolynomial:
     B's narrow entries multiply it.  Each flattened B^k, tagged with
     e_k, is reduced against the rows kept so far by the Bareiss steps that
     made them: a running fraction-free row echelon form, whose every division
-    is exact.  The steps are lazy, as in ``rref``: a kept row whose pivot
+    is exact, one pivot column at a time (the one-step form; ``rref`` and
+    ``inverse`` clear two).  The steps are lazy, as in ``rref``: a kept row whose pivot
     column holds a zero in the power is skipped, and a power is caught up to
     the last pivot only when it is kept.  The first power that reduces to
     zero carries, up to one nonzero factor, c_0..c_k with sum c_j B^j = 0, so

@@ -168,12 +168,14 @@ def regrep_element(xs) -> RegRepElement:
 
 
 @functools.lru_cache(maxsize=None)
-def regrep_transform() -> ExactMatrix:
-    """The fixed change of basis P splitting every regrep matrix.
+def _regrep_basis() -> tuple[ExactMatrix, ExactMatrix]:
+    """(P, P^-1) for the fixed change of basis P splitting every regrep matrix.
 
     Columns 1..6: RREF-canonical eigenvectors for eigenvalue x05 = 21 of the
     matrix specialized at x = (1,..,6).  Columns 7,8: the RREF-canonical basis
     of the column space of (M - 21 I), which is the common invariant plane.
+    P is constant, so it is inverted once, here, which also checks that it is
+    invertible.
     """
     M = to_matrix(regrep_element([1, 2, 3, 4, 5, 6]).element)
     shifted = M - ExactMatrix.identity(8).scale(21)
@@ -186,8 +188,12 @@ def regrep_transform() -> ExactMatrix:
         raise DomainError(f"invariant plane is {len(complement)}-dimensional, expected 2")
     cols = [[v[(i, 0)] for i in range(8)] for v in eig] + [list(row) for row in complement]
     P = ExactMatrix([[cols[j][i] for j in range(8)] for i in range(8)])
-    P.inverse()  # must be invertible
-    return P
+    return P, P.inverse()
+
+
+def regrep_transform() -> ExactMatrix:
+    """The fixed change of basis P splitting every regrep matrix (see _regrep_basis), built once."""
+    return _regrep_basis()[0]
 
 
 def regrep_decompose(X) -> tuple[ExactMatrix, ExactMatrix]:
@@ -195,6 +201,6 @@ def regrep_decompose(X) -> tuple[ExactMatrix, ExactMatrix]:
     and one trailing 2x2 block."""
     if not isinstance(X, RegRepElement):
         X = regrep_element(X)
-    P = regrep_transform()
-    D = P.inverse() @ to_matrix(X.element) @ P
+    P, P_inv = _regrep_basis()
+    D = P_inv @ to_matrix(X.element) @ P
     return P, D

@@ -41,6 +41,11 @@ flat_product is the integer matrix product cell by cell, one plain sum of
 products per entry, as exact._flat_product computed it before it packed
 whole rows into single integers.
 
+one_step_eliminate is exact's lazy fraction-free Gauss-Jordan as it was
+before it cleared two pivot columns per step: one pivot column at a time,
+with its own Z[i] arithmetic, so the stored rows after every step of the
+library's two-column steps can be compared with it.
+
 The last four are the elimination layer in GaussianRational arithmetic:
 Gauss-Jordan, row-by-column products, and inverse and min_poly as they were
 before they ran on integers, an rref of [A | I] and one linear solve per
@@ -324,6 +329,69 @@ def flat_product(left, right, inner: int, width: int):
             re.append(sum(lre[a] * rre[b] - li[a] * ri[b] for a, b in pairs))
             im.append(sum(lre[a] * ri[b] + li[a] * rre[b] for a, b in pairs))
     return re, (None if lim is None and rim is None else im)
+
+
+def _zi_entry(row, c: int):
+    re, im = row
+    return re[c], (0 if im is None else im[c])
+
+
+def _zi_set(row, c: int, z) -> None:
+    re, im = row
+    re[c] = z[0]
+    if im is not None:
+        im[c] = z[1]
+
+
+def _zi_one_step(p, f, q, x, y):
+    """The lifted row (p*x - f*y) / q in Z[i], entry by entry; the division must be exact."""
+    (pr, pi), (fr, fi), (qr, qi) = p, f, q
+    norm = qr * qr + qi * qi
+    out = []
+    for c in range(len(x[0])):
+        (ar, ai), (br, bi) = _zi_entry(x, c), _zi_entry(y, c)
+        sr, si = pr * ar - pi * ai - fr * br + fi * bi, pr * ai + pi * ar - fr * bi - fi * br
+        (tr, rr), (ti, ri) = divmod(sr * qr + si * qi, norm), divmod(si * qr - sr * qi, norm)
+        assert rr == ri == 0, "inexact one-step division"
+        out.append((tr, ti))
+    return [z[0] for z in out], (None if x[1] is None else [z[1] for z in out])
+
+
+def one_step_eliminate(m: list, cols: int, dens=None):
+    """Lazy one-step fraction-free Gauss-Jordan on lifted (re, im) rows, in place: (pivots, div, orig).
+
+    The same contract as exact._eliminate: div[i] is the pivot row i was
+    last brought up to date with, orig[i] the original index of the row now
+    at i, and with dens each pivot column's slot takes over the identity
+    column of its pivot row's original index.
+    """
+    rows = len(m)
+    div = [(1, 0)] * rows
+    orig = list(range(rows))
+    pivots, prev, r = [], (1, 0), 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if _zi_entry(m[i], c) != (0, 0)), None)
+        if pr is None:
+            continue
+        for xs in (m, div, orig):
+            xs[r], xs[pr] = xs[pr], xs[r]
+        if div[r] != prev:
+            m[r] = _zi_one_step(prev, (0, 0), div[r], m[r], m[r])
+        p = _zi_entry(m[r], c)
+        if dens is not None:
+            _zi_set(m[r], c, (dens[orig[r]] * prev[0], dens[orig[r]] * prev[1]))
+        for i in range(rows):
+            f = _zi_entry(m[i], c)
+            if i != r and f != (0, 0):
+                if dens is not None:
+                    _zi_set(m[i], c, (0, 0))
+                m[i], div[i] = _zi_one_step(p, f, div[i], m[i], m[r]), p
+        div[r] = prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, div, orig
 
 
 def oracle_rref(M: ExactMatrix):

@@ -29,7 +29,7 @@ from wittmat import (
 )
 import wittmat.exact as exact
 from conftest import assert_normal, rand_gauss, rand_matrix, rand_perm, rand_real_gauss
-from oracles import flat_product, oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref, scalar
+from oracles import flat_product, one_step_eliminate, oracle_inverse, oracle_min_poly, oracle_mul, oracle_rref, scalar
 
 
 class TestGaussianRational:
@@ -267,6 +267,133 @@ class TestBareissStep:
         assert proc.stdout == "inexact division in Z[i]\n" * 2
 
 
+def _after_first_pivot(rows, lazy_x, lazy_z):
+    """Lifted rows after a one-step on column 0, and the same rows after three one-steps.
+
+    Row 0 pivots on column 0 and rows 1 and 2 on columns 1 and 2; lazy_x and
+    lazy_z zero row 3's or row 2's entry in column 0, so that row skips the
+    first step and stays up to date with 1.
+    """
+    rows = [list(row) for row in rows]
+    for i, lazy in ((3, lazy_x), (2, lazy_z)):
+        if lazy:
+            rows[i][0] = (0, 0)
+    cplx = any(im for row in rows for _, im in row)
+    lifted = [([re for re, _ in row], [im for _, im in row] if cplx else None) for row in rows]
+    once, thrice = [(list(re), im and list(im)) for re, im in lifted], [(list(re), im and list(im)) for re, im in lifted]
+    state = one_step_eliminate(once, 1)
+    assert one_step_eliminate(thrice, 3)[0] == [0, 1, 2]
+    return once, state[1], thrice
+
+
+class TestBareissPair:
+    """The two-column update of one row against two one-steps and their checked divisions."""
+
+    ROWS = [[(2, 1), (1, 0), (3, -1), (1, 2), (-2, 1)],
+            [(1, -1), (3, 2), (1, 0), (2, 0), (0, 3)],
+            [(-1, 2), (2, 2), (4, 1), (1, -3), (2, 0)],
+            [(3, 0), (1, 1), (-2, 2), (5, 1), (1, 1)]]
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("lazy_x", [False, True])
+    @pytest.mark.parametrize("lazy_z", [False, True])
+    def test_one_row_equals_two_one_steps(self, cplx, lazy_x, lazy_z):
+        rows = [[(re, im if cplx else 0) for re, im in row] for row in self.ROWS]
+        m, div, want = _after_first_pivot(rows, lazy_x, lazy_z)
+        y, z, x = m[1], m[2], m[3]
+        (a, b), (c, d), (e, f) = [(exact._entry(row, 1), exact._entry(row, 2)) for row in (y, z, x)]
+        q, t = div[1], div[2]
+        p = exact._quotient(exact._minor(a, b, c, d), t)
+        blk = (a, b, c, d, p, q, t) if cplx else tuple(k for k, _ in (a, b, c, d, p, q, t))
+        assert (q == t == div[3]) is not (lazy_x or lazy_z)  # Sylvester's form, or the lazy one
+        assert exact._bareiss_pair(x, div[3], e, f, blk, y, z) == (want[3], p)
+
+    def test_proportional_entries_take_only_the_first_one_step(self):
+        # a*f - b*e == 0: the first one-step clears the second column too
+        y, z, x = ([2, 4, 1], [1, 0, 0]), ([0, 1, 3], [0, 1, 0]), ([4, 8, 5], [2, 0, 1])
+        a, b, c, d, e, f = (2, 1), (4, 0), (0, 0), (1, 1), (4, 2), (8, 0)
+        blk = (a, b, c, d, exact._quotient(exact._minor(a, b, c, d), (1, 0)), (1, 0), (1, 0))
+        assert exact._bareiss_pair(x, (1, 0), e, f, blk, y, z) == (exact._bareiss_step(a, e, (1, 0), x, y), a)
+
+    # blk for pivot rows up to date with q = 1 + i: a = 1 + i, b = 1, c = 0, d = 1 + i, so p = 1 + i;
+    # a row with e = f = 1 + i has u = 1 + i and v = i, and (p*x - u*y - v*z) / q is x - y - i*z / (1 + i)
+    BLK = ((1, 1), (1, 0), (0, 0), (1, 1), (1, 1), (1, 1), (1, 1))
+
+    @pytest.mark.parametrize("z", [([1], [0]), ([0], [1]), ([2, 1], [0, 0])])
+    def test_inexact_division_in_z_i_raises(self, z):
+        zero = ([0] * len(z[0]), [0] * len(z[0]))
+        with pytest.raises(DomainError, match=r"^inexact division in Z\[i\]"):
+            exact._bareiss_pair(zero, (1, 1), (1, 1), (1, 1), self.BLK, zero, z)
+
+    def test_inexact_multiplier_raises(self):
+        # e*d - f*c = 2 + 2i is not a multiple of q = 3
+        blk = ((1, 1), (1, 0), (0, 0), (1, 1), (1, 1), (3, 0), (3, 0))
+        row = ([0], [0])
+        with pytest.raises(DomainError, match=r"^inexact division in Z\[i\]"):
+            exact._bareiss_pair(row, (3, 0), (1, 1), (1, 1), blk, row, row)
+
+    def test_inexact_division_raises_under_optimize(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "from wittmat import DomainError\n"
+            "from wittmat.exact import _bareiss_pair\n"
+            f"blk = {self.BLK!r}\n"
+            "zero = ([0], [0])\n"
+            "for z in (([1], [0]), ([0], [1])):\n"
+            "    try:\n"
+            "        _bareiss_pair(zero, (1, 1), (1, 1), (1, 1), blk, zero, z)\n"
+            "    except DomainError as exc:\n"
+            "        print(str(exc).split(':')[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "inexact division in Z[i]\n" * 2
+
+
+@st.composite
+def _lifted_rows(draw):
+    """(rows, cols, lifted rows, dens): 1-9 rows and columns of small integers, real or Gaussian.
+
+    Zeros are forced in: a share of the entries, whole columns, and rows
+    that repeat or scale an earlier row, so that lazy rows, skipped columns,
+    zero 2x2 minors and pivots without a partner all turn up.
+    """
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cplx = draw(st.booleans())
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.6, 0.85]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    part = lambda: rng.randint(-4, 4)
+    m = [[(part(), part() if cplx else 0) if rng.random() >= zeros else (0, 0) for _ in range(cols)]
+         for _ in range(rows)]
+    for j in range(cols):
+        if rng.random() < 0.1:
+            for row in m:
+                row[j] = (0, 0)
+    for i in range(1, rows):
+        if rng.random() < 0.2:
+            k, s = rng.randrange(i), (rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 1)) if cplx else 0)
+            m[i] = [_zi_mul(s, z) for z in m[k]]
+    lifted = [([re for re, _ in row], [im for _, im in row] if cplx else None) for row in m]
+    return rows, cols, lifted, [rng.randint(1, 5) for _ in range(rows)]
+
+
+class TestPairStepsAgainstOneSteps:
+    """After every two-column step the stored rows are those two one-steps store."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lifted_rows())
+    def test_stored_rows_after_every_pair(self, case):
+        rows, cols, lifted, dens = case
+        # the first k columns of every row: the steps there are those of the whole
+        # matrix up to its k-th column, so every prefix checks one more pair
+        for k in range(1, cols + 1):
+            for live in (None, dens):
+                got = [(re[:k], im and im[:k]) for re, im in lifted]
+                want = [(re[:k], im and im[:k]) for re, im in lifted]
+                assert (exact._eliminate(got, k, live), got) == (one_step_eliminate(want, k, live), want)
+
+
 # numerators: zero, small of either sign, and up to 2,000 bits; denominators positive
 _NUMERATORS = st.one_of(st.just(0), st.integers(-10**6, 10**6), st.integers(-(2**2000), 2**2000))
 _DENOMINATORS = st.one_of(st.integers(1, 10**6), st.integers(1, 2**2000))
@@ -435,19 +562,25 @@ class TestScalarAgainstFractionPairs:
 
 
 class TestLazySteps:
-    """Count Bareiss steps: rows with a zero in the pivot column take none."""
+    """Count row updates of either step kind: rows with zeros in the pivot columns take none."""
 
     @staticmethod
     def _steps(monkeypatch, f):
+        """(kind, f, cplx) per row update: "step" for a one-column update (p*x - f*y) / q, "pair" for a two-column one."""
         calls = []
-        step = exact._bareiss_step
+        step, pair = exact._bareiss_step, exact._bareiss_pair
 
-        def counting(p, f_, q, x, y):
-            calls.append((f_, x[1] is not None))
+        def counting_step(p, f_, q, x, y):
+            calls.append(("step", f_, x[1] is not None))
             return step(p, f_, q, x, y)
 
+        def counting_pair(x, s, e, f_, blk, y, z):
+            calls.append(("pair", f_, x[1] is not None))
+            return pair(x, s, e, f_, blk, y, z)
+
         with monkeypatch.context() as patched:
-            patched.setattr(exact, "_bareiss_step", counting)
+            patched.setattr(exact, "_bareiss_step", counting_step)
+            patched.setattr(exact, "_bareiss_pair", counting_pair)
             f()
         return calls
 
@@ -464,21 +597,23 @@ class TestLazySteps:
 
     @pytest.mark.parametrize("kind", ["real", "gauss"])
     def test_dense_work_does_not_grow(self, monkeypatch, kind):
+        # three pair steps, each updating its second pivot row, every non-pivot row and then its first pivot row once
         rng = random.Random(131)
         part = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))  # never zero
         A = ExactMatrix([[GaussianRational(part(), part() if kind == "gauss" else 0) for _ in range(6)] for _ in range(6)])
-        assert len(self._steps(monkeypatch, A.inverse)) == 6 * 5
+        kinds = [kind_ for kind_, _, _ in self._steps(monkeypatch, A.inverse)]
+        assert kinds == (["step"] + ["pair"] * 4 + ["step"]) * 3
 
     def test_late_pivot_is_caught_up_in_z_i(self, monkeypatch):
         M = dict(DIFFERENTIAL)["sparse-gauss-late-pivot"]
         for f in (M.rref, M.inverse):
-            assert [cplx for f_, cplx in self._steps(monkeypatch, f) if f_ == (0, 0)] == [True]
+            assert [cplx for kind, f_, cplx in self._steps(monkeypatch, f) if kind == "step" and f_ == (0, 0)] == [True]
 
     def test_kept_power_is_caught_up_in_z_i(self, monkeypatch):
         # A^2..A^5 skip every kept power and are caught up; A^6 reduces to zero against I
         M = dict(DIFFERENTIAL)["sparse-gauss-monomial"]
         steps = self._steps(monkeypatch, lambda: min_poly(M))
-        assert [cplx for f_, cplx in steps if f_ == (0, 0)] == [True] * 4
+        assert [cplx for kind, f_, cplx in steps if kind == "step" and f_ == (0, 0)] == [True] * 4
 
 
 def _tall_fraction(rng):
@@ -514,7 +649,7 @@ def _differential_cases():
     # zero leading entries: inverse and rref must swap rows at steps 0 and 1
     cases.append(("real-row-swaps", ExactMatrix([[0, 1, 2], [0, 0, 3], [5, 1, 1]])))
     cases.append(("gauss-row-swaps", ExactMatrix([[0, "i", 1], [0, 0, 2], ["1+i", 1, 0]])))
-    return cases + NEGATIVE_PIVOTS + _sparse_cases(random.Random(122))
+    return cases + NEGATIVE_PIVOTS + _sparse_cases(random.Random(122)) + PAIR_STEPS
 
 
 # the last Bareiss pivot, the div every row is divided by at the end, is a
@@ -526,6 +661,32 @@ NEGATIVE_PIVOTS = [
     ("gauss-negative-pivots", ExactMatrix([["-3-i", "3+i", "-3+i"], ["-3-i", "2-2i", "i"], ["3-2i", -3, "3+i"]])),
     ("gauss-pivot-minus-i", ExactMatrix([["-i", 1, 2], ["-2i", 3, 7], ["i", 2, 8]])),
     ("gauss-singular-minus-i", ExactMatrix([["-i", 1, 2], ["-2i", 2, 4], [1, 0, "i"]])),
+]
+
+
+# the branches of the two-column step: an odd last pivot column takes a
+# one-step; a column with no nonzero 2x2 minor below the pivot row is
+# skipped; a first candidate row whose minor is zero is passed over for the
+# next (and takes only the first one-step); lazy rows (zeros in the
+# previous pivot columns) are zero in exactly one column of a later pair;
+# and a late second pivot row is caught up (cc zero) or updated (cc nonzero)
+# while it is lazy, in Z[i]
+PAIR_STEPS = [
+    ("pair-odd-last-column", ExactMatrix([[2, -1, 3, 1, 4], [1, 3, -2, 5, 1], [4, 1, 1, -3, 2], [-1, 2, 5, 1, 3],
+                                          [3, -2, 1, 2, -1]])),
+    ("pair-dependent-column", ExactMatrix([[1, 2, 3, 1], [2, 4, 1, 5], [-1, -2, 2, 3], [3, 6, 4, 2]])),
+    ("gauss-pair-zero-first-minor", ExactMatrix([["1+i", 2, 1, "i"], ["2+2i", 4, 3, 1], [1, 3, "2-i", 0],
+                                                 ["i", 1, "2+i", 3]])),
+    ("pair-lazy-one-zero", ExactMatrix([[2, 1, 3, -1, 2, 1], [1, -3, 2, 2, 1, 4], [3, 1, -1, 2, 2, 1],
+                                        [-2, 2, 1, 3, 1, 2], [0, 0, 3, 0, 1, 2], [0, 0, 0, 2, 1, 1]])),
+    ("gauss-pair-lazy-one-zero", ExactMatrix([["1+i", 1, 3, "-i", 2, 1], [1, "-3+2i", 2, 2, "i", 4],
+                                              [3, "i", -1, "2-i", 2, 1], ["-2i", 2, "1+i", 3, 1, 2],
+                                              [0, 0, "3-i", 0, 1, "2i"], [0, 0, 0, "2+i", 1, 1]])),
+    ("gauss-late-second-pivot", ExactMatrix([["1+i", 2, 1, "i", 3], [2, "1-i", 3, 1, "2i"], [0, 0, "2+i", 1, 1],
+                                             [0, 0, 0, "1-2i", 2], ["i", 1, 2, 3, "1+i"]])),
+    ("gauss-late-second-pivot-updated", ExactMatrix([["1+i", 2, 1, "i", 3], [2, "1-i", 3, 1, "2i"],
+                                                     [0, 0, "2+i", 1, 1], [0, 0, "i", "1-2i", 2],
+                                                     ["i", 1, 2, 3, "1+i"]])),
 ]
 
 
@@ -746,6 +907,14 @@ PINNED = {
     "sparse-gauss-late-pivot": ("7fabb76dd0609a1d", "7e4cefa3f2db008c"),
     "sparse-gauss-monomial": ("cb15bdaa4d9e6667", "5ba5d891872b4f3f"),
     "sparse-rank-deficient": (None, "837434795a2d4cfa"),
+    # pinned from the one-step elimination, before rref and inverse cleared two pivot columns per step
+    "pair-odd-last-column": ("7a6df33ee6729093", "8b7d5f430d6c468b"),
+    "pair-dependent-column": (None, "781287289b34a3fb"),
+    "gauss-pair-zero-first-minor": ("de5e99704d256264", "78515a18bc9d6545"),
+    "pair-lazy-one-zero": ("248ff940f23e9133", "d0c44d91a0de76bb"),
+    "gauss-pair-lazy-one-zero": ("0dcb20ada0e1ee67", "1036bc62be69b66f"),
+    "gauss-late-second-pivot": ("82a99690c6c4d3b6", "0c99a92b72cedc5d"),
+    "gauss-late-second-pivot-updated": ("a151ccea1b440dc2", "45b9fd85629d0c89"),
 }
 SQUARE = [(label, M) for label, M in DIFFERENTIAL if M.is_square]
 

@@ -26,7 +26,9 @@ from wittmat import (
     to_matrix,
     u,
 )
+import wittmat.repdecomp as repdecomp
 from conftest import rand_fraction, rand_mv
+from oracles import oracle_inverse
 
 
 class TestCommutant:
@@ -198,6 +200,19 @@ class TestRegRep:
         assert P.rows == P.cols == 8
         assert P.rank() == 8
         assert regrep_transform() is P
+
+    def test_decompose_inverts_p_once(self, monkeypatch):
+        # P and its inverse are kept together: two calls invert once in all and return P^-1 [X] P
+        repdecomp._regrep_basis.cache_clear()
+        inverted = []
+        inverse = ExactMatrix.inverse
+        monkeypatch.setattr(ExactMatrix, "inverse", lambda self: inverted.append(self) or inverse(self))
+        xs = ([1, 2, 3, 4, 5, 6], [Fraction(1, 2), -3, 0, 2, Fraction(5, 7), 1])
+        got = [regrep_decompose(x) for x in xs]
+        assert len(inverted) == 1
+        P = regrep_transform()
+        for x, (P_, D) in zip(xs, got):
+            assert P_ is P and D == oracle_inverse(P) * to_matrix(regrep_element(x).element) * P
 
     def test_decompose_block_structure(self):
         rng = random.Random(186)
