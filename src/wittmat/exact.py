@@ -20,23 +20,24 @@ starts to fill.  Both run one helper, ``_eliminate``.  ``min_poly``
 keeps one running fraction-free echelon form of the integer powers B^k of
 B = d*A, and stops at the first power that reduces to zero.  A matrix with
 no imaginary part runs on plain ints, any other on (re, im) pairs in Z[i].
-Scalars are built again only for the result, each entry by ``_scalar`` as
-the reduced triple the plain computation gives.
+``rref``, ``inverse`` and ``nullspace`` hand back their integers as flat
+matrices (below), and ``min_poly`` builds only its coefficients' scalars.
 
 Every kernel of an ExactMatrix reads one integer form, the flat form: every
 entry, row-major, as integer numerators over one denominator (den, re, im),
 im None exactly when no entry has an imaginary part.  A matrix built from
 scalars lifts its cells to it on first use and keeps the lift.  Producers
-that already hold integers, the spectral matrices of spectral.to_matrix,
-the symgroup matrices and every product, hand over the flat form instead,
-and their cells are built on their first read and then kept.  So each form
-is built once, when first needed, and a matrix that only passes between
-``from_matrix``, ``min_poly``, elimination, ``*`` and ``==`` never builds a
-scalar.  Elimination and ``min_poly`` first divide each row (or the whole
-matrix) down to its least common denominator, so they see the integers a
-lift of the cells would give.  ``_flat_product`` multiplies two flat
-integer matrices.  Dense Multivector products use it too, and a product of
-two matrices is kept over its least common denominator, so chains of
+that already hold integers, the spectral matrices of spectral.to_matrix, the
+symgroup matrices, every product and every result of elimination, hand over
+the flat form instead, and their cells are built on their first read, each
+by ``_scalar`` as the reduced triple the plain computation gives, and then
+kept.  So each form is built once, when first needed, and a matrix that only
+passes between ``from_matrix``, ``min_poly``, elimination, ``*`` and ``==``
+never builds a scalar.  Elimination and ``min_poly`` first divide each row
+(or the whole matrix) down to its least common denominator, so they see the
+integers a lift of the cells would give.  ``_flat_product`` multiplies two
+flat integer matrices.  Dense Multivector products use it too, and a product
+of two matrices is kept over its least common denominator, so chains of
 products stay narrow.  It multiplies whole rows by Kronecker substitution
 (Kronecker 1882; D. Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symb. Comput. 44, 2009): each row of
@@ -318,6 +319,15 @@ def _as_scalar(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
 
 
+def _json_scalar(x) -> GaussianRational:
+    """A JSON integer or scalar string, the one scalar rule of every from_json; a float or boolean raises InputError."""
+    if isinstance(x, str):
+        return GaussianRational.parse(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return GaussianRational(x)
+    raise InputError(f"bad scalar {x!r}: a JSON scalar is an integer or a string")
+
+
 # -- integer lifting ------------------------------------------------------------
 # A vector of GaussianRationals is carried as integer numerators over one
 # common denominator: parallel lists of real and imaginary numerators, the
@@ -377,14 +387,16 @@ def _scalars(re, im, dens) -> list[GaussianRational]:
     return [_scalar(a, b, d) if a or b else zero for a, b, d in zip(re, repeat(0) if im is None else im, dens)]
 
 
-def _grid(flat: list, w: int) -> tuple:
-    """flat, row-major, as a tuple of row tuples of w entries."""
-    return tuple(tuple(flat[r : r + w]) for r in range(0, len(flat), w))
-
-
-def _over_pivots(m, div) -> list[GaussianRational]:
-    """Every lifted row of m over its pivot in div, row-major, each row built over its own denominator."""
-    return [z for (re, im), den in map(_over_pivot, m, div) for z in _scalars(re, im, den)]
+def _over_pivots(m, div):
+    """(den, re, im): the lifted rows of m over their pivots in div (_over_pivot), row-major over their lcm, reduced."""
+    lines = list(map(_over_pivot, m, div))
+    den = lcm(*[d for _, d in lines])
+    re, im = [], None if m[0][1] is None else []
+    for row, d in lines:
+        for out, xs in zip((re, im), row):
+            if out is not None:
+                out += xs if d == den else map(mul, xs, repeat(den // d))
+    return _reduced(den, re, im)
 
 
 def _entry(row, c: int) -> tuple[int, int]:
@@ -745,15 +757,11 @@ class ExactMatrix:
         cells = self._cells
         if cells is None:
             den, re, im = self._flat
-            cells = self._cells = _grid(_scalars(re, im, den), self._cols)
+            flat, w = _scalars(re, im, den), self._cols
+            cells = self._cells = tuple(tuple(flat[r : r + w]) for r in range(0, len(flat), w))
         return cells
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _wrap(cls, cells: tuple) -> "ExactMatrix":
-        """The matrix over cells, a non-empty tuple of equal-length tuples of GaussianRationals, taken as is."""
-        return object.__new__(cls)._fill(len(cells), len(cells[0]), cells, None)
 
     @classmethod
     def _from_flat(cls, rows: int, cols: int, den: int, re: list, im) -> "ExactMatrix":
@@ -780,17 +788,10 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExactMatrix":
-        """Rows of rational strings; JSON numbers are taken at their exact binary value."""
+        """Rows of scalars, each a JSON integer or a scalar string such as "1/2-3i"; a float raises InputError."""
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             raise InputError("matrix JSON must be a non-empty array of arrays")
-        if any(isinstance(x, bool) for row in data for x in row):
-            raise InputError("bad matrix entry: a JSON boolean is not a number")
-        try:
-            rows = [[GaussianRational.parse(x) if isinstance(x, str) else GaussianRational(Fraction(x)) for x in row]
-                    for row in data]
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise InputError(f"bad matrix entry: {exc}") from exc
-        return cls(rows)
+        return cls([[_json_scalar(x) for x in row] for row in data])
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.cells]
@@ -866,9 +867,6 @@ class ExactMatrix:
         return NotImplemented
 
     __matmul__ = __mul__
-
-    def _has_imag(self) -> bool:
-        return self._lifted()[2] is not None
 
     def _lifted(self):
         """(den, re, im): every entry, row-major, over one denominator, im None when no entry has an imaginary part.
@@ -947,28 +945,30 @@ class ExactMatrix:
         the module docstring): a row with zeros in both pivot columns is
         left alone, and a row is caught up to q before it pivots.  Rows only
         ever change by nonzero factors, so the pivots are those of plain
-        Gauss-Jordan.  The RREF is each integer row over its own ``div``.
+        Gauss-Jordan.  The RREF is each integer row over its own ``div``, all
+        handed back flat (``_over_pivots``), its cells built on first read.
         """
         m = [(re, im) for _, re, im in self._lines()]
         pivots, div, _ = _eliminate(m, self.cols)
-        return ExactMatrix._wrap(_grid(_over_pivots(m, div), self.cols)), tuple(pivots)
+        return ExactMatrix._from_flat(self.rows, self.cols, *_over_pivots(m, div)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def nullspace(self) -> list["ExactMatrix"]:
-        """Canonical kernel basis: each free column, in ascending order, set to 1."""
+        """Canonical kernel basis: each free column, in ascending order, set to 1; each vector flat from the rref's."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
+        den, re, im = red._lifted()
+        w = self.cols
         basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [GaussianRational.ZERO] * self.cols
-            v[free] = GaussianRational.ONE
-            for prow, pcol in enumerate(pivots):
-                v[pcol] = -red.cells[prow][free]
-            basis.append(ExactMatrix.column(v))
+        for free in sorted(set(range(w)) - set(pivots)):
+            v = [0] * w, None if im is None else [0] * w
+            for out, xs in zip(v, (re, im)):
+                if out is not None:
+                    for pcol, x in zip(pivots, xs[free::w]):
+                        out[pcol] = -x
+            v[0][free] = den
+            basis.append(ExactMatrix._from_flat(w, 1, *_reduced(den, *v)))
         return basis
 
     def inverse(self) -> "ExactMatrix":
@@ -983,7 +983,8 @@ class ExactMatrix:
         two slots take over their right-block columns before the step, and a
         row with zeros in both columns keeps its zero slots and its ``div``.
         At the end slot c of row i, over the row's ``div``, is
-        inverse[i][o_c].  A missing pivot means a singular matrix.
+        inverse[i][o_c], so the slots are put in that order before the rows go
+        flat (``_over_pivots``).  A missing pivot means a singular matrix.
         """
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
@@ -994,8 +995,8 @@ class ExactMatrix:
         if len(pivots) < n:
             raise DomainError("matrix is singular")
         slot = sorted(range(n), key=orig.__getitem__)  # slot[o]: the slot holding right-block column o
-        flat = _over_pivots(m, div)
-        return ExactMatrix._wrap(tuple(tuple(map(flat[r : r + n].__getitem__, slot)) for r in range(0, n * n, n)))
+        m = [[None if xs is None else [xs[k] for k in slot] for xs in row] for row in m]
+        return ExactMatrix._from_flat(n, n, *_over_pivots(m, div))
 
 
 class RationalPolynomial:

@@ -79,10 +79,10 @@ def commutant(generators) -> CommutantBasis:
                     row[i * m : i * m + m] = g[j::m]
                     row[j::m] = map(sub, row[j::m], g[i * m : i * m + m])
                     out += row
-    basis = []
-    for vec in ExactMatrix._from_flat(len(gens) * m * m, m * m, den, re, im).nullspace():
-        basis.append(ExactMatrix([[vec[(i * m + l, 0)] for l in range(m)] for i in range(m)]))
-    return CommutantBasis(generators=gens, basis=tuple(basis), dimension=len(basis))
+    # each kernel vector, flat and row-major, is the flat form of its m x m matrix
+    null = ExactMatrix._from_flat(len(gens) * m * m, m * m, den, re, im).nullspace()
+    basis = tuple(ExactMatrix._from_flat(m, m, *vec._lifted()) for vec in null)
+    return CommutantBasis(generators=gens, basis=basis, dimension=len(basis))
 
 
 def g_all_matrix(s, t) -> ExactMatrix:

@@ -27,7 +27,8 @@ Multivector products share.  to_matrix reads the element's integer form,
 lifted once, on first use, and kept (Multivector._lifted).  That flat form
 is also the one an ExactMatrix can hold: to_matrix hands its integers to the
 matrix as they are, and from_matrix reads them back, so a round trip, or a
-product of spectral matrices read back, builds no matrix entry as a scalar.
+product or inverse (mv_inverse) of spectral matrices read back, builds no
+matrix entry as a scalar.
 A matrix that holds its cells is lifted once, on first use, and kept
 (ExactMatrix._lifted); both lifts go through exact._lift.  A monomial
 (A, B) and a cell (r, c) are both one 2n-bit index, A * 2^n + B or

@@ -118,7 +118,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import DimensionMismatch, InputError
-from .exact import GaussianRational, _any_imag, _as_scalar, _flat_product, _format_sum, _lift, _scalar
+from .exact import GaussianRational, _any_imag, _as_scalar, _flat_product, _format_sum, _json_scalar, _lift, _scalar
 
 __all__ = _EXPORTS["witt"]
 
@@ -793,9 +793,6 @@ class Multivector:
         mv._n, mv._complexified, mv._terms, mv._lift = n, complexified, terms, None
         return mv
 
-    def _has_imag(self) -> bool:
-        return self._lifted()[3] is not None
-
     def _lifted(self):
         """(den, keys, re, im): den * coefficient == re[j] + im[j]*i for the term at index keys[j] = a_mask * 2^n + b_mask.
 
@@ -889,7 +886,7 @@ class Multivector:
         pairs = []
         for entry in raw:
             try:
-                coeff = GaussianRational.parse(entry["coeff"])
+                coeff = _json_scalar(entry["coeff"])
                 pairs.append((_json_mask(n, entry.get("a", [])) << n | _json_mask(n, entry.get("b", [])), coeff))
             except (TypeError, KeyError, AttributeError) as exc:
                 raise InputError(f"bad term entry {entry!r}") from exc

@@ -334,6 +334,24 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0, True])
+    def test_matrix_entry_that_is_no_integer_or_string_is_input_error(self, capsys, tmp_path, entry):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[entry]]))
+        code, out, err = run(capsys, "from-matrix", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad scalar") and len(err.splitlines()) == 1
+
+    def test_integer_coefficient_is_read(self, capsys, tmp_path):
+        from wittmat import Multivector, a
+
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 1, "terms": [{"a": [1], "coeff": 2}, {"coeff": -3}]}))
+        code, out, err = run(capsys, "mul", str(path), str(path))
+        assert (code, err) == (0, "")
+        g = a(1, 1).scale(2) - one(1).scale(3)
+        assert Multivector.from_json(json.loads(out)) == g * g
+
     def test_rank_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "spectral-table", "9")
         assert code == 2

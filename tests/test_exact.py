@@ -20,6 +20,7 @@ from wittmat import (
     ExactMatrix,
     GaussianRational,
     InputError,
+    Multivector,
     Permutation,
     RationalPolynomial,
     eval_poly,
@@ -166,13 +167,29 @@ class TestExactMatrix:
         with pytest.raises(DimensionMismatch):
             b * b
 
-    def test_json_reads_numbers_exactly_and_rejects_bad_entries(self):
+    def test_json_reads_integers_and_strings_and_rejects_bad_entries(self):
         M = ExactMatrix([["1/3", "2i"], [0, Fraction(1, 2)]])
         assert ExactMatrix.from_json(M.to_json()) == M
-        assert ExactMatrix.from_json([[0.5, 3], [-2, "1-i"]]) == ExactMatrix([["1/2", 3], [-2, "1-i"]])
-        for bad in ([], [[]], "x", [[1], 2], [["q"]], [[None]], [[float("inf")]], [[1, 2], [3]], [[True]], [[1, False]]):
+        assert ExactMatrix.from_json([["1/2", 3], [-2, "1-i"]]) == ExactMatrix([["1/2", 3], [-2, "1-i"]])
+        for bad in ([], [[]], "x", [[1], 2], [["q"]], [[None]], [[float("inf")]], [[1, 2], [3]], [[True]], [[1, False]],
+                    [[0.5, 3], [-2, "1-i"]]):
             with pytest.raises(InputError):
                 ExactMatrix.from_json(bad)
+
+    @pytest.mark.parametrize("x", [1, -7, 10**30, "3/4", "1-2i", " 5 "])
+    def test_one_json_scalar_rule_for_matrices_and_elements(self, x):
+        """A JSON integer or string reads the same as a matrix entry and as a coefficient."""
+        want = GaussianRational.parse(x) if isinstance(x, str) else GaussianRational(x)
+        assert ExactMatrix.from_json([[x]])[0, 0] == want
+        g = Multivector.from_json({"n": 1, "complex": True, "terms": [{"a": [1], "coeff": x}]})
+        assert g._terms == {0b10: want}
+
+    @pytest.mark.parametrize("x", [0.5, 0.1, 1.0, True, False, None, [1], {"re": 1}])
+    def test_json_scalar_rejects_floats_booleans_and_containers(self, x):
+        with pytest.raises(InputError):
+            ExactMatrix.from_json([[x]])
+        with pytest.raises(InputError):
+            Multivector.from_json({"n": 1, "terms": [{"coeff": x}]})
 
     def test_flat_equality_cross_multiplies(self):
         flat = ExactMatrix._from_flat
@@ -205,7 +222,7 @@ class TestExactMatrix:
         E = ExactMatrix._from_flat(1, 2, 1, [0, 1], None)
         for P, Q, imag in ((R, G, True), (G, R, True), (G, K, False), (E, G, True)):
             PQ = P * Q
-            assert PQ._flat is not None and PQ._has_imag() is imag
+            assert PQ._flat is not None and (PQ._lifted()[2] is not None) is imag
             assert _json(PQ) == _json(oracle_mul(ExactMatrix(P.cells), ExactMatrix(Q.cells)))
         assert _json(R * G) == '[["3/2", "1/3"], ["-2", "-1/2+1/2i"]]'
 
@@ -792,7 +809,7 @@ class TestOneProduct:
         for P, Q in ((R, G), (G, R), (R, K), (K.transpose(), R)):
             PQ = P * Q
             assert _json(PQ) == _json(oracle_mul(P, Q))
-            assert PQ._has_imag() == oracle_mul(P, Q)._has_imag()
+            assert (PQ._lifted()[2] is None) == (oracle_mul(P, Q)._lifted()[2] is None)
 
     @pytest.mark.parametrize("kind", ["real", "gauss"])
     def test_wide_lines_lose_their_contents(self, kind, monkeypatch):
@@ -845,7 +862,7 @@ class TestOneForm:
         if rows > 1:
             cells[rng.randrange(rows)] = [0] * cols
         M = ExactMatrix(cells)
-        cplx = M._has_imag()
+        cplx = M._lifted()[2] is not None
         assert cplx == (kind == "gauss")
         assert M._lines() == [exact._lift(row, cplx) for row in M.cells]
 
@@ -1011,6 +1028,85 @@ class TestProperties:
     def test_product_associates_with_vectors(self, abx):
         A, B, x = abx
         assert (A * B) * x == A * (B * x)
+
+
+# Scalars for the blocks of _block_diagonal: each with its own denominator, some negative, some Gaussian.
+_BLOCK_SCALES = [GaussianRational(x, y) for x, y in ((1, 0), (-1, 0), (Fraction(1, 2), 0), (Fraction(-2, 3), 0),
+                                                     (Fraction(3, 7), 0), (0, Fraction(1, 2)), (0, -1),
+                                                     (Fraction(1, 3), Fraction(-2, 3)), (Fraction(2, 11), Fraction(1, 11)))]
+
+
+@st.composite
+def _block_diagonal(draw):
+    """A block-diagonal matrix of one to three blocks, each an integer block times one of _BLOCK_SCALES.
+
+    The blocks are all square or each 1-3 x 1-4.  Each block's scalar has its
+    own denominator, so the rows of its rref and inverse end over different
+    denominators and the flat result's lcm is wider than any row's; the
+    negative and Gaussian scalars give negative and Gaussian pivots.  The
+    rows come in any order, so elimination swaps them.
+    """
+    square = draw(st.booleans())
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(1, 3))
+        c = r if square else draw(st.integers(1, 4))
+        z = draw(st.sampled_from(_BLOCK_SCALES))
+        ints = st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c), min_size=r, max_size=r)
+        blocks.append([[z * x for x in row] for row in draw(ints)])
+    cols = sum(len(block[0]) for block in blocks)
+    cells, c0 = [], 0
+    for block in blocks:
+        w = len(block[0])
+        cells += [[0] * c0 + row + [0] * (cols - c0 - w) for row in block]
+        c0 += w
+    return ExactMatrix(draw(st.permutations(cells)))
+
+
+class TestFlatResults:
+    """rref, inverse and nullspace hand back flat matrices: no cells until read, then the oracle's cells."""
+
+    @staticmethod
+    def check(got, want):
+        assert got._cells is None
+        entries = [x for row in want.cells for x in row]
+        assert got._flat == exact._lift(entries, exact._any_imag(entries))  # the least denominator, im None if real
+        assert got.cells == want.cells and _json(got) == _json(want)
+        eager = ExactMatrix(got.cells)
+        assert got == eager and eager == got and hash(got) == hash(eager)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_block_diagonal() | st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda s: _matrices(*s, kinds=_SPARSE_KINDS + (_REAL, _GAUSS))))
+    def test_against_oracle_with_cells_read(self, M):
+        red, pivots = M.rref()
+        want_red, want_pivots = oracle_rref(M)
+        assert pivots == want_pivots
+        self.check(red, want_red)
+        if M.is_square and len(pivots) == M.rows:
+            self.check(M.inverse(), oracle_inverse(M))
+        free = [c for c in range(M.cols) if c not in pivots]
+        null = M.nullspace()
+        assert len(null) == len(free)
+        for c, v in zip(free, null):
+            want = [GaussianRational.ONE if k == c else GaussianRational.ZERO for k in range(M.cols)]
+            for prow, pcol in enumerate(pivots):
+                want[pcol] = -want_red.cells[prow][c]
+            self.check(v, ExactMatrix.column(want))
+
+    def test_rows_over_different_denominators_go_over_their_lcm(self):
+        red, _ = ExactMatrix([[2, 1, 0, 0], [0, 0, 3, 1]]).rref()
+        assert red._flat == (6, [6, 3, 0, 0, 0, 0, 6, 2], None)
+        inv = ExactMatrix([[-2, 0], [0, "3i"]]).inverse()  # a negative pivot and a Gaussian one
+        assert inv._flat == (6, [-3, 0, 0, 0], [0, 0, 0, -2])
+        assert inv.to_json() == [["-1/2", "0"], ["0", "-1/3i"]]
+
+    @pytest.mark.parametrize("cells", [[["i", "2i"]], [["1+i", "2"], ["i", "1-i"]], [["i", 0], [0, "-2i"]]])
+    def test_a_gaussian_matrix_with_a_real_rref_drops_its_imaginary_part(self, cells):
+        M = ExactMatrix(cells)
+        red, _ = M.rref()
+        assert M._lifted()[2] is not None and red._flat[2] is None
+        assert red == oracle_rref(M)[0] and red.to_json() == oracle_rref(M)[0].to_json()
 
 
 # Slot widths a product needs, bits(max|left|) + bits(max|right|) +

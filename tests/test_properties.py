@@ -79,6 +79,7 @@ from conftest import assert_normal, rand_matrix
 from wittmat import exact, witt
 from wittmat import (
     BladeMonomial,
+    DimensionMismatch,
     DomainError,
     ExactMatrix,
     GaussianRational,
@@ -242,7 +243,7 @@ class TestAgainstOracle:
     @given(matrices(), st.sampled_from([None, True, False]))
     def test_from_matrix(self, nm, complexified):
         n, M = nm
-        if complexified is False and M._has_imag():
+        if complexified is False and M._lifted()[2] is not None:
             with pytest.raises(InputError):
                 from_matrix(M, n, complexified=False)
             with pytest.raises(InputError):
@@ -1005,7 +1006,6 @@ class TestKeptLift:
             assert kept is not None and elements[0]._lift is kept, name
         for x, lift in zip(elements, want):
             assert x._lifted() == lift and x._lifted() is x._lifted()
-            assert x._has_imag() == (lift[3] is not None)
             for clone in (copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))):
                 twin = clone(x)
                 assert twin._lift is None and twin == x and twin.complexified == x.complexified
@@ -1021,7 +1021,7 @@ class TestKeptLift:
         assert lifted == []
         with product_path(path):
             got = [g * h, h * g, g * g]
-        got += [g.reverse(), g.clifford_conj(), h.reverse(), from_matrix(to_matrix(g), 4), g._has_imag()]
+        got += [g.reverse(), g.clifford_conj(), h.reverse(), from_matrix(to_matrix(g), 4), g._lifted()[3] is not None]
         assert lifted == [85, 84]
         assert [as_bytes(x) for x in got[:5]] == [as_bytes(x) for x in (
             oracles.mul(g, h), oracles.mul(h, g), oracles.mul(g, g), oracles.reverse(g), oracles.reverse(g.grade_involution()))]
@@ -1200,10 +1200,12 @@ def result(f):
     """What f() returns, in comparable form, or the type and text of the error it raises."""
     try:
         out = f()
-    except (DomainError, InputError) as exc:
+    except (DimensionMismatch, DomainError, InputError) as exc:
         return type(exc).__name__, str(exc)
     if isinstance(out, tuple):  # rref
         return out[0].to_json(), out[1]
+    if isinstance(out, list):  # nullspace
+        return [v.to_json() for v in out]
     if isinstance(out, Multivector):
         return as_bytes(out), out.complexified
     return str(out) if isinstance(out, RationalPolynomial) else out.to_json()
@@ -1219,35 +1221,51 @@ class TestFlatMatrices:
     """
 
     @staticmethod
-    def check_against_eager(g):
-        E = ExactMatrix(to_matrix(g).cells)
-        M = to_matrix(g)
+    def check_against_eager(make, n):
+        """make() builds a fresh flat matrix, which must act as its eager copy under every reader."""
+        E = ExactMatrix(make().cells)
+        M = make()
         assert M._cells is None
         assert M == E and E == M and hash(M) == hash(E)
-        assert pickle.dumps(to_matrix(g)) == pickle.dumps(E)
+        assert pickle.dumps(make()) == pickle.dumps(E)
         for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
-            out = clone(to_matrix(g))
+            out = clone(make())
             assert out == E and hash(out) == hash(E)
-        assert to_matrix(g).to_json() == E.to_json()
-        assert to_matrix(g).pretty() == E.pretty()
-        assert to_matrix(g).transpose() == E.transpose()
-        assert to_matrix(g).trace() == E.trace()
-        readers = [ExactMatrix.rref, ExactMatrix.inverse, min_poly]
-        readers += [lambda A, c=c: from_matrix(A, g.n, c) for c in (None, True, False)]
+        assert make().to_json() == E.to_json()
+        assert make().pretty() == E.pretty()
+        assert make().transpose() == E.transpose()
+        assert not E.is_square or make().trace() == E.trace()
+        readers = [ExactMatrix.rref, ExactMatrix.nullspace, ExactMatrix.inverse, min_poly]
+        readers += [lambda A, c=c: from_matrix(A, n, c) for c in (None, True, False)]
         for read in readers:
-            M = to_matrix(g)
+            M = make()
             assert result(lambda: read(M)) == result(lambda: read(E))
             assert M._cells is None
 
     @settings(max_examples=100)
     @given(elements(st.integers(0, 5)))
     def test_against_eager(self, g):
-        self.check_against_eager(g)
+        self.check_against_eager(lambda: to_matrix(g), g.n)
 
     @settings(max_examples=4)
     @given(elements(st.just(6)))
     def test_against_eager_rank_6(self, g):
-        self.check_against_eager(g)
+        self.check_against_eager(lambda: to_matrix(g), g.n)
+
+    @settings(max_examples=40)
+    @given(elements(st.integers(0, 3)), st.sampled_from(["inverse", "rref", "nullspace"]))
+    def test_elimination_results_against_eager(self, g, kind):
+        """rref, inverse and nullspace hand back flat matrices too, which every reader reads as their cells."""
+        make = {
+            "inverse": lambda: to_matrix(g).inverse(),
+            "rref": lambda: to_matrix(g).rref()[0],
+            "nullspace": lambda: to_matrix(g).nullspace()[0],
+        }[kind]
+        try:
+            make()
+        except (DomainError, IndexError):  # singular, or a zero nullspace
+            return
+        self.check_against_eager(make, g.n)
 
     @settings(max_examples=40)
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(elements(st.just(n)), elements(st.just(n)))))
@@ -1259,7 +1277,7 @@ class TestFlatMatrices:
         assert flat._cells is None
         for got in (flat, to_matrix(g) * eager[1], eager[0] * to_matrix(h)):
             assert got == want and got.to_json() == want.to_json()
-            assert got._has_imag() == want._has_imag()
+            assert (got._lifted()[2] is None) == (want._lifted()[2] is None)
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_imaginary_parts_that_cancel(self, n):

@@ -348,6 +348,32 @@ class TestNoHiddenCells:
         assert all(equal) and not any(unequal)
         assert all(P == to_matrix(g * h) for P in products)
 
+    def test_elimination_builds_no_cells_until_one_is_read(self, monkeypatch):
+        """rref, inverse, nullspace, the commutant basis and mv_inverse hand over integers, and cells wait for a read."""
+        from wittmat import commutant
+
+        rng = random.Random(144)
+        for cplx in (False, True):
+            g = rand_mv(rng, 3, cplx, 30) + one(3).scale(7)
+            low = to_matrix(g) * to_matrix(spectral_unit(3, 0, 0) + spectral_unit(3, 5, 2))  # rank 2
+            M = to_matrix(g)
+            pair = [perm_matrix(rand_perm(rng, 4), 4) for _ in range(2)]
+            out = []
+
+            def run():
+                out.extend([M.inverse(), M.rref()[0], low.rref()[0], *low.nullspace(), *commutant(pair).basis])
+                out.append(mv_inverse(g))
+
+            assert self._scalar_builds(monkeypatch, run) == []
+            *matrices, g_inv = out
+            assert all(X._cells is None for X in matrices)
+            assert g_inv * g == one(3) and g * g_inv == one(3)
+            assert self._scalar_builds(monkeypatch, lambda: [X.cells for X in matrices]) == [
+                X.rows * X.cols for X in matrices
+            ]
+            assert matrices[0].cells == oracles.oracle_inverse(ExactMatrix(M.cells)).cells
+            assert matrices[2].cells == oracles.oracle_rref(ExactMatrix(low.cells))[0].cells
+
     def test_cells_are_built_once(self, monkeypatch):
         M = to_matrix(rand_mv(random.Random(141), 3, True, 8))
         reads = []
