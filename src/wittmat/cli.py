@@ -4,7 +4,7 @@ Every subcommand reads exact JSON (multivectors as {"n", "complex", "terms"},
 matrices as arrays of arrays of rational strings), prints deterministic
 output, and exits 0.  Errors map to fixed exit codes with a one-line
 diagnostic on stderr: 1 malformed input, 2 dimension or rank mismatch,
-3 domain error.
+3 domain error, a result too long to print included.
 
 A call imports only the modules its subcommand uses: errors, exact, witt and
 spectral always, and signatures, symgroup, repdecomp or goldens when a
@@ -56,7 +56,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit of int(str)
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -83,6 +83,7 @@ and elimination ends there.  At the end each row is divided by its own
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from itertools import chain, repeat
@@ -102,7 +103,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # an exponent past the digit limit of str(int) (none before 3.10.7) builds an integer that no
+        # result holding it can print, and a huge one would fill memory: refuse it before building it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         try:
+            if limit and abs(int(x.lower().partition("e")[2] or 0)) > limit:
+                raise InputError(f"rational literal {x!r} has an exponent past the {limit}-digit limit")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}") from exc
@@ -120,7 +126,10 @@ class GaussianRational:
 
     A scalar is immutable the way ``fractions.Fraction`` is: ``re`` and ``im``
     are read-only properties over the private slots ``_a``, ``_b`` and
-    ``_d``, and only ``__init__`` and ``_scalar`` write those slots.
+    ``_d``, and only ``__init__`` and ``_scalar`` write those slots.  As in
+    ``Fraction``, a ``bool`` is the int it is, so ``GaussianRational(True)``
+    is 1 and ``==`` against a bool compares values; only the JSON readers
+    (``_json_scalar``) refuse booleans.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -299,9 +308,12 @@ def _scalar(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _part(x: int, d: int) -> str:
-    """x / d, for d > 0, as str(Fraction(x, d)) prints it."""
+    """x / d, for d > 0, as str(Fraction(x, d)) prints it; DomainError past the digit limit of str(int)."""
     g = gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
+    try:
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+    except ValueError as exc:
+        raise DomainError(f"a value too long to print: {exc}") from exc
 
 
 GaussianRational.ZERO = GaussianRational(0)

@@ -37,9 +37,10 @@ those lifts, which their elements and matrices own, the only state kept is
 witt._rank(n), one table of maps from that index, each entry one signed
 subset walk filled on first use over one pool of ints: the signed targets
 of each direction (cells, units; spectral_unit reads units), the reversed
-words and the kernel's b.a expansions; and witt._gather(n), the orders and
-signs of the passes.  Both are kept for ranks up to 6 and, above that, for
-the most recent rank only.
+words and the kernel's b.a expansions, plus the flat indices a read-back
+scans for nonzeros, a list of the pool's ints up to rank 6, a range above;
+and witt._gather(n), the orders and signs of the passes.  Both are kept for
+ranks up to 6 and, above that, for the most recent rank only.
 """
 
 from __future__ import annotations

@@ -94,7 +94,9 @@ scatter only the nonzero entries through those targets; a nearly full
 matrix, as a dense product is, is read back in n passes over all 4^n cells
 instead, each applying one index's map to four strided slices
 (_unit_passes), with gather orders and signs from _gather(n), whose indices
-are the pool's ints too.
+are the pool's ints too.  Either way _from_cells scans _rank(n).index, the
+flat indices 0..4^n - 1: up to rank 6 a list of the pool's ints, so a scan
+makes no int per cell; above it a range, so no 4^n list is kept there.
 
 Reversal runs on integer numerators too: reverse and clifford_conj read the
 element's kept lift, put the grade involution's signs and the conjugation of
@@ -529,16 +531,23 @@ def _rank(n: int) -> _Tables:
     the signed targets of an index: cells a monomial's spectral matrix cells
     (_to_cells), units a cell's unit as monomials (_from_cells), reverse a
     monomial's reversed word (_reversed), and sites a kernel key's b.a
-    expansion (_product_sum).  Only the indices used are kept, so sparse work
-    at a high rank builds no 4^n list, and above rank _WARM_RANK only the
-    most recent rank's table is kept (_per_rank).
+    expansion (_product_sum).  index holds the flat indices 0..4^n - 1 that
+    _from_cells scans: up to rank _WARM_RANK one list of the pool's ints,
+    filled with the table, and above it range(4^n).  The maps keep only the
+    indices used, so sparse work above rank _WARM_RANK builds no 4^n list,
+    and there only the most recent rank's table is kept (_per_rank).
     """
     ints = {}
     pool = ints.setdefault
     parity = _Parity()
+    index = range(1 << 2 * n)
+    if n <= _WARM_RANK:  # each int kept once, as the key and value of the pool
+        index = list(index)
+        ints.update(zip(index, index))
     return _Tables(
         ints=ints,
         pool=pool,
+        index=index,
         parity=parity,
         cells=_Lazy(n, _CELLS, pool, parity),
         units=_Lazy(n, _UNITS, pool, parity),
@@ -642,16 +651,18 @@ def _from_cells(n: int, re, im, den: int, complexified: bool) -> "Multivector":
     nonzero, every cell goes through the n passes of _unit_passes; below
     that only the nonzero cells are scattered, through _rank(n).units.
     Either way the sums land at the monomial indices a_mask * 2^n + b_mask,
-    and _from_sums builds the nonzero ones in ascending index order.
+    and _from_sums builds the nonzero ones in ascending index order.  Both
+    scans for nonzeros read _rank(n).index, so up to rank _WARM_RANK the
+    result's keys are the pool's ints and no scan makes an int.
     """
-    size = 1 << n
-    cells = list(compress(range(size * size), re if im is None else map(or_, re, im)))
+    size, rank = 1 << n, _rank(n)
+    cells = list(compress(rank.index, re if im is None else map(or_, re, im)))
     if 4 * len(cells) > 3 * size * size:
         out_re, out_im = _unit_passes(n, re, im)
     else:
-        out_re, out_im = _scatter(size, _rank(n).units, cells, list(map(re.__getitem__, cells)),
+        out_re, out_im = _scatter(size, rank.units, cells, list(map(re.__getitem__, cells)),
                                   None if im is None else list(map(im.__getitem__, cells)))
-    ks = list(compress(range(size * size), out_re if im is None else map(or_, out_re, out_im)))
+    ks = list(compress(rank.index, out_re if im is None else map(or_, out_re, out_im)))
     sums = map(out_re.__getitem__, ks)
     if im is not None:
         sums = zip(sums, map(out_im.__getitem__, ks))

@@ -342,6 +342,33 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: bad scalar") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["from-matrix", "minpoly"])
+    @pytest.mark.parametrize("entry", ['"1e5000"', '"-3e-5000"', '"1e5000+2i"', "9" * 4301],
+                             ids=["exponent", "negative-exponent", "gaussian", "json-integer"])
+    def test_value_past_the_digit_limit_is_input_error(self, capsys, tmp_path, command, entry):
+        """A literal whose exponent passes str(int)'s digit limit is refused before its integer is built, and so is a
+        JSON integer too long to read."""
+        path = tmp_path / "m.json"
+        path.write_text(f"[[{entry}, 0], [0, 1]]")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            # (x - 10^3000)^2 has the coefficient 10^6000
+            ("minpoly", [["1e3000", 1], [0, "1e3000"]]),
+            ("mul", {"n": 1, "terms": [{"coeff": "1e3000"}]}),
+        ],
+    )
+    def test_result_past_the_digit_limit_is_domain_error(self, capsys, tmp_path, command, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, *[str(path)] * (2 if command == "mul" else 1))
+        assert code == 3 and out == ""
+        assert err.startswith("error: a value too long to print") and len(err.splitlines()) == 1
+
     def test_integer_coefficient_is_read(self, capsys, tmp_path):
         from wittmat import Multivector, a
 

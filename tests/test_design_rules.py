@@ -83,3 +83,39 @@ def test_witt_builds_every_scalar_through_exact_scalar():
     """witt.py calls no GaussianRational(...): every result coefficient comes from exact._scalar."""
     bad = [line for name, _, line in calls(SRC / "witt.py") if name == "GaussianRational"]
     assert bad == []
+
+
+def named(node):
+    """The name a Name or Attribute node reads, or that an import alias brings in; None for any other node."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or (node.name if isinstance(node, ast.alias) else None)
+
+
+def test_every_cache_is_a_constant():
+    """Per-rank tables are built only under witt._per_rank, which keeps ranks up to 6 and the latest above.
+
+    So functools.cache and lru_cache may decorate only a function that takes
+    no arguments, a constant built once: no cache is keyed by rank, or grows
+    with the work.  Any other mention of either name, a call such as
+    cache(f) or an import under another name, breaks the rule too.
+    """
+    caches = {"cache", "lru_cache"}
+    constants, bad = [], []
+    for path in sources():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        seen = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                inside = list(ast.walk(decorator))
+                if any(named(n) in caches for n in inside):
+                    seen.update(map(id, inside))
+                    args = node.args
+                    if args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg:
+                        bad.append(f"{path.name}:{node.lineno} caches {node.name}, which takes arguments")
+                    else:
+                        constants.append(f"{path.stem}.{node.name}")
+        bad += [f"{path.name}:{n.lineno} names {named(n)} outside a decorator"
+                for n in ast.walk(tree) if id(n) not in seen and named(n) in caches]
+    assert bad == []
+    assert {"repdecomp._regrep_images", "repdecomp._regrep_basis"} <= set(constants)

@@ -96,6 +96,31 @@ class TestGaussianRational:
             with pytest.raises((InputError, ZeroDivisionError)):
                 GaussianRational.parse(bad)
 
+    def test_a_bool_is_the_int_it_is(self):
+        """As in Fraction, the constructor and arithmetic read True as 1 and False as 0, and == never raises.
+
+        Only the JSON readers refuse a boolean (TestExactMatrix).
+        """
+        for b in (False, True):
+            z = GaussianRational(b)
+            assert z == int(b) == Fraction(b) and z == b and b == z and hash(z) == hash(b)
+            assert GaussianRational(0, b) == GaussianRational(0, int(b)) and GaussianRational(b, b) == b * (1 + GaussianRational.I)
+            assert z + True == int(b) + 1 and True * z == z and z - False == z and str(z) == str(int(b))
+        assert GaussianRational(True) / True == 1 and GaussianRational(3) != True and exact._as_scalar(True) == 1
+
+    def test_exponents_past_the_digit_limit(self):
+        """A literal with an exponent past str(int)'s digit limit is InputError before its integer is built; a value
+        past the limit that was built elsewhere is DomainError when printed."""
+        limit = sys.get_int_max_str_digits()
+        for text in (f"1e{limit + 1}", f"-2/3e-{limit + 1}", f"1e{10**12}", f"3-1e{limit + 1}i"):
+            with pytest.raises(InputError, match="digit limit"):
+                GaussianRational.parse(text)
+        assert str(GaussianRational.parse(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
+        for z in (GaussianRational.parse(f"1e{limit}"), GaussianRational(Fraction(1, 10**limit))):
+            assert z * 10**limit in (10 ** (2 * limit), 1)
+            with pytest.raises(DomainError, match="too long to print"):
+                str(z)
+
     def test_predicates_are_methods(self):
         x = GaussianRational(0, 1)
         assert not x.is_real()

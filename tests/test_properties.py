@@ -70,6 +70,7 @@ import tracemalloc
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,7 +319,41 @@ def cell_values(cells, size: int, cplx: bool, rng: random.Random):
     return re, im
 
 
+@st.composite
+def read_backs(draw):
+    """(n, re, im, den) for witt._from_cells at ranks 0-7, real or complex, with nonzeros on either side of its line."""
+    n, cplx, above = draw(st.integers(0, 7)), draw(st.booleans()), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = 1 << n
+    line = 3 * size * size // 4
+    count = rng.randint(line + 1, size * size) if above else rng.randint(0, line)
+    re, im = cell_values(sorted(rng.sample(range(size * size), count)), size, cplx, rng)
+    return n, re, im, draw(st.sampled_from((1, 6, 3**45)))
+
+
 class TestUnitPasses:
+    @settings(max_examples=40, deadline=None)
+    @given(read_backs())
+    def test_read_back_matches_the_unit_scatter(self, case):
+        """_from_cells against the oracle's unit scatter: values, ascending keys and, up to rank 6, the pool's ints as keys.
+
+        Rank 7 scans a range, not a kept list.
+        """
+        n, re, im, den = case
+        size = 1 << n
+        cells = [k for k in range(size * size) if re[k] or im and im[k]]
+        spots = oracles.unit_spots(n, cells)
+        sums = [oracles.scatter(size, spots, [xs[k] for k in cells]) for xs in (re, im or [0] * len(re))]
+        want = [(k, GaussianRational(Fraction(x, den), Fraction(y, den))) for k, (x, y) in enumerate(zip(*sums)) if x or y]
+        got = witt._from_cells(n, re, im, den, im is not None)
+        assert list(got._terms.items()) == want and got.complexified == (im is not None)
+        for c in got._terms.values():
+            assert_normal(c)
+        rank = witt._rank(n)
+        assert type(rank.index) is (list if n <= witt._WARM_RANK else range)
+        if n <= witt._WARM_RANK:
+            assert all(rank.ints.get(k) is k for k in got._terms)
+
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("cplx", [False, True])
     def test_passes_match_the_scatter(self, n, cplx):
@@ -512,6 +547,27 @@ class TestBridgeTables:
         kept += [k for lazy in (*maps, rank.sites) for targets in lazy.values() for side in targets for k in side]
         for k in kept + flat + order:
             assert ints[k] is k, k
+        # the flat indices a read-back scans: up to rank 6 exactly [0, 4^n) as the pool's own ints, a range above
+        for m in range(9):
+            table = witt._rank(m)
+            if m <= witt._WARM_RANK:
+                assert table.index == list(range(4**m)) and all(table.ints[k] is k for k in table.index), m
+            else:
+                assert table.index == range(4**m) and type(table.index) is range, m
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_a_rank_6_read_back_keys_its_terms_by_the_pools_ints(self, kind):
+        """Both read-back paths, the scatter of a sparse element and the passes of a full one, key by the pool's ints."""
+        n = 6
+        clear_tables()
+        sparse = seeded(n, random.Random(1900).sample(basis(n), 40), 1901, kind)
+        full = rand_matrix(random.Random(1902), 1 << n, 1 << n, complex_entries=kind == "complex")
+        for matrix, passes in ((to_matrix(sparse), False), (full, True)):
+            _, re, im = matrix._lifted()
+            assert (4 * sum(map(bool, map(or_, re, im or re))) > 3 * 4**n) == passes  # the passes past the line
+            g = from_matrix(matrix, n)
+            assert max(g._terms) > 256 and all(witt._rank(n).ints.get(k) is k for k in g._terms)
+        assert as_bytes(from_matrix(to_matrix(sparse), n)) == as_bytes(sparse)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_high_rank_work_keeps_little(self, n):
